@@ -5,7 +5,7 @@ degree, whether it passed, failed with a witness, or could not be decided
 inside the degree window.
 """
 
-from .exactlin import PrimeField, PrimeFieldMatrix, is_prime, kernel_mod, matmul_mod, rank_mod, rref, solve_mod
+from .exactlin import PrimeField, is_prime, kernel_mod, matmul_mod, rank_mod, rref, solve_mod
 from .graded import (
     AlgebraFormatError,
     GradedElement,
@@ -43,8 +43,6 @@ from .stmod import (
     FDModule,
     StableHom,
     SyzygyTower,
-    cosyzygy_step,
-    duality_functional,
     fd_algebra_from_json,
     fd_algebra_from_json_dict,
     free_module,

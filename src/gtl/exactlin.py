@@ -165,51 +165,3 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
-
-
-@dataclass(frozen=True)
-class PrimeFieldMatrix:
-    """Immutable dense matrix over a PrimeField.
-
-    Thin convenience wrapper over the module-level routines; internal code
-    that already tracks the characteristic works on bare arrays instead.
-    """
-
-    field: PrimeField
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = as_residues(self.entries, self.field.p)
-        if arr.ndim != 2:
-            raise ValueError(f"matrix must be 2-dimensional, got shape {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-    def rank(self) -> int:
-        return rank_mod(self.entries, self.field.p)
-
-    def kernel_basis(self) -> "PrimeFieldMatrix":
-        return PrimeFieldMatrix(self.field, kernel_mod(self.entries, self.field.p))
-
-    def solve(self, rhs) -> np.ndarray | None:
-        return solve_mod(self.entries, rhs, self.field.p)
-
-    def __matmul__(self, other: "PrimeFieldMatrix") -> "PrimeFieldMatrix":
-        if self.field.p != other.field.p:
-            raise ValueError("field mismatch")
-        return PrimeFieldMatrix(
-            self.field, matmul_mod(self.entries, other.entries, self.field.p)
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PrimeFieldMatrix):
-            return NotImplemented
-        return self.field.p == other.field.p and np.array_equal(self.entries, other.entries)

@@ -284,34 +284,6 @@ class WindowedGradedAlgebra:
                 rep.add(i, PASS)
         return rep
 
-    def act(self, r: "GradedElement", sub: "GradedSubspace", side: str = "left") -> "GradedSubspace":
-        """Image subspace of multiplication by homogeneous r on each degree.
-
-        Degrees whose image would leave the window are dropped and recorded
-        on the result.
-        """
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        dr, vr = r.homogeneous_part()
-        basis: dict[int, np.ndarray] = {}
-        dropped: list[int] = []
-        for i in sorted(sub.basis):
-            cols = sub.basis[i]
-            if cols.shape[1] == 0:
-                continue
-            if not self.in_window(i + dr):
-                dropped.append(i)
-                continue
-            mat = (
-                self.left_mult_matrix(dr, vr, i)
-                if side == "left"
-                else self.right_mult_matrix(dr, vr, i)
-            )
-            image = col_echelon(matmul_mod(mat, cols, self.p), self.p)
-            if image.shape[1]:
-                basis[i + dr] = image
-        return GradedSubspace(self, basis, dropped=tuple(dropped))
-
     # -- equality ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

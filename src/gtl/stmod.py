@@ -3,16 +3,15 @@
 An FDAlgebra is a based algebra over a prime field with an explicit radical
 basis; modules are based too, as one action matrix per algebra basis vector.
 Syzygies come from minimal free covers (generators = a complement of J*M),
-cosyzygies from the dual module over the opposite algebra, and stable homs
-from the commuting-constraint kernel modulo maps that factor through the
-cover of the target.
+and stable homs from the commuting-constraint kernel modulo maps that factor
+through the cover of the target.
 
 The Tate construction turns the window of stable self-extensions of a module
 into a degree-windowed algebra: the degree-d component is represented by
 stable maps W_{d+t} -> W_t down the syzygy tower with t = max(0, -d), and
 products are computed by lifting both factors to a common shift (the right
 factor is lifted above the left one, then composed after it) and solving for
-coordinates against the lifted canonical basis.
+coordinates against the lifted stable basis.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import SearchResult, find_selfdual_functional
 from .exactlin import PrimeField, kernel_mod, matmul_mod, rank_mod, rref, solve_mod
 from .graded import AlgebraFormatError, WindowedGradedAlgebra, col_echelon
 from .report import FAIL, PASS, CertifiedReport, PreconditionError
@@ -310,6 +308,8 @@ def fd_algebra_from_json_dict(payload: dict) -> FDAlgebra:
         raise AlgebraFormatError(f"mult must be a {dim}^3 nested list, got shape {mult.shape}")
     if unit.shape != (dim,):
         raise AlgebraFormatError("unit must be a vector of length dim")
+    if "radical_basis" in payload:
+        raise AlgebraFormatError('unknown key "radical_basis": the radical columns go under "radical"')
     if "radical" in payload:
         radical = np.asarray(payload["radical"], dtype=np.int64)
         if radical.ndim != 2 or radical.shape[0] != dim:
@@ -434,7 +434,7 @@ def regular_bimodule(alg: FDAlgebra) -> tuple[FDAlgebra, FDModule]:
 
 
 # ---------------------------------------------------------------------------
-# covers, syzygies, cosyzygies
+# covers and syzygies
 # ---------------------------------------------------------------------------
 
 
@@ -494,27 +494,6 @@ def syzygy_step(module: FDModule) -> SyzygyStep:
     syz = FDModule(module.algebra, k,
                    np.stack(mats) if mats else np.zeros((module.algebra.dim, 0, 0), dtype=np.int64))
     return SyzygyStep(cover, syz, iota)
-
-
-@dataclass
-class CosyzygyStep:
-    """0 -> module --embed--> injective hull coordinates --project--> cosyzygy -> 0.
-
-    Built by taking the syzygy of the dual module over the opposite algebra
-    and dualizing back; for a symmetric algebra the middle term is free.
-    """
-
-    module: FDModule
-    cosyzygy: FDModule
-    embed: np.ndarray
-    project: np.ndarray
-
-
-def cosyzygy_step(module: FDModule) -> CosyzygyStep:
-    dual_step = syzygy_step(module.dual())
-    cosyz = dual_step.syzygy.dual()
-    cosyz = FDModule(module.algebra, cosyz.dim, cosyz.action)
-    return CosyzygyStep(module, cosyz, dual_step.cover.pi.T.copy(), dual_step.iota.T.copy())
 
 
 class SyzygyTower:
@@ -624,16 +603,16 @@ class StableHom:
     def dim(self) -> int:
         return len(self.basis)
 
-    def _solver_columns(self) -> np.ndarray:
-        cols = [b.reshape(-1, 1) for b in self.basis] + [self.pf_columns]
-        return np.hstack(cols) if cols else self.pf_columns
-
     def coordinates(self, mat: np.ndarray) -> np.ndarray:
         """Coefficients of a module map's stable class in the chosen basis."""
         p = self.source.p
-        sol = solve_mod(self._solver_columns(), np.asarray(mat, dtype=np.int64).reshape(-1) % p, p)
+        cols = np.hstack([b.reshape(-1, 1) for b in self.basis] + [self.pf_columns])
+        sol = solve_mod(cols, np.asarray(mat, dtype=np.int64).reshape(-1) % p, p)
         if sol is None:
-            raise ArithmeticError("map is not in the recorded hom space")
+            raise ArithmeticError(
+                "map is not in the span of the stable basis and the projectively-factoring "
+                "maps; the algebra is likely not self-injective"
+            )
         return sol[: self.dim]
 
     def is_stably_zero(self, mat: np.ndarray) -> bool:
@@ -643,24 +622,18 @@ class StableHom:
 def stable_hom(source: FDModule, target: FDModule, cover: Cover | None = None) -> StableHom:
     """Stable hom space with a deterministic choice of basis representatives.
 
-    Representatives are picked greedily from the canonical hom-space kernel
-    basis, keeping each column that grows the span beyond the
-    projectively-factoring maps.
+    Representatives are the canonical hom-space kernel columns that grow the
+    span beyond the projectively-factoring maps, scanned left to right: the
+    pivot columns of one reduction of [pf | hom] that lie in the hom block.
     """
     p = source.p
     if cover is None:
         cover = minimal_cover(target)
     hom = hom_space(source, target)
     pf = projective_factor_columns(source, cover)
-    kept: list[np.ndarray] = []
-    current = pf
-    current_rank = current.shape[1]
-    for z in range(hom.shape[1]):
-        cand = col_echelon(np.hstack([current, hom[:, z:z + 1]]), p)
-        if cand.shape[1] > current_rank:
-            kept.append(hom[:, z].reshape(target.dim, source.dim))
-            current = cand
-            current_rank = cand.shape[1]
+    _, pivots = rref(np.hstack([pf, hom]), p)
+    n_pf = pf.shape[1]
+    kept = [hom[:, c - n_pf].reshape(target.dim, source.dim) for c in pivots if c >= n_pf]
     return StableHom(source, target, kept, pf)
 
 
@@ -670,77 +643,50 @@ def stable_hom(source: FDModule, target: FDModule, cover: Cover | None = None) -
 
 
 def tate_ext(alg: FDAlgebra, module: FDModule, i: int, tower: SyzygyTower | None = None) -> StableHom:
-    """Degree-i stable self-extensions: maps W_i -> M for i >= 0, M -> W_{-i} below."""
+    """Degree-i stable self-extensions as stable maps W_{i+t} -> W_t, t = max(0, -i).
+
+    That is W_i -> M for i >= 0 and M -> W_{-i} below; maps factoring through
+    a projective are those through the cover of W_t.
+    """
     if tower is None:
         tower = SyzygyTower(module)
-    if i >= 0:
-        src = tower.module(i)
-        return stable_hom(src, module, cover=tower.step(0).cover)
-    k = -i
-    tgt = tower.module(k)
-    return stable_hom(module, tgt, cover=tower.step(k).cover)
+    t = max(0, -i)
+    return stable_hom(tower.module(i + t), tower.module(t), cover=tower.step(t).cover)
 
 
 class _TateWorkspace:
-    """Caches for one Tate-ring computation: tower, bases, lifts, pf columns."""
+    """One Tate-ring computation: the tower and a StableHom per (degree, shift)."""
 
-    def __init__(self, alg: FDAlgebra, module: FDModule, window: tuple[int, int], depth: int):
+    def __init__(self, alg: FDAlgebra, module: FDModule, depth: int):
         self.alg = alg
         self.module = module
-        self.window = window
         self.tower = SyzygyTower(module)
         self.tower.ensure_steps(depth)
-        self.basis: dict[int, StableHom] = {}
-        self.lifts: dict[tuple[int, int], list[np.ndarray]] = {}
-        self.pf_cache: dict[tuple[int, int], np.ndarray] = {}
+        self.homs: dict[tuple[int, int], StableHom] = {}
 
-    @staticmethod
-    def home_shift(d: int) -> int:
-        return max(0, -d)
+    def hom_at(self, d: int, shift: int) -> StableHom:
+        """Degree d as stable maps W_{shift+d} -> W_{shift}.
 
-    def canonical_basis(self, d: int) -> StableHom:
-        if d not in self.basis:
-            t = self.home_shift(d)
-            src = self.tower.module(d + t)
-            tgt = self.tower.module(t)
-            self.basis[d] = stable_hom(src, tgt, cover=self.tower.step(t).cover)
-        return self.basis[d]
-
-    def lifted_basis(self, d: int, shift: int) -> list[np.ndarray]:
-        """Canonical basis of degree d represented as maps W_{shift+d} -> W_{shift}."""
-        t = self.home_shift(d)
-        if shift < t:
-            raise ValueError(f"degree {d} has no representative at shift {shift}")
+        At the home shift max(0, -d) this is tate_ext; above it the basis is
+        the omega lift of the one a shift below.
+        """
         key = (d, shift)
-        if key in self.lifts:
-            return self.lifts[key]
-        if shift == t:
-            mats = list(self.canonical_basis(d).basis)
+        if key in self.homs:
+            return self.homs[key]
+        if shift == max(0, -d):
+            hom = tate_ext(self.alg, self.module, d, self.tower)
         else:
-            below = self.lifted_basis(d, shift - 1)
-            mats = [omega_lift(self.tower, m, shift - 1 + d, shift - 1) for m in below]
-        self.lifts[key] = mats
-        return mats
-
-    def pf_at(self, d: int, shift: int) -> np.ndarray:
-        key = (d, shift)
-        if key not in self.pf_cache:
+            below = self.hom_at(d, shift - 1)
             src = self.tower.module(shift + d)
-            self.pf_cache[key] = projective_factor_columns(src, self.tower.step(shift).cover)
-        return self.pf_cache[key]
+            lifted = [omega_lift(self.tower, m, shift - 1 + d, shift - 1) for m in below.basis]
+            pf = projective_factor_columns(src, self.tower.step(shift).cover)
+            hom = StableHom(src, self.tower.module(shift), lifted, pf)
+        self.homs[key] = hom
+        return hom
 
     def coordinates_at(self, d: int, shift: int, mat: np.ndarray) -> np.ndarray:
         """Coefficients of a map W_{shift+d} -> W_{shift} in the lifted basis."""
-        basis = self.lifted_basis(d, shift)
-        cols = [b.reshape(-1, 1) for b in basis] + [self.pf_at(d, shift)]
-        stacked = np.hstack(cols) if cols else self.pf_at(d, shift)
-        sol = solve_mod(stacked, np.asarray(mat).reshape(-1), self.alg.p)
-        if sol is None:
-            raise ArithmeticError(
-                "composite is not in the span of the lifted basis; "
-                "the algebra is likely not self-injective"
-            )
-        return sol[: len(basis)]
+        return self.hom_at(d, shift).coordinates(mat)
 
 
 def tate_ring(
@@ -757,7 +703,7 @@ def tate_ring(
     product of classes in degrees i and j is computed at the common shift
     s = max(0, -i-j, -i): the right factor is lifted above the left factor
     and composed after it, and the result is solved against the equally
-    lifted canonical basis of degree i+j.
+    lifted stable basis of degree i+j.
     """
     lo, hi = int(window[0]), int(window[1])
     if not lo <= 0 <= hi:
@@ -767,9 +713,9 @@ def tate_ring(
         raise PreconditionError("algebra has no validated symmetrizing form")
     radius = max(-lo, hi)
     depth = tower_depth if tower_depth is not None else radius + 2
-    ws = _TateWorkspace(alg, module, (lo, hi), depth)
+    ws = _TateWorkspace(alg, module, depth)
 
-    dims = {d: ws.canonical_basis(d).dim for d in range(lo, hi + 1)}
+    dims = {d: ws.hom_at(d, max(0, -d)).dim for d in range(lo, hi + 1)}
     mult: dict[tuple[int, int], np.ndarray] = {}
     for i in range(lo, hi + 1):
         for j in range(lo, hi + 1):
@@ -779,8 +725,8 @@ def tate_ring(
             if di == 0 or dj == 0 or dk == 0:
                 continue
             s = max(0, -i - j, -i)
-            left = ws.lifted_basis(i, s)
-            right = ws.lifted_basis(j, s + i)
+            left = ws.hom_at(i, s).basis
+            right = ws.hom_at(j, s + i).basis
             block = np.zeros((di, dj, dk), dtype=np.int64)
             for x, f in enumerate(left):
                 for y, g in enumerate(right):
@@ -788,21 +734,5 @@ def tate_ring(
                     block[x, y] = ws.coordinates_at(i + j, s, comp)
             mult[(i, j)] = block
 
-    unit = ws.canonical_basis(0).coordinates(np.eye(module.dim, dtype=np.int64))
+    unit = ws.hom_at(0, 0).coordinates(np.eye(module.dim, dtype=np.int64))
     return WindowedGradedAlgebra(alg.field, (lo, hi), dims, mult, unit)
-
-
-def duality_functional(
-    alg: FDAlgebra,
-    module: FDModule,
-    window: tuple[int, int],
-    strategy: str = "auto",
-    seed: int = 0,
-    samples: int = 200,
-) -> tuple[WindowedGradedAlgebra, SearchResult]:
-    """Tate ring of the module plus a search for a (-1)-shifted selfdual form."""
-    if not window[0] <= -1 <= window[1]:
-        raise ValueError("window must contain -1 to probe the duality degree")
-    ring = tate_ring(alg, module, window)
-    result = find_selfdual_functional(ring, -1, strategy=strategy, seed=seed, samples=samples)
-    return ring, result

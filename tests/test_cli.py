@@ -217,6 +217,17 @@ def test_tate_without_symmetrizing_form_exits_three(tmp_path, klein_alg, capsys)
     assert "precondition rejected" in capsys.readouterr().err
 
 
+def test_tate_rejects_radical_basis_key(tmp_path, klein_alg, capsys):
+    payload = klein_alg.to_json_dict()
+    payload["radical_basis"] = payload.pop("radical")
+    path = tmp_path / "oldkey.json"
+    path.write_text(canonical_json(payload), encoding="utf-8")
+    assert main(["tate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert '"radical"' in err
+    assert "Traceback" not in err
+
+
 def test_tate_accepts_shorthand_payload(tmp_path, capsys):
     path = tmp_path / "short.json"
     path.write_text(

@@ -159,6 +159,11 @@ def test_find_functional_exhaustive_on_klein_ring(klein_ring):
     assert selfdual_check(klein_ring, -1, res.functional).passed
 
 
+def test_find_functional_rejects_degree_outside_window(klein_ring):
+    with pytest.raises(ValueError):
+        find_selfdual_functional(klein_ring, -4)
+
+
 def test_find_functional_reports_not_found(t2):
     res = find_selfdual_functional(t2, 0, strategy="exhaustive")
     assert not res.found

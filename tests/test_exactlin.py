@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from gtl.exactlin import (
     MAX_CHAR,
     PrimeField,
-    PrimeFieldMatrix,
     is_prime,
     kernel_mod,
     matmul_mod,
@@ -137,17 +136,8 @@ def test_rref_is_deterministic_and_reduced(mp):
         assert not np.any(r1[others, col])
 
 
-def test_prime_field_matrix_wrappers():
+def test_prime_field_inverse():
     f = PrimeField(7)
-    a = PrimeFieldMatrix(f, [[1, 2], [3, 4]])
-    b = PrimeFieldMatrix(f, [[0, 1], [1, 0]])
-    assert (a @ b).entries.tolist() == [[2, 1], [4, 3]]
-    assert a.rank() == 2
-    assert a.kernel_basis().entries.shape == (2, 0)
-    x = a.solve([1, 0])
-    assert matmul_mod(a.entries, x.reshape(-1, 1), 7).reshape(-1).tolist() == [1, 0]
-    assert a == PrimeFieldMatrix(f, [[8, 9], [10, 11]])
-    assert a.rows == 2 and a.cols == 2
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
     assert f.inv(3) == 5

@@ -148,13 +148,6 @@ def test_is_central_on_laurent(laurent):
     assert rep.verdict_for(3) == OUT_OF_WINDOW
 
 
-def test_act_drops_top_degree(laurent):
-    w = laurent.element_by_label("w^1")
-    image = laurent.act(w, GradedSubspace.full(laurent))
-    assert image.dropped == (3,)
-    assert [image.dim(d) for d in laurent.degrees()] == [0, 1, 1, 1, 1, 1, 1]
-
-
 def test_left_right_mult_matrices_match_products(t2):
     rng = np.random.default_rng(7)
     for i, j in [(1, 1), (1, -2), (-2, 1), (0, -3), (2, -4)]:
