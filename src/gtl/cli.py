@@ -201,6 +201,10 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_tate(args) -> int:
     alg = _load_fd(args.algebra)
+    axioms = alg.validate()
+    if not axioms.passed:
+        failed = ", ".join(str(f.key) for f in axioms.failures())
+        raise AlgebraFormatError(f"algebra fails its axioms: {failed}")
     window = _check_window((args.window[0], args.window[1]))
     if args.module == "trivial":
         base, module = alg, stmod.trivial_module(alg)

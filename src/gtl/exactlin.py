@@ -122,6 +122,11 @@ def solve_mod(mat, rhs, p: int) -> np.ndarray | None:
     ``rhs`` may be a vector or a matrix of stacked right-hand-side columns;
     the result matches its shape.  Returns None when any column is
     inconsistent.
+
+    One reduction of ``[mat | rhs]``: the pivots of ``mat`` are the same
+    greedy left-to-right choice as for ``mat`` alone, a pivot in the ``rhs``
+    block means some column is inconsistent, and otherwise each pivot row
+    holds the value of its pivot variable.
     """
     arr = as_residues(mat, p)
     b = as_residues(rhs, p)
@@ -131,17 +136,11 @@ def solve_mod(mat, rhs, p: int) -> np.ndarray | None:
     m, n = arr.shape
     if b.shape[0] != m:
         raise ValueError(f"solve shape mismatch: {arr.shape} vs rhs {b.shape}")
-    aug = np.hstack([arr, np.eye(m, dtype=np.int64)])
-    red, pivots = rref(aug, p)
-    piv_a = [c for c in pivots if c < n]
-    rank = len(piv_a)
-    transform = red[:, n:]
-    tb = matmul_mod(transform, b, p)
-    if rank < m and np.any(tb[rank:]):
+    red, pivots = rref(np.hstack([arr, b]), p)
+    if pivots and pivots[-1] >= n:
         return None
     x = np.zeros((n, b.shape[1]), dtype=np.int64)
-    for row, c in enumerate(piv_a):
-        x[c] = tb[row]
+    x[list(pivots)] = red[: len(pivots), n:]
     return x[:, 0] if vector_rhs else x
 
 

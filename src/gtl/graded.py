@@ -497,23 +497,26 @@ def algebra_from_json_dict(payload: dict) -> WindowedGradedAlgebra:
         raise AlgebraFormatError(str(exc)) from None
     if not (isinstance(window, (list, tuple)) and len(window) == 2):
         raise AlgebraFormatError("window must be a two-element list")
-    dims = util.parse_int_keys(dims_raw, "dims")
+    try:
+        dims = util.parse_int_keys(dims_raw, "dims")
+        labels = util.parse_int_keys(payload["labels"], "labels") if "labels" in payload else None
+    except ValueError as exc:
+        raise AlgebraFormatError(str(exc)) from None
+    if not isinstance(mult_raw, list):
+        raise AlgebraFormatError("mult must be a list of blocks")
     mult: dict[tuple[int, int], np.ndarray] = {}
     for entry in mult_raw:
         try:
             key = (int(entry["i"]), int(entry["j"]))
-            table = entry["table"]
-        except (KeyError, TypeError, ValueError):
-            raise AlgebraFormatError(f"malformed mult entry: {entry!r}") from None
+            table = np.array(entry["table"], dtype=np.int64)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise AlgebraFormatError(f"malformed mult entry ({exc}): {entry!r}") from None
         if key in mult:
             raise AlgebraFormatError(f"duplicate mult block {key}")
-        mult[key] = np.array(table, dtype=np.int64)
-    labels = None
-    if "labels" in payload:
-        labels = {int(d): list(names) for d, names in payload["labels"].items()}
+        mult[key] = table
     try:
         return WindowedGradedAlgebra(fld, (int(window[0]), int(window[1])), dims, mult, unit, labels)
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise AlgebraFormatError(str(exc)) from None
 
 

@@ -3,8 +3,11 @@
 An FDAlgebra is a based algebra over a prime field with an explicit radical
 basis; modules are based too, as one action matrix per algebra basis vector.
 Syzygies come from minimal free covers (generators = a complement of J*M),
-and stable homs from the commuting-constraint kernel modulo maps that factor
-through the cover of the target.
+and stable homs from the commuting-constraint kernel modulo the maps that
+factor through a projective.  For a symmetric algebra those are the relative
+traces sum_s e_s f e_s^dual of linear maps f, where e_s^dual is the dual basis
+under the symmetrizing form (Higman's criterion), so stable homs need a
+symmetrizing form that passes validate_symmetric.
 
 The Tate construction turns the window of stable self-extensions of a module
 into a degree-windowed algebra: the degree-d component is represented by
@@ -86,6 +89,7 @@ class FDAlgebra:
         self.unit.setflags(write=False)
         self.radical.setflags(write=False)
         self._generators: np.ndarray | None = None
+        self._dual_basis: np.ndarray | None = None
 
     @property
     def p(self) -> int:
@@ -193,7 +197,7 @@ class FDAlgebra:
             return rep
         rep.add("present", PASS)
         p, d = self.p, self.dim
-        gram = matmul_mod(self.mult.reshape(d * d, d), self.symmetrizing[:, None], p).reshape(d, d)
+        gram = self._gram()
         if np.array_equal(gram, gram.T):
             rep.add("symmetric", PASS)
         else:
@@ -205,6 +209,25 @@ class FDAlgebra:
         else:
             rep.add("nondegenerate", FAIL, {"rank": int(r), "kernel": kernel_mod(gram, p)[:, 0].tolist()})
         return rep
+
+    def _gram(self) -> np.ndarray:
+        """gram[s, t] = lam(e_s e_t) for the symmetrizing functional lam."""
+        d = self.dim
+        return matmul_mod(self.mult.reshape(d * d, d), self.symmetrizing[:, None], self.p).reshape(d, d)
+
+    def dual_basis(self) -> np.ndarray:
+        """Column t holds e_t^dual, the basis with lam(e_s e_t^dual) = delta_st.
+
+        That is the C with gram @ C = I.  Raises PreconditionError, naming
+        the failing clauses, unless validate_symmetric passes.
+        """
+        if self._dual_basis is None:
+            rep = self.validate_symmetric()
+            if not rep.passed:
+                clauses = ", ".join(str(f.key) for f in rep.failures())
+                raise PreconditionError(f"algebra has no validated symmetrizing form ({clauses} failed)")
+            self._dual_basis = solve_mod(self._gram(), np.eye(self.dim, dtype=np.int64), self.p)
+        return self._dual_basis
 
     # -- constructions ----------------------------------------------------
 
@@ -289,6 +312,14 @@ def derive_radical(mult: np.ndarray, unit: np.ndarray, field: PrimeField) -> np.
     return rad
 
 
+def _int_array(payload: dict, key: str) -> np.ndarray:
+    """payload[key] as an int64 array; missing, ragged or out-of-range data is a format error."""
+    try:
+        return np.asarray(payload[key], dtype=np.int64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise AlgebraFormatError(f"missing or malformed {key}: {exc}") from exc
+
+
 def fd_algebra_from_json_dict(payload: dict) -> FDAlgebra:
     """Parse the explicit based-algebra format, deriving the radical if absent."""
     if not isinstance(payload, dict):
@@ -296,10 +327,10 @@ def fd_algebra_from_json_dict(payload: dict) -> FDAlgebra:
     try:
         p = int(payload["field_char"])
         dim = int(payload["dim"])
-        mult = np.asarray(payload["mult"], dtype=np.int64)
-        unit = np.asarray(payload["unit"], dtype=np.int64)
     except (KeyError, TypeError, ValueError) as exc:
         raise AlgebraFormatError(f"missing or malformed algebra field: {exc}") from exc
+    mult = _int_array(payload, "mult")
+    unit = _int_array(payload, "unit")
     try:
         pf = PrimeField(p)
     except ValueError as exc:
@@ -311,18 +342,20 @@ def fd_algebra_from_json_dict(payload: dict) -> FDAlgebra:
     if "radical_basis" in payload:
         raise AlgebraFormatError('unknown key "radical_basis": the radical columns go under "radical"')
     if "radical" in payload:
-        radical = np.asarray(payload["radical"], dtype=np.int64)
+        radical = _int_array(payload, "radical")
         if radical.ndim != 2 or radical.shape[0] != dim:
             raise AlgebraFormatError("radical must be a dim-row matrix of basis columns")
     else:
         radical = derive_radical(mult, unit % p, pf)
     lam = None
     if payload.get("symmetrizing") is not None:
-        lam = np.asarray(payload["symmetrizing"], dtype=np.int64)
+        lam = _int_array(payload, "symmetrizing")
         if lam.shape != (dim,):
             raise AlgebraFormatError("symmetrizing must be a vector of length dim")
     labels = payload.get("labels")
     if labels is not None:
+        if not isinstance(labels, list):
+            raise AlgebraFormatError("labels must be a list of names")
         labels = tuple(str(x) for x in labels)
     return FDAlgebra(pf, dim, mult, unit, radical, lam, labels)
 
@@ -536,7 +569,7 @@ def omega_lift(tower: SyzygyTower, mat: np.ndarray, a: int, b: int) -> np.ndarra
     rhs = matmul_mod(mat, matmul_mod(sa.cover.pi, gens, p), p)
     lifted_gens = solve_mod(sb.cover.pi, rhs, p)
     if lifted_gens is None:
-        raise ArithmeticError("cover of the target is not surjective on the lift")
+        raise ArithmeticError(f"omega lift of W_{a} -> W_{b}: cover of the target is not surjective on the lift")
     mb = sb.cover.free.dim
     big = np.zeros((mb, sa.cover.rank * d), dtype=np.int64)
     for i in range(sa.cover.rank):
@@ -545,7 +578,7 @@ def omega_lift(tower: SyzygyTower, mat: np.ndarray, a: int, b: int) -> np.ndarra
     moved = matmul_mod(big, sa.iota, p)
     out = solve_mod(sb.iota, moved, p)
     if out is None:
-        raise ArithmeticError("lifted map does not preserve kernels")
+        raise ArithmeticError(f"omega lift of W_{a} -> W_{b}: lifted map does not preserve kernels")
     return out
 
 
@@ -576,14 +609,24 @@ def hom_space(source: FDModule, target: FDModule) -> np.ndarray:
     return kernel_mod(np.vstack(rows), p)
 
 
-def projective_factor_columns(source: FDModule, cover: Cover) -> np.ndarray:
-    """Echelon columns of the maps source -> cover.module factoring through cover.free."""
-    p = source.p
-    lifted = hom_space(source, cover.free)
-    if lifted.shape[1] == 0:
-        return np.zeros((cover.module.dim * source.dim, 0), dtype=np.int64)
-    pf = matmul_mod(_kron(cover.pi, np.eye(source.dim, dtype=np.int64), p), lifted, p)
-    return col_echelon(pf, p)
+def projective_factor_columns(source: FDModule, target: FDModule) -> np.ndarray:
+    """Echelon columns (vec'd row-major) of the maps source -> target that factor through a projective.
+
+    Higman's criterion: over a symmetric algebra these maps are exactly the
+    relative traces Tr(f) = sum_s rho_T(e_s) f rho_S(e_s^dual) of the linear
+    maps f, so they are the column span of the matrix
+    sum_s rho_T(e_s) (x) rho_S(e_s^dual)^T acting on vec'd maps.  Raises
+    PreconditionError when the algebra has no validated symmetrizing form.
+    """
+    alg = source.algebra
+    p, d = alg.p, alg.dim
+    m, n = source.dim, target.dim
+    if m == 0 or n == 0:
+        return np.zeros((n * m, 0), dtype=np.int64)
+    dual_actions = matmul_mod(alg.dual_basis().T, source.action.reshape(d, m * m), p)
+    trace = matmul_mod(target.action.reshape(d, n * n).T, dual_actions, p)
+    trace = trace.reshape(n, n, m, m).transpose(0, 3, 1, 2).reshape(n * m, n * m)
+    return col_echelon(trace, p)
 
 
 @dataclass
@@ -604,33 +647,42 @@ class StableHom:
         return len(self.basis)
 
     def coordinates(self, mat: np.ndarray) -> np.ndarray:
-        """Coefficients of a module map's stable class in the chosen basis."""
+        """Coefficients of module maps' stable classes in the chosen basis.
+
+        ``mat`` is one map (target.dim, source.dim) or a stack of them
+        (..., target.dim, source.dim); the result has shape (..., dim), and
+        the whole stack is one solve.
+        """
         p = self.source.p
+        maps = np.asarray(mat, dtype=np.int64)
+        lead = maps.shape[:-2]
+        rhs = maps.reshape(int(np.prod(lead)), self.target.dim * self.source.dim).T
         cols = np.hstack([b.reshape(-1, 1) for b in self.basis] + [self.pf_columns])
-        sol = solve_mod(cols, np.asarray(mat, dtype=np.int64).reshape(-1) % p, p)
+        sol = solve_mod(cols, rhs, p)
         if sol is None:
             raise ArithmeticError(
                 "map is not in the span of the stable basis and the projectively-factoring "
                 "maps; the algebra is likely not self-injective"
             )
-        return sol[: self.dim]
+        return sol[: self.dim].T.reshape(*lead, self.dim)
 
     def is_stably_zero(self, mat: np.ndarray) -> bool:
         return not np.any(self.coordinates(mat))
 
 
-def stable_hom(source: FDModule, target: FDModule, cover: Cover | None = None) -> StableHom:
+def stable_hom(source: FDModule, target: FDModule) -> StableHom:
     """Stable hom space with a deterministic choice of basis representatives.
 
-    Representatives are the canonical hom-space kernel columns that grow the
-    span beyond the projectively-factoring maps, scanned left to right: the
-    pivot columns of one reduction of [pf | hom] that lie in the hom block.
+    The maps factoring through a projective are the relative traces given by
+    projective_factor_columns (Higman's criterion), so the algebra needs a
+    validated symmetrizing form.  Representatives are the canonical
+    hom-space kernel columns that grow the span beyond those maps, scanned
+    left to right: the pivot columns of one reduction of [pf | hom] that lie
+    in the hom block.
     """
     p = source.p
-    if cover is None:
-        cover = minimal_cover(target)
     hom = hom_space(source, target)
-    pf = projective_factor_columns(source, cover)
+    pf = projective_factor_columns(source, target)
     _, pivots = rref(np.hstack([pf, hom]), p)
     n_pf = pf.shape[1]
     kept = [hom[:, c - n_pf].reshape(target.dim, source.dim) for c in pivots if c >= n_pf]
@@ -645,13 +697,13 @@ def stable_hom(source: FDModule, target: FDModule, cover: Cover | None = None) -
 def tate_ext(alg: FDAlgebra, module: FDModule, i: int, tower: SyzygyTower | None = None) -> StableHom:
     """Degree-i stable self-extensions as stable maps W_{i+t} -> W_t, t = max(0, -i).
 
-    That is W_i -> M for i >= 0 and M -> W_{-i} below; maps factoring through
-    a projective are those through the cover of W_t.
+    That is W_i -> M for i >= 0 and M -> W_{-i} below.  Like stable_hom it
+    needs a validated symmetrizing form.
     """
     if tower is None:
         tower = SyzygyTower(module)
     t = max(0, -i)
-    return stable_hom(tower.module(i + t), tower.module(t), cover=tower.step(t).cover)
+    return stable_hom(tower.module(i + t), tower.module(t))
 
 
 class _TateWorkspace:
@@ -679,14 +731,17 @@ class _TateWorkspace:
             below = self.hom_at(d, shift - 1)
             src = self.tower.module(shift + d)
             lifted = [omega_lift(self.tower, m, shift - 1 + d, shift - 1) for m in below.basis]
-            pf = projective_factor_columns(src, self.tower.step(shift).cover)
-            hom = StableHom(src, self.tower.module(shift), lifted, pf)
+            target = self.tower.module(shift)
+            hom = StableHom(src, target, lifted, projective_factor_columns(src, target))
         self.homs[key] = hom
         return hom
 
     def coordinates_at(self, d: int, shift: int, mat: np.ndarray) -> np.ndarray:
-        """Coefficients of a map W_{shift+d} -> W_{shift} in the lifted basis."""
-        return self.hom_at(d, shift).coordinates(mat)
+        """Coefficients of maps W_{shift+d} -> W_{shift} (one or a stack) in the lifted basis."""
+        try:
+            return self.hom_at(d, shift).coordinates(mat)
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"product solve in degree {d} at shift {shift}: {exc}") from exc
 
 
 def tate_ring(
@@ -700,17 +755,15 @@ def tate_ring(
     Requires a symmetrizing functional passing validate_symmetric (products
     in negative degrees live off self-injectivity); raises PreconditionError
     otherwise.  The degree-d component is tate_ext(alg, module, d); the
-    product of classes in degrees i and j is computed at the common shift
-    s = max(0, -i-j, -i): the right factor is lifted above the left factor
-    and composed after it, and the result is solved against the equally
-    lifted stable basis of degree i+j.
+    products of classes in degrees i and j are computed at the common shift
+    s = max(0, -i-j, -i): the right factors are lifted above the left
+    factors and composed after them, and all di*dj composites are solved at
+    once against the equally lifted stable basis of degree i+j.
     """
     lo, hi = int(window[0]), int(window[1])
     if not lo <= 0 <= hi:
         raise ValueError(f"window [{lo}, {hi}] must contain 0")
-    sym = alg.validate_symmetric()
-    if not sym.passed:
-        raise PreconditionError("algebra has no validated symmetrizing form")
+    alg.dual_basis()  # the stable homs need it; fail before building the tower
     radius = max(-lo, hi)
     depth = tower_depth if tower_depth is not None else radius + 2
     ws = _TateWorkspace(alg, module, depth)
@@ -725,14 +778,12 @@ def tate_ring(
             if di == 0 or dj == 0 or dk == 0:
                 continue
             s = max(0, -i - j, -i)
-            left = ws.hom_at(i, s).basis
-            right = ws.hom_at(j, s + i).basis
-            block = np.zeros((di, dj, dk), dtype=np.int64)
-            for x, f in enumerate(left):
-                for y, g in enumerate(right):
-                    comp = matmul_mod(f, g, alg.p)
-                    block[x, y] = ws.coordinates_at(i + j, s, comp)
-            mult[(i, j)] = block
+            left = np.stack(ws.hom_at(i, s).basis)  # (di, dim W_s, dim W_{s+i})
+            right = np.stack(ws.hom_at(j, s + i).basis)  # (dj, dim W_{s+i}, dim W_{s+i+j})
+            a, b, c = left.shape[1], left.shape[2], right.shape[2]
+            comps = matmul_mod(left.reshape(di * a, b), right.transpose(1, 0, 2).reshape(b, dj * c), alg.p)
+            comps = comps.reshape(di, a, dj, c).transpose(0, 2, 1, 3)
+            mult[(i, j)] = ws.coordinates_at(i + j, s, comps)
 
     unit = ws.hom_at(0, 0).coordinates(np.eye(module.dim, dtype=np.int64))
     return WindowedGradedAlgebra(alg.field, (lo, hi), dims, mult, unit)

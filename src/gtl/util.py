@@ -43,6 +43,8 @@ def canonical_json(payload) -> str:
 
 
 def parse_int_keys(mapping: dict, what: str) -> dict[int, int]:
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{what} must be an object keyed by degree, not {type(mapping).__name__}")
     out: dict[int, int] = {}
     for key, value in mapping.items():
         try:

@@ -150,6 +150,31 @@ def test_malformed_json_exits_two(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 2
 
 
+def _write_ring_payload(tmp_path, t2, edit) -> str:
+    payload = json.loads(algebra_to_json(t2))
+    edit(payload)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+def test_analyze_labels_given_as_a_list_exits_two(tmp_path, t2, capsys):
+    path = _write_ring_payload(tmp_path, t2, lambda d: d.update(labels=["w1", "w2"]))
+    assert main(["analyze", path]) == 2
+    err = capsys.readouterr().err
+    assert "labels" in err
+    assert "Traceback" not in err
+
+
+def test_analyze_integer_beyond_int64_exits_two(tmp_path, t2, capsys):
+    def enlarge(payload):
+        payload["mult"][0]["table"][0][0][0] = 2**70
+
+    path = _write_ring_payload(tmp_path, t2, enlarge)
+    assert main(["analyze", path]) == 2
+    assert "malformed mult entry" in capsys.readouterr().err
+
+
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit) as excinfo:
         main([])
@@ -226,6 +251,26 @@ def test_tate_rejects_radical_basis_key(tmp_path, klein_alg, capsys):
     err = capsys.readouterr().err
     assert '"radical"' in err
     assert "Traceback" not in err
+
+
+def test_tate_rejects_a_non_associative_algebra(tmp_path, cubic_alg, capsys):
+    payload = cubic_alg.to_json_dict()
+    payload["mult"][1][2][0] = 1  # x * x^2 = 1 while (x * x) * x stays 0
+    path = tmp_path / "nonassoc.json"
+    path.write_text(canonical_json(payload), encoding="utf-8")
+    assert main(["tate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "associativity" in err
+    assert "Traceback" not in err
+
+
+def test_tate_integer_beyond_int64_exits_two(tmp_path, cubic_alg, capsys):
+    payload = cubic_alg.to_json_dict()
+    payload["mult"][0][0][0] = 2**70
+    path = tmp_path / "huge.json"
+    path.write_text(canonical_json(payload), encoding="utf-8")
+    assert main(["tate", str(path)]) == 2
+    assert "malformed mult" in capsys.readouterr().err
 
 
 def test_tate_accepts_shorthand_payload(tmp_path, capsys):

@@ -123,6 +123,58 @@ def test_solve_recovers_consistent_systems(mp, seed):
     assert matmul_mod(mat, sol.reshape(-1, 1), p).reshape(-1).tolist() == b.tolist()
 
 
+def solve_via_augmented_identity(mat, rhs, p):
+    """Reference solver: reduce [A | I], then apply the row transform to B."""
+    arr = np.array(mat, dtype=np.int64) % p
+    b = np.array(rhs, dtype=np.int64) % p
+    vector_rhs = b.ndim == 1
+    if vector_rhs:
+        b = b[:, None]
+    m, n = arr.shape
+    red, pivots = rref(np.hstack([arr, np.eye(m, dtype=np.int64)]), p)
+    piv_a = [c for c in pivots if c < n]
+    tb = matmul_mod(red[:, n:], b, p)
+    if np.any(tb[len(piv_a):]):
+        return None
+    x = np.zeros((n, b.shape[1]), dtype=np.int64)
+    for row, c in enumerate(piv_a):
+        x[c] = tb[row]
+    return x[:, 0] if vector_rhs else x
+
+
+@st.composite
+def linear_system(draw):
+    """A (often tall) system with zero to several right-hand sides, some inconsistent."""
+    p = draw(st.sampled_from([2, 3, 5, 13]))
+    m = draw(st.integers(1, 14))
+    n = draw(st.integers(0, 4))
+    k = draw(st.integers(1, 4))
+    entries = lambda rows, cols: st.lists(
+        st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+    mat = np.array(draw(entries(m, n)), dtype=np.int64).reshape(m, n)
+    x = np.array(draw(entries(n, k)), dtype=np.int64).reshape(n, k)
+    rhs = matmul_mod(mat, x, p)
+    for col in draw(st.sets(st.integers(0, k - 1), max_size=k)):
+        rhs[:, col] = draw(entries(1, m))[0]  # usually outside the column span when m > n
+    if draw(st.booleans()):
+        rhs = rhs[:, 0]
+    return mat, rhs, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_system())
+def test_solve_matches_the_augmented_identity_reference(system):
+    mat, rhs, p = system
+    got = solve_mod(mat, rhs, p)
+    want = solve_via_augmented_identity(mat, rhs, p)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 @settings(max_examples=40, deadline=None)
 @given(matrix_and_prime())
 def test_rref_is_deterministic_and_reduced(mp):

@@ -240,6 +240,17 @@ def test_json_rejects_malformed_payloads(t2):
     with pytest.raises(AlgebraFormatError):
         algebra_from_json_dict(bad_labels)
 
+    for labels in (["a"], {"0": 5}, {"x": ["a"]}):
+        with pytest.raises(AlgebraFormatError):
+            algebra_from_json_dict(dict(good, labels=labels))
+
+    huge_entry = dict(good, mult=[dict(good["mult"][0], table=[[[2**70]]])])
+    with pytest.raises(AlgebraFormatError, match="malformed mult entry"):
+        algebra_from_json_dict(huge_entry)
+    for broken in (dict(good, unit=[2**70]), dict(good, dims=[1]), dict(good, mult=7)):
+        with pytest.raises(AlgebraFormatError):
+            algebra_from_json_dict(broken)
+
     with pytest.raises(AlgebraFormatError):
         algebra_from_json("{not json")
 

@@ -2,7 +2,9 @@
 
 The Yoneda oracle at the bottom recomputes ring products by a different
 route (chain maps lifted through the resolution boundaries) and must agree
-with the tower-lift products used by tate_ring.
+with the tower-lift products used by tate_ring.  The cover oracle recomputes
+the projectively-factoring maps as maps through the minimal free cover of the
+target and must agree with the relative-trace (Higman) columns.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from gtl.stmod import (
     FDAlgebra,
     FDModule,
     SyzygyTower,
+    _TateWorkspace,
     derive_radical,
     fd_algebra_from_json_dict,
     free_generator_matrix,
@@ -27,6 +30,7 @@ from gtl.stmod import (
     hom_space,
     minimal_cover,
     omega_lift,
+    projective_factor_columns,
     regular_bimodule,
     stable_hom,
     syzygy_step,
@@ -123,6 +127,10 @@ def test_fd_json_rejects_malformed_payloads(klein_alg):
         lambda d: d.update(radical=[[1], [0]]),
         lambda d: d.update(symmetrizing=[1, 0]),
         lambda d: d.update(unit=[1]),
+        lambda d: d.update(unit=[2**70, 0, 0, 0]),
+        lambda d: d.update(mult=[[[2**70] * 4] * 4] * 4),
+        lambda d: d.update(radical=[[2**70]] * 4),
+        lambda d: d.update(labels=5),
     ):
         bad = {k: v for k, v in payload.items()}
         breakage(bad)
@@ -264,6 +272,126 @@ def test_maps_from_free_modules_are_stably_zero(klein_alg):
     assert st.is_stably_zero(np.eye(4, dtype=np.int64))
 
 
+def test_stable_hom_needs_a_validated_symmetrizing_form(klein_alg):
+    bare = FDAlgebra(
+        klein_alg.field, klein_alg.dim, klein_alg.mult, klein_alg.unit, klein_alg.radical
+    )
+    k = trivial_module(bare)
+    with pytest.raises(PreconditionError, match="present"):
+        stable_hom(k, k)
+    lam = np.zeros(klein_alg.dim, dtype=np.int64)
+    lam[0] = 1
+    degenerate = FDAlgebra(
+        klein_alg.field, klein_alg.dim, klein_alg.mult, klein_alg.unit, klein_alg.radical, lam
+    )
+    with pytest.raises(PreconditionError, match="nondegenerate"):
+        degenerate.dual_basis()
+
+
+def test_dual_basis_inverts_the_gram_matrix(klein_alg, cubic_alg):
+    for alg in (klein_alg, cubic_alg, klein_alg.enveloping()):
+        d, p = alg.dim, alg.p
+        gram = matmul_mod(alg.mult.reshape(d * d, d), alg.symmetrizing[:, None], p).reshape(d, d)
+        assert matmul_mod(gram, alg.dual_basis(), p).tolist() == np.eye(d, dtype=int).tolist()
+
+
+def cover_projective_factor_columns(source: FDModule, target: FDModule) -> np.ndarray:
+    """Echelon columns of the maps source -> target through the minimal free cover of target."""
+    p = source.p
+    cover = minimal_cover(target)
+    lifted = hom_space(source, cover.free)
+    if lifted.shape[1] == 0:
+        return np.zeros((target.dim * source.dim, 0), dtype=np.int64)
+    pushed = np.kron(cover.pi, np.eye(source.dim, dtype=np.int64)) % p
+    return col_echelon(matmul_mod(pushed, lifted, p), p)
+
+
+def unitriangular_rebase(alg: FDAlgebra) -> FDAlgebra:
+    """The same algebra in the basis f_i = e_i + e_{i+1} + ... + e_{d-1}.
+
+    Monomial bases make the Gram matrix of the symmetrizing form its own
+    inverse; this basis does not, so the dual basis is exercised for real.
+    """
+    p, d = alg.p, alg.dim
+    g = np.triu(np.ones((d, d), dtype=np.int64)).T  # column i holds f_i
+    ginv = solve_mod(g, np.eye(d, dtype=np.int64), p)
+    products = np.einsum("sa,tb,stu->abu", g, g, alg.mult) % p
+    mult = np.einsum("abu,vu->abv", products, ginv) % p
+    return FDAlgebra(
+        alg.field, d, mult, ginv @ alg.unit % p, ginv @ alg.radical % p,
+        g.T @ alg.symmetrizing % p,
+    )
+
+
+HIGMAN_CASES = [
+    ((2, 2), 2, "trivial", False),
+    ((2, 2), 3, "trivial", False),
+    ((3,), 3, "trivial", False),
+    ((2, 2, 2), 2, "trivial", False),
+    ((3,), 3, "bimodule", False),
+    ((4,), 2, "bimodule", False),
+    ((2, 2), 3, "trivial", True),
+    ((3,), 3, "bimodule", True),
+]
+
+
+@pytest.mark.parametrize("exponents, p, module, rebase", HIGMAN_CASES)
+def test_higman_columns_match_the_cover_oracle(exponents, p, module, rebase):
+    # maps W_a -> W_b down the tower, targets at shifts 0-3; a + b <= 4 skips
+    # (2, 3), (3, 2) and (3, 3), whose oracle hom spaces take seconds for (2,2,2)
+    alg = build_truncated_ci(exponents, p)
+    if rebase:
+        alg = unitriangular_rebase(alg)
+        assert alg.validate().passed and alg.validate_symmetric().passed
+        gram = matmul_mod(alg.mult.reshape(-1, alg.dim), alg.symmetrizing[:, None], p)
+        assert not np.array_equal(alg.dual_basis(), gram.reshape(alg.dim, alg.dim))
+    if module == "bimodule":
+        alg, mod = regular_bimodule(alg)
+    else:
+        mod = trivial_module(alg)
+    tower = SyzygyTower(mod)
+    for a in range(4):
+        for b in range(min(4, 5 - a)):
+            source, target = tower.module(a), tower.module(b)
+            got = projective_factor_columns(source, target)
+            want = cover_projective_factor_columns(source, target)
+            assert np.array_equal(got, want), (a, b)
+
+
+def test_stacked_coordinates_match_single_solves(klein_alg):
+    ws = _TateWorkspace(klein_alg, trivial_module(klein_alg), 4)
+    st = ws.hom_at(1, 2)
+    shape = (st.target.dim, st.source.dim)
+    pf_maps = [st.pf_columns[:, c].reshape(shape) for c in range(st.pf_columns.shape[1])]
+    spanning = np.stack(st.basis + pf_maps)
+    assert st.dim > 0 and pf_maps
+    coeffs = np.random.default_rng(0).integers(0, 2, size=(2, 3, len(spanning)))
+    stack = np.einsum("xyg,gab->xyab", coeffs, spanning) % 2
+    got = ws.coordinates_at(1, 2, stack)
+    assert got.shape == (2, 3, st.dim)
+    for x in range(2):
+        for y in range(3):
+            assert got[x, y].tolist() == st.coordinates(stack[x, y]).tolist()
+            assert got[x, y].tolist() == coeffs[x, y, : st.dim].tolist()
+
+
+def test_product_solve_errors_name_degree_and_shift(klein_alg):
+    ws = _TateWorkspace(klein_alg, trivial_module(klein_alg), 4)
+    st = ws.hom_at(1, 2)
+    not_a_module_map = np.zeros((1, st.target.dim, st.source.dim), dtype=np.int64)
+    not_a_module_map[0, 0, 0] = 1
+    with pytest.raises(ArithmeticError, match="degree 1 at shift 2.*likely not self-injective"):
+        ws.coordinates_at(1, 2, not_a_module_map)
+
+
+def test_omega_lift_errors_name_both_shifts(klein_alg):
+    tower = SyzygyTower(trivial_module(klein_alg))
+    not_a_module_map = np.zeros((tower.module(1).dim, tower.module(2).dim), dtype=np.int64)
+    not_a_module_map[0, 0] = 1
+    with pytest.raises(ArithmeticError, match="W_2 -> W_1"):
+        omega_lift(tower, not_a_module_map, 2, 1)
+
+
 def test_omega_lift_preserves_the_identity(klein_alg):
     tower = SyzygyTower(trivial_module(klein_alg))
     lifted = omega_lift(tower, np.eye(1, dtype=np.int64), 0, 0)
@@ -319,6 +447,8 @@ EMITTED_RING_SHA256 = [
     (((2, 2), 3), "trivial", (-3, 3), "2adfe575e773fe126690932cda64a8d07652ecdbbf63691ef3ef21376f2ed1df"),
     (((3,), 3), "trivial", (-4, 4), "84a0d9b5dd7a0ec6ace9b1323cefed5c37597daf251f4db7f9a6c18f4e93fc2e"),
     (((4,), 2), "bimodule", (-2, 2), "02789016eb64025aa862ca1996ed40d54fc64332164fc1d4886a866a858ae822"),
+    (((2, 2, 2), 2), "trivial", (-3, 3), "d4704d7baa0afd6a82fbeb8f41e9768c386548fb5d5e50727528f6da5d3423a7"),
+    (((2, 2), 2), "trivial", (-9, 9), "be85638553c9e48803a1147db9853d4421bc9cb38a323720b2f337fde134badd"),
 ]
 
 
