@@ -28,7 +28,6 @@ from .duality import (
 )
 from .report import FAIL, OUT_OF_WINDOW, PASS, UNDERDETERMINED, CertifiedReport, DegreeVerdict, PreconditionError
 from .structure import (
-    RegularityReport,
     check_orthogonality,
     check_periodicity,
     ideal_leq,

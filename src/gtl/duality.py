@@ -178,28 +178,21 @@ def selfdual_check(alg: WindowedGradedAlgebra, n: int, lam) -> CertifiedReport:
     Degrees whose partner n-i leaves the window are unchecked.
     """
     form = form_from_functional(alg, n, lam, spot_checks=0)
-    rep = CertifiedReport(check="selfdual_check", n=n)
 
     def check(i: int):
         j = n - i
         if not alg.in_window(j):
-            return (i, None, None)
+            return None
         di, dj = alg.dim(i), alg.dim(j)
         if di != dj:
-            return (i, FAIL, {"reason": "dimension mismatch", "dims": (di, dj)})
+            return FAIL, {"reason": "dimension mismatch", "dims": (di, dj)}
         gram = form.gram(i)
         r = rank_mod(gram, alg.p)
         if r != di:
-            return (i, FAIL, {"reason": "degenerate", "rank": r,
-                              "kernel": kernel_mod(gram, alg.p)[:, 0].tolist()})
-        return (i, PASS, None)
+            return FAIL, {"reason": "degenerate", "rank": r, "kernel": kernel_mod(gram, alg.p)[:, 0].tolist()}
+        return PASS, None
 
-    for i, verdict, witness in util.sweep(check, list(alg.degrees())):
-        if verdict is None:
-            rep.unchecked.append(i)
-        else:
-            rep.add(i, verdict, witness)
-    return rep
+    return CertifiedReport.sweep("selfdual_check", alg.degrees(), check, n=n)
 
 
 @dataclass(frozen=True)

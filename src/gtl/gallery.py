@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .exactlin import PrimeField
-from .graded import AlgebraFormatError, WindowedGradedAlgebra
+from .graded import AlgebraFormatError, WindowedGradedAlgebra, int_array
 from .stmod import FDAlgebra, fd_algebra_from_json_dict
 
 
@@ -189,7 +189,8 @@ def fd_algebra_from_payload(payload: dict) -> FDAlgebra:
                 "truncated_polynomial needs exponents and field_char"
             )
         try:
-            return build_truncated_ci(spec["exponents"], int(spec["field_char"]))
+            exponents = int_array(spec["exponents"], "exponents", ndim=1).tolist()
+            return build_truncated_ci(exponents, int(int_array(spec["field_char"], "field_char", ndim=0)))
         except (TypeError, ValueError) as exc:
             raise AlgebraFormatError(str(exc)) from exc
     return fd_algebra_from_json_dict(payload)

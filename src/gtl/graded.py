@@ -28,6 +28,25 @@ class AlgebraFormatError(ValueError):
     """Malformed algebra data (construction or file ingestion)."""
 
 
+def int_array(value, what: str, ndim: int | None = None) -> np.ndarray:
+    """A JSON integer, or nested lists of them, as an int64 array.
+
+    Floats, booleans, strings, ragged lists, values beyond int64 and (when
+    ``ndim`` is given) the wrong nesting depth are AlgebraFormatError.
+    """
+    try:
+        arr = np.array(value, dtype=object)
+        kinds = set(map(type, arr.ravel().tolist())) - {int}
+        if kinds:
+            raise TypeError("not integers: " + ", ".join(sorted(t.__name__ for t in kinds)))
+        arr = arr.astype(np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise AlgebraFormatError(f"malformed {what}: {exc}") from None
+    if ndim is not None and arr.ndim != ndim:
+        raise AlgebraFormatError(f"malformed {what}: expected {ndim} nested levels, got {arr.ndim}")
+    return arr
+
+
 class OutOfWindowError(ValueError):
     """A product of occupied degrees lands outside the window."""
 
@@ -207,22 +226,21 @@ class WindowedGradedAlgebra:
         (ab)c = a(bc) for every triple starting in A^i whose partial and full
         products stay inside the window.  The witness names the first failure.
         """
-        rep = CertifiedReport(check="validate")
-        degrees = [d for d in self.degrees()]
+        degrees = self.degrees()
 
         def check_degree(i: int):
             di = self.dims[i]
             if di == 0:
-                return (i, PASS, None)
+                return PASS, None
             eye = np.eye(di, dtype=np.int64)
             left_unit = self.left_mult_matrix(0, self.unit, i)
             if not np.array_equal(left_unit, eye):
                 col = int(np.flatnonzero((left_unit - eye) % self.p)[0] % di)
-                return (i, FAIL, {"law": "unit", "side": "left", "degree": i, "index": col})
+                return FAIL, {"law": "unit", "side": "left", "degree": i, "index": col}
             right_unit = self.right_mult_matrix(0, self.unit, i)
             if not np.array_equal(right_unit, eye):
                 col = int(np.flatnonzero((right_unit - eye) % self.p)[0] % di)
-                return (i, FAIL, {"law": "unit", "side": "right", "degree": i, "index": col})
+                return FAIL, {"law": "unit", "side": "right", "degree": i, "index": col}
             for j in degrees:
                 if not self.in_window(i + j):
                     continue
@@ -231,13 +249,10 @@ class WindowedGradedAlgebra:
                         continue
                     bad = self._assoc_defect(i, j, k)
                     if bad is not None:
-                        return (i, FAIL, {"law": "associativity", "triple": (i, j, k),
-                                          "indices": bad})
-            return (i, PASS, None)
+                        return FAIL, {"law": "associativity", "triple": (i, j, k), "indices": bad}
+            return PASS, None
 
-        for i, verdict, witness in util.sweep(check_degree, degrees):
-            rep.add(i, verdict, witness)
-        return rep
+        return CertifiedReport.sweep("validate", degrees, check_degree)
 
     def _assoc_defect(self, i: int, j: int, k: int) -> tuple[int, int, int] | None:
         """First basis triple where (ab)c != a(bc), or None."""
@@ -267,22 +282,16 @@ class WindowedGradedAlgebra:
     def is_central(self, z: "GradedElement") -> CertifiedReport:
         """Window-certified centrality: za = az per degree, else OUT-OF-WINDOW."""
         dz, vz = z.homogeneous_part()
-        rep = CertifiedReport(check="is_central")
-        for i in self.degrees():
-            if self.dims[i] == 0:
-                continue
+
+        def commutes(i: int):
             if not self.in_window(i + dz):
-                rep.add(i, OUT_OF_WINDOW)
-                continue
-            left = self.left_mult_matrix(dz, vz, i)
-            right = self.right_mult_matrix(dz, vz, i)
-            diff = (left - right) % self.p
+                return OUT_OF_WINDOW, None
+            diff = (self.left_mult_matrix(dz, vz, i) - self.right_mult_matrix(dz, vz, i)) % self.p
             if np.any(diff):
-                col = int(np.flatnonzero(np.any(diff, axis=0))[0])
-                rep.add(i, FAIL, {"degree": i, "index": col})
-            else:
-                rep.add(i, PASS)
-        return rep
+                return FAIL, {"degree": i, "index": int(np.flatnonzero(np.any(diff, axis=0))[0])}
+            return PASS, None
+
+        return CertifiedReport.sweep("is_central", [i for i in self.degrees() if self.dims[i]], commutes)
 
     # -- equality ----------------------------------------------------------
 
@@ -325,9 +334,6 @@ class GradedElement:
 
     def occupied_degrees(self) -> list[int]:
         return sorted(self.components)
-
-    def is_homogeneous(self) -> bool:
-        return len(self.components) == 1
 
     def homogeneous_part(self) -> tuple[int, np.ndarray]:
         if len(self.components) != 1:
@@ -386,15 +392,12 @@ class GradedSubspace:
     """Per-degree subspaces in canonical column-echelon form.
 
     ``underdetermined`` lists degrees where the stored basis is only a
-    certified lower bound (the window truncated the computation);
-    ``dropped`` records input degrees an operation had to discard because
-    the image degree left the window.
+    certified lower bound (the window truncated the computation).
     """
 
     algebra: WindowedGradedAlgebra
     basis: dict[int, np.ndarray]
     underdetermined: frozenset[int] = frozenset()
-    dropped: tuple[int, ...] = ()
     notes: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -449,7 +452,6 @@ class GradedSubspace:
         out.algebra = self.algebra
         out.basis = {d + t: cols for d, cols in self.basis.items()}
         out.underdetermined = frozenset(d + t for d in self.underdetermined)
-        out.dropped = tuple(d + t for d in self.dropped)
         out.notes = {d + t: s for d, s in self.notes.items()}
         return out
 
@@ -492,28 +494,31 @@ def algebra_from_json_dict(payload: dict) -> WindowedGradedAlgebra:
     except KeyError as exc:
         raise AlgebraFormatError(f"missing required key {exc.args[0]!r}") from None
     try:
-        fld = PrimeField(int(field_char))
-    except (TypeError, ValueError) as exc:
+        fld = PrimeField(int(int_array(field_char, "field_char", ndim=0)))
+    except ValueError as exc:
         raise AlgebraFormatError(str(exc)) from None
-    if not (isinstance(window, (list, tuple)) and len(window) == 2):
+    window = int_array(window, "window", ndim=1)
+    if window.shape != (2,):
         raise AlgebraFormatError("window must be a two-element list")
     try:
         dims = util.parse_int_keys(dims_raw, "dims")
         labels = util.parse_int_keys(payload["labels"], "labels") if "labels" in payload else None
     except ValueError as exc:
         raise AlgebraFormatError(str(exc)) from None
+    dims = {d: int(int_array(count, f"dims entry {d}", ndim=0)) for d, count in dims.items()}
+    unit = int_array(unit, "unit", ndim=1)
     if not isinstance(mult_raw, list):
         raise AlgebraFormatError("mult must be a list of blocks")
     mult: dict[tuple[int, int], np.ndarray] = {}
     for entry in mult_raw:
         try:
-            key = (int(entry["i"]), int(entry["j"]))
-            table = np.array(entry["table"], dtype=np.int64)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            i, j, table = entry["i"], entry["j"], entry["table"]
+        except (KeyError, TypeError) as exc:
             raise AlgebraFormatError(f"malformed mult entry ({exc}): {entry!r}") from None
+        key = (int(int_array(i, "mult entry i", ndim=0)), int(int_array(j, "mult entry j", ndim=0)))
         if key in mult:
             raise AlgebraFormatError(f"duplicate mult block {key}")
-        mult[key] = table
+        mult[key] = int_array(table, f"mult entry {key}")
     try:
         return WindowedGradedAlgebra(fld, (int(window[0]), int(window[1])), dims, mult, unit, labels)
     except (TypeError, ValueError, OverflowError) as exc:

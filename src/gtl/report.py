@@ -11,8 +11,11 @@ window could not certify.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import Any
+
+from . import util
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -51,6 +54,24 @@ class CertifiedReport:
     clauses: dict[str, "CertifiedReport"] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
+    @classmethod
+    def sweep(
+        cls, check: str, keys: Iterable[Any], fn: Callable[[Any], tuple | None], n: int | None = None
+    ) -> "CertifiedReport":
+        """One entry per key from ``fn(key) -> (verdict, witness[, note])``.
+
+        Keys where ``fn`` returns None are unchecked.  The keys run through
+        ``util.sweep``, so GTL_THREADS applies and key order is kept.
+        """
+        rep = cls(check=check, n=n)
+        keys = list(keys)
+        for key, result in zip(keys, util.sweep(fn, keys)):
+            if result is None:
+                rep.unchecked.append(key)
+            else:
+                rep.add(key, *result)
+        return rep
+
     def add(self, key: Any, verdict: str, witness: Any = None, note: str | None = "") -> None:
         self.entries.append(DegreeVerdict(key, verdict, witness, note or ""))
 
@@ -58,12 +79,6 @@ class CertifiedReport:
         out = [e for e in self.entries if e.verdict == FAIL]
         for sub in self.clauses.values():
             out.extend(sub.failures())
-        return out
-
-    def underdetermined(self) -> list[DegreeVerdict]:
-        out = [e for e in self.entries if e.verdict == UNDERDETERMINED]
-        for sub in self.clauses.values():
-            out.extend(sub.underdetermined())
         return out
 
     @property

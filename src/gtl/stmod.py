@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exactlin import PrimeField, kernel_mod, matmul_mod, rank_mod, rref, solve_mod
-from .graded import AlgebraFormatError, WindowedGradedAlgebra, col_echelon
+from .graded import AlgebraFormatError, WindowedGradedAlgebra, col_echelon, int_array
 from .report import FAIL, PASS, CertifiedReport, PreconditionError
 
 ROOT_SEARCH_MAX_CHAR = 1009
@@ -312,25 +312,17 @@ def derive_radical(mult: np.ndarray, unit: np.ndarray, field: PrimeField) -> np.
     return rad
 
 
-def _int_array(payload: dict, key: str) -> np.ndarray:
-    """payload[key] as an int64 array; missing, ragged or out-of-range data is a format error."""
-    try:
-        return np.asarray(payload[key], dtype=np.int64)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise AlgebraFormatError(f"missing or malformed {key}: {exc}") from exc
-
-
 def fd_algebra_from_json_dict(payload: dict) -> FDAlgebra:
     """Parse the explicit based-algebra format, deriving the radical if absent."""
     if not isinstance(payload, dict):
         raise AlgebraFormatError("algebra payload must be an object")
     try:
-        p = int(payload["field_char"])
-        dim = int(payload["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise AlgebraFormatError(f"missing or malformed algebra field: {exc}") from exc
-    mult = _int_array(payload, "mult")
-    unit = _int_array(payload, "unit")
+        p = int(int_array(payload["field_char"], "field_char", ndim=0))
+        dim = int(int_array(payload["dim"], "dim", ndim=0))
+        mult = int_array(payload["mult"], "mult")
+        unit = int_array(payload["unit"], "unit")
+    except KeyError as exc:
+        raise AlgebraFormatError(f"missing required key {exc.args[0]!r}") from None
     try:
         pf = PrimeField(p)
     except ValueError as exc:
@@ -342,14 +334,14 @@ def fd_algebra_from_json_dict(payload: dict) -> FDAlgebra:
     if "radical_basis" in payload:
         raise AlgebraFormatError('unknown key "radical_basis": the radical columns go under "radical"')
     if "radical" in payload:
-        radical = _int_array(payload, "radical")
+        radical = int_array(payload["radical"], "radical")
         if radical.ndim != 2 or radical.shape[0] != dim:
             raise AlgebraFormatError("radical must be a dim-row matrix of basis columns")
     else:
         radical = derive_radical(mult, unit % p, pf)
     lam = None
     if payload.get("symmetrizing") is not None:
-        lam = _int_array(payload, "symmetrizing")
+        lam = int_array(payload["symmetrizing"], "symmetrizing")
         if lam.shape != (dim,):
             raise AlgebraFormatError("symmetrizing must be a vector of length dim")
     labels = payload.get("labels")
@@ -709,11 +701,10 @@ def tate_ext(alg: FDAlgebra, module: FDModule, i: int, tower: SyzygyTower | None
 class _TateWorkspace:
     """One Tate-ring computation: the tower and a StableHom per (degree, shift)."""
 
-    def __init__(self, alg: FDAlgebra, module: FDModule, depth: int):
+    def __init__(self, alg: FDAlgebra, module: FDModule):
         self.alg = alg
         self.module = module
         self.tower = SyzygyTower(module)
-        self.tower.ensure_steps(depth)
         self.homs: dict[tuple[int, int], StableHom] = {}
 
     def hom_at(self, d: int, shift: int) -> StableHom:
@@ -744,12 +735,7 @@ class _TateWorkspace:
             raise ArithmeticError(f"product solve in degree {d} at shift {shift}: {exc}") from exc
 
 
-def tate_ring(
-    alg: FDAlgebra,
-    module: FDModule,
-    window: tuple[int, int],
-    tower_depth: int | None = None,
-) -> WindowedGradedAlgebra:
+def tate_ring(alg: FDAlgebra, module: FDModule, window: tuple[int, int]) -> WindowedGradedAlgebra:
     """The stable self-extension algebra of a module, windowed by degree.
 
     Requires a symmetrizing functional passing validate_symmetric (products
@@ -764,9 +750,7 @@ def tate_ring(
     if not lo <= 0 <= hi:
         raise ValueError(f"window [{lo}, {hi}] must contain 0")
     alg.dual_basis()  # the stable homs need it; fail before building the tower
-    radius = max(-lo, hi)
-    depth = tower_depth if tower_depth is not None else radius + 2
-    ws = _TateWorkspace(alg, module, depth)
+    ws = _TateWorkspace(alg, module)
 
     dims = {d: ws.hom_at(d, max(0, -d)).dim for d in range(lo, hi + 1)}
     mult: dict[tuple[int, int], np.ndarray] = {}

@@ -9,20 +9,13 @@ threads those flags into its own verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import util
 from .duality import form_from_functional, nondegenerate_products, selfdual_check
 from .exactlin import kernel_mod, matmul_mod, rank_mod, solve_mod
 from .graded import GradedElement, GradedSubspace, WindowedGradedAlgebra, col_echelon
-from .report import FAIL, PASS, UNDERDETERMINED, CertifiedReport, DegreeVerdict, PreconditionError
-
-
-def _homogeneous(r: GradedElement) -> tuple[int, np.ndarray]:
-    deg, vec = r.homogeneous_part()
-    return deg, vec
+from .report import FAIL, PASS, UNDERDETERMINED, CertifiedReport, PreconditionError
 
 
 # ---------------------------------------------------------------------------
@@ -30,65 +23,37 @@ def _homogeneous(r: GradedElement) -> tuple[int, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RegularityReport:
-    """Kernel-by-kernel account of left multiplication by a central element.
+def _injectivity(alg: WindowedGradedAlgebra, r: GradedElement, degrees, check: str) -> CertifiedReport:
+    """Per degree i: PASS when ker(r * -) on A^i is zero, FAIL with a kernel
+    vector otherwise; degrees whose image degree leaves the window are unchecked."""
+    dr, vec = r.homogeneous_part()
 
-    ``kernels`` has one entry per source degree i in [0, d_max - deg(r)]:
-    PASS when ker(r * -) on A^i is zero, FAIL with a kernel witness vector
-    otherwise.  Degrees whose image degree leaves the window are unchecked.
-    ``central`` is the attached centrality report; regularity of a
-    non-central element is not a meaningful claim, so ``passed`` requires
-    both reports to be failure-free.
+    def kernel(i: int):
+        if i + dr > alg.window[1]:
+            return None
+        ker = kernel_mod(alg.left_mult_matrix(dr, vec, i), alg.p)
+        return (PASS, None) if ker.shape[1] == 0 else (FAIL, {"kernel_vector": ker[:, 0].tolist()})
+
+    return CertifiedReport.sweep(check, degrees, kernel)
+
+
+def regularity(alg: WindowedGradedAlgebra, r: GradedElement) -> CertifiedReport:
+    """Is r regular on the non-negative part, as far as the window can see?
+
+    Clause ``kernels`` checks ker(r * -) = 0 on A^i for i in [0, d_max];
+    clause ``central`` is the centrality report, because regularity of a
+    non-central element is not a meaningful claim.  The report passes when
+    neither clause fails.
     """
-
-    degree: int
-    kernels: CertifiedReport
-    central: CertifiedReport
-
-    @property
-    def passed(self) -> bool:
-        return self.kernels.passed and self.central.passed
-
-    def first_failure(self):
-        for entry in self.kernels.entries:
-            if entry.verdict == FAIL:
-                return entry
-        return None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": "regularity",
-            "element_degree": self.degree,
-            "kernels": self.kernels.to_json_dict(),
-            "central": self.central.to_json_dict(),
-            "passed": self.passed,
-        }
-
-    def render_text(self) -> str:
-        head = f"[{'PASS' if self.passed else 'FAIL'}] regularity (|r|={self.degree})"
-        return "\n".join([head, self.kernels.render_text(), self.central.render_text()])
-
-
-def regularity(alg: WindowedGradedAlgebra, r: GradedElement) -> RegularityReport:
-    """Is r regular on the non-negative part, as far as the window can see?"""
-    dr, vec = _homogeneous(r)
+    dr, _ = r.homogeneous_part()
     if dr <= 0:
         raise ValueError(f"regularity needs a positive-degree element, got degree {dr}")
-    central = alg.is_central(r)
-    kernels = CertifiedReport(check="regularity_kernels")
-    d_min, d_max = alg.window
-    for i in range(0, d_max + 1):
-        if i + dr > d_max:
-            kernels.unchecked.append(i)
-            continue
-        mat = alg.left_mult_matrix(dr, vec, i)
-        ker = kernel_mod(mat, alg.p)
-        if ker.shape[1] == 0:
-            kernels.add(i, PASS)
-        else:
-            kernels.add(i, FAIL, {"kernel_vector": ker[:, 0].tolist()})
-    return RegularityReport(degree=dr, kernels=kernels, central=central)
+    kernels = _injectivity(alg, r, range(0, alg.window[1] + 1), "regularity_kernels")
+    return CertifiedReport(
+        check="regularity",
+        clauses={"kernels": kernels, "central": alg.is_central(r)},
+        notes=[f"element degree {dr}"],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +85,7 @@ def tor_part(alg: WindowedGradedAlgebra, r: GradedElement) -> GradedSubspace:
     where the window ends the walk early are flagged UNDERDETERMINED and the
     stored basis is only a lower bound.
     """
-    dr, vec = _homogeneous(r)
+    dr, vec = r.homogeneous_part()
     if dr <= 0:
         raise ValueError(f"tor_part needs a positive-degree element, got degree {dr}")
     basis: dict[int, np.ndarray] = {}
@@ -158,7 +123,7 @@ def tor_part(alg: WindowedGradedAlgebra, r: GradedElement) -> GradedSubspace:
 
 def kernel_of_power(alg: WindowedGradedAlgebra, r: GradedElement, d: int, k: int):
     """Kernel of r^k on A^d, or None when the window cannot express r^k there."""
-    dr, vec = _homogeneous(r)
+    dr, vec = r.homogeneous_part()
     for kk, mat in _power_matrices(alg, dr, vec, d):
         if kk == k:
             return kernel_mod(mat, alg.p)
@@ -318,40 +283,6 @@ def _detour_taint(alg, n, span, escapes, step_degrees):
 # ---------------------------------------------------------------------------
 
 
-def _pair_products_zero(alg, left: GradedSubspace, right: GradedSubspace):
-    """Sweep all in-window products between two graded subspaces.
-
-    Returns (entries, unchecked) where entries are per degree-pair verdicts
-    and unchecked lists pairs whose product degree leaves the window.
-    """
-    entries: list[DegreeVerdict] = []
-    unchecked: list[tuple[int, int]] = []
-    for i in alg.degrees():
-        u = left.vectors(i)
-        if u.shape[1] == 0:
-            continue
-        for j in alg.degrees():
-            w = right.vectors(j)
-            if w.shape[1] == 0:
-                continue
-            if not alg.in_window(i + j):
-                unchecked.append((i, j))
-                continue
-            tensor = alg.mult_block(i, j)
-            di, dj, dc = tensor.shape
-            nu, nw = u.shape[1], w.shape[1]
-            half = matmul_mod(u.T, tensor.reshape(di, dj * dc), alg.p)
-            half = half.reshape(nu, dj, dc).transpose(1, 0, 2).reshape(dj, nu * dc)
-            prods = matmul_mod(w.T, half, alg.p)
-            if np.any(prods):
-                flat = prods.reshape(nw, nu, dc)
-                y, x, c = np.argwhere(flat).tolist()[0]
-                entries.append(DegreeVerdict((i, j), FAIL, {"left_index": x, "right_index": y}))
-            else:
-                entries.append(DegreeVerdict((i, j), PASS))
-    return entries, unchecked
-
-
 def verify_depth1(alg: WindowedGradedAlgebra, r: GradedElement, n: int) -> CertifiedReport:
     """Depth >= 1 consequences: the cut ideal annihilates the r-torsion,
     and a non-negative pairing degree forces r to be regular everywhere.
@@ -359,21 +290,40 @@ def verify_depth1(alg: WindowedGradedAlgebra, r: GradedElement, n: int) -> Certi
     Preconditions: r central and regular on the non-negative part, as far
     as the window certifies; violations raise PreconditionError.
     """
-    reg = regularity(alg, r)
-    if not reg.passed:
+    if not regularity(alg, r).passed:
         raise PreconditionError("element is not window-certified central and regular")
-    dr, vec = _homogeneous(r)
 
     report = CertifiedReport(check="verify_depth1", n=n)
     ideal = ideal_leq(alg, n)
     tor = tor_part(alg, r)
 
-    ann = CertifiedReport(check="ideal_annihilates_torsion")
-    for sub_left, sub_right, tag in ((ideal, tor, "ideal*tor"), (tor, ideal, "tor*ideal")):
-        entries, unchecked = _pair_products_zero(alg, sub_left, sub_right)
-        for e in entries:
-            ann.add((tag,) + e.key, e.verdict, e.witness)
-        ann.unchecked.extend((tag,) + u for u in unchecked)
+    sides = {"ideal*tor": (ideal, tor), "tor*ideal": (tor, ideal)}
+
+    def vanish(key):
+        """left^i * right^j = 0; unchecked when i + j leaves the window."""
+        tag, i, j = key
+        if not alg.in_window(i + j):
+            return None
+        left, right = sides[tag]
+        u, w = left.vectors(i), right.vectors(j)
+        tensor = alg.mult_block(i, j)
+        di, dj, dc = tensor.shape
+        nu, nw = u.shape[1], w.shape[1]
+        half = matmul_mod(u.T, tensor.reshape(di, dj * dc), alg.p)
+        half = half.reshape(nu, dj, dc).transpose(1, 0, 2).reshape(dj, nu * dc)
+        prods = matmul_mod(w.T, half, alg.p)
+        if np.any(prods):
+            y, x, _ = np.argwhere(prods.reshape(nw, nu, dc)).tolist()[0]
+            return FAIL, {"left_index": x, "right_index": y}
+        return PASS, None
+
+    keys = [
+        (tag, i, j)
+        for tag, (left, right) in sides.items()
+        for i in alg.degrees() if left.dim(i)
+        for j in alg.degrees() if right.dim(j)
+    ]
+    ann = CertifiedReport.sweep("ideal_annihilates_torsion", keys, vanish)
     touched = sorted(set(ideal.underdetermined) | set(tor.underdetermined))
     if touched:
         ann.notes.append(
@@ -383,18 +333,9 @@ def verify_depth1(alg: WindowedGradedAlgebra, r: GradedElement, n: int) -> Certi
     report.clauses["ideal_annihilates_torsion"] = ann
 
     if n >= 0:
-        everywhere = CertifiedReport(check="regular_on_all_degrees")
-        d_min, d_max = alg.window
-        for i in alg.degrees():
-            if i + dr > d_max:
-                everywhere.unchecked.append(i)
-                continue
-            ker = kernel_mod(alg.left_mult_matrix(dr, vec, i), alg.p)
-            if ker.shape[1] == 0:
-                everywhere.add(i, PASS)
-            else:
-                everywhere.add(i, FAIL, {"kernel_vector": ker[:, 0].tolist()})
-        report.clauses["regular_on_all_degrees"] = everywhere
+        report.clauses["regular_on_all_degrees"] = _injectivity(
+            alg, r, alg.degrees(), "regular_on_all_degrees"
+        )
     else:
         report.notes.append("n < 0: no global regularity clause")
     return report
@@ -429,54 +370,39 @@ def check_orthogonality(
     if assume_regular:
         tor = _tor_under_regularity(alg, r, tor)
 
-    rep = CertifiedReport(check="orthogonality", n=n)
-    for i in alg.degrees():
+    def orthogonal(i: int):
         j = n - i
         if not alg.in_window(j):
-            rep.unchecked.append(i)
-            continue
-        shaky = i in ideal.underdetermined or j in tor.underdetermined
-        u = ideal.vectors(i)
-        t = tor.vectors(j)
-        dim_ok = u.shape[1] == alg.dim(j) - t.shape[1]
-        gram = form.gram(i)
-        pairing_rows = matmul_mod(u.T, gram, alg.p)
-        perp = kernel_mod(pairing_rows, alg.p)
+            return None
+        if i in ideal.underdetermined or j in tor.underdetermined:
+            return UNDERDETERMINED, None, "input subspaces are lower bounds here"
+        u, t = ideal.vectors(i), tor.vectors(j)
+        perp = kernel_mod(matmul_mod(u.T, form.gram(i), alg.p), alg.p)
         perp_matches = GradedSubspace(alg, {j: perp}).equals(GradedSubspace(alg, {j: t}))
-        if shaky:
-            rep.add(i, UNDERDETERMINED, note="input subspaces are lower bounds here")
-        elif dim_ok and perp_matches:
-            rep.add(i, PASS)
-        else:
-            rep.add(
-                i,
-                FAIL,
-                {
-                    "dim_ideal": u.shape[1],
-                    "dim_tor_partner": t.shape[1],
-                    "dim_partner": alg.dim(j),
-                    "perp_matches": perp_matches,
-                },
-            )
-    return rep
+        if u.shape[1] == alg.dim(j) - t.shape[1] and perp_matches:
+            return PASS, None
+        return FAIL, {
+            "dim_ideal": u.shape[1],
+            "dim_tor_partner": t.shape[1],
+            "dim_partner": alg.dim(j),
+            "perp_matches": perp_matches,
+        }
+
+    return CertifiedReport.sweep("orthogonality", alg.degrees(), orthogonal, n=n)
 
 
 def check_periodicity(alg: WindowedGradedAlgebra, r: GradedElement) -> CertifiedReport:
     """Multiplication by r is bijective on every degree the window can check."""
-    dr, vec = _homogeneous(r)
-    rep = CertifiedReport(check="periodicity")
-    d_min, d_max = alg.window
-    for i in alg.degrees():
-        if i + dr > d_max:
-            rep.unchecked.append(i)
-            continue
+    dr, vec = r.homogeneous_part()
+
+    def bijective(i: int):
+        if i + dr > alg.window[1]:
+            return None
         di, dj = alg.dim(i), alg.dim(i + dr)
-        mat = alg.left_mult_matrix(dr, vec, i)
-        if di == dj and rank_mod(mat, alg.p) == di:
-            rep.add(i, PASS)
-        else:
-            rep.add(i, FAIL, {"dims": (di, dj), "rank": int(rank_mod(mat, alg.p))})
-    return rep
+        rank = int(rank_mod(alg.left_mult_matrix(dr, vec, i), alg.p))
+        return (PASS, None) if di == dj == rank else (FAIL, {"dims": (di, dj), "rank": rank})
+
+    return CertifiedReport.sweep("periodicity", alg.degrees(), bijective)
 
 
 # ---------------------------------------------------------------------------
@@ -493,18 +419,16 @@ def is_regular_sequence2(
     any x in A^i with rt*x in r*A^{i+|rt|-|r|} must already lie in
     r*A^{i-|r|}; that is exactly regularity of rt on (A / rA)^{>=0}.
     """
-    dr, rvec = _homogeneous(r)
-    drt, rtvec = _homogeneous(rt)
+    dr, rvec = r.homogeneous_part()
+    drt, rtvec = rt.homogeneous_part()
     if dr <= 0 or drt <= 0:
         raise ValueError("regular sequence elements must have positive degree")
     rep = CertifiedReport(check="regular_sequence2")
     first = regularity(alg, r)
-    rep.clauses["first"] = first.kernels
-    rep.clauses["first_central"] = first.central
+    rep.clauses["first"] = first.clauses["kernels"]
+    rep.clauses["first_central"] = first.clauses["central"]
     rep.clauses["second_central"] = alg.is_central(rt)
-
-    second = CertifiedReport(check="second_regular_mod_first")
-    d_min, d_max = alg.window
+    d_max = alg.window[1]
 
     def image_of_r(src: int) -> np.ndarray:
         """Columns spanning r*A^{src} in A^{src+dr} (zero span if src is absent)."""
@@ -512,41 +436,36 @@ def is_regular_sequence2(
             return np.zeros((alg.dim(src + dr), 0), dtype=np.int64)
         return col_echelon(alg.left_mult_matrix(dr, rvec, src), alg.p)
 
-    for i in range(0, d_max + 1):
+    def regular_mod_first(i: int):
         if i + drt > d_max:
-            second.unchecked.append(i)
-            continue
+            return None
         di = alg.dim(i)
         if di == 0:
-            second.add(i, PASS)
-            continue
+            return PASS, None
         lt = alg.left_mult_matrix(drt, rtvec, i)
         w = image_of_r(i + drt - dr)
         if w.shape[1]:
-            aug = np.hstack([lt, (-w) % alg.p])
-            ker = kernel_mod(aug, alg.p)
+            ker = kernel_mod(np.hstack([lt, (-w) % alg.p]), alg.p)
             pre = col_echelon(ker[:di, :], alg.p) if ker.shape[1] else np.zeros((di, 0), dtype=np.int64)
         else:
             pre = kernel_mod(lt, alg.p)
         v = image_of_r(i - dr)
-        if pre.shape[1] == 0:
-            second.add(i, PASS)
-            continue
-        joint = rank_mod(np.hstack([v, pre]), alg.p)
-        if joint == rank_mod(v, alg.p):
-            second.add(i, PASS)
-        else:
-            sol = None
-            for c in range(pre.shape[1]):
-                if v.shape[1] == 0:
-                    if np.any(pre[:, c]):
-                        sol = pre[:, c]
-                        break
-                elif solve_mod(v, pre[:, c], alg.p) is None:
+        if pre.shape[1] == 0 or rank_mod(np.hstack([v, pre]), alg.p) == rank_mod(v, alg.p):
+            return PASS, None
+        sol = None
+        for c in range(pre.shape[1]):
+            if v.shape[1] == 0:
+                if np.any(pre[:, c]):
                     sol = pre[:, c]
                     break
-            second.add(i, FAIL, {"witness_vector": sol.tolist() if sol is not None else None})
-    rep.clauses["second"] = second
+            elif solve_mod(v, pre[:, c], alg.p) is None:
+                sol = pre[:, c]
+                break
+        return FAIL, {"witness_vector": sol.tolist() if sol is not None else None}
+
+    rep.clauses["second"] = CertifiedReport.sweep(
+        "second_regular_mod_first", range(0, d_max + 1), regular_mod_first
+    )
     return rep
 
 
@@ -560,7 +479,7 @@ def _tor_under_regularity(
     A^d into non-negative degrees where r acts injectively.  Any flagged
     degree where k0 is reachable inside the window gets its exact value.
     """
-    dr, _ = _homogeneous(r)
+    dr, _ = r.homogeneous_part()
     basis = {d: tor.vectors(d) for d in alg.degrees()}
     flags = set(tor.underdetermined)
     notes = dict(tor.notes)
@@ -580,47 +499,40 @@ def _tor_under_regularity(
 
 
 def _tensor_zero_sweep(alg, left_degrees, right_degrees, check_name) -> CertifiedReport:
-    """All products A^i * A^j with i, j drawn from the given degree sets vanish."""
-    rep = CertifiedReport(check=check_name)
-    for i in left_degrees:
-        if alg.dim(i) == 0:
-            continue
-        for j in right_degrees:
-            if alg.dim(j) == 0:
-                continue
-            if not alg.in_window(i + j):
-                continue
-            tensor = alg.mult_block(i, j)
-            if np.any(tensor):
-                a, b, c = (int(v) for v in np.argwhere(tensor)[0])
-                rep.add((i, j), FAIL, {"left_index": a, "right_index": b, "component": c})
-            else:
-                rep.add((i, j), PASS)
-    return rep
+    """All in-window products A^i * A^j with i, j drawn from the given degree sets vanish."""
+
+    def vanishes(key):
+        tensor = alg.mult_block(*key)
+        if np.any(tensor):
+            a, b, c = (int(v) for v in np.argwhere(tensor)[0])
+            return FAIL, {"left_index": a, "right_index": b, "component": c}
+        return PASS, None
+
+    keys = [
+        (i, j)
+        for i in left_degrees if alg.dim(i)
+        for j in right_degrees if alg.dim(j) and alg.in_window(i + j)
+    ]
+    return CertifiedReport.sweep(check_name, keys, vanishes)
 
 
 def _ideal_sweep(alg, member, check_name) -> CertifiedReport:
     """span{A^i : member(i)} is a two-sided ideal for in-window products."""
-    rep = CertifiedReport(check=check_name)
-    for i in alg.degrees():
-        if not member(i) or alg.dim(i) == 0:
-            continue
-        for j in alg.degrees():
-            if alg.dim(j) == 0 or not alg.in_window(i + j):
-                continue
-            if member(i + j):
-                continue
-            bad = None
-            for tensor, order in ((alg.mult_block(i, j), "right"), (alg.mult_block(j, i), "left")):
-                if np.any(tensor):
-                    a, b, c = (int(v) for v in np.argwhere(tensor)[0])
-                    bad = {"side": order, "indices": (a, b, c)}
-                    break
-            if bad is None:
-                rep.add((i, j), PASS)
-            else:
-                rep.add((i, j), FAIL, bad)
-    return rep
+
+    def closed(key):
+        i, j = key
+        for tensor, order in ((alg.mult_block(i, j), "right"), (alg.mult_block(j, i), "left")):
+            if np.any(tensor):
+                a, b, c = (int(v) for v in np.argwhere(tensor)[0])
+                return FAIL, {"side": order, "indices": (a, b, c)}
+        return PASS, None
+
+    keys = [
+        (i, j)
+        for i in alg.degrees() if member(i) and alg.dim(i)
+        for j in alg.degrees() if alg.dim(j) and alg.in_window(i + j) and not member(i + j)
+    ]
+    return CertifiedReport.sweep(check_name, keys, closed)
 
 
 def verify_depth2(
@@ -652,23 +564,19 @@ def verify_depth2(
     report = CertifiedReport(check="verify_depth2", n=n)
 
     tor = _tor_under_regularity(alg, r, tor_part(alg, r))
-    tor_clause = CertifiedReport(check="torsion_is_negative_part")
-    for d in alg.degrees():
-        dim = alg.dim(d)
-        t = tor.vectors(d)
+
+    def negative_torsion(d: int):
+        """Tor^d is all of A^d for d < 0 and zero for d >= 0."""
+        note, dim_tor, dim = tor.notes.get(d), tor.dim(d), alg.dim(d)
         if d in tor.underdetermined:
-            tor_clause.add(d, UNDERDETERMINED, note=tor.notes.get(d))
-        elif d < 0:
-            if t.shape[1] == dim:
-                tor_clause.add(d, PASS, note=tor.notes.get(d))
-            else:
-                tor_clause.add(d, FAIL, {"dim_tor": t.shape[1], "dim": dim})
-        else:
-            if t.shape[1] == 0:
-                tor_clause.add(d, PASS, note=tor.notes.get(d))
-            else:
-                tor_clause.add(d, FAIL, {"dim_tor": t.shape[1]})
-    report.clauses["torsion_is_negative_part"] = tor_clause
+            return UNDERDETERMINED, None, note
+        if d < 0:
+            return (PASS, None, note) if dim_tor == dim else (FAIL, {"dim_tor": dim_tor, "dim": dim})
+        return (PASS, None, note) if dim_tor == 0 else (FAIL, {"dim_tor": dim_tor})
+
+    report.clauses["torsion_is_negative_part"] = CertifiedReport.sweep(
+        "torsion_is_negative_part", alg.degrees(), negative_torsion
+    )
 
     neg = CertifiedReport(check="pairing_degree_negative")
     neg.add("n", PASS if n < 0 else FAIL, None if n < 0 else {"n": n})
@@ -691,19 +599,16 @@ def verify_depth2(
     )
 
     if lam is not None and n == -1:
-        dual = CertifiedReport(check="dims_match_across_pairing")
-        for i in alg.degrees():
-            if i < 0:
-                continue
+        def dims_match(i: int):
             j = -1 - i
             if not alg.in_window(j):
-                dual.unchecked.append(i)
-                continue
-            if alg.dim(i) == alg.dim(j):
-                dual.add(i, PASS)
-            else:
-                dual.add(i, FAIL, {"dims": (alg.dim(i), alg.dim(j))})
-        report.clauses["dims_match_across_pairing"] = dual
+                return None
+            di, dj = alg.dim(i), alg.dim(j)
+            return (PASS, None) if di == dj else (FAIL, {"dims": (di, dj)})
+
+        report.clauses["dims_match_across_pairing"] = CertifiedReport.sweep(
+            "dims_match_across_pairing", [i for i in alg.degrees() if i >= 0], dims_match
+        )
         report.clauses["orthogonality"] = check_orthogonality(
             alg, r, n, lam, assume_regular=True
         )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from typing import TypeVar
 
 T = TypeVar("T")
@@ -53,9 +53,3 @@ def parse_int_keys(mapping: dict, what: str) -> dict[int, int]:
             raise ValueError(f"{what}: key {key!r} is not an integer") from None
     return out
 
-
-def window_pairs(window: Sequence[int]) -> list[tuple[int, int]]:
-    """All degree pairs (i, j) with i, j, and i+j inside the window."""
-    d_min, d_max = window
-    degrees = range(d_min, d_max + 1)
-    return [(i, j) for i in degrees for j in degrees if d_min <= i + j <= d_max]

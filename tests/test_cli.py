@@ -7,6 +7,7 @@ contract is exercised without spawning subprocesses.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -15,6 +16,8 @@ from gtl import stmod
 from gtl.cli import PIPELINES, main
 from gtl.graded import algebra_from_json, algebra_to_json
 from gtl.util import canonical_json
+
+from test_graded import quantum_plane
 
 
 @pytest.fixture()
@@ -175,6 +178,76 @@ def test_analyze_integer_beyond_int64_exits_two(tmp_path, t2, capsys):
     assert "malformed mult entry" in capsys.readouterr().err
 
 
+# sha256 of `gtl analyze --json` output followed by the text output, per ring
+# and check, with the exit code.  Recorded before the per-degree reports moved
+# onto CertifiedReport.sweep; only `regularity` was re-recorded, because its
+# report shape changed on purpose (clauses `kernels` and `central`).
+ANALYZE_FLAGS = {
+    "t2": {"r": "w1", "rt": "w2", "n": "-1", "lam": "1"},
+    "quantum-plane": {"r": "x", "rt": "y", "n": "2", "lam": "1,0,1"},
+}
+CHECK_FLAGS = {
+    "validate": (), "central": ("r",), "nondegenerate": ("n",), "selfdual": ("n", "lam"),
+    "find-functional": ("n",), "regularity": ("r",), "tor": ("r",), "ideal": ("n",),
+    "periodicity": ("r",), "depth1": ("r", "n"), "orthogonality": ("r", "n", "lam"),
+    "regseq2": ("r", "rt"), "depth2": ("r", "rt", "n", "lam"),
+}
+PINNED_ANALYZE_OUTPUT = [
+    ("t2", "validate", 0, "bf310f9d9d647d2100333e227df37bcd456c8a9445ce48c9a1102231c6428d2d"),
+    ("t2", "central", 0, "e6b87a144280489d0926ac1fa0367256973a7eebc578c083cd8b835bfdd76f4d"),
+    ("t2", "nondegenerate", 0, "d8bfbb1389ef63d278f1a6dcd5add19a4d9218724f5badffaddffbfe373292e2"),
+    ("t2", "selfdual", 0, "7762e7ca798ec95ddc1690429c342ad42b539a5d9d912a0ec9fe546487ac15b2"),
+    ("t2", "find-functional", 0, "29bcb22bca4cc88e4e92d508394b38215b8b58c4ddc0faa7ed58ddc3d49d113b"),
+    ("t2", "regularity", 0, "d7efb56a986ab3753b759b108f9c0f846bfe62eb7b8f6b759233ac92f5b1ba7e"),
+    ("t2", "tor", 0, "f8eff7541ce85bfc1c378cad5b9d6347cf3df55b1ee2780c104e1be7b3f98058"),
+    ("t2", "ideal", 0, "b0fec60a13e34c0b91ec6b1c52348fa2b6bcf2f5d52fb336e865f996bd5bd750"),
+    ("t2", "periodicity", 1, "930a621cf55579878914d84d9e30ac409f37ddb8c5a7cc209c0c7a2c7323c3fa"),
+    ("t2", "depth1", 0, "4d45c20f65810936254394f8bf19e5d3503b8d7d0780f3268e53b14066018566"),
+    ("t2", "orthogonality", 0, "ed91e51e91540afe933f2fc7724bb73a6afb9356097cc1c5fc9994eb628012d0"),
+    ("t2", "regseq2", 0, "298fb16ffd82f70ed7be0a077d0d6ed3c8d35351ed35f4a5b61e8c23a9ff687b"),
+    ("t2", "depth2", 0, "b8004ac837cf78b88ea11fca106461b610745146e9285e675cd7649434303e54"),
+    ("quantum-plane", "validate", 0, "83f73cf89df4bafb0c79d732dd63a57ef94037b3eafc3f81654bc6bfb068bab2"),
+    ("quantum-plane", "central", 1, "d352d27685557703ad28b4b95cb21ce827041efbfc1645fb1722c5202b9141ae"),
+    ("quantum-plane", "nondegenerate", 0, "c862233aa209638e0d14f9b4f3f4af68ea03dde837a4ae372f68ee5801b05f2c"),
+    ("quantum-plane", "selfdual", 1, "1899a599574361b2815aec9cc971cf5daafe7aed8f9e4e9850c54613116aa53f"),
+    ("quantum-plane", "find-functional", 1, "63bb59206166c20b9e77a645f7201067a73af7b671ac4f65ac507c7da182bf0a"),
+    ("quantum-plane", "regularity", 1, "21f3c7ac3e3c2142b85d857d004a2da9a99e1f731b1dc0a5612bf358c75055fd"),
+    ("quantum-plane", "tor", 0, "5fba455992079ec36defe5d94b45ed362140957fc3d57de13e16dd0e6b72bf28"),
+    ("quantum-plane", "ideal", 0, "00e7d474b9fa6e37c4de872bd1c57409f59989f5b6f34dec8b620d6060252060"),
+    ("quantum-plane", "periodicity", 1, "2d499b7b10417aa28efbb02557221da00fe6af0fa3c6ae0e04ba2b36b7dedbb8"),
+    ("quantum-plane", "depth1", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("quantum-plane", "orthogonality", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("quantum-plane", "regseq2", 1, "8993ab38592a67b986be5498d021480649ebd40625c67c20e9b041fb27968548"),
+    ("quantum-plane", "depth2", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize("ring, check, code, digest", PINNED_ANALYZE_OUTPUT)
+def test_analyze_output_bytes_are_pinned(ring, check, code, digest, tmp_path, t2, capsys):
+    alg = t2 if ring == "t2" else quantum_plane(2, 5)
+    path = tmp_path / f"{ring}.json"
+    path.write_text(algebra_to_json(alg), encoding="utf-8")
+    argv = ["analyze", str(path), "--check", check]
+    for flag in CHECK_FLAGS[check]:
+        argv += [f"--{flag}", ANALYZE_FLAGS[ring][flag]]
+    assert main(argv + ["--json"]) == code
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["mult"][0]["table"][0][0].__setitem__(0, True),
+    lambda d: d["dims"].__setitem__("0", 1.5),
+])
+def test_analyze_non_integer_number_exits_two(tmp_path, t2, edit, capsys):
+    path = _write_ring_payload(tmp_path, t2, edit)
+    assert main(["analyze", path]) == 2
+    err = capsys.readouterr().err
+    assert "not integers" in err
+    assert "Traceback" not in err
+
+
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit) as excinfo:
         main([])
@@ -271,6 +344,15 @@ def test_tate_integer_beyond_int64_exits_two(tmp_path, cubic_alg, capsys):
     path.write_text(canonical_json(payload), encoding="utf-8")
     assert main(["tate", str(path)]) == 2
     assert "malformed mult" in capsys.readouterr().err
+
+
+def test_tate_non_integer_number_exits_two(tmp_path, klein_alg, capsys):
+    payload = klein_alg.to_json_dict()
+    payload["mult"][0][0][0] = 1.9
+    path = tmp_path / "float.json"
+    path.write_text(canonical_json(payload), encoding="utf-8")
+    assert main(["tate", str(path), "--window", "-1", "1"]) == 2
+    assert "malformed mult: not integers: float" in capsys.readouterr().err
 
 
 def test_tate_accepts_shorthand_payload(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -247,7 +249,17 @@ def test_json_rejects_malformed_payloads(t2):
     huge_entry = dict(good, mult=[dict(good["mult"][0], table=[[[2**70]]])])
     with pytest.raises(AlgebraFormatError, match="malformed mult entry"):
         algebra_from_json_dict(huge_entry)
-    for broken in (dict(good, unit=[2**70]), dict(good, dims=[1]), dict(good, mult=7)):
+    float_table = json.loads(json.dumps(good["mult"][0]["table"]))
+    float_table[0][0][0] = float(float_table[0][0][0])
+    rest = good["mult"][1:]
+    for broken in (
+        dict(good, unit=[2**70]), dict(good, dims=[1]), dict(good, mult=7),
+        dict(good, field_char=2.0), dict(good, window=[-4.0, 3]), dict(good, unit=[True]),
+        dict(good, dims=dict(good["dims"], **{"0": True})),
+        dict(good, dims=dict(good["dims"], **{"0": 1.0})),
+        dict(good, mult=[dict(good["mult"][0], table=float_table)] + rest),
+        dict(good, mult=[dict(good["mult"][0], i=float(good["mult"][0]["i"]))] + rest),
+    ):
         with pytest.raises(AlgebraFormatError):
             algebra_from_json_dict(broken)
 

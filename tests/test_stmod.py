@@ -131,6 +131,12 @@ def test_fd_json_rejects_malformed_payloads(klein_alg):
         lambda d: d.update(mult=[[[2**70] * 4] * 4] * 4),
         lambda d: d.update(radical=[[2**70]] * 4),
         lambda d: d.update(labels=5),
+        lambda d: d.update(field_char=2.0),
+        lambda d: d.update(dim=4.0),
+        lambda d: d.update(mult=[[[1.9] * 4] * 4] * 4),
+        lambda d: d.update(unit=[True, 0, 0, 0]),
+        lambda d: d.update(radical=[[0.5, 0, 0]] * 4),
+        lambda d: d.update(symmetrizing=[0, 0, 0, 1.0]),
     ):
         bad = {k: v for k, v in payload.items()}
         breakage(bad)
@@ -359,7 +365,7 @@ def test_higman_columns_match_the_cover_oracle(exponents, p, module, rebase):
 
 
 def test_stacked_coordinates_match_single_solves(klein_alg):
-    ws = _TateWorkspace(klein_alg, trivial_module(klein_alg), 4)
+    ws = _TateWorkspace(klein_alg, trivial_module(klein_alg))
     st = ws.hom_at(1, 2)
     shape = (st.target.dim, st.source.dim)
     pf_maps = [st.pf_columns[:, c].reshape(shape) for c in range(st.pf_columns.shape[1])]
@@ -376,7 +382,7 @@ def test_stacked_coordinates_match_single_solves(klein_alg):
 
 
 def test_product_solve_errors_name_degree_and_shift(klein_alg):
-    ws = _TateWorkspace(klein_alg, trivial_module(klein_alg), 4)
+    ws = _TateWorkspace(klein_alg, trivial_module(klein_alg))
     st = ws.hom_at(1, 2)
     not_a_module_map = np.zeros((1, st.target.dim, st.source.dim), dtype=np.int64)
     not_a_module_map[0, 0, 0] = 1

@@ -29,9 +29,10 @@ from test_graded import quantum_plane
 def test_regularity_passes_on_trivial_extension(t2):
     rep = regularity(t2, t2.element_by_label("w1"))
     assert rep.passed
-    assert rep.first_failure() is None
-    assert [e.key for e in rep.kernels.entries] == [0, 1, 2]
-    assert rep.kernels.unchecked == [3]
+    assert rep.failures() == []
+    assert [e.key for e in rep.clauses["kernels"].entries] == [0, 1, 2]
+    assert rep.clauses["kernels"].unchecked == [3]
+    assert rep.notes == ["element degree 1"]
 
 
 def test_regularity_catches_window_killed_element():
@@ -50,7 +51,7 @@ def test_regularity_catches_window_killed_element():
     )
     rep = regularity(alg, alg.element_by_label("x"))
     assert not rep.passed
-    bad = rep.first_failure()
+    [bad] = rep.failures()
     assert bad.key == 1
     assert bad.witness["kernel_vector"] == [1]
 
@@ -58,8 +59,8 @@ def test_regularity_catches_window_killed_element():
 def test_regularity_requires_central_element():
     alg = quantum_plane(2, 5)
     rep = regularity(alg, alg.element_by_label("x"))
-    assert rep.kernels.passed
-    assert not rep.central.passed
+    assert rep.clauses["kernels"].passed
+    assert not rep.clauses["central"].passed
     assert not rep.passed
 
 

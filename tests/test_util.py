@@ -1,4 +1,4 @@
-"""Tests for the shared helpers: canonical JSON, the sweep pool, windows."""
+"""Tests for the shared helpers: canonical JSON and the sweep pool."""
 
 from __future__ import annotations
 
@@ -6,7 +6,10 @@ import json
 
 import pytest
 
-from gtl.util import canonical_json, parse_int_keys, sweep, window_pairs, worker_count
+from gtl import duality, structure
+from gtl.util import canonical_json, parse_int_keys, sweep, worker_count
+
+from test_graded import quantum_plane
 
 
 def test_canonical_json_is_sorted_and_newline_terminated():
@@ -36,21 +39,45 @@ def test_sweep_results_keep_input_order(monkeypatch):
     assert sweep(lambda i: i * i, items) == expected
 
 
-def test_threaded_reports_match_sequential(monkeypatch, laurent):
-    sequential = laurent.validate().to_json_dict()
-    monkeypatch.setenv("GTL_THREADS", "4")
-    assert laurent.validate().to_json_dict() == sequential
+def _every_sweep_report(laurent, t2) -> list[dict]:
+    """JSON of every report built per degree, passing and failing ones."""
+    qp = quantum_plane(2, 5)
+    w1, w2 = t2.element_by_label("w1"), t2.element_by_label("w2")
+    x, y = qp.element_by_label("x"), qp.element_by_label("y")
+    reports = [
+        laurent.validate(),
+        t2.validate(),
+        t2.is_central(w1),
+        qp.is_central(x),
+        duality.nondegenerate_products(t2, -1),
+        duality.selfdual_check(t2, -1, [1]),
+        duality.selfdual_check(qp, 2, [1, 0, 1]),
+        structure.regularity(t2, w1),
+        structure.regularity(qp, x),
+        structure.check_periodicity(t2, w1),
+        structure.check_periodicity(qp, x),
+        structure.check_orthogonality(t2, w1, -1, [1]),
+        structure.verify_depth1(t2, w1, -1),
+        structure.verify_depth1(t2, w1, 0),
+        structure.is_regular_sequence2(t2, w1, w2),
+        structure.is_regular_sequence2(qp, x, y),
+        structure.verify_depth2(t2, w1, w2, -1, [1]),
+    ]
+    subspaces = [structure.tor_part(t2, w1), structure.ideal_leq(t2, -1)]
+    return [rep.to_json_dict() for rep in reports] + [
+        (sorted(sub.underdetermined), sub.notes, {d: sub.vectors(d).tolist() for d in t2.degrees()})
+        for sub in subspaces
+    ]
+
+
+def test_threaded_reports_match_sequential(monkeypatch, laurent, t2):
+    monkeypatch.setenv("GTL_THREADS", "1")
+    sequential = _every_sweep_report(laurent, t2)
+    monkeypatch.setenv("GTL_THREADS", "2")
+    assert _every_sweep_report(laurent, t2) == sequential
 
 
 def test_parse_int_keys():
     assert parse_int_keys({"-2": 5, "0": 1}, "dims") == {-2: 5, 0: 1}
     with pytest.raises(ValueError):
         parse_int_keys({"x": 1}, "dims")
-
-
-def test_window_pairs_stay_inside():
-    pairs = window_pairs((-1, 1))
-    assert (1, -1) in pairs and (-1, 1) in pairs
-    assert (1, 1) not in pairs
-    assert all(-1 <= i + j <= 1 for i, j in pairs)
-    assert len(pairs) == len(set(pairs))
