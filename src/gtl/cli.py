@@ -29,10 +29,9 @@ from .graded import (
     WindowedGradedAlgebra,
     algebra_from_json,
     algebra_to_json,
+    check_window,
 )
 from .report import FAIL, PASS, PreconditionError
-
-WINDOW_BOUND = 32
 
 _DEGREE_INDEX = re.compile(r"^(-?\d+):(\d+)$")
 
@@ -49,15 +48,6 @@ def _load_fd(path: str) -> stmod.FDAlgebra:
         except json.JSONDecodeError as exc:
             raise AlgebraFormatError(f"invalid JSON: {exc}") from exc
     return gallery.fd_algebra_from_payload(payload)
-
-
-def _check_window(window: tuple[int, int]) -> tuple[int, int]:
-    lo, hi = int(window[0]), int(window[1])
-    if not (-WINDOW_BOUND <= lo <= 0 <= hi <= WINDOW_BOUND):
-        raise AlgebraFormatError(
-            f"window [{lo}, {hi}] must contain 0 and stay within [-{WINDOW_BOUND}, {WINDOW_BOUND}]"
-        )
-    return lo, hi
 
 
 def _element(alg: WindowedGradedAlgebra, spec: str) -> GradedElement:
@@ -115,7 +105,6 @@ def _emit(payload: dict, passed: bool, as_json: bool, text: str | None = None) -
 
 def _cmd_analyze(args) -> int:
     alg = _load_graded(args.algebra)
-    _check_window(alg.window)
     check = args.check
 
     def need(flag: str, value):
@@ -203,7 +192,7 @@ def _cmd_tate(args) -> int:
     if not axioms.passed:
         failed = ", ".join(str(f.key) for f in axioms.failures())
         raise AlgebraFormatError(f"algebra fails its axioms: {failed}")
-    window = _check_window((args.window[0], args.window[1]))
+    window = check_window(args.window)
     if args.module == "trivial":
         base, module = alg, stmod.trivial_module(alg)
     else:

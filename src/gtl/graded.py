@@ -28,6 +28,24 @@ class AlgebraFormatError(ValueError):
     """Malformed algebra data (construction or file ingestion)."""
 
 
+# Size caps on input, so that a small file cannot ask for gigabytes: windows
+# stay within [-WINDOW_BOUND, WINDOW_BOUND], and a graded ring file may give no
+# degree more than DIM_BOUND basis elements.  The widest gallery, test and
+# benchmark ring has 45; one DIM_BOUND**3 structure block of int64 is 16 MiB.
+WINDOW_BOUND = 32
+DIM_BOUND = 128
+
+
+def check_window(window) -> tuple[int, int]:
+    """The window as (lo, hi), or AlgebraFormatError unless lo <= 0 <= hi within the cap."""
+    lo, hi = int(window[0]), int(window[1])
+    if not (-WINDOW_BOUND <= lo <= 0 <= hi <= WINDOW_BOUND):
+        raise AlgebraFormatError(
+            f"window [{lo}, {hi}] must contain 0 and stay within [-{WINDOW_BOUND}, {WINDOW_BOUND}]"
+        )
+    return lo, hi
+
+
 def int_array(value, what: str, ndim: int | None = None) -> np.ndarray:
     """A JSON integer, or nested lists of them, as an int64 array.
 
@@ -225,6 +243,8 @@ class WindowedGradedAlgebra:
         One entry per degree i: PASS when 1*a = a = a*1 for all a in A^i and
         (ab)c = a(bc) for every triple starting in A^i whose partial and full
         products stay inside the window.  The witness names the first failure.
+        A triple whose two sides each pass through an absent block is
+        certified without arithmetic, so the cost follows the present blocks.
         """
         degrees = self.degrees()
 
@@ -255,28 +275,38 @@ class WindowedGradedAlgebra:
         return CertifiedReport.sweep("validate", degrees, check_degree)
 
     def _assoc_defect(self, i: int, j: int, k: int) -> tuple[int, int, int] | None:
-        """First basis triple where (ab)c != a(bc), or None."""
-        t_ij = self.mult_block(i, j)
-        t_ij_k = self.mult_block(i + j, k)
-        t_jk = self.mult_block(j, k)
-        t_i_jk = self.mult_block(i, j + k)
-        da, db, dx = t_ij.shape
-        dc, dy = t_ij_k.shape[1], t_ij_k.shape[2]
-        if 0 in (da, db, dc, dy):
+        """First basis triple where (ab)c != a(bc), or None.
+
+        An absent block is the zero map, so a side that passes through one is
+        zero without arithmetic: only the sides whose two blocks are both
+        present are multiplied out, and a triple with neither is certified
+        at once.  Empty blocks are never stored, so a zero-dimensional degree
+        makes both sides absent.
+        """
+        t_ij, t_ij_k = self.mult.get((i, j)), self.mult.get((i + j, k))
+        t_jk, t_i_jk = self.mult.get((j, k)), self.mult.get((i, j + k))
+        lhs = rhs = None
+        if t_ij is not None and t_ij_k is not None:
+            (da, db, dx), (dc, dy) = t_ij.shape, t_ij_k.shape[1:]
+            lhs = matmul_mod(t_ij.reshape(da * db, dx), t_ij_k.reshape(dx, dc * dy), self.p)
+            lhs = lhs.reshape(da, db, dc, dy)
+        if t_jk is not None and t_i_jk is not None:
+            (db, dc, dz), (da, dy) = t_jk.shape, t_i_jk.shape[::2]
+            rhs_flat = matmul_mod(
+                t_jk.reshape(db * dc, dz),
+                t_i_jk.transpose(1, 0, 2).reshape(dz, da * dy),
+                self.p,
+            )
+            rhs = rhs_flat.reshape(db, dc, da, dy).transpose(2, 0, 1, 3)
+        if lhs is None and rhs is None:
             return None
-        lhs = matmul_mod(t_ij.reshape(da * db, dx), t_ij_k.reshape(dx, dc * dy), self.p)
-        lhs = lhs.reshape(da, db, dc, dy)
-        dz = t_jk.shape[2]
-        rhs_flat = matmul_mod(
-            t_jk.reshape(db * dc, dz),
-            t_i_jk.transpose(1, 0, 2).reshape(dz, da * dy),
-            self.p,
-        )
-        rhs = rhs_flat.reshape(db, dc, da, dy).transpose(2, 0, 1, 3)
-        diff = (lhs - rhs) % self.p
-        if not np.any(diff):
+        # Both sides are reduced into [0, p), so a nonzero entry of one side
+        # alone, or of their difference, is exactly a nonzero defect mod p.
+        diff = rhs if lhs is None else lhs if rhs is None else lhs - rhs
+        bad = np.flatnonzero(diff)
+        if not bad.size:
             return None
-        a, b, c, _ = np.unravel_index(int(np.flatnonzero(diff)[0]), diff.shape)
+        a, b, c, _ = np.unravel_index(int(bad[0]), diff.shape)
         return (int(a), int(b), int(c))
 
     def is_central(self, z: "GradedElement") -> CertifiedReport:
@@ -500,12 +530,19 @@ def algebra_from_json_dict(payload: dict) -> WindowedGradedAlgebra:
     window = int_array(window, "window", ndim=1)
     if window.shape != (2,):
         raise AlgebraFormatError("window must be a two-element list")
+    window = check_window(window)
     try:
         dims = util.parse_int_keys(dims_raw, "dims")
         labels = util.parse_int_keys(payload["labels"], "labels") if "labels" in payload else None
     except ValueError as exc:
         raise AlgebraFormatError(str(exc)) from None
     dims = {d: int(int_array(count, f"dims entry {d}", ndim=0)) for d, count in dims.items()}
+    for d, count in dims.items():
+        if count > DIM_BOUND:
+            raise AlgebraFormatError(f"degree {d} has dimension {count}, above the cap of {DIM_BOUND}")
+    for d, names in (labels or {}).items():
+        if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+            raise AlgebraFormatError(f"labels for degree {d} must be a list of strings")
     unit = int_array(unit, "unit", ndim=1)
     if not isinstance(mult_raw, list):
         raise AlgebraFormatError("mult must be a list of blocks")
@@ -520,7 +557,7 @@ def algebra_from_json_dict(payload: dict) -> WindowedGradedAlgebra:
             raise AlgebraFormatError(f"duplicate mult block {key}")
         mult[key] = int_array(table, f"mult entry {key}")
     try:
-        return WindowedGradedAlgebra(fld, (int(window[0]), int(window[1])), dims, mult, unit, labels)
+        return WindowedGradedAlgebra(fld, window, dims, mult, unit, labels)
     except (TypeError, ValueError, OverflowError) as exc:
         raise AlgebraFormatError(str(exc)) from None
 

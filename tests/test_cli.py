@@ -2,16 +2,23 @@
 
 Each test drives ``gtl.cli.main`` with an argv list and asserts on the exit
 code and captured output, so the whole argument-parsing / dispatch / exit-code
-contract is exercised without spawning subprocesses.
+contract is exercised without spawning subprocesses.  The one exception runs
+the input size caps in a child process under a memory limit, so that a missing
+cap fails cleanly instead of exhausting memory.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gtl
 from gtl import stmod
 from gtl.cli import PIPELINES, main
 from gtl.graded import algebra_from_json, algebra_to_json
@@ -167,6 +174,37 @@ def test_analyze_labels_given_as_a_list_exits_two(tmp_path, t2, capsys):
     err = capsys.readouterr().err
     assert "labels" in err
     assert "Traceback" not in err
+
+
+_UNDER_MEMORY_LIMIT = """
+import resource, sys
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+limit = 2**31 if hard == resource.RLIM_INFINITY else min(hard, 2**31)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+from gtl.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"dims": {"0": 1, "1": 10**8}}, "degree 1 has dimension 100000000"),
+        ({"window": [-(10**8), 10**8]}, "stay within [-32, 32]"),
+    ],
+)
+def test_analyze_size_caps_exit_two_under_a_memory_limit(tmp_path, edit, message):
+    payload = {"field_char": 2, "window": [0, 1], "dims": {"0": 1}, "unit": [1], "mult": [], **edit}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(gtl.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _UNDER_MEMORY_LIMIT, "analyze", str(path), "--check", "validate"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_analyze_integer_beyond_int64_exits_two(tmp_path, t2, capsys):

@@ -6,9 +6,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gtl import build_trivial_extension, graded
 from gtl.exactlin import PrimeField, matmul_mod
 from gtl.graded import (
+    DIM_BOUND,
     AlgebraFormatError,
     GradedElement,
     GradedSubspace,
@@ -20,7 +24,7 @@ from gtl.graded import (
     algebra_to_json_dict,
     col_echelon,
 )
-from gtl.report import FAIL, OUT_OF_WINDOW, PASS
+from gtl.report import FAIL, OUT_OF_WINDOW, PASS, CertifiedReport
 
 
 def quantum_plane(q: int, p: int) -> WindowedGradedAlgebra:
@@ -80,6 +84,144 @@ def test_validate_reports_unit_witness():
     rep = alg.validate()
     assert not rep.passed
     assert rep.failures()[0].witness["law"] == "unit"
+
+
+def dense_assoc_defect(alg, i, j, k):
+    """Reference: both sides of (ab)c = a(bc) built densely from zero-filled blocks."""
+    t_ij = alg.mult_block(i, j)
+    t_ij_k = alg.mult_block(i + j, k)
+    t_jk = alg.mult_block(j, k)
+    t_i_jk = alg.mult_block(i, j + k)
+    da, db, dx = t_ij.shape
+    dc, dy = t_ij_k.shape[1], t_ij_k.shape[2]
+    if 0 in (da, db, dc, dy):
+        return None
+    lhs = matmul_mod(t_ij.reshape(da * db, dx), t_ij_k.reshape(dx, dc * dy), alg.p)
+    lhs = lhs.reshape(da, db, dc, dy)
+    dz = t_jk.shape[2]
+    rhs_flat = matmul_mod(
+        t_jk.reshape(db * dc, dz),
+        t_i_jk.transpose(1, 0, 2).reshape(dz, da * dy),
+        alg.p,
+    )
+    rhs = rhs_flat.reshape(db, dc, da, dy).transpose(2, 0, 1, 3)
+    diff = (lhs - rhs) % alg.p
+    if not np.any(diff):
+        return None
+    a, b, c, _ = np.unravel_index(int(np.flatnonzero(diff)[0]), diff.shape)
+    return (int(a), int(b), int(c))
+
+
+def dense_validate(alg) -> CertifiedReport:
+    """Reference for validate(): unit laws, then every in-window triple densely, in (j, k) order."""
+    rep = CertifiedReport(check="validate")
+    for i in alg.degrees():
+        rep.add(i, *_dense_degree_verdict(alg, i))
+    return rep
+
+
+def _dense_degree_verdict(alg, i):
+    di = alg.dims[i]
+    if di == 0:
+        return PASS, None
+    eye = np.eye(di, dtype=np.int64)
+    # Column b of the left (right) unit matrix is 1 * e_b (e_b * 1).
+    for side, block, spec in (("left", alg.mult_block(0, i), "a,abc->cb"),
+                              ("right", alg.mult_block(i, 0), "b,abc->ca")):
+        mat = np.einsum(spec, alg.unit, block) % alg.p
+        if not np.array_equal(mat, eye):
+            col = int(np.flatnonzero((mat - eye) % alg.p)[0] % di)
+            return FAIL, {"law": "unit", "side": side, "degree": i, "index": col}
+    for j in alg.degrees():
+        for k in alg.degrees():
+            if alg.in_window(i + j) and alg.in_window(j + k) and alg.in_window(i + j + k):
+                bad = dense_assoc_defect(alg, i, j, k)
+                if bad is not None:
+                    return FAIL, {"law": "associativity", "triple": (i, j, k), "indices": bad}
+    return PASS, None
+
+
+@st.composite
+def sparse_windowed_algebras(draw):
+    """Small windowed algebras whose blocks are randomly present or absent.
+
+    Degree 0 is the field; every other degree is either in V or in W.  The
+    base product sends V x V into W and kills everything else, so it is
+    associative whichever of its blocks are dropped.  On top of it, ``extra``
+    adds W x V blocks (defects where only (ab)c is nonzero), V x W blocks
+    (only a(bc) nonzero) or arbitrary blocks, and ``bad_unit`` spoils a unit
+    block.
+    """
+    p = draw(st.sampled_from([2, 3, 5]))
+    lo, hi = draw(st.integers(-3, 0)), draw(st.integers(0, 3))
+    degrees = range(lo, hi + 1)
+    dims = {d: 1 if d == 0 else draw(st.integers(0, 2)) for d in degrees}
+    w_degrees = {d for d in degrees if d != 0 and draw(st.booleans())}
+    extra = draw(st.sampled_from(["none", "left-only", "right-only", "any"]))
+    bad_unit = draw(st.integers(0, 4)) == 0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def random_block(i, j):
+        return rng.integers(0, p, size=(dims[i], dims[j], dims[i + j]))
+
+    mult = {}
+    for d in degrees:
+        mult[(0, d)] = np.eye(dims[d], dtype=np.int64).reshape(1, dims[d], dims[d])
+        mult[(d, 0)] = np.eye(dims[d], dtype=np.int64).reshape(dims[d], 1, dims[d])
+    for i in degrees:
+        for j in degrees:
+            if 0 in (i, j) or not lo <= i + j <= hi or rng.random() < 0.5:
+                continue
+            if (
+                (i not in w_degrees and j not in w_degrees and i + j in w_degrees)
+                or (extra == "left-only" and i in w_degrees and j not in w_degrees)
+                or (extra == "right-only" and i not in w_degrees and j in w_degrees)
+                or extra == "any"
+            ):
+                mult[(i, j)] = random_block(i, j)
+    if bad_unit:
+        d = draw(st.sampled_from(list(degrees)))
+        key = draw(st.sampled_from([(0, d), (d, 0)]))
+        if draw(st.booleans()):
+            del mult[key]
+        else:
+            mult[key] = random_block(*key)
+    return WindowedGradedAlgebra(PrimeField(p), (lo, hi), dims, mult, [1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_windowed_algebras())
+def test_validate_matches_the_dense_oracle(alg):
+    assert alg.validate().to_json_dict() == dense_validate(alg).to_json_dict()
+
+
+def test_validate_matches_the_dense_oracle_on_gallery_rings(t2, laurent, klein_ring, cubic_ring):
+    broken = dict(t2.mult)
+    broken[(-2, 1)] = (broken[(-2, 1)] + 1) % 2  # functionals no longer divided by w1, w2
+    rings = [t2, laurent, klein_ring, cubic_ring, quantum_plane(2, 5), quantum_plane(1, 5),
+             build_trivial_extension(1, (-3, 3), 3),
+             WindowedGradedAlgebra(t2.field, t2.window, t2.dims, broken, t2.unit)]
+    for ring in rings:
+        assert ring.validate().to_json_dict() == dense_validate(ring).to_json_dict()
+    assert not rings[-1].validate().passed
+
+
+def test_validate_multiplies_only_structurally_nonzero_sides(monkeypatch):
+    """Cost guard: one matmul per unit law and per triple side whose two blocks are present."""
+    ring = build_trivial_extension(3, (-9, 8), 2)
+    calls = []
+    monkeypatch.setattr(graded, "matmul_mod", lambda a, b, p: calls.append(1) or matmul_mod(a, b, p))
+    assert ring.validate().passed
+    degrees, present = ring.degrees(), ring.mult.keys()
+    unit_calls = 2 * sum(1 for d in degrees if ring.dims[d])
+    side_calls = sum(
+        ((i, j) in present and (i + j, k) in present) + ((j, k) in present and (i, j + k) in present)
+        for i in degrees
+        for j in degrees
+        for k in degrees
+        if ring.dims[i] and ring.in_window(i + j) and ring.in_window(j + k) and ring.in_window(i + j + k)
+    )
+    assert len(calls) == unit_calls + side_calls
 
 
 def test_multiply_and_window_overflow(laurent):
@@ -242,8 +384,11 @@ def test_json_rejects_malformed_payloads(t2):
     with pytest.raises(AlgebraFormatError):
         algebra_from_json_dict(bad_labels)
 
-    for labels in (["a"], {"0": 5}, {"x": ["a"]}):
+    for labels in (["a"], {"x": ["a"]}):
         with pytest.raises(AlgebraFormatError):
+            algebra_from_json_dict(dict(good, labels=labels))
+    for labels in ({"0": 5}, {"0": [[1, 2]]}, {"0": [1]}):
+        with pytest.raises(AlgebraFormatError, match="labels for degree 0 must be a list of strings"):
             algebra_from_json_dict(dict(good, labels=labels))
 
     huge_entry = dict(good, mult=[dict(good["mult"][0], table=[[[2**70]]])])
@@ -265,6 +410,16 @@ def test_json_rejects_malformed_payloads(t2):
 
     with pytest.raises(AlgebraFormatError):
         algebra_from_json("{not json")
+
+
+def test_json_caps_window_and_degree_dimensions():
+    ring = {"field_char": 2, "window": [0, 1], "dims": {"0": 1}, "unit": [1], "mult": []}
+    assert algebra_from_json_dict(dict(ring, dims={"0": 1, "1": DIM_BOUND})).dims[1] == DIM_BOUND
+    with pytest.raises(AlgebraFormatError, match=f"degree 1 has dimension {DIM_BOUND + 1}"):
+        algebra_from_json_dict(dict(ring, dims={"0": 1, "1": DIM_BOUND + 1}))
+    assert algebra_from_json_dict(dict(ring, window=[-32, 32])).window == (-32, 32)
+    with pytest.raises(AlgebraFormatError, match="stay within"):
+        algebra_from_json_dict(dict(ring, window=[-33, 0]))
 
 
 def test_constructor_rejects_window_without_zero():
