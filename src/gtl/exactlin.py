@@ -106,13 +106,19 @@ def kernel_mod(mat, p: int) -> np.ndarray:
     """
     arr = as_residues(mat, p)
     red, pivots = rref(arr, p)
-    cols = arr.shape[1]
-    free = [c for c in range(cols) if c not in set(pivots)]
-    ker = np.zeros((cols, len(free)), dtype=np.int64)
-    for idx, f in enumerate(free):
-        ker[f, idx] = 1
-        for row, piv_col in enumerate(pivots):
-            ker[piv_col, idx] = (-red[row, f]) % p
+    return kernel_from_rref(red, pivots, arr.shape[1], p)
+
+
+def kernel_from_rref(red: np.ndarray, pivots: tuple[int, ...], cols: int, p: int) -> np.ndarray:
+    """kernel_mod's basis for the first ``cols`` columns of a reduced matrix.
+
+    ``red, pivots`` is the rref of a matrix whose first ``cols`` columns are
+    the matrix to take the kernel of, with every pivot among them.
+    """
+    free = np.setdiff1d(np.arange(cols), pivots)
+    ker = np.zeros((cols, free.size), dtype=np.int64)
+    ker[free, np.arange(free.size)] = 1
+    ker[list(pivots)] = (-red[: len(pivots)][:, free]) % p
     return ker
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .exactlin import PrimeField
 from .graded import AlgebraFormatError, WindowedGradedAlgebra, int_array
-from .stmod import FDAlgebra, fd_algebra_from_json_dict
+from .stmod import FDAlgebra, check_fd_dim, fd_algebra_from_json_dict
 
 
 def _monomials_bounded(exponents: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -49,6 +49,7 @@ def build_truncated_ci(exponents, p: int) -> FDAlgebra:
     exponents = tuple(int(a) for a in exponents)
     if not exponents or any(a < 1 for a in exponents):
         raise AlgebraFormatError("exponents must be positive integers")
+    check_fd_dim(math.prod(exponents), "truncated polynomial algebra")
     field = PrimeField(p)
     monos = _monomials_bounded(exponents)
     index = {m: i for i, m in enumerate(monos)}

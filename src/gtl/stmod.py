@@ -2,12 +2,21 @@
 
 An FDAlgebra is a based algebra over a prime field with an explicit radical
 basis; modules are based too, as one action matrix per algebra basis vector.
-Syzygies come from minimal free covers (generators = a complement of J*M),
-and stable homs from the commuting-constraint kernel modulo the maps that
-factor through a projective.  For a symmetric algebra those are the relative
-traces sum_s e_s f e_s^dual of linear maps f, where e_s^dual is the dual basis
-under the symmetrizing form (Higman's criterion), so stable homs need a
-symmetrizing form that passes validate_symmetric.
+Syzygies come from minimal free covers (generators = a complement of J*M);
+each module caches its cover, and a syzygy records its inclusion into the
+free module.
+
+Hom spaces work in generator coordinates: a map out of a module is fixed by
+its values on the r cover generators, so Hom(W, N) is the kernel of a
+relation matrix in r*n unknowns (every kernel column of the cover must go
+to 0).  Stable homs divide out the maps that factor through a projective.
+Over a self-injective algebra those are, for a syzygy W_a (a >= 1), the
+restrictions of the maps P_{a-1} -> N along W_a -> P_{a-1}: free data, no
+elimination.  For a module with no recorded inclusion (the base module M)
+they are the relative traces sum_s e_s f e_s^dual of linear maps f, where
+e_s^dual is the dual basis under the symmetrizing form (Higman's
+criterion).  Either way stable homs need a symmetrizing form that passes
+validate_symmetric.
 
 The Tate construction turns the window of stable self-extensions of a module
 into a degree-windowed algebra: the degree-d component is represented by
@@ -20,15 +29,29 @@ coordinates against the lifted stable basis.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exactlin import PrimeField, kernel_mod, matmul_mod, rank_mod, rref, solve_mod
+from .exactlin import PrimeField, kernel_from_rref, kernel_mod, matmul_mod, rank_mod, rref, solve_mod
 from .graded import AlgebraFormatError, WindowedGradedAlgebra, col_echelon, int_array
 from .report import FAIL, PASS, CertifiedReport, PreconditionError
 
 ROOT_SEARCH_MAX_CHAR = 1009
+
+# Tate rings are built over algebras of dimension at most FD_DIM_BOUND: the
+# explicit format's dim, a truncated_polynomial shorthand's product of
+# exponents and a bimodule's enveloping algebra (d^2) are all checked before
+# anything of that size is allocated.  The largest gallery, test and benchmark
+# algebra is the enveloping algebra of k[x]/(x^10), of dimension 100; one
+# FD_DIM_BOUND**3 mult tensor of int64 is 16 MiB.
+FD_DIM_BOUND = 128
+
+
+def check_fd_dim(dim: int, what: str) -> None:
+    """Reject an algebra above FD_DIM_BOUND before it is built."""
+    if dim > FD_DIM_BOUND:
+        raise AlgebraFormatError(f"{what} has dimension {dim}, above the cap of {FD_DIM_BOUND}")
 
 
 def _pivot_rows(cols: np.ndarray, p: int) -> tuple[int, ...]:
@@ -88,7 +111,6 @@ class FDAlgebra:
         self.mult.setflags(write=False)
         self.unit.setflags(write=False)
         self.radical.setflags(write=False)
-        self._generators: np.ndarray | None = None
         self._dual_basis: np.ndarray | None = None
 
     @property
@@ -119,24 +141,6 @@ class FDAlgebra:
             self.symmetrizing,
             self.labels,
         )
-
-    def generator_vectors(self) -> np.ndarray:
-        """Unit plus lifts of a basis of J/J^2: a generating set of the algebra."""
-        if self._generators is not None:
-            return self._generators
-        p = self.p
-        jj_cols = []
-        for c in range(self.radical.shape[1]):
-            jj_cols.append(matmul_mod(self.left_matrix(self.radical[:, c]), self.radical, p))
-        jj = col_echelon(np.hstack(jj_cols), p) if jj_cols else np.zeros((self.dim, 0), dtype=np.int64)
-        coords = solve_mod(self.radical, jj, p)
-        if coords is None:
-            raise AlgebraFormatError("radical is not closed under multiplication")
-        pivots = set(_pivot_rows(coords.reshape(self.radical.shape[1], -1), p))
-        complement = [self.radical[:, c] for c in range(self.radical.shape[1]) if c not in pivots]
-        cols = [self.unit] + complement
-        self._generators = np.stack(cols, axis=1)
-        return self._generators
 
     # -- validation -------------------------------------------------------
 
@@ -238,6 +242,7 @@ class FDAlgebra:
         bimodule by e_s * (-) * e_t.
         """
         p, d = self.p, self.dim
+        check_fd_dim(d * d, "enveloping algebra")
         outer_left = self.mult.reshape(d, 1, d, 1, d, 1)
         outer_right = self.mult.transpose(1, 0, 2).reshape(1, d, 1, d, 1, d)
         mult_e = (outer_left * outer_right) % p
@@ -319,6 +324,7 @@ def fd_algebra_from_json_dict(payload: dict) -> FDAlgebra:
     try:
         p = int(int_array(payload["field_char"], "field_char", ndim=0))
         dim = int(int_array(payload["dim"], "dim", ndim=0))
+        check_fd_dim(dim, "algebra")
         mult = int_array(payload["mult"], "mult")
         unit = int_array(payload["unit"], "unit")
     except KeyError as exc:
@@ -367,11 +373,17 @@ def fd_algebra_from_json(text: str) -> FDAlgebra:
 
 @dataclass(eq=False)
 class FDModule:
-    """Left module over an FDAlgebra: one action matrix per basis element."""
+    """Left module over an FDAlgebra: one action matrix per basis element.
+
+    ``inclusion`` is set on syzygies: the (rank*algebra.dim, dim) matrix of
+    the module's embedding into a free module.  minimal_cover caches the
+    module's cover on it.
+    """
 
     algebra: FDAlgebra
     dim: int
     action: np.ndarray  # (algebra.dim, dim, dim)
+    inclusion: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.action = np.asarray(self.action, dtype=np.int64) % self.algebra.p
@@ -380,6 +392,7 @@ class FDModule:
                 f"action must have shape ({self.algebra.dim}, {self.dim}, {self.dim})"
             )
         self.action.setflags(write=False)
+        self._cover: Cover | None = None
 
     @property
     def p(self) -> int:
@@ -420,10 +433,10 @@ class FDModule:
 
 def free_module(alg: FDAlgebra, rank: int) -> FDModule:
     """Direct sum of ``rank`` copies of the left regular module."""
-    d, p = alg.dim, alg.p
-    eye = np.eye(rank, dtype=np.int64)
-    action = np.stack([_kron(eye, alg.left_matrix(np.eye(d, dtype=np.int64)[s]), p) for s in range(d)]) \
-        if rank else np.zeros((d, 0, 0), dtype=np.int64)
+    d = alg.dim
+    action = np.zeros((d, rank * d, rank * d), dtype=np.int64)
+    for b in range(rank):
+        action[:, b * d:(b + 1) * d, b * d:(b + 1) * d] = alg.mult.transpose(0, 2, 1)  # e_s * (-)
     return FDModule(alg, rank * d, action)
 
 
@@ -465,12 +478,21 @@ def regular_bimodule(alg: FDAlgebra) -> tuple[FDAlgebra, FDModule]:
 
 @dataclass
 class Cover:
-    """Minimal free cover pi: free -> module (pi is (module.dim, rank*D))."""
+    """Minimal free cover pi: free -> module (pi is (module.dim, rank*D)).
+
+    Free generator b goes to the module basis vector ``gens[b]``.
+    ``kernel`` is kernel_mod's basis of ker(pi), the identity on the rows
+    ``kernel_rows``; ``section`` is solve_mod's right inverse (pi @ section = I).
+    """
 
     module: FDModule
     free: FDModule
     rank: int
     pi: np.ndarray
+    gens: tuple[int, ...]
+    kernel: np.ndarray
+    kernel_rows: np.ndarray
+    section: np.ndarray
 
 
 @dataclass
@@ -483,42 +505,49 @@ class SyzygyStep:
 
 
 def minimal_cover(module: FDModule) -> Cover:
-    """Free cover on generators completing an echelon basis of J*module."""
+    """Free cover on generators completing an echelon basis of J*module.
+
+    Cached on the module.  One reduction of [pi | I] checks surjectivity
+    and yields both the kernel and the section.
+    """
+    if module._cover is not None:
+        return module._cover
     alg = module.algebra
     p, d, m = module.p, alg.dim, module.dim
-    if m == 0:
-        return Cover(module, free_module(alg, 0), 0, np.zeros((0, 0), dtype=np.int64))
     jm_cols = [module.action_of(alg.radical[:, c]) for c in range(alg.radical.shape[1])]
     jm = col_echelon(np.hstack(jm_cols), p) if jm_cols else np.zeros((m, 0), dtype=np.int64)
-    pivots = set(_pivot_rows(jm, p))
-    gens = [i for i in range(m) if i not in pivots]
+    in_jm = set(_pivot_rows(jm, p))
+    gens = tuple(i for i in range(m) if i not in in_jm)
     rank = len(gens)
-    free = free_module(alg, rank)
-    pi = np.zeros((m, rank * d), dtype=np.int64)
-    for b, g in enumerate(gens):
-        block = matmul_mod(module.action.reshape(d * m, m), np.eye(m, dtype=np.int64)[:, g:g + 1], p)
-        pi[:, b * d:(b + 1) * d] = block.reshape(d, m).T
-    if rank_mod(pi, p) != m:
+    width = rank * d
+    pi = module.action[:, :, list(gens)].transpose(1, 2, 0).reshape(m, width)
+    red, pivots = rref(np.hstack([pi, np.eye(m, dtype=np.int64)]), p)
+    if pivots and pivots[-1] >= width:
         raise ArithmeticError("cover is not surjective; the radical data is inconsistent")
-    return Cover(module, free, rank, pi)
+    kernel = kernel_from_rref(red, pivots, width, p)
+    section = np.zeros((width, m), dtype=np.int64)
+    section[list(pivots)] = red[:m, width:]
+    module._cover = Cover(module, free_module(alg, rank), rank, pi, gens, kernel,
+                          np.setdiff1d(np.arange(width), pivots), section)
+    return module._cover
 
 
 def syzygy_step(module: FDModule) -> SyzygyStep:
-    """Kernel of the minimal cover, as a module with its inclusion."""
+    """Kernel of the minimal cover, as a module recording its inclusion.
+
+    The kernel basis is the identity on ``kernel_rows``, so the action on
+    it is read off those rows and checked by one product.
+    """
     cover = minimal_cover(module)
-    p = module.p
-    iota = kernel_mod(cover.pi, p)
-    k = iota.shape[1]
-    mats = []
-    for s in range(module.algebra.dim):
-        moved = matmul_mod(cover.free.action[s], iota, p)
-        sol = solve_mod(iota, moved, p)
-        if sol is None:
-            raise ArithmeticError("syzygy is not closed under the action")
-        mats.append(sol)
-    syz = FDModule(module.algebra, k,
-                   np.stack(mats) if mats else np.zeros((module.algebra.dim, 0, 0), dtype=np.int64))
-    return SyzygyStep(cover, syz, iota)
+    p, d = module.p, module.algebra.dim
+    iota = cover.kernel
+    width, k = iota.shape
+    moved = matmul_mod(cover.free.action.reshape(d * width, width), iota, p).reshape(d, width, k)
+    mats = moved[:, cover.kernel_rows, :]
+    back = matmul_mod(iota, mats.transpose(1, 0, 2).reshape(k, d * k), p)
+    if not np.array_equal(back, moved.transpose(1, 0, 2).reshape(width, d * k)):
+        raise ArithmeticError("syzygy is not closed under the action")
+    return SyzygyStep(cover, FDModule(module.algebra, k, mats, inclusion=iota), iota)
 
 
 class SyzygyTower:
@@ -530,7 +559,11 @@ class SyzygyTower:
 
     def ensure_steps(self, count: int) -> None:
         while len(self.steps) < count:
-            self.steps.append(syzygy_step(self.module(len(self.steps))))
+            a = len(self.steps)
+            try:
+                self.steps.append(syzygy_step(self.module(a)))
+            except ArithmeticError as exc:
+                raise ArithmeticError(f"tower step W_{a} -> W_{a + 1}: {exc}") from exc
 
     def module(self, i: int) -> FDModule:
         if i == 0:
@@ -552,24 +585,23 @@ def omega_lift(tower: SyzygyTower, mat: np.ndarray, a: int, b: int) -> np.ndarra
     """Shift a module map W_a -> W_b one step up the tower, to W_{a+1} -> W_{b+1}.
 
     The map is composed with the cover of W_a, lifted through the cover of
-    W_b on the free generators, extended freely, and restricted to kernels.
+    W_b on the free generators (by its section), extended freely, and
+    restricted to kernels.
     """
     alg = tower.base.algebra
     p, d = alg.p, alg.dim
     sa, sb = tower.step(a), tower.step(b)
     gens = free_generator_matrix(alg, sa.cover.rank)
     rhs = matmul_mod(mat, matmul_mod(sa.cover.pi, gens, p), p)
-    lifted_gens = solve_mod(sb.cover.pi, rhs, p)
-    if lifted_gens is None:
-        raise ArithmeticError(f"omega lift of W_{a} -> W_{b}: cover of the target is not surjective on the lift")
+    lifted_gens = matmul_mod(sb.cover.section, rhs, p)
     mb = sb.cover.free.dim
     big = np.zeros((mb, sa.cover.rank * d), dtype=np.int64)
     for i in range(sa.cover.rank):
         block = matmul_mod(sb.cover.free.action.reshape(d * mb, mb), lifted_gens[:, i:i + 1], p)
         big[:, i * d:(i + 1) * d] = block.reshape(d, mb).T
     moved = matmul_mod(big, sa.iota, p)
-    out = solve_mod(sb.iota, moved, p)
-    if out is None:
+    out = moved[sb.cover.kernel_rows]
+    if not np.array_equal(matmul_mod(sb.iota, out, p), moved):
         raise ArithmeticError(f"omega lift of W_{a} -> W_{b}: lifted map does not preserve kernels")
     return out
 
@@ -579,26 +611,50 @@ def omega_lift(tower: SyzygyTower, mat: np.ndarray, a: int, b: int) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
+def _free_values(cols: np.ndarray, target: FDModule) -> np.ndarray:
+    """Values of the maps A^r -> target on the free-module elements ``cols``.
+
+    A map sending free generator c to u_c sends an element y to
+    sum_c rho_T(y_c) u_c.  Returns the (k*n, r*n) matrix taking the stacked
+    u_c (row c*n + j) to the stacked values on the k columns of ``cols``
+    (row y*n + i).
+    """
+    p, d, n = target.p, target.algebra.dim, target.dim
+    width, k = cols.shape
+    r = width // d
+    coeffs = cols.reshape(r, d, k).transpose(2, 0, 1).reshape(k * r, d)
+    vals = matmul_mod(coeffs, target.action.reshape(d, n * n), p)
+    return vals.reshape(k, r, n, n).transpose(0, 2, 1, 3).reshape(k * n, r * n)
+
+
+def _on_generators(maps: np.ndarray, gens: tuple[int, ...]) -> np.ndarray:
+    """Generator coordinates of a stack of maps (c, n, m): column i holds
+    the values on the cover generators, generator b's at rows b*n .. b*n+n-1."""
+    picked = maps[:, :, list(gens)]
+    return picked.transpose(2, 1, 0).reshape(len(gens) * maps.shape[1], maps.shape[0])
+
+
 def hom_space(source: FDModule, target: FDModule) -> np.ndarray:
     """Column basis (vec'd row-major) of the module maps source -> target.
 
-    Commuting constraints are imposed for a generating set of the algebra;
-    maps commuting with generators commute with everything.
+    A map is fixed by its values v_b on the generators of the source's
+    minimal cover, and values define a map exactly when every kernel column
+    y of the cover goes to 0: sum_b rho_T(y_b) v_b = 0.  So Hom is the
+    kernel of a relation matrix in r*n unknowns.  Its vec'd basis is
+    kernel_mod's canonical one for the constraint system of the maps: the
+    basis that is the identity on the coordinates where some map has its
+    last nonzero entry, read off one reduction of the reversed maps.
     """
-    alg = source.algebra
-    p = alg.p
+    p = source.p
     m, n = source.dim, target.dim
     if m == 0 or n == 0:
         return np.zeros((n * m, 0), dtype=np.int64)
-    gens = alg.generator_vectors()
-    rows = []
-    eye_n = np.eye(n, dtype=np.int64)
-    eye_m = np.eye(m, dtype=np.int64)
-    for c in range(gens.shape[1]):
-        rho_s = source.action_of(gens[:, c])
-        rho_t = target.action_of(gens[:, c])
-        rows.append((_kron(eye_n, rho_s.T, p) - _kron(rho_t, eye_m, p)) % p)
-    return kernel_mod(np.vstack(rows), p)
+    cover = minimal_cover(source)
+    values = kernel_mod(_free_values(cover.kernel, target), p)
+    extend = _free_values(cover.section, target).reshape(m, n, -1).transpose(1, 0, 2).reshape(n * m, -1)
+    maps = matmul_mod(extend, values, p)
+    red, _ = rref(maps[::-1].T, p)
+    return red[::-1, ::-1].T.copy()
 
 
 def projective_factor_columns(source: FDModule, target: FDModule) -> np.ndarray:
@@ -606,8 +662,10 @@ def projective_factor_columns(source: FDModule, target: FDModule) -> np.ndarray:
 
     Higman's criterion: over a symmetric algebra these maps are exactly the
     relative traces Tr(f) = sum_s rho_T(e_s) f rho_S(e_s^dual) of the linear
-    maps f, so they are the column span of the matrix
-    sum_s rho_T(e_s) (x) rho_S(e_s^dual)^T acting on vec'd maps.  Raises
+    maps f, so they are the column span of the (n*m)^2 matrix
+    sum_s rho_T(e_s) (x) rho_S(e_s^dual)^T acting on vec'd maps.  stable_hom
+    uses it only for a source with no recorded inclusion (the base module);
+    it is the oracle for the generator-coordinate span of a syzygy.  Raises
     PreconditionError when the algebra has no validated symmetrizing form.
     """
     alg = source.algebra
@@ -621,18 +679,34 @@ def projective_factor_columns(source: FDModule, target: FDModule) -> np.ndarray:
     return col_echelon(trace, p)
 
 
+def _projective_factor_span(source: FDModule, target: FDModule) -> np.ndarray:
+    """Spanning columns, in generator coordinates, of the maps source -> target through a projective.
+
+    For a syzygy (over a self-injective algebra) these are the restrictions
+    of the maps P -> target along its inclusion into a free module P: the
+    values on the generators of the free maps, with no elimination.
+    Otherwise they are the Higman columns evaluated on the generators.
+    """
+    gens = minimal_cover(source).gens
+    if source.inclusion is not None:
+        return _free_values(source.inclusion[:, list(gens)], target)
+    pf = projective_factor_columns(source, target)
+    return _on_generators(pf.T.reshape(pf.shape[1], target.dim, source.dim), gens)
+
+
 @dataclass
 class StableHom:
     """Hom modulo maps factoring through a projective, with chosen representatives.
 
     ``basis`` holds matrices whose classes form a basis of the stable hom
-    space; ``pf_columns`` spans the projectively-factoring maps (vec'd).
+    space; ``pf_gen`` spans the projectively-factoring maps in generator
+    coordinates (the layout of _on_generators).
     """
 
     source: FDModule
     target: FDModule
     basis: list[np.ndarray]
-    pf_columns: np.ndarray
+    pf_gen: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -642,15 +716,18 @@ class StableHom:
         """Coefficients of module maps' stable classes in the chosen basis.
 
         ``mat`` is one map (target.dim, source.dim) or a stack of them
-        (..., target.dim, source.dim); the result has shape (..., dim), and
-        the whole stack is one solve.
+        (..., target.dim, source.dim); the result has shape (..., dim).
+        Evaluation on the source's generators is injective on module maps,
+        so the whole stack is one solve of [basis | pf_gen] on r*n rows.
         """
         p = self.source.p
+        n, m = self.target.dim, self.source.dim
+        gens = minimal_cover(self.source).gens
         maps = np.asarray(mat, dtype=np.int64)
         lead = maps.shape[:-2]
-        rhs = maps.reshape(int(np.prod(lead)), self.target.dim * self.source.dim).T
-        cols = np.hstack([b.reshape(-1, 1) for b in self.basis] + [self.pf_columns])
-        sol = solve_mod(cols, rhs, p)
+        rhs = _on_generators(maps.reshape(int(np.prod(lead)), n, m), gens)
+        basis = np.stack(self.basis) if self.basis else np.zeros((0, n, m), dtype=np.int64)
+        sol = solve_mod(np.hstack([_on_generators(basis, gens), self.pf_gen]), rhs, p)
         if sol is None:
             raise ArithmeticError(
                 "map is not in the span of the stable basis and the projectively-factoring "
@@ -665,19 +742,24 @@ class StableHom:
 def stable_hom(source: FDModule, target: FDModule) -> StableHom:
     """Stable hom space with a deterministic choice of basis representatives.
 
-    The maps factoring through a projective are the relative traces given by
-    projective_factor_columns (Higman's criterion), so the algebra needs a
-    validated symmetrizing form.  Representatives are the canonical
-    hom-space kernel columns that grow the span beyond those maps, scanned
-    left to right: the pivot columns of one reduction of [pf | hom] that lie
-    in the hom block.
+    Both projective-factor criteria (restriction along a syzygy's
+    inclusion, Higman's relative traces) rest on self-injectivity, so the
+    algebra needs a validated symmetrizing form.  Representatives are the
+    canonical hom_space columns that grow the span beyond the projectively
+    factoring maps, scanned left to right: the pivot columns of one
+    reduction of [pf | hom] in generator coordinates that lie in the hom
+    block.  These depend only on the two spans, so they are the same as
+    for the vec'd maps.
     """
     p = source.p
+    source.algebra.dual_basis()
+    n, m = target.dim, source.dim
     hom = hom_space(source, target)
-    pf = projective_factor_columns(source, target)
-    _, pivots = rref(np.hstack([pf, hom]), p)
+    pf = _projective_factor_span(source, target)
+    hom_gen = _on_generators(hom.T.reshape(hom.shape[1], n, m), minimal_cover(source).gens)
+    _, pivots = rref(np.hstack([pf, hom_gen]), p)
     n_pf = pf.shape[1]
-    kept = [hom[:, c - n_pf].reshape(target.dim, source.dim) for c in pivots if c >= n_pf]
+    kept = [hom[:, c - n_pf].reshape(n, m) for c in pivots if c >= n_pf]
     return StableHom(source, target, kept, pf)
 
 
@@ -723,7 +805,7 @@ class _TateWorkspace:
             src = self.tower.module(shift + d)
             lifted = [omega_lift(self.tower, m, shift - 1 + d, shift - 1) for m in below.basis]
             target = self.tower.module(shift)
-            hom = StableHom(src, target, lifted, projective_factor_columns(src, target))
+            hom = StableHom(src, target, lifted, _projective_factor_span(src, target))
         self.homs[key] = hom
         return hom
 

@@ -207,6 +207,27 @@ def test_analyze_size_caps_exit_two_under_a_memory_limit(tmp_path, edit, message
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "exponents, extra, message",
+    [
+        ([100000, 100000], [], "truncated polynomial algebra has dimension 10000000000, above the cap of 128"),
+        ([30], ["--module", "bimodule"], "enveloping algebra has dimension 900, above the cap of 128"),
+    ],
+)
+def test_tate_size_caps_exit_two_under_a_memory_limit(tmp_path, exponents, extra, message):
+    payload = {"truncated_polynomial": {"exponents": exponents, "field_char": 2}}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(gtl.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _UNDER_MEMORY_LIMIT, "tate", str(path), "--window", "-1", "1", *extra],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_analyze_integer_beyond_int64_exits_two(tmp_path, t2, capsys):
     def enlarge(payload):
         payload["mult"][0]["table"][0][0][0] = 2**70

@@ -4,24 +4,34 @@ The Yoneda oracle at the bottom recomputes ring products by a different
 route (chain maps lifted through the resolution boundaries) and must agree
 with the tower-lift products used by tate_ring.  The cover oracle recomputes
 the projectively-factoring maps as maps through the minimal free cover of the
-target and must agree with the relative-trace (Higman) columns.
+target and must agree with the relative-trace (Higman) columns.  The dense
+oracle solves for all n*m entries of a map, commuting with each algebra
+generator, and must agree with the generator-coordinate hom spaces; the
+Higman columns in turn must span the generator-coordinate projective-factor
+maps of a syzygy.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from gtl.exactlin import PrimeField, matmul_mod, rank_mod, solve_mod
+from gtl.exactlin import PrimeField, kernel_mod, matmul_mod, rank_mod, rref, solve_mod
 from gtl.gallery import build_truncated_ci, expected_ext_dim_ci, expected_hh0_dim
 from gtl.graded import AlgebraFormatError, algebra_to_json, col_echelon
 from gtl.report import FAIL, PASS, PreconditionError
 from gtl.stmod import (
+    FD_DIM_BOUND,
     FDAlgebra,
     FDModule,
     SyzygyTower,
+    _on_generators,
+    _projective_factor_span,
     _TateWorkspace,
     derive_radical,
     fd_algebra_from_json_dict,
@@ -82,8 +92,19 @@ def test_validate_symmetric_rejects_degenerate_functional(klein_alg):
     assert rep.verdict_for("nondegenerate") == FAIL
 
 
+def generator_vectors(alg: FDAlgebra) -> np.ndarray:
+    """Unit plus lifts of a basis of J/J^2: a generating set of the algebra."""
+    p, rad = alg.p, alg.radical
+    jj_cols = [matmul_mod(alg.left_matrix(rad[:, c]), rad, p) for c in range(rad.shape[1])]
+    jj = col_echelon(np.hstack(jj_cols), p) if jj_cols else np.zeros((alg.dim, 0), dtype=np.int64)
+    coords = solve_mod(rad, jj, p)
+    _, pivots = rref(coords.reshape(rad.shape[1], -1).T, p)
+    complement = [rad[:, c] for c in range(rad.shape[1]) if c not in pivots]
+    return np.stack([alg.unit] + complement, axis=1)
+
+
 def test_generator_vectors(klein_alg):
-    gens = klein_alg.generator_vectors()
+    gens = generator_vectors(klein_alg)
     # unit plus x1 and x2: x1*x2 lies in J^2
     assert gens.shape == (4, 3)
     assert gens[:, 0].tolist() == klein_alg.unit.tolist()
@@ -301,11 +322,29 @@ def test_dual_basis_inverts_the_gram_matrix(klein_alg, cubic_alg):
         assert matmul_mod(gram, alg.dual_basis(), p).tolist() == np.eye(d, dtype=int).tolist()
 
 
+def dense_hom_space(source: FDModule, target: FDModule) -> np.ndarray:
+    """Hom as the kernel of the commuting constraints on all n*m entries, one block per generator."""
+    alg = source.algebra
+    p = alg.p
+    m, n = source.dim, target.dim
+    if m == 0 or n == 0:
+        return np.zeros((n * m, 0), dtype=np.int64)
+    gens = generator_vectors(alg)
+    rows = []
+    eye_n = np.eye(n, dtype=np.int64)
+    eye_m = np.eye(m, dtype=np.int64)
+    for c in range(gens.shape[1]):
+        rho_s = source.action_of(gens[:, c])
+        rho_t = target.action_of(gens[:, c])
+        rows.append((np.kron(eye_n, rho_s.T) - np.kron(rho_t, eye_m)) % p)
+    return kernel_mod(np.vstack(rows), p)
+
+
 def cover_projective_factor_columns(source: FDModule, target: FDModule) -> np.ndarray:
     """Echelon columns of the maps source -> target through the minimal free cover of target."""
     p = source.p
     cover = minimal_cover(target)
-    lifted = hom_space(source, cover.free)
+    lifted = dense_hom_space(source, cover.free)
     if lifted.shape[1] == 0:
         return np.zeros((target.dim * source.dim, 0), dtype=np.int64)
     pushed = np.kron(cover.pi, np.eye(source.dim, dtype=np.int64)) % p
@@ -318,8 +357,12 @@ def unitriangular_rebase(alg: FDAlgebra) -> FDAlgebra:
     Monomial bases make the Gram matrix of the symmetrizing form its own
     inverse; this basis does not, so the dual basis is exercised for real.
     """
+    return rebase(alg, np.triu(np.ones((alg.dim, alg.dim), dtype=np.int64)).T)
+
+
+def rebase(alg: FDAlgebra, g: np.ndarray) -> FDAlgebra:
+    """The same algebra in the basis whose vector f_i is column i of the invertible g."""
     p, d = alg.p, alg.dim
-    g = np.triu(np.ones((d, d), dtype=np.int64)).T  # column i holds f_i
     ginv = solve_mod(g, np.eye(d, dtype=np.int64), p)
     products = np.einsum("sa,tb,stu->abu", g, g, alg.mult) % p
     mult = np.einsum("abu,vu->abv", products, ginv) % p
@@ -364,11 +407,72 @@ def test_higman_columns_match_the_cover_oracle(exponents, p, module, rebase):
             assert np.array_equal(got, want), (a, b)
 
 
+def _tower_pairs(case):
+    """Maps W_a -> W_b down the tower of a HIGMAN_CASES entry, a, b <= 3 with a + b <= 4."""
+    exponents, p, module, rebase = case
+    alg = build_truncated_ci(exponents, p)
+    if rebase:
+        alg = unitriangular_rebase(alg)
+    if module == "bimodule":
+        alg, mod = regular_bimodule(alg)
+    else:
+        mod = trivial_module(alg)
+    tower = SyzygyTower(mod)
+    for a in range(4):
+        for b in range(min(4, 5 - a)):
+            yield (a, b), tower.module(a), tower.module(b)
+
+
+def check_against_the_dense_oracle(source: FDModule, target: FDModule, where=None) -> None:
+    """hom_space, the projective-factor span and stable_hom's representatives agree with the dense path."""
+    p, gens = source.p, minimal_cover(source).gens
+    dense = dense_hom_space(source, target)
+    assert np.array_equal(hom_space(source, target), dense), where
+    higman = projective_factor_columns(source, target)
+    on_gens = _on_generators(higman.T.reshape(higman.shape[1], target.dim, source.dim), gens)
+    span = _projective_factor_span(source, target)
+    assert np.array_equal(col_echelon(span, p), col_echelon(on_gens, p)), where
+    _, pivots = rref(np.hstack([higman, dense]), p)
+    want = [dense[:, c - higman.shape[1]].tolist() for c in pivots if c >= higman.shape[1]]
+    assert [b.reshape(-1).tolist() for b in stable_hom(source, target).basis] == want, where
+
+
+@pytest.mark.parametrize("case", HIGMAN_CASES)
+def test_generator_coordinates_match_the_dense_oracle(case):
+    for pair, source, target in _tower_pairs(case):
+        check_against_the_dense_oracle(source, target, pair)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=hst.sampled_from([((2, 2), 2, "trivial"), ((2, 2), 3, "trivial"), ((3,), 3, "trivial"),
+                           ((3,), 2, "bimodule")]),
+    data=hst.data(),
+)
+def test_hom_space_matches_the_dense_oracle_in_random_bases(case, data):
+    # the canonical vec'd basis is rebuilt from generator coordinates, so it
+    # must not depend on where the basis puts each map's last nonzero entry
+    exponents, p, module = case
+    alg = build_truncated_ci(exponents, p)
+    d = alg.dim
+    below = data.draw(hst.lists(hst.integers(0, p - 1), min_size=d * d, max_size=d * d))
+    alg = rebase(alg, np.tril(np.array(below, dtype=np.int64).reshape(d, d), -1) + np.eye(d, dtype=np.int64))
+    if module == "bimodule":
+        alg, mod = regular_bimodule(alg)
+    else:
+        mod = trivial_module(alg)
+    tower = SyzygyTower(mod)
+    source = tower.module(data.draw(hst.integers(0, 2), label="a"))
+    target = tower.module(data.draw(hst.integers(0, 2), label="b"))
+    check_against_the_dense_oracle(source, target)
+
+
 def test_stacked_coordinates_match_single_solves(klein_alg):
     ws = _TateWorkspace(klein_alg, trivial_module(klein_alg))
     st = ws.hom_at(1, 2)
     shape = (st.target.dim, st.source.dim)
-    pf_maps = [st.pf_columns[:, c].reshape(shape) for c in range(st.pf_columns.shape[1])]
+    pf = projective_factor_columns(st.source, st.target)
+    pf_maps = [pf[:, c].reshape(shape) for c in range(pf.shape[1])]
     spanning = np.stack(st.basis + pf_maps)
     assert st.dim > 0 and pf_maps
     coeffs = np.random.default_rng(0).integers(0, 2, size=(2, 3, len(spanning)))
@@ -396,6 +500,35 @@ def test_omega_lift_errors_name_both_shifts(klein_alg):
     not_a_module_map[0, 0] = 1
     with pytest.raises(ArithmeticError, match="W_2 -> W_1"):
         omega_lift(tower, not_a_module_map, 2, 1)
+
+
+def _not_a_module(klein_alg, radical_acts):
+    """A 2-dimensional Klein-four "module" u, v with x1 u = x2 u = v and x1*x2 u = radical_acts."""
+    action = np.zeros((4, 2, 2), dtype=np.int64)
+    action[0] = np.eye(2, dtype=np.int64)
+    action[1, 1, 0] = action[2, 1, 0] = 1
+    action[3] = radical_acts
+    return FDModule(klein_alg, 2, action)
+
+
+@pytest.mark.parametrize("radical_acts, message", [
+    ([[0, 0], [1, 0]], "syzygy is not closed under the action"),  # x1*x2 u = v, not x1 x2 u = 0
+    ([[1, 0], [0, 1]], "cover is not surjective"),  # x1*x2 acts invertibly, so J*M = M
+])
+def test_tower_errors_name_the_step(klein_alg, radical_acts, message):
+    tower = SyzygyTower(_not_a_module(klein_alg, radical_acts))
+    with pytest.raises(ArithmeticError, match=f"tower step W_0 -> W_1: {message}"):
+        tower.module(1)
+
+
+def test_fd_dimension_cap_is_checked_before_allocating(klein_alg):
+    payload = klein_alg.to_json_dict()
+    payload["dim"] = 10**9
+    with pytest.raises(AlgebraFormatError, match=f"algebra has dimension 1000000000, above the cap of {FD_DIM_BOUND}"):
+        fd_algebra_from_json_dict(payload)
+    with pytest.raises(AlgebraFormatError, match="enveloping algebra has dimension 144"):
+        build_truncated_ci((12,), 2).enveloping()
+    assert build_truncated_ci((10,), 3).enveloping().dim == 100 <= FD_DIM_BOUND
 
 
 def test_omega_lift_preserves_the_identity(klein_alg):
@@ -455,6 +588,8 @@ EMITTED_RING_SHA256 = [
     (((4,), 2), "bimodule", (-2, 2), "02789016eb64025aa862ca1996ed40d54fc64332164fc1d4886a866a858ae822"),
     (((2, 2, 2), 2), "trivial", (-3, 3), "d4704d7baa0afd6a82fbeb8f41e9768c386548fb5d5e50727528f6da5d3423a7"),
     (((2, 2), 2), "trivial", (-9, 9), "be85638553c9e48803a1147db9853d4421bc9cb38a323720b2f337fde134badd"),
+    (((2, 2, 2), 2), "trivial", (-5, 5), "9666bea01c62f64fca52d241bb8ed7b50b87ee6683e8a4596534496fef2e9381"),
+    (((8,), 2), "bimodule", (-2, 2), "9dce33042a0d33ac4193577191aea40c5e35a5aa1d67fad6dcaad6dd6e1f12ec"),
 ]
 
 
@@ -467,6 +602,25 @@ def test_emitted_ring_bytes_are_pinned(algebra, module, window, digest):
         mod = trivial_module(alg)
     text = algebra_to_json(tate_ring(alg, mod, window))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_tate_ring_eliminates_nothing_wider_than_the_base_higman_matrix(monkeypatch):
+    # generator coordinates: on k[x]/(x^6) bimodule the largest elimination
+    # is the (n*m)^2 Higman matrix of M -> W_1 at the base, 180 x 180
+    sizes = []
+
+    def recording_rref(mat, p):
+        sizes.append(np.shape(mat))
+        return rref(mat, p)
+
+    for name, module in list(sys.modules.items()):
+        if name == "gtl" or name.startswith("gtl."):
+            for key, value in list(vars(module).items()):
+                if value is rref:
+                    monkeypatch.setattr(module, key, recording_rref)
+    alg, mod = regular_bimodule(build_truncated_ci((6,), 3))
+    tate_ring(alg, mod, (-2, 2))
+    assert sizes and max(r * c for r, c in sizes) <= 180 * 180
 
 
 def test_tate_ring_requires_symmetrizing_form(klein_alg):
