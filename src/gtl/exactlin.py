@@ -104,7 +104,7 @@ def kernel_mod(mat, p: int) -> np.ndarray:
     Columns are produced in ascending free-column order with the free
     variable set to 1, which makes the basis canonical for a given input.
     """
-    arr = as_residues(mat, p)
+    arr = np.asarray(mat, dtype=np.int64)
     red, pivots = rref(arr, p)
     return kernel_from_rref(red, pivots, arr.shape[1], p)
 
@@ -134,8 +134,8 @@ def solve_mod(mat, rhs, p: int) -> np.ndarray | None:
     block means some column is inconsistent, and otherwise each pivot row
     holds the value of its pivot variable.
     """
-    arr = as_residues(mat, p)
-    b = as_residues(rhs, p)
+    arr = np.asarray(mat, dtype=np.int64)
+    b = np.asarray(rhs, dtype=np.int64)
     vector_rhs = b.ndim == 1
     if vector_rhs:
         b = b[:, None]

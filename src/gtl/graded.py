@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from . import util
-from .exactlin import PrimeField, as_residues, matmul_mod, rank_mod, rref, solve_mod
+from .exactlin import PrimeField, matmul_mod, rref, solve_mod
 from .report import FAIL, OUT_OF_WINDOW, PASS, CertifiedReport
 
 

@@ -2,9 +2,11 @@
 
 An FDAlgebra is a based algebra over a prime field with an explicit radical
 basis; modules are based too, as one action matrix per algebra basis vector.
-Syzygies come from minimal free covers (generators = a complement of J*M);
-each module caches its cover, and a syzygy records its inclusion into the
-free module.
+Syzygies come from minimal free covers (generators = a complement of J*M).
+A syzygy tower is a list of modules: each caches its cover, the only record
+of it, and each syzygy records its inclusion into the free module.  Free
+modules stay columns: the algebra acts on them block by block through its
+multiplication tensor, never through (r*d)^2 action matrices.
 
 Hom spaces work in generator coordinates: a map out of a module is fixed by
 its values on the r cover generators, so Hom(W, N) is the kernel of a
@@ -52,12 +54,6 @@ def check_fd_dim(dim: int, what: str) -> None:
     """Reject an algebra above FD_DIM_BOUND before it is built."""
     if dim > FD_DIM_BOUND:
         raise AlgebraFormatError(f"{what} has dimension {dim}, above the cap of {FD_DIM_BOUND}")
-
-
-def _pivot_rows(cols: np.ndarray, p: int) -> tuple[int, ...]:
-    """Row indices where a column span has pivots (pivot columns of rref^T)."""
-    _, pivots = rref(cols.T % p, p)
-    return pivots
 
 
 def _kron(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -431,18 +427,26 @@ class FDModule:
         return FDModule(self.algebra.op(), self.dim, self.action.transpose(0, 2, 1))
 
 
+def _free_action(alg: FDAlgebra, cols: np.ndarray) -> np.ndarray:
+    """Every basis element e_s applied to columns of a free module A^r.
+
+    ``cols`` is (r*d, k), block b holding the coefficients of component b;
+    the result is (d, r*d, k) with e_s * cols in slice s.  Each block is
+    multiplied through alg.mult, d^3*r*k multiply-adds, so the (r*d)^2
+    action matrices of A^r are never formed.
+    """
+    p, d = alg.p, alg.dim
+    width, k = cols.shape
+    r = width // d
+    blocks = cols.reshape(r, d, k).transpose(1, 0, 2).reshape(d, r * k)
+    moved = matmul_mod(alg.mult.transpose(0, 2, 1).reshape(d * d, d), blocks, p)
+    return moved.reshape(d, d, r, k).transpose(0, 2, 1, 3).reshape(d, width, k)
+
+
 def free_module(alg: FDAlgebra, rank: int) -> FDModule:
     """Direct sum of ``rank`` copies of the left regular module."""
-    d = alg.dim
-    action = np.zeros((d, rank * d, rank * d), dtype=np.int64)
-    for b in range(rank):
-        action[:, b * d:(b + 1) * d, b * d:(b + 1) * d] = alg.mult.transpose(0, 2, 1)  # e_s * (-)
-    return FDModule(alg, rank * d, action)
-
-
-def free_generator_matrix(alg: FDAlgebra, rank: int) -> np.ndarray:
-    """Columns holding the canonical module generators of a rank-r free module."""
-    return _kron(np.eye(rank, dtype=np.int64), alg.unit[:, None], alg.p)
+    width = rank * alg.dim
+    return FDModule(alg, width, _free_action(alg, np.eye(width, dtype=np.int64)))
 
 
 def trivial_module(alg: FDAlgebra) -> FDModule:
@@ -478,16 +482,15 @@ def regular_bimodule(alg: FDAlgebra) -> tuple[FDAlgebra, FDModule]:
 
 @dataclass
 class Cover:
-    """Minimal free cover pi: free -> module (pi is (module.dim, rank*D)).
+    """Minimal free cover pi: A^r -> module, with pi of shape (module.dim, r*d).
 
-    Free generator b goes to the module basis vector ``gens[b]``.
-    ``kernel`` is kernel_mod's basis of ker(pi), the identity on the rows
-    ``kernel_rows``; ``section`` is solve_mod's right inverse (pi @ section = I).
+    Free generator b goes to the module basis vector ``gens[b]``, so the
+    rank r is len(gens).  ``kernel`` is kernel_mod's basis of ker(pi), the
+    identity on the rows ``kernel_rows``; it is the inclusion of the
+    module's syzygy.  ``section`` is solve_mod's right inverse
+    (pi @ section = I).
     """
 
-    module: FDModule
-    free: FDModule
-    rank: int
     pi: np.ndarray
     gens: tuple[int, ...]
     kernel: np.ndarray
@@ -495,31 +498,24 @@ class Cover:
     section: np.ndarray
 
 
-@dataclass
-class SyzygyStep:
-    """One tower step: 0 -> syzygy --iota--> free --pi--> module -> 0."""
-
-    cover: Cover
-    syzygy: FDModule
-    iota: np.ndarray
-
-
 def minimal_cover(module: FDModule) -> Cover:
     """Free cover on generators completing an echelon basis of J*module.
 
-    Cached on the module.  One reduction of [pi | I] checks surjectivity
-    and yields both the kernel and the section.
+    Cached on the module.  J*module is spanned by the columns of the
+    radical's action matrices; the rows where their span has pivots (one
+    reduction) lie in it, and the other rows are the generators.  A second
+    reduction, of [pi | I], checks surjectivity and yields both the kernel
+    and the section.
     """
     if module._cover is not None:
         return module._cover
     alg = module.algebra
     p, d, m = module.p, alg.dim, module.dim
-    jm_cols = [module.action_of(alg.radical[:, c]) for c in range(alg.radical.shape[1])]
-    jm = col_echelon(np.hstack(jm_cols), p) if jm_cols else np.zeros((m, 0), dtype=np.int64)
-    in_jm = set(_pivot_rows(jm, p))
-    gens = tuple(i for i in range(m) if i not in in_jm)
-    rank = len(gens)
-    width = rank * d
+    c = alg.radical.shape[1]
+    jm = matmul_mod(alg.radical.T, module.action.reshape(d, m * m), p).reshape(c, m, m)
+    _, in_jm = rref(jm.transpose(0, 2, 1).reshape(c * m, m), p)
+    gens = tuple(np.setdiff1d(np.arange(m), in_jm).tolist())
+    width = len(gens) * d
     pi = module.action[:, :, list(gens)].transpose(1, 2, 0).reshape(m, width)
     red, pivots = rref(np.hstack([pi, np.eye(m, dtype=np.int64)]), p)
     if pivots and pivots[-1] >= width:
@@ -527,81 +523,73 @@ def minimal_cover(module: FDModule) -> Cover:
     kernel = kernel_from_rref(red, pivots, width, p)
     section = np.zeros((width, m), dtype=np.int64)
     section[list(pivots)] = red[:m, width:]
-    module._cover = Cover(module, free_module(alg, rank), rank, pi, gens, kernel,
-                          np.setdiff1d(np.arange(width), pivots), section)
+    module._cover = Cover(pi, gens, kernel, np.setdiff1d(np.arange(width), pivots), section)
     return module._cover
 
 
-def syzygy_step(module: FDModule) -> SyzygyStep:
-    """Kernel of the minimal cover, as a module recording its inclusion.
+def syzygy_step(module: FDModule) -> FDModule:
+    """The kernel of the module's minimal cover, with ``inclusion`` the cover's kernel basis.
 
     The kernel basis is the identity on ``kernel_rows``, so the action on
-    it is read off those rows and checked by one product.
+    it is read off those rows of the moved basis and checked by one product.
     """
     cover = minimal_cover(module)
     p, d = module.p, module.algebra.dim
     iota = cover.kernel
     width, k = iota.shape
-    moved = matmul_mod(cover.free.action.reshape(d * width, width), iota, p).reshape(d, width, k)
+    moved = _free_action(module.algebra, iota)
     mats = moved[:, cover.kernel_rows, :]
     back = matmul_mod(iota, mats.transpose(1, 0, 2).reshape(k, d * k), p)
     if not np.array_equal(back, moved.transpose(1, 0, 2).reshape(width, d * k)):
         raise ArithmeticError("syzygy is not closed under the action")
-    return SyzygyStep(cover, FDModule(module.algebra, k, mats, inclusion=iota), iota)
+    return FDModule(module.algebra, k, mats, inclusion=iota)
 
 
 class SyzygyTower:
-    """Iterated minimal covers W_0 = M, W_{s+1} = ker(P_s -> W_s)."""
+    """Iterated minimal covers W_0 = M, W_{a+1} = ker(P_a -> W_a).
+
+    ``modules`` holds W_0, W_1, ... as far as built.  Each module caches its
+    minimal cover (P_a -> W_a and its kernel), and each syzygy W_{a+1}
+    records its inclusion into P_a; nothing else is kept per step.
+    """
 
     def __init__(self, module: FDModule):
-        self.base = module
-        self.steps: list[SyzygyStep] = []
-
-    def ensure_steps(self, count: int) -> None:
-        while len(self.steps) < count:
-            a = len(self.steps)
-            try:
-                self.steps.append(syzygy_step(self.module(a)))
-            except ArithmeticError as exc:
-                raise ArithmeticError(f"tower step W_{a} -> W_{a + 1}: {exc}") from exc
+        self.modules = [module]
 
     def module(self, i: int) -> FDModule:
-        if i == 0:
-            return self.base
-        self.ensure_steps(i)
-        return self.steps[i - 1].syzygy
-
-    def step(self, i: int) -> SyzygyStep:
-        self.ensure_steps(i + 1)
-        return self.steps[i]
+        """W_i, building the tower up to it on first use."""
+        while len(self.modules) <= i:
+            a = len(self.modules) - 1
+            try:
+                self.modules.append(syzygy_step(self.modules[a]))
+            except ArithmeticError as exc:
+                raise ArithmeticError(f"tower step W_{a} -> W_{a + 1}: {exc}") from exc
+        return self.modules[i]
 
     def ranks(self, count: int) -> list[int]:
-        """Generator counts of the first ``count`` covers (Betti-number shadow)."""
-        self.ensure_steps(count)
-        return [self.steps[i].cover.rank for i in range(count)]
+        """Generator counts of the covers of W_0 .. W_{count-1} (Betti-number shadow)."""
+        return [len(minimal_cover(self.module(a)).gens) for a in range(count)]
 
 
 def omega_lift(tower: SyzygyTower, mat: np.ndarray, a: int, b: int) -> np.ndarray:
     """Shift a module map W_a -> W_b one step up the tower, to W_{a+1} -> W_{b+1}.
 
-    The map is composed with the cover of W_a, lifted through the cover of
-    W_b on the free generators (by its section), extended freely, and
-    restricted to kernels.
+    The map's values on W_a's cover generators (pi contracted with the
+    unit) are lifted through the cover of W_b by its section, extended
+    freely to P_a -> P_b (every e_s applied to the lifted values at once),
+    and restricted to the syzygies along their inclusions.
     """
-    alg = tower.base.algebra
+    alg = tower.module(0).algebra
     p, d = alg.p, alg.dim
-    sa, sb = tower.step(a), tower.step(b)
-    gens = free_generator_matrix(alg, sa.cover.rank)
-    rhs = matmul_mod(mat, matmul_mod(sa.cover.pi, gens, p), p)
-    lifted_gens = matmul_mod(sb.cover.section, rhs, p)
-    mb = sb.cover.free.dim
-    big = np.zeros((mb, sa.cover.rank * d), dtype=np.int64)
-    for i in range(sa.cover.rank):
-        block = matmul_mod(sb.cover.free.action.reshape(d * mb, mb), lifted_gens[:, i:i + 1], p)
-        big[:, i * d:(i + 1) * d] = block.reshape(d, mb).T
-    moved = matmul_mod(big, sa.iota, p)
-    out = moved[sb.cover.kernel_rows]
-    if not np.array_equal(matmul_mod(sb.iota, out, p), moved):
+    ca, cb = minimal_cover(tower.module(a)), minimal_cover(tower.module(b))
+    iota_a, iota_b = tower.module(a + 1).inclusion, tower.module(b + 1).inclusion
+    m_a, r_a = ca.pi.shape[0], len(ca.gens)
+    on_gens = matmul_mod(ca.pi.reshape(m_a * r_a, d), alg.unit[:, None], p).reshape(m_a, r_a)
+    lifted = matmul_mod(cb.section, matmul_mod(mat, on_gens, p), p)
+    free_map = _free_action(alg, lifted).transpose(1, 2, 0).reshape(lifted.shape[0], r_a * d)
+    moved = matmul_mod(free_map, iota_a, p)
+    out = moved[cb.kernel_rows]
+    if not np.array_equal(matmul_mod(iota_b, out, p), moved):
         raise ArithmeticError(f"omega lift of W_{a} -> W_{b}: lifted map does not preserve kernels")
     return out
 

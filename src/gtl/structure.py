@@ -220,11 +220,10 @@ def _detour_taint(alg, n, span, escapes, step_degrees):
     def full(d: int) -> bool:
         return span[d].shape[1] == alg.dim(d)
 
-    if all(full(d) for d in alg.degrees()):
-        return set(), {}
-
     tainted: set[int] = set()
-    deep_low = deep_high = False
+    # Degrees below both n and the window are generators the window never
+    # saw, for any n, so the low band and everything past it start tainted.
+    deep_low, deep_high = True, False
     work: list[int] = []
 
     def seed(d: int):
@@ -244,12 +243,6 @@ def _detour_taint(alg, n, span, escapes, step_degrees):
 
     for d in escapes:
         seed(d)
-    # Generator degrees <= n that the window never saw at all.
-    if n >= d_min:
-        for d in range(max(band_lo, d_min - width), d_min):
-            if d <= n:
-                seed(d)
-        deep_low = True
     if n > d_max:
         for d in range(d_max + 1, min(n, band_hi) + 1):
             seed(d)

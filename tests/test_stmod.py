@@ -8,7 +8,9 @@ target and must agree with the relative-trace (Higman) columns.  The dense
 oracle solves for all n*m entries of a map, commuting with each algebra
 generator, and must agree with the generator-coordinate hom spaces; the
 Higman columns in turn must span the generator-coordinate projective-factor
-maps of a syzygy.
+maps of a syzygy.  The dense free module writes out the block-diagonal action
+matrices of A^r that stmod never forms; the blockwise free action must agree
+with it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from gtl import stmod
 from gtl.exactlin import PrimeField, kernel_mod, matmul_mod, rank_mod, rref, solve_mod
 from gtl.gallery import build_truncated_ci, expected_ext_dim_ci, expected_hh0_dim
 from gtl.graded import AlgebraFormatError, algebra_to_json, col_echelon
@@ -30,12 +33,12 @@ from gtl.stmod import (
     FDAlgebra,
     FDModule,
     SyzygyTower,
+    _free_action,
     _on_generators,
     _projective_factor_span,
     _TateWorkspace,
     derive_radical,
     fd_algebra_from_json_dict,
-    free_generator_matrix,
     free_module,
     hom_space,
     minimal_cover,
@@ -182,13 +185,49 @@ def test_trivial_module_kills_the_radical(klein_alg):
     assert k.action[:, 0, 0].tolist() == [1, 0, 0, 0]
 
 
+def dense_free_module(alg: FDAlgebra, rank: int) -> FDModule:
+    """A^rank with its block-diagonal (rank*d)^2 action matrices written out."""
+    d = alg.dim
+    action = np.zeros((d, rank * d, rank * d), dtype=np.int64)
+    for b in range(rank):
+        action[:, b * d:(b + 1) * d, b * d:(b + 1) * d] = alg.mult.transpose(0, 2, 1)  # e_s * (-)
+    return FDModule(alg, rank * d, action)
+
+
+def free_generators(alg: FDAlgebra, rank: int) -> np.ndarray:
+    """Columns holding the canonical module generators of A^rank."""
+    return np.kron(np.eye(rank, dtype=np.int64), alg.unit[:, None]) % alg.p
+
+
 def test_free_module_and_generators(klein_alg):
     free = free_module(klein_alg, 2)
     assert free.dim == 8
     assert free.validate().passed
-    gens = free_generator_matrix(klein_alg, 2)
+    assert np.array_equal(free.action, dense_free_module(klein_alg, 2).action)
+    gens = free_generators(klein_alg, 2)
     assert gens.shape == (8, 2)
     assert rank_mod(gens, 2) == 2
+
+
+FREE_ACTION_ALGEBRAS = {
+    "klein-F2": lambda: build_truncated_ci((2, 2), 2),
+    "klein-F3": lambda: build_truncated_ci((2, 2), 3),
+    "cubic-F3": lambda: build_truncated_ci((3,), 3),
+    "cubic-enveloping-F3": lambda: build_truncated_ci((3,), 3).enveloping(),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=hst.sampled_from(sorted(FREE_ACTION_ALGEBRAS)), rank=hst.integers(1, 3),
+       k=hst.integers(0, 4), data=hst.data())
+def test_blockwise_free_action_matches_the_dense_free_module(name, rank, k, data):
+    alg = FREE_ACTION_ALGEBRAS[name]()
+    width = rank * alg.dim
+    entries = data.draw(hst.lists(hst.integers(0, alg.p - 1), min_size=width * k, max_size=width * k))
+    cols = np.array(entries, dtype=np.int64).reshape(width, k)
+    dense = dense_free_module(alg, rank).action
+    want = np.stack([matmul_mod(dense[s], cols, alg.p) for s in range(alg.dim)])
+    assert np.array_equal(_free_action(alg, cols), want)
 
 
 def test_module_validate_catches_wrong_action(klein_alg):
@@ -218,7 +257,7 @@ def test_regular_bimodule(klein_alg):
 
 def test_minimal_cover_of_trivial_module(klein_alg):
     cover = minimal_cover(trivial_module(klein_alg))
-    assert cover.rank == 1
+    assert len(cover.gens) == 1
     assert cover.pi.shape == (1, 4)
     assert rank_mod(cover.pi, 2) == 1
 
@@ -235,24 +274,25 @@ def test_syzygy_dims_follow_the_cover_recurrence(klein_alg):
 
 
 def test_syzygy_inclusion_is_exact(klein_alg):
-    step = syzygy_step(trivial_module(klein_alg))
-    assert step.syzygy.dim == 3
-    composite = matmul_mod(step.cover.pi, step.iota, 2)
+    k = trivial_module(klein_alg)
+    syzygy = syzygy_step(k)
+    assert syzygy.dim == 3
+    composite = matmul_mod(minimal_cover(k).pi, syzygy.inclusion, 2)
     assert not np.any(composite)
-    assert step.syzygy.validate().passed
+    assert syzygy.validate().passed
 
 
 def test_cosyzygy_and_window_inverse(klein_alg):
     # the cosyzygy of k is the dual of the syzygy of its dual over the opposite algebra
     k = trivial_module(klein_alg)
-    dual_step = syzygy_step(k.dual())
-    co = FDModule(klein_alg, dual_step.syzygy.dim, dual_step.syzygy.action.transpose(0, 2, 1))
+    dual_syzygy = syzygy_step(k.dual())
+    co = FDModule(klein_alg, dual_syzygy.dim, dual_syzygy.action.transpose(0, 2, 1))
     assert co.dim == 3
     assert co.validate().passed
-    embed, project = dual_step.cover.pi.T, dual_step.iota.T
+    embed, project = minimal_cover(k.dual()).pi.T, dual_syzygy.inclusion.T
     assert not np.any(matmul_mod(project, embed, 2))
     # going back down recovers k on the nose (no free summand appears)
-    back = syzygy_step(co).syzygy
+    back = syzygy_step(co)
     assert back.dim == 1
     assert (back.dim - k.dim) % klein_alg.dim == 0
 
@@ -297,6 +337,10 @@ def test_maps_from_free_modules_are_stably_zero(klein_alg):
     st = stable_hom(free, free)
     assert st.dim == 0
     assert st.is_stably_zero(np.eye(4, dtype=np.int64))
+    # the tower of a free module stops at the zero module
+    tower = SyzygyTower(free)
+    assert tower.module(1).dim == 0 and tower.ranks(3) == [1, 0, 0]
+    assert [tate_ext(klein_alg, free, i, tower).dim for i in (-1, 1, 2)] == [0, 0, 0]
 
 
 def test_stable_hom_needs_a_validated_symmetrizing_form(klein_alg):
@@ -344,7 +388,7 @@ def cover_projective_factor_columns(source: FDModule, target: FDModule) -> np.nd
     """Echelon columns of the maps source -> target through the minimal free cover of target."""
     p = source.p
     cover = minimal_cover(target)
-    lifted = dense_hom_space(source, cover.free)
+    lifted = dense_hom_space(source, dense_free_module(target.algebra, len(cover.gens)))
     if lifted.shape[1] == 0:
         return np.zeros((target.dim * source.dim, 0), dtype=np.int64)
     pushed = np.kron(cover.pi, np.eye(source.dim, dtype=np.int64)) % p
@@ -604,9 +648,8 @@ def test_emitted_ring_bytes_are_pinned(algebra, module, window, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_tate_ring_eliminates_nothing_wider_than_the_base_higman_matrix(monkeypatch):
-    # generator coordinates: on k[x]/(x^6) bimodule the largest elimination
-    # is the (n*m)^2 Higman matrix of M -> W_1 at the base, 180 x 180
+def record_rref_shapes(monkeypatch) -> list[tuple[int, int]]:
+    """Route every gtl binding of rref through a recorder of input shapes."""
     sizes = []
 
     def recording_rref(mat, p):
@@ -618,9 +661,46 @@ def test_tate_ring_eliminates_nothing_wider_than_the_base_higman_matrix(monkeypa
             for key, value in list(vars(module).items()):
                 if value is rref:
                     monkeypatch.setattr(module, key, recording_rref)
+    return sizes
+
+
+def test_tate_ring_eliminates_nothing_wider_than_the_base_higman_matrix(monkeypatch):
+    # generator coordinates: on k[x]/(x^6) bimodule the largest elimination
+    # is the (n*m)^2 Higman matrix of M -> W_1 at the base, 180 x 180
+    sizes = record_rref_shapes(monkeypatch)
     alg, mod = regular_bimodule(build_truncated_ci((6,), 3))
     tate_ring(alg, mod, (-2, 2))
     assert sizes and max(r * c for r, c in sizes) <= 180 * 180
+
+
+def test_tate_ring_never_builds_a_free_module(monkeypatch, klein_alg):
+    # covers act on free-module columns block by block; the (r*d)^2 action
+    # matrices of A^r are never formed
+    def refuse(alg, rank):
+        raise AssertionError(f"free_module({rank}) built")
+
+    monkeypatch.setattr(stmod, "free_module", refuse)
+    ring = tate_ring(klein_alg, trivial_module(klein_alg), (-3, 3))
+    assert [ring.dim(d) for d in ring.degrees()] == [3, 2, 1, 1, 2, 3, 4]
+    alg, mod = regular_bimodule(build_truncated_ci((3,), 3))
+    tate_ring(alg, mod, (-2, 2))
+
+
+@pytest.mark.parametrize("which", ["trivial", "bimodule", "syzygy"])
+def test_minimal_cover_makes_two_eliminations(monkeypatch, klein_alg, which):
+    # one reduction finds the generators (J*M), one of [pi | I] gives the
+    # kernel and the section
+    if which == "bimodule":
+        module = regular_bimodule(klein_alg)[1]
+    else:
+        module = trivial_module(klein_alg)
+        if which == "syzygy":
+            module = SyzygyTower(module).module(2)
+            module._cover = None
+    sizes = record_rref_shapes(monkeypatch)
+    cover = minimal_cover(module)
+    assert len(sizes) == 2
+    assert len(cover.gens) == {"trivial": 1, "bimodule": 1, "syzygy": 3}[which]
 
 
 def test_tate_ring_requires_symmetrizing_form(klein_alg):
@@ -664,21 +744,21 @@ def yoneda_product(alg, tower, f: np.ndarray, g: np.ndarray, i: int, j: int) -> 
     pi_s, composed with f's cocycle, and factored back through pi_{i+j}.
     """
     p = alg.p
-    pi = lambda s: tower.step(s).cover.pi
-    iota = lambda s: tower.step(s).iota
-    rank = lambda s: tower.step(s).cover.rank
+    pi = lambda s: minimal_cover(tower.module(s)).pi
+    iota = lambda s: tower.module(s + 1).inclusion
+    rank = lambda s: len(minimal_cover(tower.module(s)).gens)
     boundary = lambda s: matmul_mod(iota(s - 1), pi(s), p)
 
     g_hat = matmul_mod(g, pi(j), p)  # cocycle P_j -> k
-    gens = free_generator_matrix(alg, rank(j))
+    gens = free_generators(alg, rank(j))
     lifted_gens = solve_mod(pi(0), matmul_mod(g_hat, gens, p), p)
-    chain = extend_from_generators(tower.step(0).cover.free, rank(j), lifted_gens)
+    chain = extend_from_generators(dense_free_module(alg, rank(0)), rank(j), lifted_gens)
     for s in range(1, i + 1):
-        gens = free_generator_matrix(alg, rank(j + s))
+        gens = free_generators(alg, rank(j + s))
         rhs = matmul_mod(chain, matmul_mod(boundary(j + s), gens, p), p)
         lifted_gens = solve_mod(boundary(s), rhs, p)
         assert lifted_gens is not None
-        chain = extend_from_generators(tower.step(s).cover.free, rank(j + s), lifted_gens)
+        chain = extend_from_generators(dense_free_module(alg, rank(s)), rank(j + s), lifted_gens)
     cocycle = matmul_mod(matmul_mod(f, pi(i), p), chain, p)  # P_{i+j} -> k
     h = solve_mod(pi(i + j).T, cocycle.reshape(-1), p)
     assert h is not None
@@ -688,7 +768,7 @@ def yoneda_product(alg, tower, f: np.ndarray, g: np.ndarray, i: int, j: int) -> 
 def test_products_agree_with_yoneda_composition(klein_alg, klein_ring):
     k = trivial_module(klein_alg)
     tower = SyzygyTower(k)
-    tower.ensure_steps(4)
+    tower.module(4)
     ext = {d: tate_ext(klein_alg, k, d, tower) for d in (1, 2, 3)}
     for i, j in ((1, 1), (1, 2), (2, 1)):
         block = klein_ring.mult_block(i, j)

@@ -163,6 +163,18 @@ def test_ideal_flags_degrees_reachable_from_outside():
     assert ideal_leq(wide, -1).underdetermined == frozenset()
 
 
+@pytest.mark.parametrize("n", [-5, -6, -9])
+def test_ideal_with_cutoff_below_the_window_certifies_only_true_values(t2, n):
+    # every degree <= n lies below the window, yet products of those
+    # generators reach into it: degrees -4..-1 are full on a wide window
+    wide = build_trivial_extension(2, (-14, 3), 2)
+    got, want = ideal_leq(t2, n), ideal_leq(wide, n)
+    for d in t2.degrees():
+        assert d not in want.underdetermined
+        if d not in got.underdetermined:
+            assert got.dim(d) == want.dim(d), d
+
+
 # -- periodicity ---------------------------------------------------------------
 
 
