@@ -2,8 +2,13 @@
 
 Matrices are dense numpy int64 arrays holding residues in [0, p).  The
 characteristic is a machine-word prime, 2 <= p < 2**31; with residues below
-2**31 every row operation and (chunked) matrix product stays inside int64, so
-all results are exact.  No floats, no rationals, no extension fields.
+2**31 every row operation stays inside int64, so all results are exact.
+
+``matmul_mod`` is exact too.  It uses float64 only for chunks of the inner
+dimension whose partial sums, in any summation order, stay below 2**53, where
+every integer is a float64.  Everything else, including every p for which a
+single product of residues can reach 2**53, multiplies in int64 chunks that
+cannot overflow.  No rationals, no extension fields.
 
 Elimination is deterministic: pivots are chosen as the first row with a
 nonzero entry, scanning columns left to right.  ``solve_mod`` returns the
@@ -34,31 +39,110 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _reduce(arr: np.ndarray, p: int) -> np.ndarray:
+    """Reduce an int64 array mod p in place.
+
+    arr - (arr // p) * p instead of ``%``: numpy divides an int64 array by a
+    scalar several times faster than it takes the remainder.
+    """
+    if p == 2:
+        np.bitwise_and(arr, 1, out=arr)
+    else:
+        quot = arr // p
+        quot *= p
+        arr -= quot
+    return arr
+
+
 def as_residues(data, p: int) -> np.ndarray:
-    """Copy ``data`` into an int64 array of residues mod p."""
-    arr = np.array(data, dtype=np.int64)
-    return arr % p
+    """Copy ``data`` into a new C-ordered int64 array of residues mod p."""
+    arr = np.array(data, dtype=np.int64, order="C")
+    if arr.size and (arr.min() < 0 or arr.max() >= p):
+        _reduce(arr, p)
+    return arr
+
+
+# The float64 path converts and scans every operand entry once and saves a
+# little on each multiply-add, so it pays only when there are enough of them
+# and each entry is used in many: a product with fewer multiply-adds, or with
+# fewer rows on the left or columns on the right, stays on the int64 path.
+_FLOAT_MIN_MADDS = 16384
+_FLOAT_MIN_SIDE = 16
+# Cells per float64 temporary: the product is computed in tiles whose operand
+# slices and result each hold about this many cells, so the float copies stay
+# a few MiB however large the operands are.
+_FLOAT_BLOCK_CELLS = 2**18
+
+
+def _magnitude(arr: np.ndarray) -> int:
+    return max(int(arr.max()), -int(arr.min()))
+
+
+def _matmul_int64(a: np.ndarray, b: np.ndarray, p: int, term: int) -> np.ndarray:
+    """A @ B mod p in int64, for products of entries of magnitude at most ``term``.
+
+    The inner dimension is accumulated in chunks small enough that their sums
+    plus a residue cannot overflow.
+    """
+    inner = a.shape[1]
+    block = max(1, 2**62 // max(1, term))
+    if inner <= block:
+        return _reduce(a @ b, p)
+    acc = _reduce(a[:, :block] @ b[:block], p)
+    for lo in range(block, inner, block):
+        acc += a[:, lo : lo + block] @ b[lo : lo + block]
+        _reduce(acc, p)
+    return acc
+
+
+def _matmul_float(a: np.ndarray, b: np.ndarray, p: int, term: int) -> np.ndarray:
+    """A @ B mod p through float64 BLAS, exactly.
+
+    Every product of entries is an integer of magnitude at most ``term``, so a
+    chunk of ``block`` inner indices sums to less than 2**53 in any order:
+    each partial sum is an exactly representable integer, whatever order or
+    thread count BLAS uses.  Each chunk's sum is reduced in int64.
+    """
+    (rows, inner), cols = a.shape, b.shape[1]
+    block = (2**53 - 1) // max(1, term)
+    cstep = max(1, _FLOAT_BLOCK_CELLS // inner)
+    rstep = max(1, _FLOAT_BLOCK_CELLS // max(inner, min(cols, cstep)))
+    out = np.empty((rows, cols), dtype=np.int64) if rows > rstep or cols > cstep else None
+    for left in range(0, cols, cstep):
+        fb = b[:, left : left + cstep].astype(np.float64)
+        for top in range(0, rows, rstep):
+            fa = a[top : top + rstep].astype(np.float64)
+            acc = _reduce((fa[:, :block] @ fb[:block]).astype(np.int64), p)
+            for lo in range(block, inner, block):
+                acc += (fa[:, lo : lo + block] @ fb[lo : lo + block]).astype(np.int64)
+                _reduce(acc, p)
+            if out is None:
+                return acc
+            out[top : top + rstep, left : left + cstep] = acc
+    return out
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact A @ B mod p.
 
-    The inner dimension is accumulated in chunks small enough that partial
-    sums of products below p**2 cannot overflow int64.
+    A large enough product goes through float64 BLAS when one product of the
+    operands' largest entries stays below 2**53, with the inner dimension cut
+    into chunks whose partial sums stay below 2**53.  Everything else
+    multiplies in int64, in chunks whose partial sums cannot overflow when the
+    entries are residues.
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    inner = a.shape[1]
+    (rows, inner), cols = a.shape, b.shape[1]
     if inner == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    block = max(1, (2**62) // max(1, (p - 1) ** 2))
-    if inner <= block:
-        return (a @ b) % p
-    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for lo in range(0, inner, block):
-        hi = min(lo + block, inner)
-        acc = (acc + a[:, lo:hi] @ b[lo:hi, :]) % p
-    return acc
+        return np.zeros((rows, cols), dtype=np.int64)
+    term = (p - 1) ** 2
+    large = rows * inner * cols >= _FLOAT_MIN_MADDS and min(rows, cols) >= _FLOAT_MIN_SIDE
+    if large and term < 2**53:
+        term = _magnitude(a) * _magnitude(b)
+        if term < 2**53:
+            return _matmul_float(a, b, p, term)
+    return _matmul_int64(a, b, p, term)
 
 
 def rref(mat, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -67,27 +151,48 @@ def rref(mat, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     Pivot choice: first row (top to bottom) with a nonzero entry, columns
     scanned left to right.  Pivots are normalized to 1 and cleared above and
     below.
+
+    The reduction works in one owned copy.  Rows from the current one down are
+    zero left of the pivot column, so swaps, scaling and clearing touch only
+    the columns from the pivot on; over F_2 clearing is an XOR.
     """
     r_mat = as_residues(mat, p)
     rows, cols = r_mat.shape
+    gf2 = p == 2
     pivots: list[int] = []
     r = 0
+    # Array methods and basic slicing throughout: this loop runs once per
+    # column, and on small matrices numpy's per-call overhead is the cost.
     for c in range(cols):
         if r == rows:
             break
-        nz = np.flatnonzero(r_mat[r:, c])
-        if nz.size == 0:
+        col = r_mat[:, c]
+        below = col[r:]
+        # the first nonzero entry; over F_2 that is the first maximum
+        i = int(below.argmax()) if gf2 else int((below != 0).argmax())
+        if not below[i]:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            r_mat[[r, i], :] = r_mat[[i, r], :]
-        inv = pow(int(r_mat[r, c]), -1, p)
-        r_mat[r] = (r_mat[r] * inv) % p
-        factors = r_mat[:, c].copy()
-        factors[r] = 0
-        hit = np.flatnonzero(factors)
+        row = r_mat[r, c:]
+        if i:
+            other = r_mat[r + i, c:]
+            held = other.copy()
+            other[...] = row
+            row[...] = held
+        if not gf2:
+            inv = pow(int(row[0]), -1, p)
+            if inv != 1:
+                row *= inv
+                _reduce(row, p)
+        col[r] = 0  # the rows to clear are the other nonzeros of column c
+        hit = col.nonzero()[0]
+        col[r] = 1
         if hit.size:
-            r_mat[hit] = (r_mat[hit] - factors[hit, None] * r_mat[r][None, :]) % p
+            if gf2:
+                r_mat[hit, c:] ^= row
+            else:
+                block = r_mat[hit, c:]
+                block -= block[:, :1] * row
+                r_mat[hit, c:] = _reduce(block, p)
         pivots.append(c)
         r += 1
     return r_mat, tuple(pivots)

@@ -786,21 +786,25 @@ class _TateWorkspace:
         key = (d, shift)
         if key in self.homs:
             return self.homs[key]
-        if shift == max(0, -d):
-            hom = tate_ext(self.alg, self.module, d, self.tower)
-        else:
-            below = self.hom_at(d, shift - 1)
-            src = self.tower.module(shift + d)
-            lifted = [omega_lift(self.tower, m, shift - 1 + d, shift - 1) for m in below.basis]
-            target = self.tower.module(shift)
-            hom = StableHom(src, target, lifted, _projective_factor_span(src, target))
+        below = None if shift == max(0, -d) else self.hom_at(d, shift - 1)
+        try:
+            if below is None:
+                hom = tate_ext(self.alg, self.module, d, self.tower)
+            else:
+                src = self.tower.module(shift + d)
+                lifted = [omega_lift(self.tower, m, shift - 1 + d, shift - 1) for m in below.basis]
+                target = self.tower.module(shift)
+                hom = StableHom(src, target, lifted, _projective_factor_span(src, target))
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"stable basis in degree {d} at shift {shift}: {exc}") from exc
         self.homs[key] = hom
         return hom
 
     def coordinates_at(self, d: int, shift: int, mat: np.ndarray) -> np.ndarray:
         """Coefficients of maps W_{shift+d} -> W_{shift} (one or a stack) in the lifted basis."""
+        hom = self.hom_at(d, shift)
         try:
-            return self.hom_at(d, shift).coordinates(mat)
+            return hom.coordinates(mat)
         except ArithmeticError as exc:
             raise ArithmeticError(f"product solve in degree {d} at shift {shift}: {exc}") from exc
 

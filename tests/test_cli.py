@@ -9,17 +9,22 @@ cap fails cleanly instead of exhausting memory.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gtl
-from gtl import stmod
+from gtl import build_laurent, build_trivial_extension, build_truncated_ci, stmod
 from gtl.cli import PIPELINES, main
 from gtl.graded import algebra_from_json, algebra_to_json
 from gtl.util import canonical_json
@@ -424,6 +429,96 @@ def test_tate_accepts_shorthand_payload(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "  -2: 1" in out
     assert "  2: 1" in out
+
+
+# ---------------------------------------------------------------------------
+# fuzzed payloads: every input keeps to the exit-code contract
+# ---------------------------------------------------------------------------
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.text(max_size=3),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutate(draw, node):
+    """One random edit somewhere below ``node``; returns the edited node."""
+    if isinstance(node, dict):
+        children = list(node)
+    else:
+        children = list(range(len(node))) if isinstance(node, list) else []
+    if children and draw(st.integers(0, 5)):
+        key = draw(st.sampled_from(children))
+        node[key] = _mutate(draw, node[key])
+        return node
+    edit = draw(st.sampled_from(["replace", "nudge", "nudge", "nudge", "drop", "add"]))
+    if edit == "nudge" and isinstance(node, int) and not isinstance(node, bool):
+        return node + draw(st.sampled_from([-1, 1, 2, -node - 1, 2**31, 2**63]))
+    if edit == "drop" and children:
+        del node[draw(st.sampled_from(children))]
+        return node
+    if edit == "add" and isinstance(node, dict):
+        node[draw(st.sampled_from(["radical", "symmetrizing", "labels", "dim", "mult", "extra"]))] = draw(_JSON_VALUES)
+        return node
+    if edit == "add" and isinstance(node, list):
+        node.append(draw(_JSON_VALUES))
+        return node
+    return draw(_JSON_VALUES)
+
+
+@st.composite
+def _mutated(draw, base):
+    payload = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(1, 3))):
+        payload = _mutate(draw, payload)
+    return payload
+
+
+def _run_main_on(payload, command, *options) -> int:
+    """Exit code of ``gtl command FILE options``; an escaping exception fails the test."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main([command, str(path), *options])
+
+
+_FD_BASES = [
+    build_truncated_ci((3,), 3).to_json_dict(),
+    build_truncated_ci((2, 2), 2).to_json_dict(),
+    {"truncated_polynomial": {"exponents": [2, 2], "field_char": 2}},
+]
+_GRADED_BASES = [
+    json.loads(algebra_to_json(ring))
+    for ring in (build_laurent(5, (-2, 2)), build_trivial_extension(2, (-2, 2), 3))
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_FD_BASES).flatmap(_mutated),
+    st.integers(-2, 0),
+    st.integers(0, 2),
+    st.sampled_from(["trivial", "bimodule"]),
+)
+def test_fuzzed_fd_payloads_keep_the_exit_code_contract(payload, lo, hi, module):
+    code = _run_main_on(payload, "tate", "--window", str(lo), str(hi), "--module", module, "--json")
+    assert code in (0, 1, 2, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_GRADED_BASES).flatmap(_mutated))
+def test_fuzzed_graded_payloads_keep_the_exit_code_contract(payload):
+    assert _run_main_on(payload, "analyze", "--check", "validate", "--json") in (0, 1, 2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,73 @@ from gtl.exactlin import (
 )
 
 
+# Reference implementations: the plain int64 kernels the library's rref and
+# matmul_mod must agree with exactly.
+
+
+def reference_rref(mat, p):
+    """Full-width row reduction with the library's pivot rule."""
+    r_mat = np.array(mat, dtype=np.int64) % p
+    rows, cols = r_mat.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.flatnonzero(r_mat[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            r_mat[[r, i], :] = r_mat[[i, r], :]
+        inv = pow(int(r_mat[r, c]), -1, p)
+        r_mat[r] = (r_mat[r] * inv) % p
+        factors = r_mat[:, c].copy()
+        factors[r] = 0
+        hit = np.flatnonzero(factors)
+        if hit.size:
+            r_mat[hit] = (r_mat[hit] - factors[hit, None] * r_mat[r][None, :]) % p
+        pivots.append(c)
+        r += 1
+    return r_mat, tuple(pivots)
+
+
+def reference_matmul_mod(a, b, p):
+    """int64 product accumulated in chunks whose sums of terms below p**2 fit."""
+    inner = a.shape[1]
+    if inner == 0:
+        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    block = max(1, (2**62) // max(1, (p - 1) ** 2))
+    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for lo in range(0, inner, block):
+        acc = (acc + a[:, lo : lo + block] @ b[lo : lo + block, :]) % p
+    return acc
+
+
+def reference_solve(mat, rhs, p):
+    """Canonical solution (free variables zero) read off reference_rref of [A | B]."""
+    n = mat.shape[1]
+    red, pivots = reference_rref(np.hstack([mat, rhs]), p)
+    if any(c >= n for c in pivots):
+        return None
+    x = np.zeros((n, rhs.shape[1]), dtype=np.int64)
+    for row, c in enumerate(pivots):
+        x[c] = red[row, n:]
+    return x
+
+
+def reference_kernel(mat, p):
+    """One column per free variable (ascending), set to 1, from reference_rref."""
+    red, pivots = reference_rref(mat, p)
+    free = [c for c in range(mat.shape[1]) if c not in pivots]
+    ker = np.zeros((mat.shape[1], len(free)), dtype=np.int64)
+    for j, f in enumerate(free):
+        ker[f, j] = 1
+        for row, c in enumerate(pivots):
+            ker[c, j] = (-red[row, f]) % p
+    return ker
+
+
 def test_is_prime_small_table():
     primes = [n for n in range(2, 60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
@@ -131,7 +198,7 @@ def solve_via_augmented_identity(mat, rhs, p):
     if vector_rhs:
         b = b[:, None]
     m, n = arr.shape
-    red, pivots = rref(np.hstack([arr, np.eye(m, dtype=np.int64)]), p)
+    red, pivots = reference_rref(np.hstack([arr, np.eye(m, dtype=np.int64)]), p)
     piv_a = [c for c in pivots if c < n]
     tb = matmul_mod(red[:, n:], b, p)
     if np.any(tb[len(piv_a):]):
@@ -193,3 +260,136 @@ def test_prime_field_inverse():
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
     assert f.inv(3) == 5
+
+
+# 33554393 is the largest prime below 2**25: one product of residues is close to
+# 2**50, so a float64 chunk holds only 8 terms and an inner dimension of a few
+# dozen spans several chunks.  2**31 - 1 is too large for any float64 chunk.
+DIFFERENTIAL_PRIMES = [2, 3, 7, 33554393, 2**31 - 1]
+
+
+def entries(p):
+    """Residues, plus integers outside [0, p) of either sign."""
+    wide = 3 * p if p < 2**30 else p - 1
+    return st.one_of(st.integers(0, p - 1), st.integers(-wide, wide))
+
+
+@st.composite
+def matrices(draw, p, max_rows=8, max_cols=8):
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    flat = draw(st.lists(entries(p), min_size=rows * cols, max_size=rows * cols))
+    return np.array(flat, dtype=np.int64).reshape(rows, cols)
+
+
+@st.composite
+def prime_and_matrix(draw):
+    p = draw(st.sampled_from(DIFFERENTIAL_PRIMES))
+    return p, draw(matrices(p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(prime_and_matrix())
+def test_rref_matches_the_reference(pm):
+    p, mat = pm
+    got, pivots = rref(mat, p)
+    want, want_pivots = reference_rref(mat, p)
+    assert pivots == want_pivots
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(prime_and_matrix())
+def test_kernel_mod_matches_the_reference(pm):
+    p, mat = pm
+    assert np.array_equal(kernel_mod(mat, p), reference_kernel(mat, p))
+
+
+@st.composite
+def prime_and_system(draw):
+    """A system with one to three right-hand sides, consistent or not."""
+    p = draw(st.sampled_from(DIFFERENTIAL_PRIMES))
+    mat = draw(matrices(p))
+    k = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        flat = draw(st.lists(entries(p), min_size=mat.shape[1] * k, max_size=mat.shape[1] * k))
+        x = np.array(flat, dtype=np.int64).reshape(mat.shape[1], k)
+        rhs = reference_matmul_mod(mat % p, x % p, p)
+    else:
+        flat = draw(st.lists(entries(p), min_size=mat.shape[0] * k, max_size=mat.shape[0] * k))
+        rhs = np.array(flat, dtype=np.int64).reshape(mat.shape[0], k)
+    return p, mat, rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(prime_and_system())
+def test_solve_mod_matches_the_reference(system):
+    p, mat, rhs = system
+    got = solve_mod(mat, rhs, p)
+    want = reference_solve(mat, rhs, p)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and np.array_equal(got, want)
+        assert np.array_equal(solve_mod(mat, rhs[:, 0], p), want[:, 0])
+
+
+@st.composite
+def prime_and_product(draw):
+    """Operands up to 24 x 48 x 24, so both the int64 and the float64 paths run.
+
+    Entries come from a seeded generator (drawing each one through hypothesis
+    is too slow at this size): residues, the largest residue p - 1 everywhere,
+    or integers of either sign outside [0, p).
+    """
+    p = draw(st.sampled_from(DIFFERENTIAL_PRIMES))
+    if draw(st.booleans()):
+        m, k, n = draw(st.integers(0, 4)), draw(st.integers(0, 12)), draw(st.integers(0, 4))
+    else:
+        m, k, n = draw(st.integers(12, 24)), draw(st.integers(9, 48)), draw(st.integers(12, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    wide = 3 * p if p < 2**30 else p - 1
+
+    def operand(shape):
+        kind = draw(st.sampled_from(["residues", "top", "wide"]))
+        if kind == "top":
+            return np.full(shape, p - 1, dtype=np.int64)
+        lo, hi = (0, p) if kind == "residues" else (-wide, wide + 1)
+        return rng.integers(lo, hi, shape, dtype=np.int64)
+
+    return p, operand((m, k)), operand((k, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(prime_and_product())
+def test_matmul_mod_matches_the_reference(product):
+    p, a, b = product
+    got = matmul_mod(a, b, p)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, reference_matmul_mod(a, b, p))
+
+
+@pytest.mark.parametrize("p", [3, 33554393])
+@pytest.mark.parametrize("kind", ["top", "random"])
+def test_matmul_mod_is_exact_over_many_float_chunks(p, kind):
+    # an inner dimension of 300 crosses many chunk boundaries at p near 2**25;
+    # p - 1 everywhere makes every term the largest a residue allows, and
+    # random residues have low bits that a rounded partial sum would lose
+    rng = np.random.default_rng(7)
+    if kind == "top":
+        a = np.full((20, 300), p - 1, dtype=np.int64)
+        b = np.full((300, 20), p - 1, dtype=np.int64)
+    else:
+        a = rng.integers(0, p, (20, 300), dtype=np.int64)
+        b = rng.integers(0, p, (300, 20), dtype=np.int64)
+    assert np.array_equal(matmul_mod(a, b, p), reference_matmul_mod(a, b, p))
+
+
+@pytest.mark.parametrize("p", [3, 33554393])
+def test_matmul_mod_tiles_a_large_product_exactly(p):
+    # 400 x 300 @ 300 x 1000 spans several row and column tiles of the
+    # float64 path; the tiles must land in the right places
+    rng = np.random.default_rng(11)
+    a = rng.integers(0, p, (400, 300), dtype=np.int64)
+    b = rng.integers(0, p, (300, 1000), dtype=np.int64)
+    assert np.array_equal(matmul_mod(a, b, p), reference_matmul_mod(a, b, p))

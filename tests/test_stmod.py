@@ -538,6 +538,19 @@ def test_product_solve_errors_name_degree_and_shift(klein_alg):
         ws.coordinates_at(1, 2, not_a_module_map)
 
 
+@pytest.mark.parametrize("stage, shift", [("omega_lift", 1), ("tate_ext", 0)])
+def test_stable_basis_errors_name_degree_and_shift(monkeypatch, klein_alg, stage, shift):
+    def fail(*args, **kwargs):
+        raise ArithmeticError("injected failure")
+
+    monkeypatch.setattr(stmod, stage, fail)
+    ws = _TateWorkspace(klein_alg, trivial_module(klein_alg))
+    with pytest.raises(ArithmeticError) as info:
+        ws.coordinates_at(1, 2, np.zeros((1, 1, 1), dtype=np.int64))
+    # named once, at the step that failed, not again by the steps above it
+    assert str(info.value) == f"stable basis in degree 1 at shift {shift}: injected failure"
+
+
 def test_omega_lift_errors_name_both_shifts(klein_alg):
     tower = SyzygyTower(trivial_module(klein_alg))
     not_a_module_map = np.zeros((tower.module(1).dim, tower.module(2).dim), dtype=np.int64)
