@@ -121,9 +121,7 @@ def _cmd_analyze(args) -> int:
     elif check == "selfdual":
         rep = duality.selfdual_check(alg, need("n", args.n), _lam(need("lam", args.lam)))
     elif check == "find-functional":
-        res = duality.find_selfdual_functional(
-            alg, need("n", args.n), strategy=args.strategy, seed=args.seed, samples=args.samples
-        )
+        res = duality.find_selfdual_functional(alg, need("n", args.n), seed=args.seed, samples=args.samples)
         payload = {
             "command": "find-functional",
             "n": args.n,
@@ -187,12 +185,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_tate(args) -> int:
+    window = check_window(args.window)
     alg = _load_fd(args.algebra)
     axioms = alg.validate()
     if not axioms.passed:
         failed = ", ".join(str(f.key) for f in axioms.failures())
         raise AlgebraFormatError(f"algebra fails its axioms: {failed}")
-    window = check_window(args.window)
     if args.module == "trivial":
         base, module = alg, stmod.trivial_module(alg)
     else:
@@ -370,9 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--r", default=None, help="element: a basis label or 'degree:index'")
     pa.add_argument("--rt", default=None, help="second element for sequence checks")
     pa.add_argument("--lam", default=None, help="functional coefficients, comma-separated")
-    pa.add_argument("--strategy", default="auto", choices=["auto", "exhaustive", "randomized"])
-    pa.add_argument("--seed", type=int, default=0)
-    pa.add_argument("--samples", type=int, default=200)
+    pa.add_argument("--seed", type=int, default=0, help="find-functional: seed of the randomized search")
+    pa.add_argument("--samples", type=int, default=200, help="find-functional: randomized search budget")
     pa.add_argument("--json", action="store_true", help="machine-readable output")
     pa.set_defaults(fn=_cmd_analyze)
 

@@ -60,8 +60,7 @@ class CertifiedReport:
     ) -> "CertifiedReport":
         """One entry per key from ``fn(key) -> (verdict, witness[, note])``.
 
-        Keys where ``fn`` returns None are unchecked.  The keys run through
-        ``util.sweep``, so GTL_THREADS applies and key order is kept.
+        Keys where ``fn`` returns None are unchecked.  Entries keep key order.
         """
         rep = cls(check=check, n=n)
         keys = list(keys)

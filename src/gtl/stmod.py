@@ -60,6 +60,12 @@ def _kron(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return np.kron(a % p, b % p) % p
 
 
+def _blocks_side_by_side(stack: np.ndarray, rows: int) -> np.ndarray:
+    """The row blocks of ``stack``, ``rows`` rows each, laid side by side."""
+    blocks = stack.reshape(stack.shape[0] // rows, rows, stack.shape[1])
+    return blocks.transpose(1, 0, 2).reshape(rows, -1)
+
+
 def _nilpotent(mat: np.ndarray, p: int) -> bool:
     """Is the square matrix nilpotent over F_p?  (Checks M^(2^k) = 0, 2^k >= n.)"""
     n = mat.shape[0]
@@ -89,6 +95,8 @@ class FDAlgebra:
     radical: np.ndarray
     symmetrizing: np.ndarray | None = None
     labels: tuple[str, ...] | None = None
+    # left_ops[s*d + u, t] = mult[s, t, u]: block s is the matrix of e_s * (-)
+    left_ops: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         p = self.field.p
@@ -104,9 +112,9 @@ class FDAlgebra:
             self.labels = tuple(self.labels)
             if len(self.labels) != d:
                 raise AlgebraFormatError("labels length must equal dim")
-        self.mult.setflags(write=False)
-        self.unit.setflags(write=False)
-        self.radical.setflags(write=False)
+        self.left_ops = self.mult.transpose(0, 2, 1).reshape(d * d, d)
+        for arr in (self.mult, self.unit, self.radical, self.left_ops):
+            arr.setflags(write=False)
         self._dual_basis: np.ndarray | None = None
 
     @property
@@ -117,8 +125,8 @@ class FDAlgebra:
 
     def left_matrix(self, vec: np.ndarray) -> np.ndarray:
         """Matrix of a * (-) in the basis."""
-        flat = matmul_mod(np.asarray(vec, dtype=np.int64)[None, :], self.mult.reshape(self.dim, -1), self.p)
-        return flat.reshape(self.dim, self.dim).T
+        flat = matmul_mod(np.asarray(vec, dtype=np.int64)[None, :], self.left_ops.reshape(self.dim, -1), self.p)
+        return flat.reshape(self.dim, self.dim)
 
     def right_matrix(self, vec: np.ndarray) -> np.ndarray:
         """Matrix of (-) * a in the basis."""
@@ -167,12 +175,11 @@ class FDAlgebra:
                 None if defect is None else {"triple": defect})
 
         r = self.radical
-        ideal_ok = True
-        for c in range(r.shape[1]):
-            prods = np.hstack([self.left_matrix(r[:, c]), self.right_matrix(r[:, c])])
-            if solve_mod(r, prods, p) is None:
-                ideal_ok = False
-                break
+        # block c of left_rad is the matrix of r_c * (-); its columns are the r_c * e_t
+        left_rad = matmul_mod(r.T, self.left_ops.reshape(d, d * d), p).reshape(-1, d)
+        right_prods = matmul_mod(self.left_ops, r, p)  # block t holds the e_t * r_c
+        prods = np.hstack([_blocks_side_by_side(left_rad, d), _blocks_side_by_side(right_prods, d)])
+        ideal_ok = solve_mod(r, prods, p) is not None
         rep.add("radical_ideal", PASS if ideal_ok else FAIL)
 
         span = r
@@ -181,8 +188,7 @@ class FDAlgebra:
             if span.shape[1] == 0:
                 nil_ok = True
                 break
-            cols = [matmul_mod(self.left_matrix(r[:, c]), span, p) for c in range(r.shape[1])]
-            span = col_echelon(np.hstack(cols), p) if cols else np.zeros((d, 0), dtype=np.int64)
+            span = col_echelon(_blocks_side_by_side(matmul_mod(left_rad, span, p), d), p)
         rep.add("radical_nilpotent", PASS if nil_ok else FAIL)
 
         codim_ok = rank_mod(r, p) == d - 1 and solve_mod(r, self.unit, p) is None
@@ -439,7 +445,7 @@ def _free_action(alg: FDAlgebra, cols: np.ndarray) -> np.ndarray:
     width, k = cols.shape
     r = width // d
     blocks = cols.reshape(r, d, k).transpose(1, 0, 2).reshape(d, r * k)
-    moved = matmul_mod(alg.mult.transpose(0, 2, 1).reshape(d * d, d), blocks, p)
+    moved = matmul_mod(alg.left_ops, blocks, p)
     return moved.reshape(d, d, r, k).transpose(0, 2, 1, 3).reshape(d, width, k)
 
 

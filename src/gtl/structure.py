@@ -357,7 +357,7 @@ def check_orthogonality(
     sd = selfdual_check(alg, n, lam)
     if not sd.passed:
         raise PreconditionError("functional does not pass selfdual_check")
-    form = form_from_functional(alg, n, lam, spot_checks=0)
+    form = form_from_functional(alg, n, lam)
     ideal = ideal_leq(alg, n)
     tor = tor_part(alg, r)
     if assume_regular:

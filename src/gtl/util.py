@@ -1,9 +1,8 @@
-"""Shared helpers: canonical JSON and the GTL_THREADS-capped sweep pool."""
+"""Shared helpers: canonical JSON, the per-degree sweep and degree-keyed parsing."""
 
 from __future__ import annotations
 
 import json
-import os
 from collections.abc import Callable, Iterable
 from typing import TypeVar
 
@@ -11,30 +10,11 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def worker_count() -> int:
-    """Parallelism cap from GTL_THREADS; defaults to sequential."""
-    raw = os.environ.get("GTL_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"GTL_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
-
-
 def sweep(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    """Map ``fn`` over ``items``, in a thread pool when GTL_THREADS > 1.
-
-    Results come back in input order, so reports are byte-identical whatever
-    the schedule.
-    """
-    items = list(items)
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Map ``fn`` over ``items`` in order."""
+    # A named function, not inlined comprehensions: perfbench/spans.py wraps
+    # gtl.util.sweep by name to time every per-degree report.
+    return [fn(it) for it in items]
 
 
 def canonical_json(payload) -> str:

@@ -207,7 +207,7 @@ def _random_element(alg, rng, degree):
 
 
 def _check_form_associativity(alg, lam, rng, rounds=500):
-    form = duality.form_from_functional(alg, -1, lam, spot_checks=0)
+    form = duality.form_from_functional(alg, -1, lam)
     triples = _associativity_triples(alg, -1)
     assert triples
     for step in range(rounds):

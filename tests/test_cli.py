@@ -369,6 +369,18 @@ def test_tate_window_out_of_bounds_exits_two(klein_path, capsys):
     assert main(["tate", klein_path, "--window", "1", "3"]) == 2
 
 
+def test_tate_rejects_a_bad_window_before_validating(tmp_path, monkeypatch, capsys):
+    def never(self):
+        raise AssertionError("validate ran on an algebra whose window was already bad")
+
+    monkeypatch.setattr(stmod.FDAlgebra, "validate", never)
+    path = tmp_path / "x100.json"
+    path.write_text(json.dumps({"truncated_polynomial": {"exponents": [100], "field_char": 2}}), encoding="utf-8")
+    assert main(["tate", str(path), "--window", "-100", "100"]) == 2
+    err = capsys.readouterr().err
+    assert "stay within [-32, 32]" in err
+    assert "Traceback" not in err
+
 def test_tate_without_symmetrizing_form_exits_three(tmp_path, klein_alg, capsys):
     payload = klein_alg.to_json_dict()
     payload.pop("symmetrizing")

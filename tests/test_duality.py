@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gtl import duality
 from gtl.duality import (
     EXHAUSTIVE_LIMIT,
     find_selfdual_functional,
@@ -97,7 +98,7 @@ def test_report_json_shape(laurent):
 
 
 def test_form_pairing_values(t2):
-    form = form_from_functional(t2, -1, [1], spot_checks=500, seed=3)
+    form = form_from_functional(t2, -1, [1])
     w1 = t2.element_by_label("w1")
     dual_w1 = t2.element_by_label("d:w1")
     dual_w2 = t2.element_by_label("d:w2")
@@ -165,30 +166,38 @@ def test_find_functional_rejects_degree_outside_window(klein_ring):
 
 
 def test_find_functional_reports_not_found(t2):
-    res = find_selfdual_functional(t2, 0, strategy="exhaustive")
-    assert not res.found
+    res = find_selfdual_functional(t2, 0)
+    assert not res.found and res.strategy == "exhaustive"
     assert res.tried == 1  # only candidate [1] over F_2
 
 
-def test_find_functional_randomized_is_seeded(laurent):
-    a = find_selfdual_functional(laurent, -1, strategy="randomized", seed=11)
-    b = find_selfdual_functional(laurent, -1, strategy="randomized", seed=11)
+def _laurent_above_budget():
+    from gtl.gallery import build_laurent
+
+    p = 2**31 - 1
+    assert p > EXHAUSTIVE_LIMIT  # dims(-1) = 1, so p candidates
+    return build_laurent(p, (-2, 2))
+
+
+def test_find_functional_randomized_is_seeded():
+    huge = _laurent_above_budget()
+    a = find_selfdual_functional(huge, -1, seed=11)
+    b = find_selfdual_functional(huge, -1, seed=11)
+    assert a.strategy == b.strategy == "randomized"
     assert a.found and b.found
     assert a.functional.tolist() == b.functional.tolist()
     assert a.tried == b.tried
+    c = find_selfdual_functional(huge, -1, seed=12)
+    assert c.found and c.functional.tolist() != a.functional.tolist()
 
 
-def test_find_functional_exhaustive_budget():
-    from gtl.gallery import build_laurent
-
-    huge = build_laurent(2**31 - 1, (-2, 2))
-    assert (2**31 - 1) ** 1 > EXHAUSTIVE_LIMIT
-    with pytest.raises(ValueError):
-        find_selfdual_functional(huge, -1, strategy="exhaustive")
+def test_find_functional_exhaustive_budget(monkeypatch, klein_ring):
+    huge = _laurent_above_budget()
     auto = find_selfdual_functional(huge, -1)
     assert auto.strategy == "randomized" and auto.found
-
-
-def test_find_functional_unknown_strategy(laurent):
-    with pytest.raises(ValueError):
-        find_selfdual_functional(laurent, -1, strategy="bogus")
+    assert selfdual_check(huge, -1, auto.functional).passed
+    # Klein-four: dims(-1) = 1 over F_2, two candidates; the budget is inclusive
+    monkeypatch.setattr(duality, "EXHAUSTIVE_LIMIT", 2)
+    assert find_selfdual_functional(klein_ring, -1).strategy == "exhaustive"
+    monkeypatch.setattr(duality, "EXHAUSTIVE_LIMIT", 1)
+    assert find_selfdual_functional(klein_ring, -1).strategy == "randomized"

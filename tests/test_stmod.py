@@ -95,6 +95,124 @@ def test_validate_symmetric_rejects_degenerate_functional(klein_alg):
     assert rep.verdict_for("nondegenerate") == FAIL
 
 
+
+# -- radical clauses: the batched checks against the per-column loops -----------
+
+
+def oracle_left_matrix(alg: FDAlgebra, vec: np.ndarray) -> np.ndarray:
+    d = alg.dim
+    return matmul_mod(vec[None, :], alg.mult.reshape(d, d * d), alg.p).reshape(d, d).T
+
+
+def oracle_right_matrix(alg: FDAlgebra, vec: np.ndarray) -> np.ndarray:
+    d = alg.dim
+    return matmul_mod(vec[None, :], alg.mult.transpose(1, 0, 2).reshape(d, d * d), alg.p).reshape(d, d).T
+
+
+def reference_radical_clauses(alg: FDAlgebra) -> dict[str, str]:
+    """The radical clauses of FDAlgebra.validate, one radical column at a time."""
+    p, d, r = alg.p, alg.dim, alg.radical
+    ideal_ok = True
+    for c in range(r.shape[1]):
+        prods = np.hstack([oracle_left_matrix(alg, r[:, c]), oracle_right_matrix(alg, r[:, c])])
+        if solve_mod(r, prods, p) is None:
+            ideal_ok = False
+            break
+    span = r
+    nil_ok = False
+    for _ in range(d + 1):
+        if span.shape[1] == 0:
+            nil_ok = True
+            break
+        cols = [matmul_mod(oracle_left_matrix(alg, r[:, c]), span, p) for c in range(r.shape[1])]
+        span = col_echelon(np.hstack(cols), p)
+    codim_ok = rank_mod(r, p) == d - 1 and solve_mod(r, alg.unit, p) is None
+    return {
+        "radical_ideal": PASS if ideal_ok else FAIL,
+        "radical_nilpotent": PASS if nil_ok else FAIL,
+        "radical_codim_one": PASS if codim_ok else FAIL,
+    }
+
+
+def upper_triangular(p: int) -> FDAlgebra:
+    """Upper triangular 2x2 matrices on e11, e12, e22: not commutative, not local."""
+    mult = np.zeros((3, 3, 3), dtype=np.int64)
+    for s, t, u in [(0, 0, 0), (0, 1, 1), (1, 2, 1), (2, 2, 2)]:
+        mult[s, t, u] = 1
+    return FDAlgebra(PrimeField(p), 3, mult, [1, 0, 1], np.eye(3, dtype=np.int64)[:, [1]])
+
+
+def with_radical(alg: FDAlgebra, radical) -> FDAlgebra:
+    return FDAlgebra(alg.field, alg.dim, alg.mult, alg.unit, np.asarray(radical, dtype=np.int64).reshape(alg.dim, -1))
+
+
+def _cols(d: int, *vectors) -> np.ndarray:
+    return np.array(vectors, dtype=np.int64).reshape(len(vectors), d).T if vectors else np.zeros((d, 0), np.int64)
+
+
+# Klein four over F_2 has basis 1, x2, x1, x1*x2; T2 has e11, e12, e22.
+RADICAL_CASES = {
+    "klein-J": (lambda: build_truncated_ci((2, 2), 2), None, (PASS, PASS, PASS)),
+    "klein-not-an-ideal": (lambda: build_truncated_ci((2, 2), 2), _cols(4, [0, 0, 1, 0]), (FAIL, PASS, FAIL)),
+    "klein-J-squared": (lambda: build_truncated_ci((2, 2), 2), _cols(4, [0, 0, 0, 1]), (PASS, PASS, FAIL)),
+    "klein-whole-algebra": (lambda: build_truncated_ci((2, 2), 2), np.eye(4, dtype=np.int64), (PASS, FAIL, FAIL)),
+    "klein-through-a-unit": (
+        lambda: build_truncated_ci((2, 2), 2), _cols(4, [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1]), (FAIL, FAIL, PASS),
+    ),
+    "cubic-x-only": (lambda: build_truncated_ci((3,), 3), _cols(3, [0, 1, 0]), (FAIL, PASS, FAIL)),
+    "field-empty-radical": (lambda: build_truncated_ci((1,), 5), _cols(1), (PASS, PASS, PASS)),
+    "triangular-radical": (lambda: upper_triangular(3), None, (PASS, PASS, FAIL)),
+    "triangular-left-ideal-only": (lambda: upper_triangular(3), _cols(3, [1, 0, 0]), (FAIL, FAIL, FAIL)),
+    "triangular-right-ideal-only": (lambda: upper_triangular(3), _cols(3, [0, 0, 1]), (FAIL, FAIL, FAIL)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RADICAL_CASES))
+def test_radical_clauses_match_the_column_loops(name):
+    build, radical, want = RADICAL_CASES[name]
+    alg = build() if radical is None else with_radical(build(), radical)
+    rep = alg.validate()
+    got = {key: rep.verdict_for(key) for key in ("radical_ideal", "radical_nilpotent", "radical_codim_one")}
+    assert got == reference_radical_clauses(alg)
+    assert tuple(got.values()) == want
+
+
+RADICAL_ALGEBRAS = {
+    "klein-F2": lambda: build_truncated_ci((2, 2), 2),
+    "klein-F3": lambda: build_truncated_ci((2, 2), 3),
+    "cubic-F3": lambda: build_truncated_ci((3,), 3),
+    "2x3-F2": lambda: build_truncated_ci((2, 3), 2),
+    "triangular-F3": lambda: upper_triangular(3),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=hst.sampled_from(sorted(RADICAL_ALGEBRAS)), data=hst.data())
+def test_radical_clauses_match_the_column_loops_on_random_radicals(name, data):
+    alg = RADICAL_ALGEBRAS[name]()
+    d, p = alg.dim, alg.p
+    k = data.draw(hst.integers(0, d))
+    if data.draw(hst.booleans()):  # a subset of the true radical's columns, often an ideal
+        keep = data.draw(hst.lists(hst.integers(0, alg.radical.shape[1] - 1), unique=True, max_size=k))
+        radical = alg.radical[:, sorted(keep)]
+    else:
+        entries = data.draw(hst.lists(hst.integers(0, p - 1), min_size=d * k, max_size=d * k))
+        radical = np.array(entries, dtype=np.int64).reshape(d, k)
+    broken = with_radical(alg, radical)
+    rep = broken.validate()
+    want = reference_radical_clauses(broken)
+    assert {key: rep.verdict_for(key) for key in want} == want
+
+
+def test_left_operator_stack_is_read_only_and_matches_left_matrix(klein_alg, cubic_alg):
+    for alg in (klein_alg, cubic_alg, upper_triangular(3)):
+        d = alg.dim
+        assert not alg.left_ops.flags.writeable
+        for s, e in enumerate(np.eye(d, dtype=np.int64)):
+            assert np.array_equal(alg.left_ops[s * d:(s + 1) * d], oracle_left_matrix(alg, e))
+            assert np.array_equal(alg.left_matrix(e), oracle_left_matrix(alg, e))
+            assert np.array_equal(alg.right_matrix(e), oracle_right_matrix(alg, e))
+
 def generator_vectors(alg: FDAlgebra) -> np.ndarray:
     """Unit plus lifts of a basis of J/J^2: a generating set of the algebra."""
     p, rad = alg.p, alg.radical
