@@ -42,7 +42,6 @@ from .stmod import (
     FDModule,
     StableHom,
     SyzygyTower,
-    fd_algebra_from_json,
     fd_algebra_from_json_dict,
     free_module,
     minimal_cover,

@@ -192,10 +192,10 @@ def _cmd_tate(args) -> int:
         failed = ", ".join(str(f.key) for f in axioms.failures())
         raise AlgebraFormatError(f"algebra fails its axioms: {failed}")
     if args.module == "trivial":
-        base, module = alg, stmod.trivial_module(alg)
+        module = stmod.trivial_module(alg)
     else:
-        base, module = stmod.regular_bimodule(alg)
-    ring = stmod.tate_ring(base, module, window)
+        _, module = stmod.regular_bimodule(alg)
+    ring = stmod.tate_ring(module, window)
     validation = ring.validate()
     payload = {
         "command": "tate",
@@ -232,7 +232,7 @@ def _square_of_degree_one(ring: WindowedGradedAlgebra, index: int) -> GradedElem
 
 def _pipeline_selfext_depth2(exponents, p, window, expected_dims) -> list[dict]:
     alg = gallery.build_truncated_ci(exponents, p)
-    ring = stmod.tate_ring(alg, stmod.trivial_module(alg), window)
+    ring = stmod.tate_ring(stmod.trivial_module(alg), window)
     steps = [_step("stable self-extension dims", list(expected_dims),
                    [ring.dim(d) for d in ring.degrees()])]
     search = duality.find_selfdual_functional(ring, -1)
@@ -269,16 +269,16 @@ def _pipeline_trivial_extension() -> list[dict]:
 
 def _pipeline_hh_truncated(exponents, p) -> list[dict]:
     alg = gallery.build_truncated_ci(exponents, p)
-    env, bimod = stmod.regular_bimodule(alg)
+    _, bimod = stmod.regular_bimodule(alg)
     tower = stmod.SyzygyTower(bimod)
-    hh0 = stmod.tate_ext(env, bimod, 0, tower).dim
+    hh0 = stmod.tate_ext(bimod, 0, tower).dim
     steps = [_step("degree-0 stable Hochschild dim",
                    gallery.expected_hh0_dim(exponents, p), hh0)]
     if len(exponents) == 1:
         a = exponents[0]
         expected = gallery.expected_tate_hh_dim(a, p)
         for d in (-2, -1, 1, 2):
-            got = stmod.tate_ext(env, bimod, d, tower).dim
+            got = stmod.tate_ext(bimod, d, tower).dim
             steps.append(_step(f"degree {d} stable Hochschild dim", expected, got))
     return steps
 
@@ -293,7 +293,7 @@ def _pipeline_ci_ext_dims(exponents, p, count) -> list[dict]:
 
 def _pipeline_hypersurface_periodic() -> list[dict]:
     alg = gallery.build_truncated_ci((3,), 3)
-    ring = stmod.tate_ring(alg, stmod.trivial_module(alg), (-4, 4))
+    ring = stmod.tate_ring(stmod.trivial_module(alg), (-4, 4))
     steps = [_step("all dims equal one", [1] * 9, [ring.dim(d) for d in ring.degrees()])]
     odd = ring.multiply(ring.basis_element(-1, 0), ring.basis_element(-1, 0))
     steps.append(_step("odd negative square vanishes", True, not odd.components))

@@ -12,13 +12,14 @@ Hom spaces work in generator coordinates: a map out of a module is fixed by
 its values on the r cover generators, so Hom(W, N) is the kernel of a
 relation matrix in r*n unknowns (every kernel column of the cover must go
 to 0).  Stable homs divide out the maps that factor through a projective.
-Over a self-injective algebra those are, for a syzygy W_a (a >= 1), the
-restrictions of the maps P_{a-1} -> N along W_a -> P_{a-1}: free data, no
-elimination.  For a module with no recorded inclusion (the base module M)
-they are the relative traces sum_s e_s f e_s^dual of linear maps f, where
-e_s^dual is the dual basis under the symmetrizing form (Higman's
-criterion).  Either way stable homs need a symmetrizing form that passes
-validate_symmetric.
+Over a self-injective algebra projectives are injective, so those are the
+restrictions of the maps P -> N along any embedding W -> P into a free
+module: free data, no elimination.  A syzygy W_a (a >= 1) uses its recorded
+inclusion into P_{a-1}; a module without one (the base module M) uses the
+Casimir embedding x |-> sum_s e_s^dual (x) e_s x into A^{dim M}, where
+e_s^dual is the dual basis under the symmetrizing form.  Restricting along it
+gives Higman's relative traces.  Either way stable homs need a symmetrizing
+form that passes validate_symmetric.
 
 The Tate construction turns the window of stable self-extensions of a module
 into a degree-windowed algebra: the degree-d component is represented by
@@ -30,7 +31,6 @@ coordinates against the lifted stable basis.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -354,18 +354,9 @@ def fd_algebra_from_json_dict(payload: dict) -> FDAlgebra:
             raise AlgebraFormatError("symmetrizing must be a vector of length dim")
     labels = payload.get("labels")
     if labels is not None:
-        if not isinstance(labels, list):
-            raise AlgebraFormatError("labels must be a list of names")
-        labels = tuple(str(x) for x in labels)
+        if not (isinstance(labels, list) and all(isinstance(name, str) for name in labels)):
+            raise AlgebraFormatError("labels must be a list of strings")
     return FDAlgebra(pf, dim, mult, unit, radical, lam, labels)
-
-
-def fd_algebra_from_json(text: str) -> FDAlgebra:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise AlgebraFormatError(f"invalid JSON: {exc}") from exc
-    return fd_algebra_from_json_dict(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -654,13 +645,12 @@ def hom_space(source: FDModule, target: FDModule) -> np.ndarray:
 def projective_factor_columns(source: FDModule, target: FDModule) -> np.ndarray:
     """Echelon columns (vec'd row-major) of the maps source -> target that factor through a projective.
 
-    Higman's criterion: over a symmetric algebra these maps are exactly the
-    relative traces Tr(f) = sum_s rho_T(e_s) f rho_S(e_s^dual) of the linear
-    maps f, so they are the column span of the (n*m)^2 matrix
-    sum_s rho_T(e_s) (x) rho_S(e_s^dual)^T acting on vec'd maps.  stable_hom
-    uses it only for a source with no recorded inclusion (the base module);
-    it is the oracle for the generator-coordinate span of a syzygy.  Raises
-    PreconditionError when the algebra has no validated symmetrizing form.
+    The test oracle for _projective_factor_span, by Higman's criterion: over
+    a symmetric algebra these maps are exactly the relative traces Tr(f) =
+    sum_s rho_T(e_s) f rho_S(e_s^dual) of the linear maps f, so they are the
+    column span of the (n*m)^2 matrix sum_s rho_T(e_s) (x) rho_S(e_s^dual)^T
+    acting on vec'd maps.  Raises PreconditionError when the algebra has no
+    validated symmetrizing form.
     """
     alg = source.algebra
     p, d = alg.p, alg.dim
@@ -673,19 +663,31 @@ def projective_factor_columns(source: FDModule, target: FDModule) -> np.ndarray:
     return col_echelon(trace, p)
 
 
+def _free_embedding(module: FDModule) -> np.ndarray:
+    """An injective module map from ``module`` into a free module, as (r*d, module.dim) columns.
+
+    A syzygy's recorded inclusion; otherwise the Casimir embedding x |->
+    sum_s e_s^dual (x) e_s x into A^{dim M}.  It is A-linear because the
+    Casimir element of a symmetric algebra is central, and lam (x) id splits it.
+    """
+    if module.inclusion is not None:
+        return module.inclusion
+    alg = module.algebra
+    d, m = alg.dim, module.dim
+    moved = matmul_mod(alg.dual_basis(), module.action.reshape(d, m * m), alg.p)
+    return moved.reshape(d, m, m).transpose(1, 0, 2).reshape(m * d, m)
+
+
 def _projective_factor_span(source: FDModule, target: FDModule) -> np.ndarray:
     """Spanning columns, in generator coordinates, of the maps source -> target through a projective.
 
-    For a syzygy (over a self-injective algebra) these are the restrictions
-    of the maps P -> target along its inclusion into a free module P: the
-    values on the generators of the free maps, with no elimination.
-    Otherwise they are the Higman columns evaluated on the generators.
+    Over a self-injective algebra these are the restrictions of the maps
+    P -> target along an embedding of the source into a free module P
+    (_free_embedding): the values on the source's generators of the free
+    maps, with no elimination.
     """
-    gens = minimal_cover(source).gens
-    if source.inclusion is not None:
-        return _free_values(source.inclusion[:, list(gens)], target)
-    pf = projective_factor_columns(source, target)
-    return _on_generators(pf.T.reshape(pf.shape[1], target.dim, source.dim), gens)
+    gens = list(minimal_cover(source).gens)
+    return _free_values(_free_embedding(source)[:, gens], target)
 
 
 @dataclass
@@ -736,13 +738,12 @@ class StableHom:
 def stable_hom(source: FDModule, target: FDModule) -> StableHom:
     """Stable hom space with a deterministic choice of basis representatives.
 
-    Both projective-factor criteria (restriction along a syzygy's
-    inclusion, Higman's relative traces) rest on self-injectivity, so the
-    algebra needs a validated symmetrizing form.  Representatives are the
-    canonical hom_space columns that grow the span beyond the projectively
-    factoring maps, scanned left to right: the pivot columns of one
-    reduction of [pf | hom] in generator coordinates that lie in the hom
-    block.  These depend only on the two spans, so they are the same as
+    The projective-factor maps (restrictions along an embedding into a
+    free module) rest on self-injectivity, so the algebra needs a validated
+    symmetrizing form.  Representatives are the canonical hom_space columns
+    that grow the span beyond the projectively factoring maps, scanned left
+    to right: the pivot columns of one reduction of [pf | hom] in generator
+    coordinates that lie in the hom block.  These depend only on the two spans, so they are the same as
     for the vec'd maps.
     """
     p = source.p
@@ -762,11 +763,11 @@ def stable_hom(source: FDModule, target: FDModule) -> StableHom:
 # ---------------------------------------------------------------------------
 
 
-def tate_ext(alg: FDAlgebra, module: FDModule, i: int, tower: SyzygyTower | None = None) -> StableHom:
+def tate_ext(module: FDModule, i: int, tower: SyzygyTower | None = None) -> StableHom:
     """Degree-i stable self-extensions as stable maps W_{i+t} -> W_t, t = max(0, -i).
 
-    That is W_i -> M for i >= 0 and M -> W_{-i} below.  Like stable_hom it
-    needs a validated symmetrizing form.
+    That is W_i -> M for i >= 0 and M -> W_{-i} below, over module.algebra.
+    Like stable_hom it needs a validated symmetrizing form.
     """
     if tower is None:
         tower = SyzygyTower(module)
@@ -777,8 +778,7 @@ def tate_ext(alg: FDAlgebra, module: FDModule, i: int, tower: SyzygyTower | None
 class _TateWorkspace:
     """One Tate-ring computation: the tower and a StableHom per (degree, shift)."""
 
-    def __init__(self, alg: FDAlgebra, module: FDModule):
-        self.alg = alg
+    def __init__(self, module: FDModule):
         self.module = module
         self.tower = SyzygyTower(module)
         self.homs: dict[tuple[int, int], StableHom] = {}
@@ -795,7 +795,7 @@ class _TateWorkspace:
         below = None if shift == max(0, -d) else self.hom_at(d, shift - 1)
         try:
             if below is None:
-                hom = tate_ext(self.alg, self.module, d, self.tower)
+                hom = tate_ext(self.module, d, self.tower)
             else:
                 src = self.tower.module(shift + d)
                 lifted = [omega_lift(self.tower, m, shift - 1 + d, shift - 1) for m in below.basis]
@@ -815,13 +815,13 @@ class _TateWorkspace:
             raise ArithmeticError(f"product solve in degree {d} at shift {shift}: {exc}") from exc
 
 
-def tate_ring(alg: FDAlgebra, module: FDModule, window: tuple[int, int]) -> WindowedGradedAlgebra:
-    """The stable self-extension algebra of a module, windowed by degree.
+def tate_ring(module: FDModule, window: tuple[int, int]) -> WindowedGradedAlgebra:
+    """The stable self-extension algebra of a module over module.algebra, windowed by degree.
 
     Requires a symmetrizing functional passing validate_symmetric (products
     in negative degrees live off self-injectivity); raises PreconditionError
-    otherwise.  The degree-d component is tate_ext(alg, module, d); the
-    products of classes in degrees i and j are computed at the common shift
+    otherwise.  The degree-d component is tate_ext(module, d); the products
+    of classes in degrees i and j are computed at the common shift
     s = max(0, -i-j, -i): the right factors are lifted above the left
     factors and composed after them, and all di*dj composites are solved at
     once against the equally lifted stable basis of degree i+j.
@@ -829,8 +829,9 @@ def tate_ring(alg: FDAlgebra, module: FDModule, window: tuple[int, int]) -> Wind
     lo, hi = int(window[0]), int(window[1])
     if not lo <= 0 <= hi:
         raise ValueError(f"window [{lo}, {hi}] must contain 0")
+    alg = module.algebra
     alg.dual_basis()  # the stable homs need it; fail before building the tower
-    ws = _TateWorkspace(alg, module)
+    ws = _TateWorkspace(module)
 
     dims = {d: ws.hom_at(d, max(0, -d)).dim for d in range(lo, hi + 1)}
     mult: dict[tuple[int, int], np.ndarray] = {}

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import util
 from .duality import form_from_functional, nondegenerate_products, selfdual_check
-from .exactlin import kernel_mod, matmul_mod, rank_mod, solve_mod
+from .exactlin import kernel_mod, matmul_mod, rank_mod, rref
 from .graded import GradedElement, GradedSubspace, WindowedGradedAlgebra, col_echelon
 from .report import FAIL, PASS, UNDERDETERMINED, CertifiedReport, PreconditionError
 
@@ -442,19 +442,15 @@ def is_regular_sequence2(
             pre = col_echelon(ker[:di, :], alg.p) if ker.shape[1] else np.zeros((di, 0), dtype=np.int64)
         else:
             pre = kernel_mod(lt, alg.p)
-        v = image_of_r(i - dr)
-        if pre.shape[1] == 0 or rank_mod(np.hstack([v, pre]), alg.p) == rank_mod(v, alg.p):
+        if pre.shape[1] == 0:
             return PASS, None
-        sol = None
-        for c in range(pre.shape[1]):
-            if v.shape[1] == 0:
-                if np.any(pre[:, c]):
-                    sol = pre[:, c]
-                    break
-            elif solve_mod(v, pre[:, c], alg.p) is None:
-                sol = pre[:, c]
-                break
-        return FAIL, {"witness_vector": sol.tolist() if sol is not None else None}
+        v = image_of_r(i - dr)
+        # the first pivot right of v is the first column of pre outside r*A^{i-|r|}
+        _, pivots = rref(np.hstack([v, pre]), alg.p)
+        outside = [c - v.shape[1] for c in pivots if c >= v.shape[1]]
+        if not outside:
+            return PASS, None
+        return FAIL, {"witness_vector": pre[:, outside[0]].tolist()}
 
     rep.clauses["second"] = CertifiedReport.sweep(
         "second_regular_mod_first", range(0, d_max + 1), regular_mod_first

@@ -20,12 +20,12 @@ def klein_alg():
 
 @pytest.fixture(scope="session")
 def klein_ring(klein_alg):
-    return tate_ring(klein_alg, trivial_module(klein_alg), (-3, 3))
+    return tate_ring(trivial_module(klein_alg), (-3, 3))
 
 
 @pytest.fixture(scope="session")
 def klein_ring_wide(klein_alg):
-    return tate_ring(klein_alg, trivial_module(klein_alg), (-4, 4))
+    return tate_ring(trivial_module(klein_alg), (-4, 4))
 
 
 @pytest.fixture(scope="session")
@@ -36,7 +36,7 @@ def cubic_alg():
 @pytest.fixture(scope="session")
 def cubic_ring(cubic_alg):
     """k[x]/(x^3) over F_3: the trivial module is periodic of period 2."""
-    return tate_ring(cubic_alg, trivial_module(cubic_alg), (-4, 4))
+    return tate_ring(trivial_module(cubic_alg), (-4, 4))
 
 
 @pytest.fixture(scope="session")

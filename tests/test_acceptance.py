@@ -40,8 +40,8 @@ def hh_rings():
     rings = {}
     for a, p in [(2, 2), (3, 2), (3, 3), (4, 2)]:
         alg = build_truncated_ci((a,), p)
-        env, bimod = stmod.regular_bimodule(alg)
-        rings[(a, p)] = stmod.tate_ring(env, bimod, (-2, 2))
+        _, bimod = stmod.regular_bimodule(alg)
+        rings[(a, p)] = stmod.tate_ring(bimod, (-2, 2))
     return rings
 
 
@@ -75,7 +75,7 @@ def test_2_degree_zero_stable_hochschild_two_variables():
             env, bimod = stmod.regular_bimodule(alg)
             assert env.dim == env_dim
             assert expected_hh0_dim(exponents, p) == want
-            assert stmod.tate_ext(env, bimod, 0).dim == want
+            assert stmod.tate_ext(bimod, 0).dim == want
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ def test_6_trivial_extension_depth_two(t2):
 
 def test_7_ext_dims_over_klein_four(klein_alg):
     with _verdict("Ext^n(k, k) dims over k[x,y]/(x^2, y^2) match series coefficients"):
-        got = [stmod.tate_ext(klein_alg, stmod.trivial_module(klein_alg), n).dim
+        got = [stmod.tate_ext(stmod.trivial_module(klein_alg), n).dim
                for n in range(5)]
         assert got == [expected_ext_dim_ci(2, n) for n in range(5)]
         assert got == [1, 2, 3, 4, 5]

@@ -339,7 +339,7 @@ def test_tate_emitted_ring_reingests_identically(klein_path, klein_alg, tmp_path
     assert rc == 0
     text = emitted.read_text(encoding="utf-8")
     ring = algebra_from_json(text)
-    direct = stmod.tate_ring(klein_alg, stmod.trivial_module(klein_alg), (-2, 2))
+    direct = stmod.tate_ring(stmod.trivial_module(klein_alg), (-2, 2))
     assert ring == direct
     # and the emitted file is itself analyzable
     assert main(["analyze", str(emitted)]) == 0
@@ -410,6 +410,17 @@ def test_tate_rejects_a_non_associative_algebra(tmp_path, cubic_alg, capsys):
     assert main(["tate", str(path)]) == 2
     err = capsys.readouterr().err
     assert "associativity" in err
+    assert "Traceback" not in err
+
+
+def test_tate_labels_that_are_not_strings_exit_two(tmp_path, klein_alg, capsys):
+    payload = klein_alg.to_json_dict()
+    payload["labels"] = [[1, 2], 5, None, {"a": 1}]
+    path = tmp_path / "labels.json"
+    path.write_text(canonical_json(payload), encoding="utf-8")
+    assert main(["tate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "labels must be a list of strings" in err
     assert "Traceback" not in err
 
 

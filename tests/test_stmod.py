@@ -8,7 +8,8 @@ target and must agree with the relative-trace (Higman) columns.  The dense
 oracle solves for all n*m entries of a map, commuting with each algebra
 generator, and must agree with the generator-coordinate hom spaces; the
 Higman columns in turn must span the generator-coordinate projective-factor
-maps of a syzygy.  The dense free module writes out the block-diagonal action
+maps, restricted along a syzygy's inclusion or the base module's Casimir
+embedding.  The dense free module writes out the block-diagonal action
 matrices of A^r that stmod never forms; the blockwise free action must agree
 with it.
 """
@@ -34,6 +35,7 @@ from gtl.stmod import (
     FDModule,
     SyzygyTower,
     _free_action,
+    _free_embedding,
     _on_generators,
     _projective_factor_span,
     _TateWorkspace,
@@ -273,6 +275,7 @@ def test_fd_json_rejects_malformed_payloads(klein_alg):
         lambda d: d.update(mult=[[[2**70] * 4] * 4] * 4),
         lambda d: d.update(radical=[[2**70]] * 4),
         lambda d: d.update(labels=5),
+        lambda d: d.update(labels=[1, 2, 3, 4]),
         lambda d: d.update(field_char=2.0),
         lambda d: d.update(dim=4.0),
         lambda d: d.update(mult=[[[1.9] * 4] * 4] * 4),
@@ -458,7 +461,7 @@ def test_maps_from_free_modules_are_stably_zero(klein_alg):
     # the tower of a free module stops at the zero module
     tower = SyzygyTower(free)
     assert tower.module(1).dim == 0 and tower.ranks(3) == [1, 0, 0]
-    assert [tate_ext(klein_alg, free, i, tower).dim for i in (-1, 1, 2)] == [0, 0, 0]
+    assert [tate_ext(free, i, tower).dim for i in (-1, 1, 2)] == [0, 0, 0]
 
 
 def test_stable_hom_needs_a_validated_symmetrizing_form(klein_alg):
@@ -569,17 +572,18 @@ def test_higman_columns_match_the_cover_oracle(exponents, p, module, rebase):
             assert np.array_equal(got, want), (a, b)
 
 
-def _tower_pairs(case):
-    """Maps W_a -> W_b down the tower of a HIGMAN_CASES entry, a, b <= 3 with a + b <= 4."""
+def _base_module(case) -> FDModule:
+    """The module at the bottom of the tower of a HIGMAN_CASES entry."""
     exponents, p, module, rebase = case
     alg = build_truncated_ci(exponents, p)
     if rebase:
         alg = unitriangular_rebase(alg)
-    if module == "bimodule":
-        alg, mod = regular_bimodule(alg)
-    else:
-        mod = trivial_module(alg)
-    tower = SyzygyTower(mod)
+    return regular_bimodule(alg)[1] if module == "bimodule" else trivial_module(alg)
+
+
+def _tower_pairs(case):
+    """Maps W_a -> W_b down the tower of a HIGMAN_CASES entry, a, b <= 3 with a + b <= 4."""
+    tower = SyzygyTower(_base_module(case))
     for a in range(4):
         for b in range(min(4, 5 - a)):
             yield (a, b), tower.module(a), tower.module(b)
@@ -597,6 +601,25 @@ def check_against_the_dense_oracle(source: FDModule, target: FDModule, where=Non
     _, pivots = rref(np.hstack([higman, dense]), p)
     want = [dense[:, c - higman.shape[1]].tolist() for c in pivots if c >= higman.shape[1]]
     assert [b.reshape(-1).tolist() for b in stable_hom(source, target).basis] == want, where
+
+
+def check_free_embedding(module: FDModule) -> None:
+    """_free_embedding of the base module is an injective module map into a free module."""
+    alg = module.algebra
+    emb = _free_embedding(module)
+    assert module.inclusion is None and emb.shape == (module.dim * alg.dim, module.dim)
+    assert rank_mod(emb, alg.p) == module.dim
+    moved = _free_action(alg, emb)
+    for s in range(alg.dim):
+        assert np.array_equal(moved[s], matmul_mod(emb, module.action[s], alg.p)), s
+
+
+@pytest.mark.parametrize("case", HIGMAN_CASES)
+def test_free_embedding_is_an_injective_module_map(case):
+    base = _base_module(case)
+    check_free_embedding(base)
+    w1 = SyzygyTower(base).module(1)
+    assert _free_embedding(w1) is w1.inclusion
 
 
 @pytest.mark.parametrize("case", HIGMAN_CASES)
@@ -623,6 +646,7 @@ def test_hom_space_matches_the_dense_oracle_in_random_bases(case, data):
         alg, mod = regular_bimodule(alg)
     else:
         mod = trivial_module(alg)
+    check_free_embedding(mod)
     tower = SyzygyTower(mod)
     source = tower.module(data.draw(hst.integers(0, 2), label="a"))
     target = tower.module(data.draw(hst.integers(0, 2), label="b"))
@@ -630,7 +654,7 @@ def test_hom_space_matches_the_dense_oracle_in_random_bases(case, data):
 
 
 def test_stacked_coordinates_match_single_solves(klein_alg):
-    ws = _TateWorkspace(klein_alg, trivial_module(klein_alg))
+    ws = _TateWorkspace(trivial_module(klein_alg))
     st = ws.hom_at(1, 2)
     shape = (st.target.dim, st.source.dim)
     pf = projective_factor_columns(st.source, st.target)
@@ -648,7 +672,7 @@ def test_stacked_coordinates_match_single_solves(klein_alg):
 
 
 def test_product_solve_errors_name_degree_and_shift(klein_alg):
-    ws = _TateWorkspace(klein_alg, trivial_module(klein_alg))
+    ws = _TateWorkspace(trivial_module(klein_alg))
     st = ws.hom_at(1, 2)
     not_a_module_map = np.zeros((1, st.target.dim, st.source.dim), dtype=np.int64)
     not_a_module_map[0, 0, 0] = 1
@@ -662,7 +686,7 @@ def test_stable_basis_errors_name_degree_and_shift(monkeypatch, klein_alg, stage
         raise ArithmeticError("injected failure")
 
     monkeypatch.setattr(stmod, stage, fail)
-    ws = _TateWorkspace(klein_alg, trivial_module(klein_alg))
+    ws = _TateWorkspace(trivial_module(klein_alg))
     with pytest.raises(ArithmeticError) as info:
         ws.coordinates_at(1, 2, np.zeros((1, 1, 1), dtype=np.int64))
     # named once, at the step that failed, not again by the steps above it
@@ -721,7 +745,7 @@ def test_omega_lift_preserves_the_identity(klein_alg):
 def test_tate_ext_dims_match_both_sides_of_zero(klein_alg):
     k = trivial_module(klein_alg)
     tower = SyzygyTower(k)
-    dims = [tate_ext(klein_alg, k, d, tower).dim for d in range(-3, 4)]
+    dims = [tate_ext(k, d, tower).dim for d in range(-3, 4)]
     assert dims == [3, 2, 1, 1, 2, 3, 4]
 
 
@@ -746,7 +770,7 @@ def test_klein_ring_products_are_commutative(klein_ring):
 
 def test_periodic_hypersurface_ring():
     alg = build_truncated_ci((2,), 2)
-    ring = tate_ring(alg, trivial_module(alg), (-3, 3))
+    ring = tate_ring(trivial_module(alg), (-3, 3))
     assert [ring.dim(d) for d in ring.degrees()] == [1] * 7
     assert ring.validate().passed
     # the degree-1 class is invertible: its negative powers multiply back up
@@ -775,7 +799,7 @@ def test_emitted_ring_bytes_are_pinned(algebra, module, window, digest):
         alg, mod = regular_bimodule(alg)
     else:
         mod = trivial_module(alg)
-    text = algebra_to_json(tate_ring(alg, mod, window))
+    text = algebra_to_json(tate_ring(mod, window))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -795,13 +819,25 @@ def record_rref_shapes(monkeypatch) -> list[tuple[int, int]]:
     return sizes
 
 
-def test_tate_ring_eliminates_nothing_wider_than_the_base_higman_matrix(monkeypatch):
-    # generator coordinates: on k[x]/(x^6) bimodule the largest elimination
-    # is the (n*m)^2 Higman matrix of M -> W_1 at the base, 180 x 180
+def test_tate_ring_eliminates_nothing_wider_than_a_syzygy_cover(monkeypatch):
+    # generator coordinates and the Casimir embedding of the base module: on
+    # k[x]/(x^6) bimodule the largest elimination is minimal_cover's J*W_1
+    # reduction (35 radical columns by dim W_1 = 30), 1050 x 30
     sizes = record_rref_shapes(monkeypatch)
-    alg, mod = regular_bimodule(build_truncated_ci((6,), 3))
-    tate_ring(alg, mod, (-2, 2))
-    assert sizes and max(r * c for r, c in sizes) <= 180 * 180
+    _, mod = regular_bimodule(build_truncated_ci((6,), 3))
+    tate_ring(mod, (-2, 2))
+    assert sizes and max(r * c for r, c in sizes) <= 1050 * 30
+
+
+def test_tate_ring_never_calls_the_higman_oracle(monkeypatch, klein_alg):
+    def refuse(source, target):
+        raise AssertionError("projective_factor_columns called")
+
+    monkeypatch.setattr(stmod, "projective_factor_columns", refuse)
+    ring = tate_ring(trivial_module(klein_alg), (-3, 3))
+    assert [ring.dim(d) for d in ring.degrees()] == [3, 2, 1, 1, 2, 3, 4]
+    _, mod = regular_bimodule(build_truncated_ci((3,), 3))
+    assert [tate_ring(mod, (-2, 2)).dim(d) for d in range(-2, 3)] == [3] * 5
 
 
 def test_tate_ring_never_builds_a_free_module(monkeypatch, klein_alg):
@@ -811,10 +847,10 @@ def test_tate_ring_never_builds_a_free_module(monkeypatch, klein_alg):
         raise AssertionError(f"free_module({rank}) built")
 
     monkeypatch.setattr(stmod, "free_module", refuse)
-    ring = tate_ring(klein_alg, trivial_module(klein_alg), (-3, 3))
+    ring = tate_ring(trivial_module(klein_alg), (-3, 3))
     assert [ring.dim(d) for d in ring.degrees()] == [3, 2, 1, 1, 2, 3, 4]
-    alg, mod = regular_bimodule(build_truncated_ci((3,), 3))
-    tate_ring(alg, mod, (-2, 2))
+    _, mod = regular_bimodule(build_truncated_ci((3,), 3))
+    tate_ring(mod, (-2, 2))
 
 
 @pytest.mark.parametrize("which", ["trivial", "bimodule", "syzygy"])
@@ -839,17 +875,17 @@ def test_tate_ring_requires_symmetrizing_form(klein_alg):
         klein_alg.field, klein_alg.dim, klein_alg.mult, klein_alg.unit, klein_alg.radical
     )
     with pytest.raises(PreconditionError):
-        tate_ring(bare, trivial_module(bare), (-2, 2))
+        tate_ring(trivial_module(bare), (-2, 2))
 
 
 def test_tate_ring_window_must_contain_zero(klein_alg):
     with pytest.raises(ValueError):
-        tate_ring(klein_alg, trivial_module(klein_alg), (1, 3))
+        tate_ring(trivial_module(klein_alg), (1, 3))
 
 
 def test_hh0_of_klein_four(klein_alg):
-    env, bim = regular_bimodule(klein_alg)
-    assert tate_ext(env, bim, 0).dim == expected_hh0_dim((2, 2), 2) == 4
+    _, bim = regular_bimodule(klein_alg)
+    assert tate_ext(bim, 0).dim == expected_hh0_dim((2, 2), 2) == 4
 
 
 # -- the independent Yoneda oracle ------------------------------------------------------
@@ -900,7 +936,7 @@ def test_products_agree_with_yoneda_composition(klein_alg, klein_ring):
     k = trivial_module(klein_alg)
     tower = SyzygyTower(k)
     tower.module(4)
-    ext = {d: tate_ext(klein_alg, k, d, tower) for d in (1, 2, 3)}
+    ext = {d: tate_ext(k, d, tower) for d in (1, 2, 3)}
     for i, j in ((1, 1), (1, 2), (2, 1)):
         block = klein_ring.mult_block(i, j)
         target = ext[i + j]

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gtl.exactlin import kernel_mod, rank_mod, solve_mod
 from gtl.gallery import build_trivial_extension
-from gtl.graded import GradedSubspace
-from gtl.report import FAIL, PASS, UNDERDETERMINED, PreconditionError
+from gtl.graded import GradedSubspace, col_echelon
+from gtl.report import FAIL, PASS, UNDERDETERMINED, CertifiedReport, PreconditionError
 from gtl.structure import (
     check_orthogonality,
     check_periodicity,
@@ -215,6 +216,61 @@ def test_repeated_element_is_not_a_regular_sequence(t2):
 def test_regular_sequence_rejects_nonpositive_degrees(t2):
     with pytest.raises(ValueError):
         is_regular_sequence2(t2, t2.one(), t2.element_by_label("w1"))
+
+
+def reference_second_clause(alg, r, rt) -> CertifiedReport:
+    """The "second" clause of is_regular_sequence2: two ranks, then one solve per preimage column."""
+    dr, rvec = r.homogeneous_part()
+    drt, rtvec = rt.homogeneous_part()
+    p, d_max = alg.p, alg.window[1]
+
+    def image_of_r(src):
+        if not alg.in_window(src) or alg.dim(src) == 0:
+            return np.zeros((alg.dim(src + dr), 0), dtype=np.int64)
+        return col_echelon(alg.left_mult_matrix(dr, rvec, src), p)
+
+    def regular_mod_first(i):
+        if i + drt > d_max:
+            return None
+        di = alg.dim(i)
+        if di == 0:
+            return PASS, None
+        lt = alg.left_mult_matrix(drt, rtvec, i)
+        w = image_of_r(i + drt - dr)
+        if w.shape[1]:
+            ker = kernel_mod(np.hstack([lt, (-w) % p]), p)
+            pre = col_echelon(ker[:di, :], p) if ker.shape[1] else np.zeros((di, 0), dtype=np.int64)
+        else:
+            pre = kernel_mod(lt, p)
+        v = image_of_r(i - dr)
+        if pre.shape[1] == 0 or rank_mod(np.hstack([v, pre]), p) == rank_mod(v, p):
+            return PASS, None
+        sol = None
+        for c in range(pre.shape[1]):
+            if v.shape[1] == 0:
+                if np.any(pre[:, c]):
+                    sol = pre[:, c]
+                    break
+            elif solve_mod(v, pre[:, c], p) is None:
+                sol = pre[:, c]
+                break
+        return FAIL, {"witness_vector": sol.tolist()}
+
+    return CertifiedReport.sweep("second_regular_mod_first", range(0, d_max + 1), regular_mod_first)
+
+
+def test_regular_sequence_witnesses_match_the_solve_loop():
+    # every pair of basis elements in degrees 1 and 2; most fail in some degree
+    failing = 0
+    for nvars, window, p in ((2, (-4, 3), 2), (3, (-3, 4), 2), (2, (-3, 4), 3)):
+        alg = build_trivial_extension(nvars, window, p)
+        elements = [alg.basis_element(d, k) for d in (1, 2) for k in range(alg.dim(d))]
+        for r in elements:
+            for rt in elements:
+                got = is_regular_sequence2(alg, r, rt).clauses["second"].to_json_dict()
+                assert got == reference_second_clause(alg, r, rt).to_json_dict()
+                failing += not got["passed"]
+    assert failing == 79
 
 
 # -- depth-1 verifier -------------------------------------------------------------
