@@ -145,12 +145,13 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return _matmul_int64(a, b, p, term)
 
 
-def rref(mat, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+def rref(mat, p: int, pivot_cols: int | None = None) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns.
 
     Pivot choice: first row (top to bottom) with a nonzero entry, columns
     scanned left to right.  Pivots are normalized to 1 and cleared above and
-    below.
+    below.  With ``pivot_cols`` set, pivots are sought only in the first
+    ``pivot_cols`` columns; the row operations still act on every column.
 
     The reduction works in one owned copy.  Rows from the current one down are
     zero left of the pivot column, so swaps, scaling and clearing touch only
@@ -163,7 +164,7 @@ def rref(mat, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     r = 0
     # Array methods and basic slicing throughout: this loop runs once per
     # column, and on small matrices numpy's per-call overhead is the cost.
-    for c in range(cols):
+    for c in range(cols if pivot_cols is None else min(pivot_cols, cols)):
         if r == rows:
             break
         col = r_mat[:, c]
@@ -234,10 +235,11 @@ def solve_mod(mat, rhs, p: int) -> np.ndarray | None:
     the result matches its shape.  Returns None when any column is
     inconsistent.
 
-    One reduction of ``[mat | rhs]``: the pivots of ``mat`` are the same
-    greedy left-to-right choice as for ``mat`` alone, a pivot in the ``rhs``
-    block means some column is inconsistent, and otherwise each pivot row
-    holds the value of its pivot variable.
+    One reduction of ``[mat | rhs]`` that seeks pivots in the ``mat`` block
+    only: they are the same greedy left-to-right choice as for ``mat`` alone,
+    a nonzero ``rhs`` entry below the last pivot row means some column is
+    inconsistent, and otherwise each pivot row holds the value of its pivot
+    variable.
     """
     arr = np.asarray(mat, dtype=np.int64)
     b = np.asarray(rhs, dtype=np.int64)
@@ -247,11 +249,12 @@ def solve_mod(mat, rhs, p: int) -> np.ndarray | None:
     m, n = arr.shape
     if b.shape[0] != m:
         raise ValueError(f"solve shape mismatch: {arr.shape} vs rhs {b.shape}")
-    red, pivots = rref(np.hstack([arr, b]), p)
-    if pivots and pivots[-1] >= n:
+    red, pivots = rref(np.hstack([arr, b]), p, n)
+    rank = len(pivots)
+    if red[rank:, n:].any():
         return None
     x = np.zeros((n, b.shape[1]), dtype=np.int64)
-    x[list(pivots)] = red[: len(pivots), n:]
+    x[list(pivots)] = red[:rank, n:]
     return x[:, 0] if vector_rhs else x
 
 

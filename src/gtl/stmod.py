@@ -25,8 +25,9 @@ The Tate construction turns the window of stable self-extensions of a module
 into a degree-windowed algebra: the degree-d component is represented by
 stable maps W_{d+t} -> W_t down the syzygy tower with t = max(0, -d), and
 products are computed by lifting both factors to a common shift (the right
-factor is lifted above the left one, then composed after it) and solving for
-coordinates against the lifted stable basis.
+factor is lifted above the left one, then composed after it, on the source's
+cover generators only) and solving for coordinates against the lifted stable
+basis, once per (degree, shift) system.
 """
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ from .graded import AlgebraFormatError, WindowedGradedAlgebra, col_echelon, int_
 from .report import FAIL, PASS, CertifiedReport, PreconditionError
 
 ROOT_SEARCH_MAX_CHAR = 1009
+
+# FDAlgebra's associativity check lists the nonzero products term by term
+# when that makes fewer than d^4 / _SPARSE_TERMS_PER_MADD terms, and
+# multiplies dense matrices (2 d^4 multiply-adds) otherwise: a listed term
+# costs about as much as this many multiply-adds in a float64 matrix product.
+_SPARSE_TERMS_PER_MADD = 128
 
 # Tate rings are built over algebras of dimension at most FD_DIM_BOUND: the
 # explicit format's dim, a truncated_polynomial shorthand's product of
@@ -60,10 +67,27 @@ def _kron(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return np.kron(a % p, b % p) % p
 
 
+def _side_by_side(stack: np.ndarray) -> np.ndarray:
+    """A stack of matrices (k, rows, cols) laid side by side as (rows, k*cols)."""
+    k, rows, cols = stack.shape
+    return stack.transpose(1, 0, 2).reshape(rows, k * cols)
+
+
 def _blocks_side_by_side(stack: np.ndarray, rows: int) -> np.ndarray:
     """The row blocks of ``stack``, ``rows`` rows each, laid side by side."""
-    blocks = stack.reshape(stack.shape[0] // rows, rows, stack.shape[1])
-    return blocks.transpose(1, 0, 2).reshape(rows, -1)
+    return _side_by_side(stack.reshape(stack.shape[0] // rows, rows, stack.shape[1]))
+
+
+def _csr_expand(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every stored entry of the given rows of a compressed-row layout.
+
+    Row v's entries sit at positions ptr[v] .. ptr[v+1]-1.  Returns, for
+    each entry of each listed row in turn, the index into ``rows`` it came
+    from and its position.
+    """
+    counts = ptr[rows + 1] - ptr[rows]
+    entry = np.repeat(np.arange(rows.size), counts)
+    return entry, ptr[rows][entry] + np.arange(entry.size) - (np.cumsum(counts) - counts)[entry]
 
 
 def _nilpotent(mat: np.ndarray, p: int) -> bool:
@@ -161,16 +185,7 @@ class FDAlgebra:
             bad = np.argwhere((left_unit - eye) % p) if not np.array_equal(left_unit, eye) else np.argwhere((right_unit - eye) % p)
             rep.add("unit", FAIL, {"entry": tuple(int(v) for v in bad[0])})
 
-        defect = None
-        flat_right = self.mult.reshape(d, d * d)
-        flat_left = self.mult.reshape(d * d, d)
-        for s in range(d):
-            lhs = matmul_mod(self.mult[s], flat_right, p).reshape(d, d, d)
-            rhs = matmul_mod(flat_left, self.mult[s], p).reshape(d, d, d)
-            if not np.array_equal(lhs, rhs):
-                t, u, v = (int(x) for x in np.argwhere((lhs - rhs) % p)[0])
-                defect = (s, t, u)
-                break
+        defect = self._associativity_defect()
         rep.add("associativity", PASS if defect is None else FAIL,
                 None if defect is None else {"triple": defect})
 
@@ -194,6 +209,50 @@ class FDAlgebra:
         codim_ok = rank_mod(r, p) == d - 1 and solve_mod(r, self.unit, p) is None
         rep.add("radical_codim_one", PASS if codim_ok else FAIL)
         return rep
+
+    def _associativity_defect(self) -> tuple[int, int, int] | None:
+        """The first basis triple (s, t, u), in lexicographic order, with (e_s e_t) e_u != e_s (e_t e_u).
+
+        For each s, with M = mult[s], the (t, u, w) entries of the two sides
+        are sums of products of two table entries:
+          (e_s e_t) e_u = sum_v M[t, v] (e_v e_u),
+          e_s (e_t e_u) = sum_v (e_t e_u)_v M[v, :].
+        Only nonzero entries contribute, and monomial and group tables have
+        few: then the nonzero products are listed term by term and summed by
+        (t, u, w).  When the terms for an s outnumber d^4 / _SPARSE_TERMS_PER_MADD,
+        both sides are multiplied out as dense matrices instead.
+        """
+        p, d = self.p, self.dim
+        right = self.mult.reshape(d, d * d)  # row v: the e_v e_u, (u, w) flattened
+        pairs = self.mult.reshape(d * d, d)  # row (t, u): e_t e_u
+        # the nonzeros of right by row v, and of pairs by column v
+        right_v, right_uw = np.nonzero(right)
+        right_vals, right_ptr = right[right_v, right_uw], np.searchsorted(right_v, np.arange(d + 1))
+        pairs_v, pairs_tu = np.nonzero(pairs.T)
+        pairs_vals, pairs_ptr = pairs.T[pairs_v, pairs_tu], np.searchsorted(pairs_v, np.arange(d + 1))
+        for s in range(d):
+            m_s = self.mult[s]
+            rows, cols = np.nonzero(m_s)
+            coef = m_s[rows, cols]
+            terms = int((right_ptr[cols + 1] - right_ptr[cols]).sum() + (pairs_ptr[rows + 1] - pairs_ptr[rows]).sum())
+            dense = terms * _SPARSE_TERMS_PER_MADD > d**4
+            if dense:  # both sides as (t, u, w) flattened
+                diff = matmul_mod(m_s, right, p).reshape(-1) - matmul_mod(pairs, m_s, p).reshape(-1)
+            else:
+                # left side: M[t, v] times each nonzero e_v e_u; right side:
+                # M[v, w] times each nonzero (e_t e_u)_v
+                entry, at = _csr_expand(right_ptr, cols)
+                lhs_keys, lhs_vals = rows[entry] * (d * d) + right_uw[at], coef[entry] * right_vals[at]
+                entry, at = _csr_expand(pairs_ptr, rows)
+                rhs_keys, rhs_vals = pairs_tu[at] * d + cols[entry], coef[entry] * pairs_vals[at]
+                keys, slot = np.unique(np.concatenate([lhs_keys, rhs_keys]), return_inverse=True)
+                diff = np.zeros(keys.size, dtype=np.int64)
+                np.add.at(diff, slot, np.concatenate([lhs_vals % p, -(rhs_vals % p)]))
+            bad = np.flatnonzero(diff % p)
+            if bad.size:
+                key = int(bad[0] if dense else keys[bad[0]])
+                return (s, key // (d * d), key // d % d)
+        return None
 
     def validate_symmetric(self) -> CertifiedReport:
         """The symmetrizing functional induces a symmetric nondegenerate form."""
@@ -569,26 +628,33 @@ class SyzygyTower:
 
 
 def omega_lift(tower: SyzygyTower, mat: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Shift a module map W_a -> W_b one step up the tower, to W_{a+1} -> W_{b+1}.
+    """Shift module maps W_a -> W_b one step up the tower, to W_{a+1} -> W_{b+1}.
 
-    The map's values on W_a's cover generators (pi contracted with the
-    unit) are lifted through the cover of W_b by its section, extended
-    freely to P_a -> P_b (every e_s applied to the lifted values at once),
-    and restricted to the syzygies along their inclusions.
+    ``mat`` is one map (dim W_b, dim W_a) or a stack of them (k, dim W_b,
+    dim W_a), lifted together; the result has the same layout.  The maps'
+    values on W_a's cover generators (pi contracted with the unit) are
+    lifted through the cover of W_b by its section, extended freely to
+    P_a -> P_b (every e_s applied to the lifted values at once), and
+    restricted to the syzygies along their inclusions.
     """
     alg = tower.module(0).algebra
     p, d = alg.p, alg.dim
     ca, cb = minimal_cover(tower.module(a)), minimal_cover(tower.module(b))
     iota_a, iota_b = tower.module(a + 1).inclusion, tower.module(b + 1).inclusion
-    m_a, r_a = ca.pi.shape[0], len(ca.gens)
+    maps = np.asarray(mat, dtype=np.int64)
+    k = maps.shape[0] if maps.ndim == 3 else 1
+    n_b, m_a = maps.shape[-2:]
+    r_a, width = len(ca.gens), cb.section.shape[0]
     on_gens = matmul_mod(ca.pi.reshape(m_a * r_a, d), alg.unit[:, None], p).reshape(m_a, r_a)
-    lifted = matmul_mod(cb.section, matmul_mod(mat, on_gens, p), p)
-    free_map = _free_action(alg, lifted).transpose(1, 2, 0).reshape(lifted.shape[0], r_a * d)
-    moved = matmul_mod(free_map, iota_a, p)
-    out = moved[cb.kernel_rows]
-    if not np.array_equal(matmul_mod(iota_b, out, p), moved):
+    values = matmul_mod(maps.reshape(k * n_b, m_a), on_gens, p)
+    values = values.reshape(k, n_b, r_a).transpose(1, 0, 2).reshape(n_b, k * r_a)
+    lifted = matmul_mod(cb.section, values, p)
+    free_map = _free_action(alg, lifted).reshape(d, width, k, r_a).transpose(2, 1, 3, 0)
+    moved = matmul_mod(free_map.reshape(k * width, r_a * d), iota_a, p).reshape(k, width, iota_a.shape[1])
+    out = moved[:, cb.kernel_rows]
+    if not np.array_equal(matmul_mod(iota_b, _side_by_side(out), p), _side_by_side(moved)):
         raise ArithmeticError(f"omega lift of W_{a} -> W_{b}: lifted map does not preserve kernels")
-    return out
+    return out if maps.ndim == 3 else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -612,11 +678,22 @@ def _free_values(cols: np.ndarray, target: FDModule) -> np.ndarray:
     return vals.reshape(k, r, n, n).transpose(0, 2, 1, 3).reshape(k * n, r * n)
 
 
+def _generator_columns(values: np.ndarray) -> np.ndarray:
+    """Generator coordinates of maps given by their values on the cover generators.
+
+    ``values`` is (..., n, r), the map's column b being its value on
+    generator b; the result has one column per map (lead axes flattened in
+    C order) holding generator b's value at rows b*n .. b*n+n-1.
+    """
+    n, r = values.shape[-2:]
+    axes = (values.ndim - 1, values.ndim - 2, *range(values.ndim - 2))
+    return values.transpose(axes).reshape(r * n, int(np.prod(values.shape[:-2])))
+
+
 def _on_generators(maps: np.ndarray, gens: tuple[int, ...]) -> np.ndarray:
     """Generator coordinates of a stack of maps (c, n, m): column i holds
     the values on the cover generators, generator b's at rows b*n .. b*n+n-1."""
-    picked = maps[:, :, list(gens)]
-    return picked.transpose(2, 1, 0).reshape(len(gens) * maps.shape[1], maps.shape[0])
+    return _generator_columns(maps[:, :, list(gens)])
 
 
 def hom_space(source: FDModule, target: FDModule) -> np.ndarray:
@@ -694,14 +771,15 @@ def _projective_factor_span(source: FDModule, target: FDModule) -> np.ndarray:
 class StableHom:
     """Hom modulo maps factoring through a projective, with chosen representatives.
 
-    ``basis`` holds matrices whose classes form a basis of the stable hom
-    space; ``pf_gen`` spans the projectively-factoring maps in generator
-    coordinates (the layout of _on_generators).
+    ``basis`` is a stack (dim, target.dim, source.dim) of maps whose classes
+    form a basis of the stable hom space; ``pf_gen`` spans the
+    projectively-factoring maps in generator coordinates (the layout of
+    _generator_columns).
     """
 
     source: FDModule
     target: FDModule
-    basis: list[np.ndarray]
+    basis: np.ndarray
     pf_gen: np.ndarray
 
     @property
@@ -713,23 +791,30 @@ class StableHom:
 
         ``mat`` is one map (target.dim, source.dim) or a stack of them
         (..., target.dim, source.dim); the result has shape (..., dim).
-        Evaluation on the source's generators is injective on module maps,
-        so the whole stack is one solve of [basis | pf_gen] on r*n rows.
+        A module map is fixed by its values on the source's cover
+        generators, so this is generator_coordinates of those columns.
         """
-        p = self.source.p
-        n, m = self.target.dim, self.source.dim
-        gens = minimal_cover(self.source).gens
-        maps = np.asarray(mat, dtype=np.int64)
-        lead = maps.shape[:-2]
-        rhs = _on_generators(maps.reshape(int(np.prod(lead)), n, m), gens)
-        basis = np.stack(self.basis) if self.basis else np.zeros((0, n, m), dtype=np.int64)
-        sol = solve_mod(np.hstack([_on_generators(basis, gens), self.pf_gen]), rhs, p)
+        gens = list(minimal_cover(self.source).gens)
+        return self.generator_coordinates(np.asarray(mat, dtype=np.int64)[..., gens])
+
+    def generator_coordinates(self, values: np.ndarray) -> np.ndarray:
+        """Coefficients of module maps' stable classes, from their values on the cover generators.
+
+        ``values`` is (..., target.dim, r): column b of each map is its
+        value on the source's cover generator b.  The result has shape
+        (..., dim).  Evaluation on the generators is injective on module
+        maps, so the whole stack is one solve of [basis | pf_gen] on r*n
+        rows; a stack outside that span raises ArithmeticError.
+        """
+        values = np.asarray(values, dtype=np.int64)
+        system = np.hstack([_on_generators(self.basis, minimal_cover(self.source).gens), self.pf_gen])
+        sol = solve_mod(system, _generator_columns(values), self.source.p)
         if sol is None:
             raise ArithmeticError(
                 "map is not in the span of the stable basis and the projectively-factoring "
                 "maps; the algebra is likely not self-injective"
             )
-        return sol[: self.dim].T.reshape(*lead, self.dim)
+        return sol[: self.dim].T.reshape(*values.shape[:-2], self.dim)
 
     def is_stably_zero(self, mat: np.ndarray) -> bool:
         return not np.any(self.coordinates(mat))
@@ -743,8 +828,10 @@ def stable_hom(source: FDModule, target: FDModule) -> StableHom:
     symmetrizing form.  Representatives are the canonical hom_space columns
     that grow the span beyond the projectively factoring maps, scanned left
     to right: the pivot columns of one reduction of [pf | hom] in generator
-    coordinates that lie in the hom block.  These depend only on the two spans, so they are the same as
-    for the vec'd maps.
+    coordinates that lie in the hom block.  These depend only on the two
+    spans, so they are the same as for the vec'd maps.  The pivot columns in
+    the pf block are a basis of the projective-factor span; pf_gen keeps
+    just those.
     """
     p = source.p
     source.algebra.dual_basis()
@@ -754,8 +841,8 @@ def stable_hom(source: FDModule, target: FDModule) -> StableHom:
     hom_gen = _on_generators(hom.T.reshape(hom.shape[1], n, m), minimal_cover(source).gens)
     _, pivots = rref(np.hstack([pf, hom_gen]), p)
     n_pf = pf.shape[1]
-    kept = [hom[:, c - n_pf].reshape(n, m) for c in pivots if c >= n_pf]
-    return StableHom(source, target, kept, pf)
+    kept = [c - n_pf for c in pivots if c >= n_pf]
+    return StableHom(source, target, hom[:, kept].T.reshape(len(kept), n, m), pf[:, [c for c in pivots if c < n_pf]])
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +874,7 @@ class _TateWorkspace:
         """Degree d as stable maps W_{shift+d} -> W_{shift}.
 
         At the home shift max(0, -d) this is tate_ext; above it the basis is
-        the omega lift of the one a shift below.
+        the omega lift of the one a shift below, lifted in one call.
         """
         key = (d, shift)
         if key in self.homs:
@@ -798,7 +885,7 @@ class _TateWorkspace:
                 hom = tate_ext(self.module, d, self.tower)
             else:
                 src = self.tower.module(shift + d)
-                lifted = [omega_lift(self.tower, m, shift - 1 + d, shift - 1) for m in below.basis]
+                lifted = omega_lift(self.tower, below.basis, shift - 1 + d, shift - 1)
                 target = self.tower.module(shift)
                 hom = StableHom(src, target, lifted, _projective_factor_span(src, target))
         except ArithmeticError as exc:
@@ -806,11 +893,16 @@ class _TateWorkspace:
         self.homs[key] = hom
         return hom
 
-    def coordinates_at(self, d: int, shift: int, mat: np.ndarray) -> np.ndarray:
-        """Coefficients of maps W_{shift+d} -> W_{shift} (one or a stack) in the lifted basis."""
+    def coordinates_at(self, d: int, shift: int, values: np.ndarray) -> np.ndarray:
+        """Coefficients of maps W_{shift+d} -> W_{shift} in the lifted basis.
+
+        ``values`` holds the maps' values on the cover generators of
+        W_{shift+d}, (..., dim W_shift, r), as StableHom.generator_coordinates
+        takes them; the result has shape (..., dim).
+        """
         hom = self.hom_at(d, shift)
         try:
-            return hom.coordinates(mat)
+            return hom.generator_coordinates(values)
         except ArithmeticError as exc:
             raise ArithmeticError(f"product solve in degree {d} at shift {shift}: {exc}") from exc
 
@@ -823,8 +915,12 @@ def tate_ring(module: FDModule, window: tuple[int, int]) -> WindowedGradedAlgebr
     otherwise.  The degree-d component is tate_ext(module, d); the products
     of classes in degrees i and j are computed at the common shift
     s = max(0, -i-j, -i): the right factors are lifted above the left
-    factors and composed after them, and all di*dj composites are solved at
-    once against the equally lifted stable basis of degree i+j.
+    factors and composed after them.  Only the values on the cover
+    generators of W_{s+i+j} are composed, since they fix a module map.  The
+    blocks sharing a system, one (degree i+j, shift s) pair, are solved
+    together in one coordinates_at call against the equally lifted stable
+    basis of degree i+j, as soon as the last of them (in (i, j) order) is
+    composed.
     """
     lo, hi = int(window[0]), int(window[1])
     if not lo <= 0 <= hi:
@@ -834,21 +930,31 @@ def tate_ring(module: FDModule, window: tuple[int, int]) -> WindowedGradedAlgebr
     ws = _TateWorkspace(module)
 
     dims = {d: ws.hom_at(d, max(0, -d)).dim for d in range(lo, hi + 1)}
+    blocks = [(i, j) for i in range(lo, hi + 1) for j in range(lo, hi + 1)
+              if lo <= i + j <= hi and dims[i] and dims[j] and dims[i + j]]
+    systems = {(i, j): (i + j, max(0, -i - j, -i)) for i, j in blocks}
+    last = {system: block for block, system in systems.items()}
+    pending: dict[tuple[int, int], list] = {}
     mult: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(lo, hi + 1):
-        for j in range(lo, hi + 1):
-            if not lo <= i + j <= hi:
-                continue
-            di, dj, dk = dims[i], dims[j], dims[i + j]
-            if di == 0 or dj == 0 or dk == 0:
-                continue
-            s = max(0, -i - j, -i)
-            left = np.stack(ws.hom_at(i, s).basis)  # (di, dim W_s, dim W_{s+i})
-            right = np.stack(ws.hom_at(j, s + i).basis)  # (dj, dim W_{s+i}, dim W_{s+i+j})
-            a, b, c = left.shape[1], left.shape[2], right.shape[2]
-            comps = matmul_mod(left.reshape(di * a, b), right.transpose(1, 0, 2).reshape(b, dj * c), alg.p)
-            comps = comps.reshape(di, a, dj, c).transpose(0, 2, 1, 3)
-            mult[(i, j)] = ws.coordinates_at(i + j, s, comps)
+    for i, j in blocks:
+        k, s = systems[(i, j)]
+        left = ws.hom_at(i, s).basis  # (di, dim W_s, dim W_{s+i})
+        right = ws.hom_at(j, s + i).basis  # (dj, dim W_{s+i}, dim W_{s+i+j})
+        gens = list(minimal_cover(ws.tower.module(s + k)).gens)
+        (di, a, b), dj, r = left.shape, right.shape[0], len(gens)
+        comps = matmul_mod(left.reshape(di * a, b), _side_by_side(right[:, :, gens]), alg.p)
+        pending.setdefault((k, s), []).append(((i, j), comps.reshape(di, a, dj, r).transpose(0, 2, 1, 3)))
+        if last[(k, s)] != (i, j):
+            continue
+        done = pending.pop((k, s))
+        if len(done) == 1:
+            stack = done[0][1]
+        else:
+            stack = np.concatenate([values.reshape(-1, a, r) for _, values in done])
+        coords = ws.coordinates_at(k, s, stack).reshape(-1, dims[k])
+        ends = np.cumsum([values.shape[0] * values.shape[1] for _, values in done])
+        for (block, values), part in zip(done, np.split(coords, ends[:-1])):
+            mult[block] = part.reshape(*values.shape[:2], dims[k])
 
     unit = ws.hom_at(0, 0).coordinates(np.eye(module.dim, dtype=np.int64))
     return WindowedGradedAlgebra(alg.field, (lo, hi), dims, mult, unit)

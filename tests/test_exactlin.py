@@ -23,13 +23,13 @@ from gtl.exactlin import (
 # matmul_mod must agree with exactly.
 
 
-def reference_rref(mat, p):
-    """Full-width row reduction with the library's pivot rule."""
+def reference_rref(mat, p, pivot_cols=None):
+    """Full-width row reduction with the library's pivot rule, pivots sought in the first pivot_cols columns."""
     r_mat = np.array(mat, dtype=np.int64) % p
     rows, cols = r_mat.shape
     pivots = []
     r = 0
-    for c in range(cols):
+    for c in range(cols if pivot_cols is None else min(pivot_cols, cols)):
         if r == rows:
             break
         nz = np.flatnonzero(r_mat[r:, c])
@@ -289,13 +289,15 @@ def prime_and_matrix(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(prime_and_matrix())
-def test_rref_matches_the_reference(pm):
+@given(prime_and_matrix(), st.one_of(st.none(), st.integers(0, 9)))
+def test_rref_matches_the_reference(pm, pivot_cols):
     p, mat = pm
-    got, pivots = rref(mat, p)
-    want, want_pivots = reference_rref(mat, p)
+    got, pivots = rref(mat, p, pivot_cols)
+    want, want_pivots = reference_rref(mat, p, pivot_cols)
     assert pivots == want_pivots
     assert np.array_equal(got, want)
+    if pivot_cols is not None:
+        assert pivots == rref(mat[:, :pivot_cols], p)[1]
 
 
 @settings(max_examples=100, deadline=None)
@@ -307,17 +309,31 @@ def test_kernel_mod_matches_the_reference(pm):
 
 @st.composite
 def prime_and_system(draw):
-    """A system with one to three right-hand sides, consistent or not."""
+    """A system with one to three right-hand sides, consistent or not.
+
+    The "deficient" kind has rank below its row count: a consistent
+    right-hand side with one unit vector added to one column, which is
+    inconsistent whenever that unit vector leaves the column span.
+    """
     p = draw(st.sampled_from(DIFFERENTIAL_PRIMES))
-    mat = draw(matrices(p))
-    k = draw(st.integers(1, 3))
-    if draw(st.booleans()):
-        flat = draw(st.lists(entries(p), min_size=mat.shape[1] * k, max_size=mat.shape[1] * k))
-        x = np.array(flat, dtype=np.int64).reshape(mat.shape[1], k)
-        rhs = reference_matmul_mod(mat % p, x % p, p)
+
+    def shaped(rows, cols):
+        flat = draw(st.lists(entries(p), min_size=rows * cols, max_size=rows * cols))
+        return np.array(flat, dtype=np.int64).reshape(rows, cols)
+
+    kind = draw(st.sampled_from(["consistent", "random", "deficient"]))
+    if kind == "deficient":
+        rows = draw(st.integers(1, 8))
+        left = shaped(rows, draw(st.integers(0, rows - 1)))
+        mat = reference_matmul_mod(left % p, shaped(left.shape[1], draw(st.integers(0, 8))) % p, p)
     else:
-        flat = draw(st.lists(entries(p), min_size=mat.shape[0] * k, max_size=mat.shape[0] * k))
-        rhs = np.array(flat, dtype=np.int64).reshape(mat.shape[0], k)
+        mat = draw(matrices(p))
+    k = draw(st.integers(1, 3))
+    if kind == "random":
+        return p, mat, shaped(mat.shape[0], k)
+    rhs = reference_matmul_mod(mat % p, shaped(mat.shape[1], k) % p, p)
+    if kind == "deficient":
+        rhs[draw(st.integers(0, rows - 1)), draw(st.integers(0, k - 1))] += 1
     return p, mat, rhs
 
 

@@ -76,6 +76,86 @@ def test_validate_catches_broken_associativity(cubic_alg):
     assert rep.verdict_for("associativity") == FAIL
 
 
+def dense_associativity_defect(alg: FDAlgebra):
+    """The first (s, t, u) with (e_s e_t) e_u != e_s (e_t e_u), from all d^5 multiply-adds."""
+    p, d = alg.p, alg.dim
+    flat_right = alg.mult.reshape(d, d * d)
+    flat_left = alg.mult.reshape(d * d, d)
+    for s in range(d):
+        lhs = matmul_mod(alg.mult[s], flat_right, p).reshape(d, d, d)
+        rhs = matmul_mod(flat_left, alg.mult[s], p).reshape(d, d, d)
+        if not np.array_equal(lhs, rhs):
+            t, u, _ = (int(x) for x in np.argwhere((lhs - rhs) % p)[0])
+            return (s, t, u)
+    return None
+
+
+def check_validate_against_the_dense_loop(alg: FDAlgebra) -> dict:
+    """validate()'s report equals the one built on the dense associativity loop; returns it."""
+    got = alg.validate().to_json_dict()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FDAlgebra, "_associativity_defect", dense_associativity_defect)
+        want = alg.validate().to_json_dict()
+    assert got == want
+    return got
+
+
+def test_corrupted_associativity_report_matches_the_dense_loop(cubic_alg):
+    mult = cubic_alg.mult.copy()
+    mult[1, 2, 0] = 1  # x * x^2 = 1: (x x) x = x^2 x = 0, but x (x x) = x x^2 = 1
+    broken = FDAlgebra(cubic_alg.field, cubic_alg.dim, mult, cubic_alg.unit, cubic_alg.radical)
+    report = check_validate_against_the_dense_loop(broken)
+    entry = next(e for e in report["per_degree"] if e["i"] == "associativity")
+    assert entry["verdict"] == FAIL and entry["witness"] == {"triple": [1, 1, 1]}
+
+
+def elementary_abelian_group_algebra(rank: int) -> FDAlgebra:
+    """F2[C2^rank] in the group basis: e_g e_h = e_{g xor h}, a table with no zero product."""
+    d = 2**rank
+    mult = np.zeros((d, d, d), dtype=np.int64)
+    g = np.arange(d)
+    mult[g[:, None], g[None, :], g[:, None] ^ g[None, :]] = 1
+    radical = np.eye(d, dtype=np.int64)[:, 1:]
+    radical[0] = 1  # the g - 1 with g != 1
+    return FDAlgebra(PrimeField(2), d, mult, np.eye(d, dtype=np.int64)[0], radical)
+
+
+# small tables and the larger sparse ones (x^30, the group basis, (3,3,3)),
+# whose products are mostly listed term by term rather than multiplied densely
+ASSOCIATIVITY_ALGEBRAS = {
+    "klein-F2": lambda: build_truncated_ci((2, 2), 2),
+    "x^30-F2": lambda: build_truncated_ci((30,), 2),
+    "C2^4-group-F2": lambda: elementary_abelian_group_algebra(4),
+    "(3,3,3)-F3": lambda: build_truncated_ci((3, 3, 3), 3),
+    "cubic-F3": lambda: build_truncated_ci((3,), 3),
+    "2x3-F2": lambda: build_truncated_ci((2, 3), 2),
+    "x^5-F5": lambda: build_truncated_ci((5,), 5),
+    "(2,2,2)-F2": lambda: build_truncated_ci((2, 2, 2), 2),
+    "cubic-enveloping-F3": lambda: build_truncated_ci((3,), 3).enveloping(),
+    "triangular-F3": lambda: upper_triangular(3),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=hst.sampled_from(sorted(ASSOCIATIVITY_ALGEBRAS)), dense=hst.booleans(), data=hst.data())
+def test_associativity_matches_the_dense_loop_on_corrupted_tables(name, dense, data):
+    # monomial tables leave most products structurally zero; a unitriangular
+    # change of basis fills them in; up to three corrupted entries break
+    # associativity somewhere
+    alg = ASSOCIATIVITY_ALGEBRAS[name]()
+    p, d = alg.p, alg.dim
+    if dense:
+        below = data.draw(hst.lists(hst.integers(0, p - 1), min_size=d * d, max_size=d * d))
+        alg = rebase(alg, np.tril(np.array(below, dtype=np.int64).reshape(d, d), -1) + np.eye(d, dtype=np.int64))
+    mult = alg.mult.copy()
+    for _ in range(data.draw(hst.integers(0, 3))):
+        index = tuple(data.draw(hst.integers(0, d - 1)) for _ in range(3))
+        mult[index] = data.draw(hst.integers(0, p - 1))
+    broken = FDAlgebra(alg.field, d, mult, alg.unit, alg.radical)
+    assert broken._associativity_defect() == dense_associativity_defect(broken)
+    check_validate_against_the_dense_loop(broken)
+
+
 def test_validate_symmetric_needs_a_functional(klein_alg):
     bare = FDAlgebra(
         klein_alg.field, klein_alg.dim, klein_alg.mult, klein_alg.unit, klein_alg.radical
@@ -533,7 +613,7 @@ def rebase(alg: FDAlgebra, g: np.ndarray) -> FDAlgebra:
     mult = np.einsum("abu,vu->abv", products, ginv) % p
     return FDAlgebra(
         alg.field, d, mult, ginv @ alg.unit % p, ginv @ alg.radical % p,
-        g.T @ alg.symmetrizing % p,
+        None if alg.symmetrizing is None else g.T @ alg.symmetrizing % p,
     )
 
 
@@ -600,7 +680,11 @@ def check_against_the_dense_oracle(source: FDModule, target: FDModule, where=Non
     assert np.array_equal(col_echelon(span, p), col_echelon(on_gens, p)), where
     _, pivots = rref(np.hstack([higman, dense]), p)
     want = [dense[:, c - higman.shape[1]].tolist() for c in pivots if c >= higman.shape[1]]
-    assert [b.reshape(-1).tolist() for b in stable_hom(source, target).basis] == want, where
+    st = stable_hom(source, target)
+    assert [b.reshape(-1).tolist() for b in st.basis] == want, where
+    # pf_gen is a basis of the projective-factor span: its pivot columns only
+    assert rank_mod(st.pf_gen, p) == st.pf_gen.shape[1], where
+    assert np.array_equal(col_echelon(st.pf_gen, p), col_echelon(span, p)), where
 
 
 def check_free_embedding(module: FDModule) -> None:
@@ -653,17 +737,115 @@ def test_hom_space_matches_the_dense_oracle_in_random_bases(case, data):
     check_against_the_dense_oracle(source, target)
 
 
+def reference_omega_lift(tower: SyzygyTower, mat: np.ndarray, a: int, b: int) -> np.ndarray:
+    """omega_lift of a single map W_a -> W_b: section lift, free extension, restriction."""
+    alg = tower.module(0).algebra
+    p, d = alg.p, alg.dim
+    ca, cb = minimal_cover(tower.module(a)), minimal_cover(tower.module(b))
+    iota_a, iota_b = tower.module(a + 1).inclusion, tower.module(b + 1).inclusion
+    m_a, r_a = ca.pi.shape[0], len(ca.gens)
+    on_gens = matmul_mod(ca.pi.reshape(m_a * r_a, d), alg.unit[:, None], p).reshape(m_a, r_a)
+    lifted = matmul_mod(cb.section, matmul_mod(mat, on_gens, p), p)
+    free_map = _free_action(alg, lifted).transpose(1, 2, 0).reshape(lifted.shape[0], r_a * d)
+    moved = matmul_mod(free_map, iota_a, p)
+    out = moved[cb.kernel_rows]
+    assert np.array_equal(matmul_mod(iota_b, out, p), moved)
+    return out
+
+
+def check_batched_omega_lift(tower: SyzygyTower, a: int, b: int, where=None) -> None:
+    """One omega_lift of the stack of all maps W_a -> W_b equals the per-map reference loop."""
+    source, target = tower.module(a), tower.module(b)
+    hom = hom_space(source, target)
+    maps = hom.T.reshape(hom.shape[1], target.dim, source.dim)
+    got = omega_lift(tower, maps, a, b)
+    assert got.shape == (len(maps), tower.module(b + 1).dim, tower.module(a + 1).dim), where
+    for x, single in enumerate(maps):
+        want = reference_omega_lift(tower, single, a, b)
+        assert np.array_equal(got[x], want), (where, x)
+        assert np.array_equal(omega_lift(tower, single, a, b), want), (where, x)
+
+
+@pytest.mark.parametrize("case", HIGMAN_CASES)
+def test_batched_omega_lift_matches_the_per_map_loop(case):
+    tower = SyzygyTower(_base_module(case))
+    for a in range(3):
+        for b in range(3):
+            check_batched_omega_lift(tower, a, b, (a, b))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=hst.sampled_from([((2, 2), 2, "trivial"), ((2, 2), 3, "trivial"), ((3,), 3, "trivial"),
+                           ((3,), 2, "bimodule")]),
+    data=hst.data(),
+)
+def test_batched_omega_lift_matches_the_per_map_loop_in_random_bases(case, data):
+    exponents, p, module = case
+    alg = build_truncated_ci(exponents, p)
+    d = alg.dim
+    below = data.draw(hst.lists(hst.integers(0, p - 1), min_size=d * d, max_size=d * d))
+    alg = rebase(alg, np.tril(np.array(below, dtype=np.int64).reshape(d, d), -1) + np.eye(d, dtype=np.int64))
+    mod = regular_bimodule(alg)[1] if module == "bimodule" else trivial_module(alg)
+    tower = SyzygyTower(mod)
+    check_batched_omega_lift(tower, data.draw(hst.integers(0, 2), label="a"), data.draw(hst.integers(0, 2), label="b"))
+
+
+def vec_coordinates(st, maps: np.ndarray) -> np.ndarray | None:
+    """Stable coordinates of full maps by one solve on all n*m entries against the Higman columns."""
+    n, m = st.target.dim, st.source.dim
+    basis = st.basis.reshape(st.dim, n * m).T
+    pf = projective_factor_columns(st.source, st.target)
+    sol = solve_mod(np.hstack([basis, pf]), maps.reshape(-1, n * m).T, st.source.p)
+    return None if sol is None else sol[: st.dim].T.reshape(*maps.shape[:-2], st.dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=hst.sampled_from(HIGMAN_CASES), data=hst.data())
+def test_coordinates_of_full_maps_equal_those_of_their_generator_columns(case, data):
+    # random stacks of module maps: combinations of the stable basis and the
+    # Higman columns; an added non-module map takes the stack out of the span
+    ws = _TateWorkspace(_base_module(case))
+    d, shift = data.draw(hst.integers(-2, 2), label="degree"), data.draw(hst.integers(0, 1), label="above home")
+    st = ws.hom_at(d, max(0, -d) + shift)
+    p, n, m = st.source.p, st.target.dim, st.source.dim
+    gens = list(minimal_cover(st.source).gens)
+    pf = projective_factor_columns(st.source, st.target)
+    spanning = np.concatenate([st.basis, pf.T.reshape(-1, n, m)])
+    lead = tuple(data.draw(hst.lists(hst.integers(1, 3), min_size=0, max_size=2), label="lead"))
+    count = int(np.prod(lead)) * len(spanning)
+    coeffs = np.array(data.draw(hst.lists(hst.integers(0, p - 1), min_size=count, max_size=count)),
+                      dtype=np.int64).reshape(*lead, len(spanning))
+    maps = np.tensordot(coeffs, spanning, axes=1) % p
+    want = vec_coordinates(st, maps)
+    assert np.array_equal(want, coeffs[..., : st.dim])
+    assert np.array_equal(st.coordinates(maps), want)
+    assert np.array_equal(st.generator_coordinates(maps[..., gens]), want)
+    extra = np.array(data.draw(hst.lists(hst.integers(0, p - 1), min_size=n * m, max_size=n * m)),
+                     dtype=np.int64).reshape(n, m)
+    hom = hom_space(st.source, st.target)
+    hom_gen = _on_generators(hom.T.reshape(-1, n, m), gens)
+    if rank_mod(np.hstack([hom_gen, _on_generators(extra[None], gens)]), p) > rank_mod(hom_gen, p):
+        bad = maps.copy()
+        bad[(0,) * len(lead)] = (bad[(0,) * len(lead)] + extra) % p
+        assert vec_coordinates(st, bad) is None
+        with pytest.raises(ArithmeticError, match="not in the span"):
+            st.coordinates(bad)
+        with pytest.raises(ArithmeticError, match="not in the span"):
+            st.generator_coordinates(bad[..., gens])
+
+
 def test_stacked_coordinates_match_single_solves(klein_alg):
     ws = _TateWorkspace(trivial_module(klein_alg))
     st = ws.hom_at(1, 2)
     shape = (st.target.dim, st.source.dim)
     pf = projective_factor_columns(st.source, st.target)
     pf_maps = [pf[:, c].reshape(shape) for c in range(pf.shape[1])]
-    spanning = np.stack(st.basis + pf_maps)
+    spanning = np.concatenate([st.basis, pf_maps])
     assert st.dim > 0 and pf_maps
     coeffs = np.random.default_rng(0).integers(0, 2, size=(2, 3, len(spanning)))
     stack = np.einsum("xyg,gab->xyab", coeffs, spanning) % 2
-    got = ws.coordinates_at(1, 2, stack)
+    got = ws.coordinates_at(1, 2, stack[..., list(minimal_cover(st.source).gens)])
     assert got.shape == (2, 3, st.dim)
     for x in range(2):
         for y in range(3):
@@ -676,8 +858,9 @@ def test_product_solve_errors_name_degree_and_shift(klein_alg):
     st = ws.hom_at(1, 2)
     not_a_module_map = np.zeros((1, st.target.dim, st.source.dim), dtype=np.int64)
     not_a_module_map[0, 0, 0] = 1
+    values = not_a_module_map[..., list(minimal_cover(st.source).gens)]
     with pytest.raises(ArithmeticError, match="degree 1 at shift 2.*likely not self-injective"):
-        ws.coordinates_at(1, 2, not_a_module_map)
+        ws.coordinates_at(1, 2, values)
 
 
 @pytest.mark.parametrize("stage, shift", [("omega_lift", 1), ("tate_ext", 0)])
@@ -688,7 +871,8 @@ def test_stable_basis_errors_name_degree_and_shift(monkeypatch, klein_alg, stage
     monkeypatch.setattr(stmod, stage, fail)
     ws = _TateWorkspace(trivial_module(klein_alg))
     with pytest.raises(ArithmeticError) as info:
-        ws.coordinates_at(1, 2, np.zeros((1, 1, 1), dtype=np.int64))
+        # one map W_3 -> W_2 by its values on W_3's 4 cover generators
+        ws.coordinates_at(1, 2, np.zeros((1, 5, 4), dtype=np.int64))
     # named once, at the step that failed, not again by the steps above it
     assert str(info.value) == f"stable basis in degree 1 at shift {shift}: injected failure"
 
@@ -789,6 +973,8 @@ EMITTED_RING_SHA256 = [
     (((2, 2), 2), "trivial", (-9, 9), "be85638553c9e48803a1147db9853d4421bc9cb38a323720b2f337fde134badd"),
     (((2, 2, 2), 2), "trivial", (-5, 5), "9666bea01c62f64fca52d241bb8ed7b50b87ee6683e8a4596534496fef2e9381"),
     (((8,), 2), "bimodule", (-2, 2), "9dce33042a0d33ac4193577191aea40c5e35a5aa1d67fad6dcaad6dd6e1f12ec"),
+    (((6,), 3), "bimodule", (-2, 2), "15deb1e6a648297d8d6cf5a57f53b9954e0992019e40286af747724094f21407"),
+    (((2, 2, 2), 2), "bimodule", (-2, 2), "fa74e4d7cc3d8d65870d49a964658e5871120fa0a099614a6729fafc2d315bc1"),
 ]
 
 
@@ -807,9 +993,9 @@ def record_rref_shapes(monkeypatch) -> list[tuple[int, int]]:
     """Route every gtl binding of rref through a recorder of input shapes."""
     sizes = []
 
-    def recording_rref(mat, p):
+    def recording_rref(mat, p, pivot_cols=None):
         sizes.append(np.shape(mat))
-        return rref(mat, p)
+        return rref(mat, p, pivot_cols)
 
     for name, module in list(sys.modules.items()):
         if name == "gtl" or name.startswith("gtl."):
@@ -827,6 +1013,28 @@ def test_tate_ring_eliminates_nothing_wider_than_a_syzygy_cover(monkeypatch):
     _, mod = regular_bimodule(build_truncated_ci((6,), 3))
     tate_ring(mod, (-2, 2))
     assert sizes and max(r * c for r, c in sizes) <= 1050 * 30
+
+
+def test_tate_ring_solves_each_system_once_and_lifts_each_basis_once(monkeypatch, klein_alg):
+    # Klein four over F2 on [-7, 7]: the 169 nonzero product blocks share 64
+    # (degree, shift) systems, and 49 lifted bases sit above their home shift
+    systems, lifts = [], []
+    solve, lift = _TateWorkspace.coordinates_at, stmod.omega_lift
+
+    def counting_solve(ws, d, shift, values):
+        systems.append((d, shift))
+        return solve(ws, d, shift, values)
+
+    def counting_lift(tower, mat, a, b):
+        lifts.append((a, b))
+        return lift(tower, mat, a, b)
+
+    monkeypatch.setattr(_TateWorkspace, "coordinates_at", counting_solve)
+    monkeypatch.setattr(stmod, "omega_lift", counting_lift)
+    ring = tate_ring(trivial_module(klein_alg), (-7, 7))
+    assert sum(1 for i in ring.degrees() for j in ring.degrees() if ring.in_window(i + j)) == 169
+    assert len(systems) == len(set(systems)) == 64
+    assert len(lifts) == 49
 
 
 def test_tate_ring_never_calls_the_higman_oracle(monkeypatch, klein_alg):
