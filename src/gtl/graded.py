@@ -10,6 +10,11 @@ guessing.  The unit lives in degree 0 and is pinned at construction.
 Structure constants for a pair (i, j) form a tensor T of shape
 (dim i, dim j, dim i+j) with e_a * e_b = sum_c T[a, b, c] e_c.  Absent blocks
 mean the zero map.  All arithmetic is exact over F_p via gtl.exactlin.
+
+Associativity is certified term by term (associativity_failures): both sides
+of (ab)c = a(bc) are sums of products of two nonzero structure constants, so
+the work follows the nonzero constants, and it is done in runs of bounded
+size.  FDAlgebra's check is the one-degree case of the same routine.
 """
 
 from __future__ import annotations
@@ -31,7 +36,9 @@ class AlgebraFormatError(ValueError):
 # Size caps on input, so that a small file cannot ask for gigabytes: windows
 # stay within [-WINDOW_BOUND, WINDOW_BOUND], and a graded ring file may give no
 # degree more than DIM_BOUND basis elements.  The widest gallery, test and
-# benchmark ring has 45; one DIM_BOUND**3 structure block of int64 is 16 MiB.
+# benchmark ring has 45.  One DIM_BOUND**3 structure block of int64 is 16 MiB.
+# Beyond the blocks, validate holds runs of about _RUN_TERMS terms or dense
+# result cells, where one dense (d, d, d, d) side of a triple would be 2 GiB.
 WINDOW_BOUND = 32
 DIM_BOUND = 128
 
@@ -79,6 +86,203 @@ def col_echelon(mat: np.ndarray, p: int) -> np.ndarray:
         return np.zeros((mat.shape[0], 0), dtype=np.int64)
     red, piv = rref(mat.T, p)
     return red[: len(piv)].T.copy()
+
+
+# Associativity is certified term by term (associativity_failures), unless
+# dense block products are cheaper.  A listed term costs about as much as 150
+# to 250 multiply-adds of both sides in float64 matrix products (measured on
+# dense 27- to 64-dimensional tables), and a block product costs about
+# _PRODUCT_MADDS on top of its own multiply-adds, which decides small blocks.
+# A run of first factors is multiplied out densely when its terms cost more.
+_SPARSE_TERMS_PER_MADD = 256
+_PRODUCT_MADDS = 2**15
+# Terms (or dense result cells) held at once: the first factors are taken in
+# runs of about this many terms (one with more is a run of its own), so the
+# memory stays bounded however large the ring is.  The Klein-four Tate ring
+# on [-7, 7] has 8,976 terms and is one run.
+_RUN_TERMS = 2**14
+
+
+def _csr_expand(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every stored entry of the given rows of a compressed-row layout.
+
+    Row v's entries sit at positions ptr[v] .. ptr[v+1]-1.  Returns, for
+    each entry of each listed row in turn, the index into ``rows`` it came
+    from and its position.
+    """
+    counts = ptr[rows + 1] - ptr[rows]
+    entry = np.repeat(np.arange(rows.size), counts)
+    return entry, ptr[rows][entry] + np.arange(entry.size) - (np.cumsum(counts) - counts)[entry]
+
+
+def associativity_failures(
+    p: int, window: tuple[int, int], dims: dict[int, int], mult: dict[tuple[int, int], np.ndarray]
+) -> dict[int, tuple[int, int, tuple[int, int, int]]]:
+    """Where (ab)c = a(bc) fails, by the degree i of the first factor.
+
+    ``mult`` maps (i, j) to a structure tensor of shape (dims i, dims j,
+    dims i+j); an absent block is the zero map.  Only triples of degrees
+    (i, j, k) with i+j, j+k and i+j+k in the window are checked.  For each
+    failing degree i the value is (j, k, (a, b, c)): the first failing (j, k)
+    in order and, there, the first failing basis triple in C order, in local
+    indices.
+
+    Every nonzero constant e_a e_b = v e_x is listed once, in global basis
+    indices (degree by degree).  Both sides are joins of that list with
+    itself, (e_a e_b) e_c = sum_x v_abx e_x e_c and e_a (e_b e_c) =
+    sum_z v_bcz e_a e_z, so each of their terms is a pair of nonzero
+    constants keyed by (a, b, c, y), and the sides agree exactly when the
+    terms of each key sum to zero mod p.  The first factors a are taken in
+    runs of at most _RUN_TERMS terms (a single a may have more); a run whose
+    terms cost more than its dense block products is multiplied out densely
+    instead, in row chunks of at most _RUN_TERMS result cells.
+    """
+    lo, hi = window
+    sizes = [dims[d] for d in range(lo, hi + 1)]
+    start = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+    n = int(start[-1])
+    deg_of = np.repeat(np.arange(lo, hi + 1), sizes)
+    blocks = [table.ravel() for table in mult.values()]
+    flat = [table.nonzero()[0] for table in blocks]
+    V = np.concatenate([np.zeros(0, dtype=np.int64)] + [table[f] for table, f in zip(blocks, flat)])
+    # each block's degrees i, j, i+j, repeated for each of its nonzero constants
+    deg = np.repeat(np.array([(i, j, i + j) for i, j in mult], dtype=np.int64).reshape(-1, 3) - lo,
+                    [f.size for f in flat], axis=0).T
+    size = np.asarray(sizes, dtype=np.int64)[deg]
+    flat = np.concatenate([np.zeros(0, dtype=np.int64)] + flat)
+    A = flat // (size[1] * size[2]) + start[deg[0]]
+    B = flat // size[2] % size[1] + start[deg[1]]
+    X = flat % size[2] + start[deg[2]]
+    order = np.argsort(A, kind="stable")
+    A, B, X, V = A[order], B[order], X[order], V[order]
+    first_ptr = np.searchsorted(A, np.arange(n + 1))
+    by_out = np.argsort(X, kind="stable")
+    out_ptr = np.searchsorted(X[by_out], np.arange(n + 1))
+    # the constant (a, b, x) starts one term of (ab)c per constant (x, c, y)
+    # and one of a(bc) per constant (b', c, b); the first factors before a
+    # start terms_before[a] terms, and madds_before[a] dense multiply-adds
+    terms = np.concatenate([[0], np.cumsum(np.diff(first_ptr)[X] + np.diff(out_ptr)[B])])
+    terms_before = terms[first_ptr]
+    row_madds, products = _dense_costs(window, dims, mult)
+    madds_before = np.concatenate([[0], np.cumsum(row_madds[deg_of - lo])])
+    products_before = np.concatenate([[0], np.cumsum(products)])
+
+    def in_window(degree):
+        return (lo <= degree) & (degree <= hi)
+
+    def sparse_failures(a0: int, a1: int) -> dict:
+        run = slice(first_ptr[a0], first_ptr[a1])
+        ra, rb, rx, rv = A[run], B[run], X[run], V[run]
+        # (e_a e_b) e_c: the constant (a, b, x) times each (x, c, y)
+        entry, at = _csr_expand(first_ptr, rx)
+        keep = in_window(deg_of[rb[entry]] + deg_of[B[at]])
+        entry, at = entry[keep], at[keep]
+        lhs_keys = ((ra[entry] * n + rb[entry]) * n + B[at]) * n + X[at]
+        lhs_vals = rv[entry] * V[at] % p
+        # e_a (e_b e_c): the constant (a, z, y) times each (b, c, z)
+        entry, at = _csr_expand(out_ptr, rb)
+        at = by_out[at]
+        keep = in_window(deg_of[ra[entry]] + deg_of[A[at]])
+        entry, at = entry[keep], at[keep]
+        rhs_keys = ((ra[entry] * n + A[at]) * n + B[at]) * n + rx[entry]
+        rhs_vals = -rv[entry] * V[at] % p
+        keys = np.concatenate([lhs_keys, rhs_keys])
+        if not keys.size:
+            return {}
+        order = np.argsort(keys)
+        keys, vals = keys[order], np.concatenate([lhs_vals, rhs_vals])[order]
+        firsts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        bad = keys[firsts[np.add.reduceat(vals, firsts) % p != 0]]
+        a, b, c = bad // n**3, bad // n**2 % n, bad // n % n
+        # global indices order each degree's basis as the local ones do, so
+        # this is (i, j, k, a, b, c) order; keep the first of each degree i
+        order = np.lexsort((c, b, a, deg_of[c], deg_of[b], deg_of[a]))
+        found = {}
+        for f in order[np.unique(deg_of[a[order]], return_index=True)[1]]:
+            i, j, k = (int(deg_of[v]) for v in (a[f], b[f], c[f]))
+            found[i] = (j, k, (int(a[f] - start[i - lo]), int(b[f] - start[j - lo]), int(c[f] - start[k - lo])))
+        return found
+
+    def dense_failures(a0: int, a1: int) -> dict:
+        found = {}
+        for i in range(int(deg_of[a0]), int(deg_of[a1 - 1]) + 1):
+            r0, r1 = max(a0, start[i - lo]) - start[i - lo], min(a1, start[i - lo + 1]) - start[i - lo]
+            if r0 >= r1:
+                continue
+            for j, k in ((j, k) for j in range(lo, hi + 1) for k in range(lo, hi + 1)):
+                if in_window(i + j) and in_window(j + k) and in_window(i + j + k):
+                    bad = _dense_defect(p, mult, dims, i, j, k, int(r0), int(r1))
+                    if bad is not None:
+                        found[i] = (j, k, bad)
+                        break
+        return found
+
+    best: dict[int, tuple[int, int, tuple[int, int, int]]] = {}
+    a0 = 0
+    while a0 < n:
+        a1 = max(a0 + 1, int(np.searchsorted(terms_before, terms_before[a0] + _RUN_TERMS, side="right")) - 1)
+        run_products = products_before[deg_of[a1 - 1] - lo + 1] - products_before[deg_of[a0] - lo]
+        dense = madds_before[a1] - madds_before[a0] + run_products * _PRODUCT_MADDS
+        if (terms_before[a1] - terms_before[a0]) * _SPARSE_TERMS_PER_MADD > dense:
+            found = dense_failures(a0, a1)
+        else:
+            found = sparse_failures(a0, a1)
+        for i, failure in found.items():
+            if i not in best or failure < best[i]:
+                best[i] = failure
+        a0 = a1
+    return best
+
+
+def _dense_costs(window: tuple[int, int], dims: dict[int, int], mult: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Per degree i (indexed by i - lo): the multiply-adds of both dense sides
+    for one first factor in A^i, and the number of block products they take."""
+    lo, hi = window
+    shift = -3 * lo  # arrays below are indexed by degree + shift, from degree 3 lo on
+    dim = np.zeros(3 * (hi - lo) + 1, dtype=np.int64)
+    dim[lo + shift : hi + shift + 1] = [dims[d] for d in range(lo, hi + 1)]
+    present = np.zeros((dim.size, dim.size), dtype=bool)
+    for i, j in mult:
+        present[i + shift, j + shift] = True
+    i, j, k = np.ogrid[lo : hi + 1, lo : hi + 1, lo : hi + 1]
+    # blocks are present only inside the window, and dim is 0 outside it
+    lhs = present[i + shift, j + shift] & present[i + j + shift, k + shift] & (lo <= j + k) & (j + k <= hi)
+    rhs = present[j + shift, k + shift] & present[i + shift, j + k + shift] & (lo <= i + j) & (i + j <= hi)
+    cells = dim[j + shift] * dim[k + shift] * dim[i + j + k + shift]
+    madds = (cells * (lhs * dim[i + j + shift] + rhs * dim[j + k + shift])).sum(axis=(1, 2))
+    return madds, (lhs.astype(np.int64) + rhs).sum(axis=(1, 2))
+
+
+def _dense_defect(p, mult, dims, i: int, j: int, k: int, r0: int, r1: int) -> tuple[int, int, int] | None:
+    """First (a, b, c), r0 <= a < r1, in C order, where (ab)c != a(bc) in degrees (i, j, k).
+
+    A side that passes through an absent block is zero; the rows are taken
+    in chunks of at most _RUN_TERMS result cells.
+    """
+    t_ij, t_ij_k = mult.get((i, j)), mult.get((i + j, k))
+    t_jk, t_i_jk = mult.get((j, k)), mult.get((i, j + k))
+    has_lhs, has_rhs = t_ij is not None and t_ij_k is not None, t_jk is not None and t_i_jk is not None
+    if not (has_lhs or has_rhs):
+        return None
+    db, dc, dy = dims[j], dims[k], dims[i + j + k]
+    step = max(1, _RUN_TERMS // max(1, db * dc * dy))
+    for a in range(r0, r1, step):
+        rows = slice(a, min(a + step, r1))
+        diff = np.zeros((rows.stop - a, db, dc, dy), dtype=np.int64)
+        if has_lhs:
+            dx = dims[i + j]
+            diff += matmul_mod(t_ij[rows].reshape(-1, dx), t_ij_k.reshape(dx, dc * dy), p).reshape(diff.shape)
+        if has_rhs:
+            dz = dims[j + k]
+            rhs = matmul_mod(t_jk.reshape(db * dc, dz), t_i_jk[rows].transpose(1, 0, 2).reshape(dz, -1), p)
+            diff -= rhs.reshape(db, dc, -1, dy).transpose(2, 0, 1, 3)
+        # both sides are reduced into [0, p), so a nonzero difference is
+        # exactly a nonzero defect mod p
+        bad = np.flatnonzero(diff)
+        if bad.size:
+            at, b, c, _ = np.unravel_index(int(bad[0]), diff.shape)
+            return (a + int(at), int(b), int(c))
+    return None
 
 
 class WindowedGradedAlgebra:
@@ -242,11 +446,12 @@ class WindowedGradedAlgebra:
 
         One entry per degree i: PASS when 1*a = a = a*1 for all a in A^i and
         (ab)c = a(bc) for every triple starting in A^i whose partial and full
-        products stay inside the window.  The witness names the first failure.
-        A triple whose two sides each pass through an absent block is
-        certified without arithmetic, so the cost follows the present blocks.
+        products stay inside the window.  The witness names the first failure:
+        the unit laws first, then the first triple (i, j, k) in (j, k) order.
+        Associativity is certified term by term over the nonzero structure
+        constants (associativity_failures), in runs of bounded size.
         """
-        degrees = self.degrees()
+        failures = associativity_failures(self.p, self.window, self.dims, self.mult)
 
         def check_degree(i: int):
             di = self.dims[i]
@@ -261,53 +466,12 @@ class WindowedGradedAlgebra:
             if not np.array_equal(right_unit, eye):
                 col = int(np.flatnonzero((right_unit - eye) % self.p)[0] % di)
                 return FAIL, {"law": "unit", "side": "right", "degree": i, "index": col}
-            for j in degrees:
-                if not self.in_window(i + j):
-                    continue
-                for k in degrees:
-                    if not (self.in_window(j + k) and self.in_window(i + j + k)):
-                        continue
-                    bad = self._assoc_defect(i, j, k)
-                    if bad is not None:
-                        return FAIL, {"law": "associativity", "triple": (i, j, k), "indices": bad}
+            if i in failures:
+                j, k, bad = failures[i]
+                return FAIL, {"law": "associativity", "triple": (i, j, k), "indices": bad}
             return PASS, None
 
-        return CertifiedReport.sweep("validate", degrees, check_degree)
-
-    def _assoc_defect(self, i: int, j: int, k: int) -> tuple[int, int, int] | None:
-        """First basis triple where (ab)c != a(bc), or None.
-
-        An absent block is the zero map, so a side that passes through one is
-        zero without arithmetic: only the sides whose two blocks are both
-        present are multiplied out, and a triple with neither is certified
-        at once.  Empty blocks are never stored, so a zero-dimensional degree
-        makes both sides absent.
-        """
-        t_ij, t_ij_k = self.mult.get((i, j)), self.mult.get((i + j, k))
-        t_jk, t_i_jk = self.mult.get((j, k)), self.mult.get((i, j + k))
-        lhs = rhs = None
-        if t_ij is not None and t_ij_k is not None:
-            (da, db, dx), (dc, dy) = t_ij.shape, t_ij_k.shape[1:]
-            lhs = matmul_mod(t_ij.reshape(da * db, dx), t_ij_k.reshape(dx, dc * dy), self.p)
-            lhs = lhs.reshape(da, db, dc, dy)
-        if t_jk is not None and t_i_jk is not None:
-            (db, dc, dz), (da, dy) = t_jk.shape, t_i_jk.shape[::2]
-            rhs_flat = matmul_mod(
-                t_jk.reshape(db * dc, dz),
-                t_i_jk.transpose(1, 0, 2).reshape(dz, da * dy),
-                self.p,
-            )
-            rhs = rhs_flat.reshape(db, dc, da, dy).transpose(2, 0, 1, 3)
-        if lhs is None and rhs is None:
-            return None
-        # Both sides are reduced into [0, p), so a nonzero entry of one side
-        # alone, or of their difference, is exactly a nonzero defect mod p.
-        diff = rhs if lhs is None else lhs if rhs is None else lhs - rhs
-        bad = np.flatnonzero(diff)
-        if not bad.size:
-            return None
-        a, b, c, _ = np.unravel_index(int(bad[0]), diff.shape)
-        return (int(a), int(b), int(c))
+        return CertifiedReport.sweep("validate", self.degrees(), check_degree)
 
     def is_central(self, z: "GradedElement") -> CertifiedReport:
         """Window-certified centrality: za = az per degree, else OUT-OF-WINDOW."""

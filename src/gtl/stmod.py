@@ -8,6 +8,10 @@ of it, and each syzygy records its inclusion into the free module.  Free
 modules stay columns: the algebra acts on them block by block through its
 multiplication tensor, never through (r*d)^2 action matrices.
 
+FDAlgebra.validate certifies associativity with graded.associativity_failures,
+the table being a one-degree ring, and the nilpotency of the radical J by
+squaring its span, J -> J^2 -> J^4 ..., until the power passes dim A.
+
 Hom spaces work in generator coordinates: a map out of a module is fixed by
 its values on the r cover generators, so Hom(W, N) is the kernel of a
 relation matrix in r*n unknowns (every kernel column of the cover must go
@@ -37,16 +41,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exactlin import PrimeField, kernel_from_rref, kernel_mod, matmul_mod, rank_mod, rref, solve_mod
-from .graded import AlgebraFormatError, WindowedGradedAlgebra, col_echelon, int_array
+from .graded import AlgebraFormatError, WindowedGradedAlgebra, associativity_failures, col_echelon, int_array
 from .report import FAIL, PASS, CertifiedReport, PreconditionError
 
 ROOT_SEARCH_MAX_CHAR = 1009
-
-# FDAlgebra's associativity check lists the nonzero products term by term
-# when that makes fewer than d^4 / _SPARSE_TERMS_PER_MADD terms, and
-# multiplies dense matrices (2 d^4 multiply-adds) otherwise: a listed term
-# costs about as much as this many multiply-adds in a float64 matrix product.
-_SPARSE_TERMS_PER_MADD = 128
 
 # Tate rings are built over algebras of dimension at most FD_DIM_BOUND: the
 # explicit format's dim, a truncated_polynomial shorthand's product of
@@ -76,18 +74,6 @@ def _side_by_side(stack: np.ndarray) -> np.ndarray:
 def _blocks_side_by_side(stack: np.ndarray, rows: int) -> np.ndarray:
     """The row blocks of ``stack``, ``rows`` rows each, laid side by side."""
     return _side_by_side(stack.reshape(stack.shape[0] // rows, rows, stack.shape[1]))
-
-
-def _csr_expand(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every stored entry of the given rows of a compressed-row layout.
-
-    Row v's entries sit at positions ptr[v] .. ptr[v+1]-1.  Returns, for
-    each entry of each listed row in turn, the index into ``rows`` it came
-    from and its position.
-    """
-    counts = ptr[rows + 1] - ptr[rows]
-    entry = np.repeat(np.arange(rows.size), counts)
-    return entry, ptr[rows][entry] + np.arange(entry.size) - (np.cumsum(counts) - counts)[entry]
 
 
 def _nilpotent(mat: np.ndarray, p: int) -> bool:
@@ -197,14 +183,14 @@ class FDAlgebra:
         ideal_ok = solve_mod(r, prods, p) is not None
         rep.add("radical_ideal", PASS if ideal_ok else FAIL)
 
-        span = r
-        nil_ok = False
-        for _ in range(d + 1):
-            if span.shape[1] == 0:
-                nil_ok = True
-                break
-            span = col_echelon(_blocks_side_by_side(matmul_mod(left_rad, span, p), d), p)
-        rep.add("radical_nilpotent", PASS if nil_ok else FAIL)
+        # J is nilpotent when J^(d+1) = 0; over an associative table
+        # J^(2m) = J^m J^m, so square the span until the power passes d
+        span, power = r, 1
+        while span.shape[1] and power <= d:
+            left = matmul_mod(span.T, self.left_ops.reshape(d, d * d), p).reshape(-1, d)
+            span = col_echelon(_blocks_side_by_side(matmul_mod(left, span, p), d), p)
+            power *= 2
+        rep.add("radical_nilpotent", FAIL if span.shape[1] else PASS)
 
         codim_ok = rank_mod(r, p) == d - 1 and solve_mod(r, self.unit, p) is None
         rep.add("radical_codim_one", PASS if codim_ok else FAIL)
@@ -213,46 +199,10 @@ class FDAlgebra:
     def _associativity_defect(self) -> tuple[int, int, int] | None:
         """The first basis triple (s, t, u), in lexicographic order, with (e_s e_t) e_u != e_s (e_t e_u).
 
-        For each s, with M = mult[s], the (t, u, w) entries of the two sides
-        are sums of products of two table entries:
-          (e_s e_t) e_u = sum_v M[t, v] (e_v e_u),
-          e_s (e_t e_u) = sum_v (e_t e_u)_v M[v, :].
-        Only nonzero entries contribute, and monomial and group tables have
-        few: then the nonzero products are listed term by term and summed by
-        (t, u, w).  When the terms for an s outnumber d^4 / _SPARSE_TERMS_PER_MADD,
-        both sides are multiplied out as dense matrices instead.
+        The one-degree case of graded.associativity_failures.
         """
-        p, d = self.p, self.dim
-        right = self.mult.reshape(d, d * d)  # row v: the e_v e_u, (u, w) flattened
-        pairs = self.mult.reshape(d * d, d)  # row (t, u): e_t e_u
-        # the nonzeros of right by row v, and of pairs by column v
-        right_v, right_uw = np.nonzero(right)
-        right_vals, right_ptr = right[right_v, right_uw], np.searchsorted(right_v, np.arange(d + 1))
-        pairs_v, pairs_tu = np.nonzero(pairs.T)
-        pairs_vals, pairs_ptr = pairs.T[pairs_v, pairs_tu], np.searchsorted(pairs_v, np.arange(d + 1))
-        for s in range(d):
-            m_s = self.mult[s]
-            rows, cols = np.nonzero(m_s)
-            coef = m_s[rows, cols]
-            terms = int((right_ptr[cols + 1] - right_ptr[cols]).sum() + (pairs_ptr[rows + 1] - pairs_ptr[rows]).sum())
-            dense = terms * _SPARSE_TERMS_PER_MADD > d**4
-            if dense:  # both sides as (t, u, w) flattened
-                diff = matmul_mod(m_s, right, p).reshape(-1) - matmul_mod(pairs, m_s, p).reshape(-1)
-            else:
-                # left side: M[t, v] times each nonzero e_v e_u; right side:
-                # M[v, w] times each nonzero (e_t e_u)_v
-                entry, at = _csr_expand(right_ptr, cols)
-                lhs_keys, lhs_vals = rows[entry] * (d * d) + right_uw[at], coef[entry] * right_vals[at]
-                entry, at = _csr_expand(pairs_ptr, rows)
-                rhs_keys, rhs_vals = pairs_tu[at] * d + cols[entry], coef[entry] * pairs_vals[at]
-                keys, slot = np.unique(np.concatenate([lhs_keys, rhs_keys]), return_inverse=True)
-                diff = np.zeros(keys.size, dtype=np.int64)
-                np.add.at(diff, slot, np.concatenate([lhs_vals % p, -(rhs_vals % p)]))
-            bad = np.flatnonzero(diff % p)
-            if bad.size:
-                key = int(bad[0] if dense else keys[bad[0]])
-                return (s, key // (d * d), key // d % d)
-        return None
+        failure = associativity_failures(self.p, (0, 0), {0: self.dim}, {(0, 0): self.mult}).get(0)
+        return None if failure is None else failure[2]
 
     def validate_symmetric(self) -> CertifiedReport:
         """The symmetrizing functional induces a symmetric nondegenerate form."""

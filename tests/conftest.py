@@ -29,6 +29,12 @@ def klein_ring_wide(klein_alg):
 
 
 @pytest.fixture(scope="session")
+def klein_ring_7(klein_alg):
+    """The Klein-four Tate ring of the tate-klein4 benchmark workload."""
+    return tate_ring(trivial_module(klein_alg), (-7, 7))
+
+
+@pytest.fixture(scope="session")
 def cubic_alg():
     return build_truncated_ci((3,), 3)
 

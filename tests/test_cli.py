@@ -30,6 +30,7 @@ from gtl.graded import algebra_from_json, algebra_to_json
 from gtl.util import canonical_json
 
 from test_graded import quantum_plane
+from test_stmod import elementary_abelian_group_algebra
 
 
 @pytest.fixture()
@@ -191,6 +192,14 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+def _run_under_memory_limit(*argv: str) -> subprocess.CompletedProcess:
+    """``gtl *argv`` in a child process whose address space is capped at 2 GiB."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gtl.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c", _UNDER_MEMORY_LIMIT, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -202,11 +211,7 @@ def test_analyze_size_caps_exit_two_under_a_memory_limit(tmp_path, edit, message
     payload = {"field_char": 2, "window": [0, 1], "dims": {"0": 1}, "unit": [1], "mult": [], **edit}
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(Path(gtl.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", _UNDER_MEMORY_LIMIT, "analyze", str(path), "--check", "validate"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _run_under_memory_limit("analyze", str(path), "--check", "validate")
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -223,14 +228,22 @@ def test_tate_size_caps_exit_two_under_a_memory_limit(tmp_path, exponents, extra
     payload = {"truncated_polynomial": {"exponents": exponents, "field_char": 2}}
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(Path(gtl.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", _UNDER_MEMORY_LIMIT, "tate", str(path), "--window", "-1", "1", *extra],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _run_under_memory_limit("tate", str(path), "--window", "-1", "1", *extra)
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_analyze_validates_a_128_dimensional_ring_under_a_memory_limit(tmp_path):
+    # F2[C2^7] in the group basis as a one-degree ring: a 4.2 MB file with no
+    # zero product, which validate certifies in bounded memory
+    alg = elementary_abelian_group_algebra(7)
+    payload = {"field_char": 2, "window": [0, 0], "dims": {"0": alg.dim}, "unit": alg.unit.tolist(),
+               "mult": [{"i": 0, "j": 0, "table": alg.mult.tolist()}]}
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(payload, separators=(",", ":")), encoding="utf-8")
+    proc = _run_under_memory_limit("analyze", str(path), "--check", "validate")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_analyze_integer_beyond_int64_exits_two(tmp_path, t2, capsys):

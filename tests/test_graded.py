@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtl import build_trivial_extension, graded
-from gtl.exactlin import PrimeField, matmul_mod
+from gtl import build_trivial_extension, build_truncated_ci, graded, regular_bimodule, tate_ring
+from gtl.exactlin import PrimeField, matmul_mod, solve_mod
 from gtl.graded import (
     DIM_BOUND,
     AlgebraFormatError,
@@ -189,10 +189,44 @@ def sparse_windowed_algebras(draw):
     return WindowedGradedAlgebra(PrimeField(p), (lo, hi), dims, mult, [1])
 
 
+def unitriangular_rebase(alg: WindowedGradedAlgebra, rng) -> WindowedGradedAlgebra:
+    """The same ring in the basis f_a = e_a + sum_{s > a} g[s, a] e_s of each degree, g random.
+
+    A unitriangular change of basis fills in structurally zero constants.
+    """
+    p, change, inverse = alg.p, {}, {}
+    for d in alg.degrees():
+        n = alg.dims[d]
+        change[d] = np.tril(rng.integers(0, p, size=(n, n)), -1) + np.eye(n, dtype=np.int64)
+        inverse[d] = solve_mod(change[d], np.eye(n, dtype=np.int64), p)
+    mult = {
+        (i, j): np.einsum("sa,tb,stu,vu->abv", change[i], change[j], block, inverse[i + j]) % p
+        for (i, j), block in alg.mult.items()
+    }
+    return WindowedGradedAlgebra(alg.field, alg.window, alg.dims, mult, inverse[0] @ alg.unit % p)
+
+
+def check_validate_against_the_oracle(alg, run_terms=graded._RUN_TERMS, terms_per_madd=graded._SPARSE_TERMS_PER_MADD):
+    """validate() equals dense_validate() with the given run budget and sparse/dense cost ratio."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graded, "_RUN_TERMS", run_terms)
+        patch.setattr(graded, "_SPARSE_TERMS_PER_MADD", terms_per_madd)
+        assert alg.validate().to_json_dict() == dense_validate(alg).to_json_dict()
+
+
+# a run budget of 1 to 16 terms splits runs inside a degree; a cost ratio of
+# 0 lists every run term by term, and 10**9 multiplies every run densely
 @settings(max_examples=300, deadline=None)
-@given(sparse_windowed_algebras())
-def test_validate_matches_the_dense_oracle(alg):
-    assert alg.validate().to_json_dict() == dense_validate(alg).to_json_dict()
+@given(
+    alg=sparse_windowed_algebras(),
+    rebase_seed=st.none() | st.integers(0, 2**32 - 1),
+    run_terms=st.sampled_from([1, 3, 16, graded._RUN_TERMS]),
+    terms_per_madd=st.sampled_from([0, graded._SPARSE_TERMS_PER_MADD, 10**9]),
+)
+def test_validate_matches_the_dense_oracle(alg, rebase_seed, run_terms, terms_per_madd):
+    if rebase_seed is not None:
+        alg = unitriangular_rebase(alg, np.random.default_rng(rebase_seed))
+    check_validate_against_the_oracle(alg, run_terms, terms_per_madd)
 
 
 def test_validate_matches_the_dense_oracle_on_gallery_rings(t2, laurent, klein_ring, cubic_ring):
@@ -206,22 +240,40 @@ def test_validate_matches_the_dense_oracle_on_gallery_rings(t2, laurent, klein_r
     assert not rings[-1].validate().passed
 
 
-def test_validate_multiplies_only_structurally_nonzero_sides(monkeypatch):
-    """Cost guard: one matmul per unit law and per triple side whose two blocks are present."""
-    ring = build_trivial_extension(3, (-9, 8), 2)
+@pytest.fixture(scope="module")
+def hh6_ring():
+    """The stable Hochschild ring of k[x]/(x^6) over F_3 on [-2, 2]."""
+    return tate_ring(regular_bimodule(build_truncated_ci((6,), 3))[1], (-2, 2))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_validate_matches_the_dense_oracle_on_corrupted_tate_rings(klein_ring_7, hh6_ring, seed):
+    # up to three entries of present or absent blocks changed; odd seeds split
+    # the runs inside degrees, and seeds 4 and 5 rebase
+    rng = np.random.default_rng(seed)
+    for ring in (klein_ring_7, hh6_ring):
+        if seed in (4, 5):
+            ring = unitriangular_rebase(ring, rng)
+        mult = {key: block.copy() for key, block in ring.mult.items()}
+        keys = [(i, j) for i in ring.degrees() for j in ring.degrees()
+                if ring.in_window(i + j) and ring.dims[i] and ring.dims[j] and ring.dims[i + j]]
+        for _ in range(rng.integers(1, 4)):
+            i, j = keys[rng.integers(len(keys))]
+            block = mult.setdefault((i, j), np.zeros((ring.dims[i], ring.dims[j], ring.dims[i + j]), dtype=np.int64))
+            block[tuple(rng.integers(0, n) for n in block.shape)] = rng.integers(0, ring.p)
+        broken = WindowedGradedAlgebra(ring.field, ring.window, ring.dims, mult, ring.unit)
+        check_validate_against_the_oracle(broken, run_terms=64 if seed % 2 else graded._RUN_TERMS)
+
+
+def test_validate_multiplies_only_for_the_unit_laws(monkeypatch, klein_ring_7):
+    """Cost guard: associativity is certified term by term, so validate multiplies
+    matrices only for the two unit laws of each nonzero degree."""
     calls = []
     monkeypatch.setattr(graded, "matmul_mod", lambda a, b, p: calls.append(1) or matmul_mod(a, b, p))
-    assert ring.validate().passed
-    degrees, present = ring.degrees(), ring.mult.keys()
-    unit_calls = 2 * sum(1 for d in degrees if ring.dims[d])
-    side_calls = sum(
-        ((i, j) in present and (i + j, k) in present) + ((j, k) in present and (i, j + k) in present)
-        for i in degrees
-        for j in degrees
-        for k in degrees
-        if ring.dims[i] and ring.in_window(i + j) and ring.in_window(j + k) and ring.in_window(i + j + k)
-    )
-    assert len(calls) == unit_calls + side_calls
+    for ring in (build_trivial_extension(3, (-9, 8), 2), klein_ring_7):
+        calls.clear()
+        assert ring.validate().passed
+        assert len(calls) == 2 * sum(1 for d in ring.degrees() if ring.dims[d])
 
 
 def test_multiply_and_window_overflow(laurent):

@@ -27,7 +27,7 @@ from hypothesis import strategies as hst
 from gtl import stmod
 from gtl.exactlin import PrimeField, kernel_mod, matmul_mod, rank_mod, rref, solve_mod
 from gtl.gallery import build_truncated_ci, expected_ext_dim_ci, expected_hh0_dim
-from gtl.graded import AlgebraFormatError, algebra_to_json, col_echelon
+from gtl.graded import AlgebraFormatError, WindowedGradedAlgebra, algebra_to_json, col_echelon
 from gtl.report import FAIL, PASS, PreconditionError
 from gtl.stmod import (
     FD_DIM_BOUND,
@@ -152,8 +152,17 @@ def test_associativity_matches_the_dense_loop_on_corrupted_tables(name, dense, d
         index = tuple(data.draw(hst.integers(0, d - 1)) for _ in range(3))
         mult[index] = data.draw(hst.integers(0, p - 1))
     broken = FDAlgebra(alg.field, d, mult, alg.unit, alg.radical)
-    assert broken._associativity_defect() == dense_associativity_defect(broken)
+    defect = broken._associativity_defect()
+    assert defect == dense_associativity_defect(broken)
     check_validate_against_the_dense_loop(broken)
+    # the same table as a one-degree graded ring names the same triple, unless
+    # a broken unit law comes first there
+    failure = next(iter(WindowedGradedAlgebra(alg.field, (0, 0), {0: d}, {(0, 0): mult}, alg.unit)
+                        .validate().failures()), None)
+    if failure is not None and failure.witness["law"] == "unit":
+        assert broken.validate().verdict_for("unit") == FAIL
+    else:
+        assert (None if failure is None else failure.witness["indices"]) == defect
 
 
 def test_validate_symmetric_needs_a_functional(klein_alg):
