@@ -17,7 +17,6 @@ value mismatched; 2 malformed input (file, format, window, arguments);
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
@@ -30,6 +29,7 @@ from .graded import (
     algebra_from_json,
     algebra_to_json,
     check_window,
+    load_json,
 )
 from .report import FAIL, PASS, PreconditionError
 
@@ -43,10 +43,7 @@ def _load_graded(path: str) -> WindowedGradedAlgebra:
 
 def _load_fd(path: str) -> stmod.FDAlgebra:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise AlgebraFormatError(f"invalid JSON: {exc}") from exc
+        payload = load_json(fh.read())
     return gallery.fd_algebra_from_payload(payload)
 
 

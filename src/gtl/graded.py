@@ -15,10 +15,19 @@ Associativity is certified term by term (associativity_failures): both sides
 of (ab)c = a(bc) are sums of products of two nonzero structure constants, so
 the work follows the nonzero constants, and it is done in runs of bounded
 size.  FDAlgebra's check is the one-degree case of the same routine.
+
+Ring files are read in time linear in their size (algebra_from_json): the
+structure tables go straight from the text into int64 arrays, and any text
+that reading cannot match exactly goes through json.loads, which stays the
+reference and the only source of error messages.
 """
 
 from __future__ import annotations
 
+import json
+import math
+import re
+import warnings
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -57,16 +66,20 @@ def int_array(value, what: str, ndim: int | None = None) -> np.ndarray:
     """A JSON integer, or nested lists of them, as an int64 array.
 
     Floats, booleans, strings, ragged lists, values beyond int64 and (when
-    ``ndim`` is given) the wrong nesting depth are AlgebraFormatError.
+    ``ndim`` is given) the wrong nesting depth are AlgebraFormatError.  An
+    int64 array (as algebra_from_json reads tables) is returned as it is.
     """
-    try:
-        arr = np.array(value, dtype=object)
-        kinds = set(map(type, arr.ravel().tolist())) - {int}
-        if kinds:
-            raise TypeError("not integers: " + ", ".join(sorted(t.__name__ for t in kinds)))
-        arr = arr.astype(np.int64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise AlgebraFormatError(f"malformed {what}: {exc}") from None
+    if isinstance(value, np.ndarray) and value.dtype == np.int64:
+        arr = value
+    else:
+        try:
+            arr = np.array(value, dtype=object)
+            kinds = set(map(type, arr.ravel().tolist())) - {int}
+            if kinds:
+                raise TypeError("not integers: " + ", ".join(sorted(t.__name__ for t in kinds)))
+            arr = arr.astype(np.int64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise AlgebraFormatError(f"malformed {what}: {exc}") from None
     if ndim is not None and arr.ndim != ndim:
         raise AlgebraFormatError(f"malformed {what}: expected {ndim} nested levels, got {arr.ndim}")
     return arr
@@ -730,11 +743,172 @@ def algebra_to_json(alg: WindowedGradedAlgebra) -> str:
     return util.canonical_json(algebra_to_json_dict(alg))
 
 
-def algebra_from_json(text: str) -> WindowedGradedAlgebra:
-    import json
+def load_json(text: str):
+    """json.loads, with every decoding failure as AlgebraFormatError("invalid JSON: ...").
 
+    Besides syntax errors that covers nesting too deep for the decoder and
+    integers longer than int() converts; the advice int() gives then (call
+    sys.set_int_max_str_digits) is for programmers, not for a file's author.
+    """
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise AlgebraFormatError(f"invalid JSON: {exc}") from None
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        reason = str(exc).split("; use sys.set_int_max_str_digits")[0]
+        raise AlgebraFormatError(f"invalid JSON: {reason}") from None
+
+
+def algebra_from_json(text: str) -> WindowedGradedAlgebra:
+    """The ring a graded-format JSON text describes, in time linear in its size.
+
+    The ``table`` of each long mult entry is read straight from the text
+    into an int64 array, and every other value (short entries whole) through
+    the stdlib decoder (_read_ring_payload).  A text that reader cannot turn
+    into exactly what json.loads and int_array give goes whole through
+    json.loads instead, so both routes accept the same texts, build the same
+    ring and raise the same errors.
+    """
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x only warns where numpy 2 raises on a partly read table
+            warnings.simplefilter("error", DeprecationWarning)
+            payload = _read_ring_payload(text)
+    except (_Declined, ValueError, RecursionError, DeprecationWarning):
+        payload = load_json(text)
     return algebra_from_json_dict(payload)
+
+
+class _Declined(Exception):
+    """A text the direct reader leaves to json.loads."""
+
+
+_DECODER = json.JSONDecoder()
+# A mult entry that ends within this many characters (the next one starts
+# sooner) is read whole by the stdlib scanner, table and all: below about 500
+# characters that and int_array are faster than reading the table directly.
+_SHORT_ENTRY = 512
+_SPACE = re.compile(r"[ \t\n\r]*")
+_COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*")
+# what follows an item: "," or the closing bracket, with the space around it
+_SEPARATOR = re.compile(r"[ \t\n\r]*([,}\]])[ \t\n\r]*")
+_SPLIT_NUMBER = re.compile(rb"[0-9-][ \t\n\r]+[0-9-]")
+_MARK_NUMBERS = bytes.maketrans(b"0123456789-", b"d" * 11)
+_UNBRACKET = bytes.maketrans(b"[]", b"  ")
+
+
+def _read_ring_payload(text: str) -> dict:
+    """json.loads(text), but with the table of each long mult entry as an int64 array.
+
+    Python walks the top-level object, the mult list and its entries other
+    than short ones; the stdlib scanner reads every other value.  Raises
+    _Declined (or a ValueError) where the result could differ from
+    json.loads followed by int_array: malformed text, a mult entry that is
+    not an object with i, j and table, or a table _read_table declines.
+    """
+
+    def sequence(at: int, opener: str, closer: str, read_item) -> tuple[list, int]:
+        """The items of the array or object opening at text[at], and the index past it."""
+        if not text.startswith(opener, at):
+            raise _Declined
+        at = _SPACE.match(text, at + 1).end()
+        if text.startswith(closer, at):
+            return [], at + 1
+        items = []
+        while True:
+            item, at = read_item(at)
+            items.append(item)
+            separator = _SEPARATOR.match(text, at)
+            if separator is None or separator[1] not in ("," + closer):
+                raise _Declined
+            at = separator.end()
+            if separator[1] == closer:
+                return items, at
+
+    def member(read_value):
+        def read(at: int) -> tuple[tuple, int]:
+            key, at = _DECODER.raw_decode(text, at)
+            colon = _COLON.match(text, at)
+            if not isinstance(key, str) or colon is None:
+                raise _Declined
+            value, at = read_value(key, colon.end())
+            return (key, value), at
+
+        return read
+
+    def entry_value(key: str, at: int):
+        return _read_table(text, at) if key == "table" else _DECODER.raw_decode(text, at)
+
+    def entry(at: int) -> tuple[dict, int]:
+        if text.find("{", at + 1, at + _SHORT_ENTRY) >= 0:
+            return _DECODER.raw_decode(text, at)
+        pairs, at = sequence(at, "{", "}", member(entry_value))
+        out = dict(pairs)
+        # a mult error message shows the entry, whose table must then be a list
+        if not {"i", "j", "table"} <= out.keys():
+            raise _Declined
+        return out, at
+
+    def top_value(key: str, at: int):
+        if key == "mult" and text.startswith("[", at):
+            return sequence(at, "[", "]", entry)
+        return _DECODER.raw_decode(text, at)
+
+    pairs, at = sequence(_SPACE.match(text).end(), "{", "}", member(top_value))
+    if at != len(text):
+        raise _Declined
+    return dict(pairs)
+
+
+def _read_table(text: str, at: int) -> tuple[np.ndarray, int]:
+    """The rectangular array of integers written at text[at], and the index past it.
+
+    Every test is a bytes method or one numpy call.  Declines (raises
+    _Declined) unless the text is a nonempty rectangular array of depth 1
+    to 3 whose entries are canonical JSON integers below 10**18 in
+    magnitude, so that no -0, leading zero or 19-digit entry gets here.
+    """
+    # the table ends at the last "]" before the end of its entry or the next
+    # key; every table is preceded by its key, so the scans never overlap
+    key = text.find('"', at)
+    stop = len(text) if key < 0 else key
+    close = text.find("}", at, stop)
+    end = text.rfind("]", at, stop if close < 0 else close) + 1
+    table = text[at:end].encode("ascii")
+    packed = table.translate(None, b" \t\n\r")
+    if len(packed) != len(table) and _SPLIT_NUMBER.search(table):
+        raise _Declined
+    depth = len(packed) - len(packed.lstrip(b"["))
+    if not 1 <= depth <= 3:
+        raise _Declined
+    # the shape read off the first sub-arrays: the first array of depth k
+    # (counting from the innermost) ends at the first k closing brackets
+    bare = packed.translate(None, b"0123456789-")
+    lengths = [bare.index(b"]" * k) + 2 * k - depth for k in range(1, depth)] + [len(bare)]
+    shape = [(outer - 1) // (inner + 1) for inner, outer in zip([0] + lengths, lengths)][::-1]
+    skeleton = b"[" + b"," * (shape[-1] - 1) + b"]"
+    for n in reversed(shape[:-1]):
+        skeleton = b"[" + b",".join([skeleton] * n) + b"]"
+    slots = math.prod(shape)
+    marked = packed.translate(_MARK_NUMBERS)
+    # with the skeleton right, no number next to the outside of a bracket
+    # and one starting in each slot, every slot holds one run of [0-9-]
+    if (
+        bare != skeleton
+        or b"]d" in marked
+        or b"d[" in marked
+        or marked.count(b"[d") + marked.count(b",d") != slots
+    ):
+        raise _Declined
+    # raises ValueError unless every run parses whole; numbers beyond int64 saturate
+    values = np.fromstring(packed.translate(_UNBRACKET), dtype=np.int64, sep=",")
+    if values.max() >= 10**18 or values.min() <= -(10**18):
+        raise _Declined
+    # the runs are canonical (no leading zero, no -0) exactly when they hold
+    # as many digits and minus signs as the values written canonically
+    magnitude = np.abs(values)
+    digits = values.size + sum(
+        int(np.count_nonzero(magnitude >= 10**k)) for k in range(1, len(str(magnitude.max())))
+    )
+    minus = int(np.count_nonzero(values < 0))
+    if packed.count(b"-") != minus or len(packed) - len(skeleton) != digits + minus:
+        raise _Declined
+    return values.reshape(shape), end

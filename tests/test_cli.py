@@ -29,7 +29,7 @@ from gtl.cli import PIPELINES, main
 from gtl.graded import algebra_from_json, algebra_to_json
 from gtl.util import canonical_json
 
-from test_graded import quantum_plane
+from test_graded import TABLE_EDIT_CHARS, edited_text, quantum_plane
 from test_stmod import elementary_abelian_group_algebra
 
 
@@ -192,11 +192,11 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def _run_under_memory_limit(*argv: str) -> subprocess.CompletedProcess:
+def _run_under_memory_limit(*argv: str, timeout: float = 120) -> subprocess.CompletedProcess:
     """``gtl *argv`` in a child process whose address space is capped at 2 GiB."""
     env = dict(os.environ, PYTHONPATH=str(Path(gtl.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
     return subprocess.run(
-        [sys.executable, "-c", _UNDER_MEMORY_LIMIT, *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", _UNDER_MEMORY_LIMIT, *argv], capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -244,6 +244,39 @@ def test_analyze_validates_a_128_dimensional_ring_under_a_memory_limit(tmp_path)
     path.write_text(json.dumps(payload, separators=(",", ":")), encoding="utf-8")
     proc = _run_under_memory_limit("analyze", str(path), "--check", "validate")
     assert proc.returncode == 0, proc.stderr
+
+
+_DEEP_ARRAY = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["analyze"], _DEEP_ARRAY),
+        (["analyze"], '{"field_char":2,"window":[0,0],"dims":{"0":1},"unit":[1],'
+                      '"mult":[{"i":0,"j":0,"table":' + _DEEP_ARRAY + "}]}"),
+        (["tate", "--window", "-1", "1"], _DEEP_ARRAY),
+    ],
+    ids=["analyze", "analyze-table", "tate"],
+)
+def test_deeply_nested_json_exits_two_within_seconds(tmp_path, argv, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    proc = _run_under_memory_limit(argv[0], str(path), *argv[1:], timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert "invalid JSON: maximum recursion depth exceeded" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["analyze", "tate"])
+def test_integers_past_the_digit_limit_are_invalid_json(tmp_path, t2, klein_alg, command, capsys):
+    text = algebra_to_json(t2) if command == "analyze" else canonical_json(klein_alg.to_json_dict())
+    path = tmp_path / "long.json"
+    path.write_text(text.replace('"unit":[1', '"unit":[' + "1" * 5000, 1), encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion" in err
+    assert "set_int_max_str_digits" not in err
 
 
 def test_analyze_integer_beyond_int64_exits_two(tmp_path, t2, capsys):
@@ -520,10 +553,14 @@ def _mutated(draw, base):
 
 
 def _run_main_on(payload, command, *options) -> int:
+    return _run_main_on_text(json.dumps(payload), command, *options)
+
+
+def _run_main_on_text(text: str, command, *options) -> int:
     """Exit code of ``gtl command FILE options``; an escaping exception fails the test."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzzed.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             return main([command, str(path), *options])
 
@@ -533,10 +570,11 @@ _FD_BASES = [
     build_truncated_ci((2, 2), 2).to_json_dict(),
     {"truncated_polynomial": {"exponents": [2, 2], "field_char": 2}},
 ]
-_GRADED_BASES = [
-    json.loads(algebra_to_json(ring))
-    for ring in (build_laurent(5, (-2, 2)), build_trivial_extension(2, (-2, 2), 3))
+_GRADED_TEXTS = [
+    algebra_to_json(ring) for ring in (build_laurent(5, (-2, 2)), build_trivial_extension(2, (-2, 2), 3))
 ]
+_GRADED_BASES = [json.loads(text) for text in _GRADED_TEXTS]
+_TEXT_EDIT_CHARS = TABLE_EDIT_CHARS + "{}:x"
 
 
 @settings(max_examples=60, deadline=None)
@@ -555,6 +593,12 @@ def test_fuzzed_fd_payloads_keep_the_exit_code_contract(payload, lo, hi, module)
 @given(st.sampled_from(_GRADED_BASES).flatmap(_mutated))
 def test_fuzzed_graded_payloads_keep_the_exit_code_contract(payload):
     assert _run_main_on(payload, "analyze", "--check", "validate", "--json") in (0, 1, 2, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_GRADED_TEXTS).flatmap(lambda text: edited_text(text, [(0, len(text))], _TEXT_EDIT_CHARS)))
+def test_fuzzed_graded_texts_keep_the_exit_code_contract(text):
+    assert _run_main_on_text(text, "analyze", "--check", "validate", "--json") in (0, 1, 2, 3)
 
 
 # ---------------------------------------------------------------------------

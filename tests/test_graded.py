@@ -3,13 +3,22 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtl import build_trivial_extension, build_truncated_ci, graded, regular_bimodule, tate_ring
+from gtl import (
+    build_laurent,
+    build_trivial_extension,
+    build_truncated_ci,
+    graded,
+    regular_bimodule,
+    tate_ring,
+    trivial_module,
+)
 from gtl.exactlin import PrimeField, matmul_mod, solve_mod
 from gtl.graded import (
     DIM_BOUND,
@@ -462,6 +471,146 @@ def test_json_rejects_malformed_payloads(t2):
 
     with pytest.raises(AlgebraFormatError):
         algebra_from_json("{not json")
+
+
+def oracle_from_json(text: str):
+    """The reference reader: json.loads, then the payload parser."""
+    return algebra_from_json_dict(graded.load_json(text))
+
+
+def read_outcome(read, text: str):
+    """The ring ``read`` builds from ``text``, or the message of its AlgebraFormatError."""
+    try:
+        return read(text)
+    except AlgebraFormatError as exc:
+        return str(exc)
+
+
+def assert_reads_like_the_oracle(text: str, short_entry: int = graded._SHORT_ENTRY) -> None:
+    """algebra_from_json gives the oracle's ring or message; with short_entry 0
+    every mult entry is walked and every table read straight from the text."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graded, "_SHORT_ENTRY", short_entry)
+        got = read_outcome(algebra_from_json, text)
+    want = read_outcome(oracle_from_json, text)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert got == want
+    for ring in (got, want):
+        assert ring.unit.dtype == np.int64
+        assert all(table.dtype == np.int64 for table in ring.mult.values())
+
+
+_SMALL_RINGS = [
+    build_trivial_extension(2, (-2, 2), 2),
+    build_trivial_extension(1, (-3, 2), 3),
+    build_laurent(5, (-2, 2)),
+    quantum_plane(2, 5),
+    tate_ring(trivial_module(build_truncated_ci((2,), 2)), (-2, 2)),
+]
+# written as -0, which json.loads reads as 0
+_NEGATIVE_ZERO = "negative zero"
+_SPECIAL_ENTRIES = [
+    _NEGATIVE_ZERO, 2**63 - 1, -(2**63 - 1), 10**18, -(10**18), 10**18 - 1, -(10**18 - 1),
+    1234567890123456789, 2**63, 10, -10, -1,
+]
+
+
+@st.composite
+def relaid_ring_texts(draw):
+    """Gallery and small random rings, rewritten in a varied JSON layout.
+
+    Keys are shuffled, indentation and the space around separators vary,
+    some table entries become -0, 18- or 19-digit numbers or numbers beyond
+    int64, and mult may be emptied.
+    """
+    ring = draw(st.sampled_from(_SMALL_RINGS) | sparse_windowed_algebras())
+    payload = algebra_to_json_dict(ring)
+    if draw(st.integers(0, 9)) == 0:
+        payload["mult"] = []
+    rows = [row for entry in payload["mult"] for plane in entry["table"] for row in plane]
+    cells = [(row, k) for row in rows for k in range(len(row))]
+    for _ in range(draw(st.integers(0, 2)) if cells else 0):
+        row, k = draw(st.sampled_from(cells))
+        row[k] = draw(st.sampled_from(_SPECIAL_ENTRIES))
+
+    def shuffled(obj: dict) -> dict:
+        return {key: obj[key] for key in draw(st.permutations(list(obj)))}
+
+    payload = shuffled(dict(payload, mult=[shuffled(entry) for entry in payload["mult"]]))
+    indent = draw(st.sampled_from([None, 0, 2, "\t"]))
+    separators = draw(st.sampled_from([(",", ":"), (", ", ": "), (" ,", " : "), (",\r\n", ":\n")]))
+    text = json.dumps(payload, indent=indent, separators=separators)
+    return draw(st.sampled_from(["", " ", "\n"])) + text.replace(f'"{_NEGATIVE_ZERO}"', "-0")
+
+
+TABLE_EDIT_CHARS = "[]0123456789-,.+eE \t\n\r\""
+
+
+@st.composite
+def edited_text(draw, text: str, spans: list[tuple[int, int]], alphabet: str) -> str:
+    """``text`` with 1-3 characters inserted, deleted or replaced inside one of ``spans``."""
+    lo, hi = draw(st.sampled_from(spans))
+    chars = list(text)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(lo, hi))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit == "insert":
+            chars.insert(at, draw(st.sampled_from(alphabet)))
+            hi += 1
+        elif at < hi and edit == "delete":
+            del chars[at]
+            hi -= 1
+        elif at < hi:
+            chars[at] = draw(st.sampled_from(alphabet))
+    return "".join(chars)
+
+
+def table_spans(text: str) -> list[tuple[int, int]]:
+    """Where the canonical writer put each mult table (its last key, so up to the "}")."""
+    return [(m.end(), text.index("}", m.end())) for m in re.finditer(r'"table":', text)]
+
+
+def _with_tables(text: str):
+    spans = table_spans(text)
+    return st.just(text) if not spans else edited_text(text, spans, TABLE_EDIT_CHARS)
+
+
+def _degree_zero_ring(table: str, keys: str = '"i":0,"j":0,') -> str:
+    """A degree-0 ring of dimension 2 whose one mult entry is ``keys`` and ``table``."""
+    return '{"dims":{"0":2},"field_char":3,"mult":[{' + keys + '"table":' + table + '}],"unit":[1,0],"window":[0,0]}'
+
+
+@settings(max_examples=300, deadline=None)
+@given(relaid_ring_texts(), st.sampled_from([0, graded._SHORT_ENTRY]))
+def test_json_reader_matches_the_oracle_on_relaid_rings(text, short_entry):
+    assert_reads_like_the_oracle(text, short_entry)
+
+
+@settings(max_examples=600, deadline=None)
+@given((st.sampled_from(_SMALL_RINGS) | sparse_windowed_algebras()).map(algebra_to_json).flatmap(_with_tables))
+# texts that an earlier or a weakened direct reader misread
+@example(_degree_zero_ring("[[[-1,]0,[0,1]],[[0,1],[1,0]]]"))  # a number moved across a bracket
+@example(_degree_zero_ring("[[[,00],[0,1]],[[0,1],[1,0]]]"))  # an empty slot paid for by a leading zero
+@example(_degree_zero_ring("[[[1,0],0[,1]],[[0,1],[1,0]]]"))  # a number moved in front of a bracket
+@example(_degree_zero_ring("[[[01,0],[0,1]],[[0,1],[1,0]]]"))  # a leading zero
+@example(_degree_zero_ring("[[[1 0,0],[0,1]],[[0,1],[1,0]]]"))  # a number split by a space
+@example(_degree_zero_ring("[[[1,0],[0,1]],[[0,1]],[[1],[0]]]"))  # ragged, with as many numbers as slots
+@example(_degree_zero_ring("[[[1,0],[0,1]],[[0,1],[1,0]]]", keys='"j":0,'))  # an entry without "i"
+def test_json_reader_matches_the_oracle_on_edited_tables(text):
+    assert_reads_like_the_oracle(text, short_entry=0)
+
+
+def test_json_reader_declines_to_the_oracle_error_messages():
+    deep = _degree_zero_ring("[" * 200_000 + "]" * 200_000)
+    for text in (deep, "[" * 200_000 + "]" * 200_000, _degree_zero_ring("[[[" + "1" * 5000 + "]]]")):
+        assert_reads_like_the_oracle(text, short_entry=0)
+    with pytest.raises(AlgebraFormatError, match="invalid JSON: maximum recursion depth exceeded"):
+        algebra_from_json(deep)
+    with pytest.raises(AlgebraFormatError, match=r"invalid JSON: Exceeds the limit \(4300 digits\)") as info:
+        algebra_from_json(_degree_zero_ring("[[[" + "1" * 5000 + "]]]"))
+    assert "set_int_max_str_digits" not in str(info.value)
 
 
 def test_json_caps_window_and_degree_dimensions():

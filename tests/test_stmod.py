@@ -16,6 +16,7 @@ with it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import sys
 
@@ -24,10 +25,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from gtl import stmod
+from gtl import build_trivial_extension, graded, stmod
 from gtl.exactlin import PrimeField, kernel_mod, matmul_mod, rank_mod, rref, solve_mod
 from gtl.gallery import build_truncated_ci, expected_ext_dim_ci, expected_hh0_dim
-from gtl.graded import AlgebraFormatError, WindowedGradedAlgebra, algebra_to_json, col_echelon
+from gtl.graded import AlgebraFormatError, WindowedGradedAlgebra, algebra_from_json, algebra_to_json, col_echelon
 from gtl.report import FAIL, PASS, PreconditionError
 from gtl.stmod import (
     FD_DIM_BOUND,
@@ -987,15 +988,34 @@ EMITTED_RING_SHA256 = [
 ]
 
 
-@pytest.mark.parametrize("algebra, module, window, digest", EMITTED_RING_SHA256)
-def test_emitted_ring_bytes_are_pinned(algebra, module, window, digest):
+@functools.cache
+def emitted_ring_text(algebra, module: str, window) -> str:
     alg = build_truncated_ci(*algebra)
     if module == "bimodule":
         alg, mod = regular_bimodule(alg)
     else:
         mod = trivial_module(alg)
-    text = algebra_to_json(tate_ring(mod, window))
+    return algebra_to_json(tate_ring(mod, window))
+
+
+@pytest.mark.parametrize("algebra, module, window, digest", EMITTED_RING_SHA256)
+def test_emitted_ring_bytes_are_pinned(algebra, module, window, digest):
+    text = emitted_ring_text(algebra, module, window)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_written_rings_load_without_json_loads(monkeypatch):
+    # cost guard: the writer's output must stay inside what algebra_from_json
+    # reads straight from the text, or every load pays for json.loads again
+    texts = [algebra_to_json(build_trivial_extension(3, (-9, 8), 2))]  # the analyze-te3 ring
+    texts += [emitted_ring_text(algebra, module, window) for algebra, module, window, _ in EMITTED_RING_SHA256]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads called on a ring file the writer produced")
+
+    monkeypatch.setattr(graded.json, "loads", refuse)
+    for text in texts:
+        assert algebra_to_json(algebra_from_json(text)) == text
 
 
 def record_rref_shapes(monkeypatch) -> list[tuple[int, int]]:
