@@ -10,8 +10,9 @@ Three subcommands:
   values.
 
 Exit codes: 0 all checks passed / values matched; 1 a check failed or a
-value mismatched; 2 malformed input (file, format, window, arguments);
-3 a verifier's mathematical preconditions were rejected.
+value mismatched; 2 malformed input (file, format, window, arguments) or an
+input too large for the memory at hand; 3 a verifier's mathematical
+preconditions were rejected.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import sys
 
 from . import duality, gallery, stmod, structure, util
 from .graded import (
+    WINDOW_BOUND,
     AlgebraFormatError,
     GradedElement,
     GradedSubspace,
@@ -281,10 +283,14 @@ def _pipeline_hh_truncated(exponents, p) -> list[dict]:
 
 
 def _pipeline_ci_ext_dims(exponents, p, count) -> list[dict]:
+    if not 1 <= count <= WINDOW_BOUND:
+        raise AlgebraFormatError(f"--count {count} must lie in [1, {WINDOW_BOUND}]")
     alg = gallery.build_truncated_ci(exponents, p)
     tower = stmod.SyzygyTower(stmod.trivial_module(alg))
     got = tower.ranks(count)
-    expected = [gallery.expected_ext_dim_ci(len(exponents), n) for n in range(count)]
+    # a variable of exponent 1 is zero in the algebra: only the others count
+    nvars = sum(1 for a in exponents if a >= 2)
+    expected = [gallery.expected_ext_dim_ci(nvars, n) for n in range(count)]
     return [_step("minimal-cover generator counts", expected, got)]
 
 
@@ -401,6 +407,10 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"input error: out of memory{detail}; try a smaller window or algebra", file=sys.stderr)
         return 2
 
 

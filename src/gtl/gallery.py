@@ -159,6 +159,8 @@ def expected_ext_dim_ci(nvars: int, n: int) -> int:
     one-dimensional module over a c-variable truncated polynomial algebra."""
     if n < 0:
         raise ValueError("series coefficients are indexed by n >= 0")
+    if nvars == 0:  # the field itself: the series is 1
+        return int(n == 0)
     total = 0
     for k in range(0, n // 2 + 1):
         r = n - 2 * k

@@ -2,15 +2,19 @@
 
 An FDAlgebra is a based algebra over a prime field with an explicit radical
 basis; modules are based too, as one action matrix per algebra basis vector.
-Syzygies come from minimal free covers (generators = a complement of J*M).
-A syzygy tower is a list of modules: each caches its cover, the only record
-of it, and each syzygy records its inclusion into the free module.  Free
-modules stay columns: the algebra acts on them block by block through its
-multiplication tensor, never through (r*d)^2 action matrices.
+Syzygies come from minimal free covers (generators = a complement of J*M),
+cosyzygies from injective hulls (the cokernel of M -> A^r, r = dim soc M).
+A syzygy tower is the complete resolution as two lists of modules: each
+caches its cover, and each records one embedding into a free module, a
+syzygy its inclusion into the cover it is the kernel of, W_0 and the
+cosyzygies their injective hull.  Free modules stay columns: the algebra
+acts on them block by block through its multiplication tensor, never
+through (r*d)^2 action matrices.
 
 FDAlgebra.validate certifies associativity with graded.associativity_failures,
 the table being a one-degree ring, and the nilpotency of the radical J by
-squaring its span, J -> J^2 -> J^4 ..., until the power passes dim A.
+squaring its span, J -> J^2 -> J^4 ..., until the power passes dim A or a
+squaring leaves the span unchanged.
 
 Hom spaces work in generator coordinates: a map out of a module is fixed by
 its values on the r cover generators, so Hom(W, N) is the kernel of a
@@ -18,20 +22,24 @@ relation matrix in r*n unknowns (every kernel column of the cover must go
 to 0).  Stable homs divide out the maps that factor through a projective.
 Over a self-injective algebra projectives are injective, so those are the
 restrictions of the maps P -> N along any embedding W -> P into a free
-module: free data, no elimination.  A syzygy W_a (a >= 1) uses its recorded
-inclusion into P_{a-1}; a module without one (the base module M) uses the
-Casimir embedding x |-> sum_s e_s^dual (x) e_s x into A^{dim M}, where
-e_s^dual is the dual basis under the symmetrizing form.  Restricting along it
-gives Higman's relative traces.  Either way stable homs need a symmetrizing
-form that passes validate_symmetric.
+module: free data, no elimination.  Every module uses its recorded
+embedding: a syzygy W_a (a >= 1) its inclusion into P_{a-1}, any other
+module its injective hull.  The hull sends x to the module maps
+sum_t mu(e_t x) e_t^dual into A, one per functional mu in a generating set
+of the dual module, where e_t^dual is the dual basis under the symmetrizing
+form.  Stable homs need a symmetrizing form that passes validate_symmetric.
 
 The Tate construction turns the window of stable self-extensions of a module
 into a degree-windowed algebra: the degree-d component is represented by
-stable maps W_{d+t} -> W_t down the syzygy tower with t = max(0, -d), and
-products are computed by lifting both factors to a common shift (the right
-factor is lifted above the left one, then composed after it, on the source's
-cover generators only) and solving for coordinates against the lifted stable
-basis, once per (degree, shift) system.
+stable maps W_{d+t} -> W_t down the syzygy tower, with t = max(0, -d) the
+home shift.  Omega and its inverse shift maps along the complete
+resolution, up by lifting through covers (omega_lift) and down by extending
+into injective hulls (omega_inverse_lift); both preserve stable classes.
+Products are computed at a common shift (the right factor composed after
+the left one, on the source's cover generators only) and solved for
+coordinates against the equally lifted stable basis, once per (degree,
+shift) system.  A mixed-sign product is solved at its degree's home shift
+when that system is much smaller, through the cosyzygies.
 """
 
 from __future__ import annotations
@@ -53,6 +61,10 @@ ROOT_SEARCH_MAX_CHAR = 1009
 # algebra is the enveloping algebra of k[x]/(x^10), of dimension 100; one
 # FD_DIM_BOUND**3 mult tensor of int64 is 16 MiB.
 FD_DIM_BOUND = 128
+
+# FDAlgebra.validate squares the radical span a chunk of about this many
+# products at a time; after the first chunks the rest mostly reduce to zero.
+_SQUARE_CHUNK = 2048
 
 
 def check_fd_dim(dim: int, what: str) -> None:
@@ -184,17 +196,44 @@ class FDAlgebra:
         rep.add("radical_ideal", PASS if ideal_ok else FAIL)
 
         # J is nilpotent when J^(d+1) = 0; over an associative table
-        # J^(2m) = J^m J^m, so square the span until the power passes d
+        # J^(2m) = J^m J^m, so square the span until the power passes d.  A
+        # squaring that leaves the span unchanged, J^(2m) = J^m != 0, leaves
+        # it so for good.
         span, power = r, 1
         while span.shape[1] and power <= d:
-            left = matmul_mod(span.T, self.left_ops.reshape(d, d * d), p).reshape(-1, d)
-            span = col_echelon(_blocks_side_by_side(matmul_mod(left, span, p), d), p)
-            power *= 2
+            square = self._square_span(span)
+            if np.array_equal(square, span):
+                break
+            span, power = square, power * 2
         rep.add("radical_nilpotent", FAIL if span.shape[1] else PASS)
 
         codim_ok = rank_mod(r, p) == d - 1 and solve_mod(r, self.unit, p) is None
         rep.add("radical_codim_one", PASS if codim_ok else FAIL)
         return rep
+
+    def _square_span(self, span: np.ndarray) -> np.ndarray:
+        """col_echelon of the products x*y of the columns x, y of ``span``.
+
+        The products are made a few left factors at a time, about
+        _SQUARE_CHUNK of them, and reduced against the running echelon
+        basis (identity on its pivot rows) by one product; only what is
+        left over is eliminated.
+        """
+        p, d = self.p, self.dim
+        k = span.shape[1]
+        basis = np.zeros((d, 0), dtype=np.int64)
+        # block c of left is the matrix of x_c * (-)
+        left = matmul_mod(span.T, self.left_ops.reshape(d, d * d), p).reshape(-1, d)
+        step = d * max(1, _SQUARE_CHUNK // max(k, 1))
+        for lo in range(0, k * d, step):
+            prods = _blocks_side_by_side(matmul_mod(left[lo:lo + step], span, p), d)
+            if basis.shape[1]:
+                pivots = (basis != 0).argmax(axis=0)
+                prods = (prods - matmul_mod(basis, prods[pivots], p)) % p
+            new = prods[:, prods.any(axis=0)]
+            if new.shape[1]:
+                basis = col_echelon(np.hstack([basis, new]), p)
+        return basis
 
     def _associativity_defect(self) -> tuple[int, int, int] | None:
         """The first basis triple (s, t, u), in lexicographic order, with (e_s e_t) e_u != e_s (e_t e_u).
@@ -377,9 +416,10 @@ def fd_algebra_from_json_dict(payload: dict) -> FDAlgebra:
 class FDModule:
     """Left module over an FDAlgebra: one action matrix per basis element.
 
-    ``inclusion`` is set on syzygies: the (rank*algebra.dim, dim) matrix of
-    the module's embedding into a free module.  minimal_cover caches the
-    module's cover on it.
+    ``inclusion`` is the (rank*algebra.dim, dim) matrix of the module's
+    embedding into a free module: set on syzygies at construction, and
+    recorded by _free_embedding (the injective hull) on any other module
+    at first use.  minimal_cover caches the module's cover on it.
     """
 
     algebra: FDAlgebra
@@ -504,6 +544,13 @@ class Cover:
     section: np.ndarray
 
 
+def _radical_action(module: FDModule) -> np.ndarray:
+    """The matrices (c, dim, dim) by which the c radical basis vectors act."""
+    alg = module.algebra
+    c, d, m = alg.radical.shape[1], alg.dim, module.dim
+    return matmul_mod(alg.radical.T, module.action.reshape(d, m * m), alg.p).reshape(c, m, m)
+
+
 def minimal_cover(module: FDModule) -> Cover:
     """Free cover on generators completing an echelon basis of J*module.
 
@@ -517,9 +564,8 @@ def minimal_cover(module: FDModule) -> Cover:
         return module._cover
     alg = module.algebra
     p, d, m = module.p, alg.dim, module.dim
-    c = alg.radical.shape[1]
-    jm = matmul_mod(alg.radical.T, module.action.reshape(d, m * m), p).reshape(c, m, m)
-    _, in_jm = rref(jm.transpose(0, 2, 1).reshape(c * m, m), p)
+    jm = _radical_action(module)
+    _, in_jm = rref(jm.transpose(0, 2, 1).reshape(jm.shape[0] * m, m), p)
     gens = tuple(np.setdiff1d(np.arange(m), in_jm).tolist())
     width = len(gens) * d
     pi = module.action[:, :, list(gens)].transpose(1, 2, 0).reshape(m, width)
@@ -551,26 +597,116 @@ def syzygy_step(module: FDModule) -> FDModule:
     return FDModule(module.algebra, k, mats, inclusion=iota)
 
 
-class SyzygyTower:
-    """Iterated minimal covers W_0 = M, W_{a+1} = ker(P_a -> W_a).
+def _free_embedding(module: FDModule) -> np.ndarray:
+    """An injective module map from ``module`` into a free module, as (r*d, module.dim) columns.
 
-    ``modules`` holds W_0, W_1, ... as far as built.  Each module caches its
-    minimal cover (P_a -> W_a and its kernel), and each syzygy W_{a+1}
-    records its inclusion into P_a; nothing else is kept per step.
+    A syzygy's recorded inclusion; otherwise the injective hull, recorded as
+    the module's inclusion.  A module map phi: X -> A is fixed by the
+    functional lam o phi, as x |-> sum_t lam(phi(e_t x)) e_t^dual, and any
+    functional gives one.  So the hull sends x to one such value per
+    functional in a generating set of the dual D(X): the coordinate
+    functionals completing an echelon basis of D(X) J, r = dim soc(X) of them.
+    """
+    if module.inclusion is None:
+        alg = module.algebra
+        d, m = alg.dim, module.dim
+        jm = _radical_action(module)
+        _, in_dj = rref(jm.reshape(jm.shape[0] * m, m), alg.p)
+        gens = np.setdiff1d(np.arange(m), in_dj)
+        moved = matmul_mod(alg.dual_basis(), module.action[:, gens, :].reshape(d, len(gens) * m), alg.p)
+        module.inclusion = moved.reshape(d, len(gens), m).transpose(1, 0, 2).reshape(len(gens) * d, m)
+    return module.inclusion
+
+
+@dataclass
+class Quotient:
+    """W_{a-1} as the quotient F_a / iota_a(W_a) of the free module W_a embeds in.
+
+    ``proj`` (dim W_{a-1}, width) is the projection and ``section`` a
+    linear right inverse of it.  ``rows`` and ``inverse`` give a left
+    inverse L of iota_a as L y = inverse @ y[rows]; ``inverse`` None is the
+    identity.
+    """
+
+    proj: np.ndarray
+    section: np.ndarray
+    rows: np.ndarray
+    inverse: np.ndarray | None
+
+
+def cosyzygy_step(module: FDModule) -> tuple[FDModule, Quotient]:
+    """The cokernel of the module's injective hull, and the quotient data that presents it.
+
+    One reduction of [iota^T | I] gives the hull's pivot rows, the cokernel
+    basis (the other rows) and the left inverse.  The projection times each
+    e_t acting on the free module, restricted to the cokernel rows, is the
+    action; it is checked to kill the hull.
+    """
+    alg = module.algebra
+    p, d = alg.p, alg.dim
+    iota = _free_embedding(module)
+    width, m = iota.shape
+    red, pivots = rref(np.hstack([iota.T, np.eye(m, dtype=np.int64)]), p)
+    if pivots and pivots[-1] >= width:
+        raise ArithmeticError("injective hull is not injective")
+    rest = np.setdiff1d(np.arange(width), pivots)
+    k = len(rest)
+    proj = np.zeros((k, width), dtype=np.int64)
+    proj[np.arange(k), rest] = 1
+    proj[:, list(pivots)] = -red[:m, rest].T % p
+    # (proj e_t)[z, (b, s)] = sum_u proj[z, (b, u)] mult[t, s, u], all t in one product
+    by_row = alg.left_ops.reshape(d, d, d).transpose(1, 0, 2).reshape(d, d * d)
+    moved = matmul_mod(proj.reshape(-1, d), by_row, p).reshape(k, width // d, d, d)
+    moved = moved.transpose(2, 0, 1, 3).reshape(d, k, width)
+    if np.any(matmul_mod(moved.reshape(d * k, width), iota, p)):
+        raise ArithmeticError("hull image is not closed under the action")
+    section = np.eye(width, dtype=np.int64)[:, rest]
+    quotient = Quotient(proj, section, np.asarray(pivots, dtype=np.int64), red[:m, width:].T.copy())
+    return FDModule(alg, k, moved[:, :, rest]), quotient
+
+
+class SyzygyTower:
+    """The complete resolution of a module: W_0 = M, W_{a+1} = ker(P_a -> W_a), W_{a-1} = coker(W_a -> I_a).
+
+    ``modules`` holds W_0, W_1, ... and ``cosyzygies`` W_{-1}, W_{-2}, ...
+    as far as built.  Each module caches its minimal cover (P_a -> W_a and
+    its kernel) and records one embedding into a free module: a syzygy
+    W_{a+1} its inclusion into P_a, W_0 and the cosyzygies their injective
+    hull I_a, whose cokernel is the next cosyzygy.  ``quotients[a]`` keeps
+    how W_{a-1} presents I_a / W_a for a <= 0; above, the cover of W_{a-1}
+    does.
     """
 
     def __init__(self, module: FDModule):
         self.modules = [module]
+        self.cosyzygies: list[FDModule] = []
+        self.quotients: dict[int, Quotient] = {}
+        self._down: dict[tuple[str, int], tuple] = {}
 
     def module(self, i: int) -> FDModule:
-        """W_i, building the tower up to it on first use."""
+        """W_i for any integer i, building the tower out to it on first use."""
         while len(self.modules) <= i:
             a = len(self.modules) - 1
             try:
                 self.modules.append(syzygy_step(self.modules[a]))
             except ArithmeticError as exc:
                 raise ArithmeticError(f"tower step W_{a} -> W_{a + 1}: {exc}") from exc
-        return self.modules[i]
+        while len(self.cosyzygies) < -i:
+            a = -len(self.cosyzygies)
+            try:
+                cosyzygy, self.quotients[a] = cosyzygy_step(self.module(a))
+            except ArithmeticError as exc:
+                raise ArithmeticError(f"tower step W_{a} -> W_{a - 1}: {exc}") from exc
+            self.cosyzygies.append(cosyzygy)
+        return self.modules[i] if i >= 0 else self.cosyzygies[-i - 1]
+
+    def quotient(self, a: int) -> Quotient:
+        """How W_{a-1} is the quotient of the free module that W_a embeds in."""
+        if a >= 1:
+            cover = minimal_cover(self.module(a - 1))
+            return Quotient(cover.pi, cover.section, cover.kernel_rows, None)
+        self.module(a - 1)
+        return self.quotients[a]
 
     def ranks(self, count: int) -> list[int]:
         """Generator counts of the covers of W_0 .. W_{count-1} (Betti-number shadow)."""
@@ -604,6 +740,82 @@ def omega_lift(tower: SyzygyTower, mat: np.ndarray, a: int, b: int) -> np.ndarra
     out = moved[:, cb.kernel_rows]
     if not np.array_equal(matmul_mod(iota_b, _side_by_side(out), p), _side_by_side(moved)):
         raise ArithmeticError(f"omega lift of W_{a} -> W_{b}: lifted map does not preserve kernels")
+    return out if maps.ndim == 3 else out[0]
+
+
+def _down_source(tower: SyzygyTower, a: int) -> tuple:
+    """W_a's matrices as the source of down-lifts, built once per tower index.
+
+    ``extend`` (dim W_a, d * dim W_{a-1}) takes functionals nu on the free
+    module, read on the rows of iota_a's left inverse, to the values
+    nu(e_t s(x)) on the quotient section s; ``action`` (dim W_a, d * dim W_a)
+    takes functionals mu on W_a to the mu(e_t x).
+    """
+    key = ("source", a)
+    if key not in tower._down:
+        module = tower.module(a)
+        m = module.dim
+        quotient = tower.quotient(a)
+        extend = _free_action(module.algebra, quotient.section)[:, quotient.rows, :]
+        action = module.action.transpose(1, 0, 2).reshape(m, -1)
+        tower._down[key] = (quotient, extend.transpose(1, 0, 2).reshape(m, -1), action)
+    return tower._down[key]
+
+
+def _down_target(tower: SyzygyTower, b: int) -> tuple:
+    """W_b's matrices as the target of down-lifts, built once per tower index.
+
+    ``paired`` (r * d, dim W_b) reads lam(e_t iota_b(y)_c) off each free
+    component c of iota_b, and ``pushdown`` (dim W_{b-1}, r * d) is the
+    quotient projection after the dual basis, so that a map into A^r given
+    by its functionals lands in W_{b-1}.
+    """
+    key = ("target", b)
+    if key not in tower._down:
+        alg = tower.module(0).algebra
+        p, d = alg.p, alg.dim
+        iota = _free_embedding(tower.module(b))
+        width, n = iota.shape
+        paired = matmul_mod(alg._gram(), _blocks_side_by_side(iota, d), p)
+        paired = paired.reshape(d, width // d, n).transpose(1, 0, 2).reshape(width, n)
+        proj = tower.quotient(b).proj
+        pushdown = matmul_mod(proj.reshape(-1, d), alg.dual_basis(), p).reshape(proj.shape)
+        tower._down[key] = (paired, pushdown)
+    return tower._down[key]
+
+
+def omega_inverse_lift(tower: SyzygyTower, mat: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Shift module maps W_a -> W_b one step down the tower, to W_{a-1} -> W_{b-1}.
+
+    ``mat`` is one map (dim W_b, dim W_a) or a stack of them, lifted
+    together; the result has the same layout.  Each W_{c-1} is the quotient
+    of the free module F_c that W_c embeds in by iota_c (tower.quotient).
+    The free module is injective, so iota_b f extends along iota_a to
+    g: F_a -> F_b, which passes to the quotients.  A map phi into A is
+    x |-> sum_t lam(phi(e_t x)) e_t^dual, so g is read off the functionals
+    lam o iota_b f extended linearly by a left inverse of iota_a: matrix
+    products only, through the matrices _down_source and _down_target
+    build once per tower index.  The restriction of g to W_a is iota_b f exactly
+    when lam(iota_b f(e_t x)) = lam(e_t iota_b f(x)) for every t, which is
+    checked.
+    """
+    alg = tower.module(0).algebra
+    p, d = alg.p, alg.dim
+    quotient, extend, action = _down_source(tower, a)
+    paired, pushdown = _down_target(tower, b)
+    maps = np.asarray(mat, dtype=np.int64)
+    k = maps.shape[0] if maps.ndim == 3 else 1
+    n_b, m_a = maps.shape[-2:]
+    r_b, n_out, m_out = paired.shape[0] // d, pushdown.shape[0], extend.shape[1] // d
+    seen = matmul_mod(paired, _side_by_side(maps.reshape(k, n_b, m_a)), p)  # lam(e_t (iota_b f x)_c)
+    mu = matmul_mod(alg.unit[None, :], _blocks_side_by_side(seen, d), p)
+    mu = mu.reshape(r_b, k, m_a).transpose(1, 0, 2).reshape(k * r_b, m_a)
+    seen = seen.reshape(r_b, d, k, m_a).transpose(2, 0, 1, 3).reshape(k * r_b, d * m_a)
+    if not np.array_equal(matmul_mod(mu, action, p), seen):
+        raise ArithmeticError(f"omega inverse lift of W_{a} -> W_{b}: extended map does not restrict to the maps")
+    nu = mu if quotient.inverse is None else matmul_mod(mu, quotient.inverse, p)
+    values = matmul_mod(nu, extend, p).reshape(k, r_b * d, m_out)
+    out = matmul_mod(pushdown, _side_by_side(values), p).reshape(n_out, k, m_out).transpose(1, 0, 2)
     return out if maps.ndim == 3 else out[0]
 
 
@@ -690,21 +902,6 @@ def projective_factor_columns(source: FDModule, target: FDModule) -> np.ndarray:
     return col_echelon(trace, p)
 
 
-def _free_embedding(module: FDModule) -> np.ndarray:
-    """An injective module map from ``module`` into a free module, as (r*d, module.dim) columns.
-
-    A syzygy's recorded inclusion; otherwise the Casimir embedding x |->
-    sum_s e_s^dual (x) e_s x into A^{dim M}.  It is A-linear because the
-    Casimir element of a symmetric algebra is central, and lam (x) id splits it.
-    """
-    if module.inclusion is not None:
-        return module.inclusion
-    alg = module.algebra
-    d, m = alg.dim, module.dim
-    moved = matmul_mod(alg.dual_basis(), module.action.reshape(d, m * m), alg.p)
-    return moved.reshape(d, m, m).transpose(1, 0, 2).reshape(m * d, m)
-
-
 def _projective_factor_span(source: FDModule, target: FDModule) -> np.ndarray:
     """Spanning columns, in generator coordinates, of the maps source -> target through a projective.
 
@@ -724,13 +921,14 @@ class StableHom:
     ``basis`` is a stack (dim, target.dim, source.dim) of maps whose classes
     form a basis of the stable hom space; ``pf_gen`` spans the
     projectively-factoring maps in generator coordinates (the layout of
-    _generator_columns).
+    _generator_columns).  A lifted basis leaves it None until its first
+    solve, so a basis that is only ever a factor never builds it.
     """
 
     source: FDModule
     target: FDModule
     basis: np.ndarray
-    pf_gen: np.ndarray
+    pf_gen: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -757,6 +955,8 @@ class StableHom:
         rows; a stack outside that span raises ArithmeticError.
         """
         values = np.asarray(values, dtype=np.int64)
+        if self.pf_gen is None:
+            self.pf_gen = _projective_factor_span(self.source, self.target)
         system = np.hstack([_on_generators(self.basis, minimal_cover(self.source).gens), self.pf_gen])
         sol = solve_mod(system, _generator_columns(values), self.source.p)
         if sol is None:
@@ -824,20 +1024,23 @@ class _TateWorkspace:
         """Degree d as stable maps W_{shift+d} -> W_{shift}.
 
         At the home shift max(0, -d) this is tate_ext; above it the basis is
-        the omega lift of the one a shift below, lifted in one call.
+        the omega lift of the one a shift below, and below it the omega
+        inverse lift of the one a shift above, each lifted in one call.
         """
         key = (d, shift)
         if key in self.homs:
             return self.homs[key]
-        below = None if shift == max(0, -d) else self.hom_at(d, shift - 1)
+        home = max(0, -d)
+        near = None if shift == home else self.hom_at(d, shift - 1 if shift > home else shift + 1)
         try:
-            if below is None:
+            if near is None:
                 hom = tate_ext(self.module, d, self.tower)
             else:
-                src = self.tower.module(shift + d)
-                lifted = omega_lift(self.tower, below.basis, shift - 1 + d, shift - 1)
-                target = self.tower.module(shift)
-                hom = StableHom(src, target, lifted, _projective_factor_span(src, target))
+                if shift > home:
+                    lifted = omega_lift(self.tower, near.basis, shift - 1 + d, shift - 1)
+                else:
+                    lifted = omega_inverse_lift(self.tower, near.basis, shift + 1 + d, shift + 1)
+                hom = StableHom(self.tower.module(shift + d), self.tower.module(shift), lifted)
         except ArithmeticError as exc:
             raise ArithmeticError(f"stable basis in degree {d} at shift {shift}: {exc}") from exc
         self.homs[key] = hom
@@ -857,16 +1060,32 @@ class _TateWorkspace:
             raise ArithmeticError(f"product solve in degree {d} at shift {shift}: {exc}") from exc
 
 
+# A product block (i, j) with i < 0 < j is solved at the home shift
+# max(0, -i-j) of its degree, below the shift -i where both factors have
+# nonnegative indices, when its system there has at least this many times
+# dim A fewer rows.  The inverse lifts that bring both factors down cost more
+# than a small saving: the blocks of the k[x]/(x^6) bimodule ring save 2/3 of
+# dim A rows each, and moving them made it 1.7 times slower, while the
+# Klein-four ring on [-7, 7] is as fast with 1, 2 or 3 here.
+HOME_SHIFT_ROW_SAVING = 2
+
+
 def tate_ring(module: FDModule, window: tuple[int, int]) -> WindowedGradedAlgebra:
     """The stable self-extension algebra of a module over module.algebra, windowed by degree.
 
     Requires a symmetrizing functional passing validate_symmetric (products
     in negative degrees live off self-injectivity); raises PreconditionError
     otherwise.  The degree-d component is tate_ext(module, d); the products
-    of classes in degrees i and j are computed at the common shift
-    s = max(0, -i-j, -i): the right factors are lifted above the left
-    factors and composed after them.  Only the values on the cover
-    generators of W_{s+i+j} are composed, since they fix a module map.  The
+    of classes in degrees i and j are computed at a common shift s: the left
+    factor as maps W_{s+i} -> W_s, the right one as W_{s+i+j} -> W_{s+i},
+    composed after it.  Only the values on the cover generators of
+    W_{s+i+j} are composed, since they fix a module map.  The shift is
+    max(0, -i-j, -i), where no factor needs a cosyzygy, except that a block
+    with i < 0 < j moves to the home shift max(0, -i-j) of its degree when
+    that system, dim W_s rows per cover generator of W_{s+i+j}, is smaller
+    by HOME_SHIFT_ROW_SAVING * dim A rows: its factors are then brought down
+    the complete resolution by omega inverse lifts.  The stable class of a
+    product, and so its coordinates, does not depend on the shift.  The
     blocks sharing a system, one (degree i+j, shift s) pair, are solved
     together in one coordinates_at call against the equally lifted stable
     basis of degree i+j, as soon as the last of them (in (i, j) order) is
@@ -882,7 +1101,17 @@ def tate_ring(module: FDModule, window: tuple[int, int]) -> WindowedGradedAlgebr
     dims = {d: ws.hom_at(d, max(0, -d)).dim for d in range(lo, hi + 1)}
     blocks = [(i, j) for i in range(lo, hi + 1) for j in range(lo, hi + 1)
               if lo <= i + j <= hi and dims[i] and dims[j] and dims[i + j]]
-    systems = {(i, j): (i + j, max(0, -i - j, -i)) for i, j in blocks}
+
+    def rows(k: int, s: int) -> int:
+        return ws.tower.module(s).dim * len(minimal_cover(ws.tower.module(s + k)).gens)
+
+    systems = {}
+    for i, j in blocks:
+        k, s = i + j, max(0, -i - j, -i)
+        home = max(0, -k)
+        if s > home and rows(k, home) + HOME_SHIFT_ROW_SAVING * alg.dim <= rows(k, s):
+            s = home
+        systems[(i, j)] = (k, s)
     last = {system: block for block, system in systems.items()}
     pending: dict[tuple[int, int], list] = {}
     mult: dict[tuple[int, int], np.ndarray] = {}

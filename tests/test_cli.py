@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 import gtl
 from gtl import build_laurent, build_trivial_extension, build_truncated_ci, stmod
+from gtl.gallery import expected_ext_dim_ci
 from gtl.cli import PIPELINES, main
 from gtl.graded import algebra_from_json, algebra_to_json
 from gtl.util import canonical_json
@@ -232,6 +233,32 @@ def test_tate_size_caps_exit_two_under_a_memory_limit(tmp_path, exponents, extra
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_tate_ring_of_three_variables_on_a_wide_window_under_a_memory_limit(tmp_path):
+    # cost guard: (2,2,2) over F2 on [-8, 8] solves its mixed-sign products at
+    # the home shift of their degree, through cosyzygies; solved at the top of
+    # the tower it ran out of a 2 GiB address space
+    path = tmp_path / "ci.json"
+    path.write_text(json.dumps({"truncated_polynomial": {"exponents": [2, 2, 2], "field_char": 2}}), encoding="utf-8")
+    proc = _run_under_memory_limit("tate", str(path), "--window", "-8", "8", "--json")
+    assert proc.returncode == 0, proc.stderr
+    dims = {int(d): n for d, n in json.loads(proc.stdout)["dims"].items()}
+    # Tate duality: degree -1-n has the dimension of degree n
+    assert dims == {d: expected_ext_dim_ci(3, d if d >= 0 else -1 - d) for d in range(-8, 9)}
+
+
+def test_memory_error_exits_two_with_one_line(tmp_path, klein_alg, monkeypatch, capsys):
+    def exhausted(module, window):
+        raise MemoryError("Unable to allocate 1.00 TiB for an array")
+
+    monkeypatch.setattr(stmod, "tate_ring", exhausted)
+    path = tmp_path / "klein.json"
+    path.write_text(canonical_json(klein_alg.to_json_dict()), encoding="utf-8")
+    assert main(["tate", str(path), "--window", "-1", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: out of memory (Unable to allocate 1.00 TiB")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_analyze_validates_a_128_dimensional_ring_under_a_memory_limit(tmp_path):
@@ -624,6 +651,23 @@ def test_reproduce_with_parameters(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "expected 4, got 4" in out
+
+
+@pytest.mark.parametrize("exponents, count, expected", [
+    ("2,1", 4, [1, 1, 1, 1]),  # x2 is zero: k[x1]/(x1^2), whose series is 1/(1-t)
+    ("3,1,2", 3, [1, 2, 3]),
+    ("1", 3, [1, 0, 0]),  # the field: k is free
+])
+def test_ci_ext_dims_counts_only_exponents_of_at_least_two(exponents, count, expected, capsys):
+    assert main(["reproduce", "ci-ext-dims", "--exponents", exponents, "--count", str(count), "--json"]) == 0
+    step = json.loads(capsys.readouterr().out)["steps"][0]
+    assert step["expected"] == step["got"] == expected
+
+
+@pytest.mark.parametrize("count", [0, -3, 33])
+def test_ci_ext_dims_count_outside_its_range_exits_two(count, capsys):
+    assert main(["reproduce", "ci-ext-dims", "--count", str(count)]) == 2
+    assert f"--count {count} must lie in [1, 32]" in capsys.readouterr().err
 
 
 def test_reproduce_json_deterministic(capsys):

@@ -8,10 +8,11 @@ target and must agree with the relative-trace (Higman) columns.  The dense
 oracle solves for all n*m entries of a map, commuting with each algebra
 generator, and must agree with the generator-coordinate hom spaces; the
 Higman columns in turn must span the generator-coordinate projective-factor
-maps, restricted along a syzygy's inclusion or the base module's Casimir
-embedding.  The dense free module writes out the block-diagonal action
-matrices of A^r that stmod never forms; the blockwise free action must agree
-with it.
+maps, restricted along a syzygy's inclusion or the injective hull of the base
+module.  The dense free module writes out the block-diagonal action matrices
+of A^r that stmod never forms; the blockwise free action must agree with it.
+The one-sided product shift, where no factor needs a cosyzygy, is the oracle
+for the home shift that tate_ring moves mixed-sign blocks to.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from gtl.stmod import (
     free_module,
     hom_space,
     minimal_cover,
+    omega_inverse_lift,
     omega_lift,
     projective_factor_columns,
     regular_bimodule,
@@ -294,6 +296,37 @@ def test_radical_clauses_match_the_column_loops_on_random_radicals(name, data):
     rep = broken.validate()
     want = reference_radical_clauses(broken)
     assert {key: rep.verdict_for(key) for key in want} == want
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 2048])
+@pytest.mark.parametrize("name", ["x^30-F2", "C2^4-group-F2", "(3,3,3)-F3", "cubic-enveloping-F3"])
+def test_squared_radical_span_does_not_depend_on_the_chunk(monkeypatch, name, chunk):
+    # reduced against the running basis a chunk at a time, or all products at once
+    alg = ASSOCIATIVITY_ALGEBRAS[name]()
+    p, d = alg.p, alg.dim
+    monkeypatch.setattr(stmod, "_SQUARE_CHUNK", chunk)
+    span = alg.radical
+    for _ in range(3):
+        left = matmul_mod(span.T, alg.left_ops.reshape(d, d * d), p).reshape(-1, d)
+        want = col_echelon(np.hstack([matmul_mod(left[c * d:(c + 1) * d], span, p) for c in range(span.shape[1])]), p)
+        span = alg._square_span(span)
+        assert np.array_equal(span, want)
+
+
+def test_nilpotency_stops_once_a_squaring_leaves_the_span_unchanged(monkeypatch):
+    # the whole algebra as "radical": J^2 = J on the first squaring, so the
+    # check fails there instead of squaring on until the power passes dim A
+    alg = with_radical(build_truncated_ci((30,), 2), np.eye(30, dtype=np.int64))
+    calls = []
+    square = FDAlgebra._square_span
+
+    def counting(self, span):
+        calls.append(span.shape[1])
+        return square(self, span)
+
+    monkeypatch.setattr(FDAlgebra, "_square_span", counting)
+    assert alg.validate().verdict_for("radical_nilpotent") == FAIL
+    assert calls == [30]
 
 
 def test_left_operator_stack_is_read_only_and_matches_left_matrix(klein_alg, cubic_alg):
@@ -698,10 +731,12 @@ def check_against_the_dense_oracle(source: FDModule, target: FDModule, where=Non
 
 
 def check_free_embedding(module: FDModule) -> None:
-    """_free_embedding of the base module is an injective module map into a free module."""
+    """_free_embedding is an injective module map into A^r, r = dim soc, recorded as the inclusion."""
     alg = module.algebra
     emb = _free_embedding(module)
-    assert module.inclusion is None and emb.shape == (module.dim * alg.dim, module.dim)
+    assert module.inclusion is emb
+    socle = kernel_mod(np.vstack([module.action_of(alg.radical[:, c]) for c in range(alg.radical.shape[1])]), alg.p)
+    assert emb.shape == (socle.shape[1] * alg.dim, module.dim)
     assert rank_mod(emb, alg.p) == module.dim
     moved = _free_action(alg, emb)
     for s in range(alg.dim):
@@ -710,9 +745,12 @@ def check_free_embedding(module: FDModule) -> None:
 
 @pytest.mark.parametrize("case", HIGMAN_CASES)
 def test_free_embedding_is_an_injective_module_map(case):
-    base = _base_module(case)
-    check_free_embedding(base)
-    w1 = SyzygyTower(base).module(1)
+    # the injective hulls of W_0 and the cosyzygies W_-1, W_-2 built from them
+    tower = SyzygyTower(_base_module(case))
+    for a in (0, -1, -2):
+        check_free_embedding(tower.module(a))
+        assert tower.module(a).validate().passed, a
+    w1 = tower.module(1)
     assert _free_embedding(w1) is w1.inclusion
 
 
@@ -782,6 +820,51 @@ def test_batched_omega_lift_matches_the_per_map_loop(case):
     for a in range(3):
         for b in range(3):
             check_batched_omega_lift(tower, a, b, (a, b))
+
+
+def check_module_maps(maps: np.ndarray, source: FDModule, target: FDModule) -> None:
+    """Every map of the stack (k, target.dim, source.dim) commutes with every basis element's action."""
+    p = source.p
+    for s in range(source.algebra.dim):
+        left = np.einsum("ij,kjl->kil", target.action[s], maps) % p
+        right = np.einsum("kij,jl->kil", maps, source.action[s]) % p
+        assert np.array_equal(left, right), s
+
+
+@pytest.mark.parametrize("case", HIGMAN_CASES)
+def test_omega_and_its_inverse_undo_each_other_stably(case):
+    # Omega^-1 Omega f and, on syzygies, Omega Omega^-1 f have f's stable class
+    tower = SyzygyTower(_base_module(case))
+    for a in range(3):
+        for b in range(3):
+            source, target = tower.module(a), tower.module(b)
+            st = stable_hom(source, target)
+            maps = np.concatenate([st.basis, hom_space(source, target).T.reshape(-1, target.dim, source.dim)])
+            want = st.coordinates(maps)
+            back = omega_inverse_lift(tower, omega_lift(tower, maps, a, b), a + 1, b + 1)
+            assert np.array_equal(st.coordinates(back), want), (a, b)
+            if a and b:
+                down = omega_inverse_lift(tower, maps, a, b)
+                check_module_maps(down, tower.module(a - 1), tower.module(b - 1))
+                assert np.array_equal(st.coordinates(omega_lift(tower, down, a - 1, b - 1)), want), (a, b)
+
+
+@pytest.mark.parametrize("case", HIGMAN_CASES)
+def test_omega_inverse_lifts_carry_stable_bases_into_the_cosyzygies(case):
+    # Omega^-1 is a stable equivalence: a basis of stable Hom(W_a, W_b) goes
+    # to module maps whose classes are a basis of stable Hom(W_a-1, W_b-1),
+    # down to W_-2
+    tower = SyzygyTower(_base_module(case))
+    for a in range(2):
+        for b in range(2):
+            maps = stable_hom(tower.module(a), tower.module(b)).basis
+            for step in range(1, 3):
+                maps = omega_inverse_lift(tower, maps, a - step + 1, b - step + 1)
+                source, target = tower.module(a - step), tower.module(b - step)
+                check_module_maps(maps, source, target)
+                coords = stable_hom(source, target).coordinates(maps)
+                assert coords.shape == (len(maps), len(maps))
+                assert rank_mod(coords, source.p) == len(maps), (a, b, step)
 
 
 @settings(max_examples=30, deadline=None)
@@ -887,12 +970,37 @@ def test_stable_basis_errors_name_degree_and_shift(monkeypatch, klein_alg, stage
     assert str(info.value) == f"stable basis in degree 1 at shift {shift}: injected failure"
 
 
+@pytest.mark.parametrize("stage, shift", [("omega_inverse_lift", 2), ("tate_ext", 3)])
+def test_stable_basis_errors_below_home_name_degree_and_shift(monkeypatch, klein_alg, stage, shift):
+    # degree -3 at shift 1, two below its home shift 3, is two inverse lifts away
+    ws = _TateWorkspace(trivial_module(klein_alg))
+    values = np.zeros((1, 3, len(minimal_cover(ws.tower.module(-2)).gens)), dtype=np.int64)
+
+    def fail(*args, **kwargs):
+        raise ArithmeticError("injected failure")
+
+    monkeypatch.setattr(stmod, stage, fail)
+    with pytest.raises(ArithmeticError) as info:
+        ws.coordinates_at(-3, 1, values)  # one map W_-2 -> W_1 by its values on W_-2's generators
+    # named once, at the step that failed, not again by the steps below it
+    assert str(info.value) == f"stable basis in degree -3 at shift {shift}: injected failure"
+
+
 def test_omega_lift_errors_name_both_shifts(klein_alg):
     tower = SyzygyTower(trivial_module(klein_alg))
     not_a_module_map = np.zeros((tower.module(1).dim, tower.module(2).dim), dtype=np.int64)
     not_a_module_map[0, 0] = 1
     with pytest.raises(ArithmeticError, match="W_2 -> W_1"):
         omega_lift(tower, not_a_module_map, 2, 1)
+
+
+def test_omega_inverse_lift_errors_name_both_shifts(klein_alg):
+    tower = SyzygyTower(trivial_module(klein_alg))
+    # W_-1 = A / soc A; sending its socle vector x2 to the generator of k is not A-linear
+    not_a_module_map = np.zeros((tower.module(0).dim, tower.module(-1).dim), dtype=np.int64)
+    not_a_module_map[0, 1] = 1
+    with pytest.raises(ArithmeticError, match="omega inverse lift of W_-1 -> W_0: extended map does not restrict"):
+        omega_inverse_lift(tower, not_a_module_map, -1, 0)
 
 
 def _not_a_module(klein_alg, radical_acts):
@@ -912,6 +1020,16 @@ def test_tower_errors_name_the_step(klein_alg, radical_acts, message):
     tower = SyzygyTower(_not_a_module(klein_alg, radical_acts))
     with pytest.raises(ArithmeticError, match=f"tower step W_0 -> W_1: {message}"):
         tower.module(1)
+
+
+@pytest.mark.parametrize("radical_acts, message", [
+    ([[0, 0], [1, 0]], "hull image is not closed under the action"),
+    ([[1, 0], [0, 1]], "injective hull is not injective"),  # no vector is killed by J: no socle
+])
+def test_cosyzygy_errors_name_the_step(klein_alg, radical_acts, message):
+    tower = SyzygyTower(_not_a_module(klein_alg, radical_acts))
+    with pytest.raises(ArithmeticError, match=f"tower step W_0 -> W_-1: {message}"):
+        tower.module(-1)
 
 
 def test_fd_dimension_cap_is_checked_before_allocating(klein_alg):
@@ -1004,6 +1122,16 @@ def test_emitted_ring_bytes_are_pinned(algebra, module, window, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("algebra, module, window, digest", EMITTED_RING_SHA256)
+@pytest.mark.parametrize("saving", [10**9, -(10**9)], ids=["today", "home"])
+def test_emitted_ring_bytes_do_not_depend_on_the_product_shift(monkeypatch, algebra, module, window, digest, saving):
+    # every mixed-sign block at the one-sided shift max(0, -i-j, -i), the
+    # oracle, or at its degree's home shift max(0, -i-j) through cosyzygies
+    monkeypatch.setattr(stmod, "HOME_SHIFT_ROW_SAVING", saving)
+    text = emitted_ring_text.__wrapped__(algebra, module, window)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_written_rings_load_without_json_loads(monkeypatch):
     # cost guard: the writer's output must stay inside what algebra_from_json
     # reads straight from the text, or every load pays for json.loads again
@@ -1045,25 +1173,31 @@ def test_tate_ring_eliminates_nothing_wider_than_a_syzygy_cover(monkeypatch):
 
 
 def test_tate_ring_solves_each_system_once_and_lifts_each_basis_once(monkeypatch, klein_alg):
-    # Klein four over F2 on [-7, 7]: the 169 nonzero product blocks share 64
-    # (degree, shift) systems, and 49 lifted bases sit above their home shift
+    # Klein four over F2 on [-7, 7]: 46 of the 169 nonzero product blocks move
+    # to their degree's home shift, and the blocks share 18 (degree, shift)
+    # systems of 124 rows in all; 49 lifted bases sit above their home shift
+    # and 56 below it
     systems, lifts = [], []
-    solve, lift = _TateWorkspace.coordinates_at, stmod.omega_lift
+    solve, up, down = _TateWorkspace.coordinates_at, stmod.omega_lift, stmod.omega_inverse_lift
 
     def counting_solve(ws, d, shift, values):
-        systems.append((d, shift))
+        systems.append((d, shift, ws.tower.module(shift).dim * values.shape[-1]))
         return solve(ws, d, shift, values)
 
-    def counting_lift(tower, mat, a, b):
-        lifts.append((a, b))
-        return lift(tower, mat, a, b)
+    def counting(lift, direction):
+        def counted(tower, mat, a, b):
+            lifts.append(direction)
+            return lift(tower, mat, a, b)
+        return counted
 
     monkeypatch.setattr(_TateWorkspace, "coordinates_at", counting_solve)
-    monkeypatch.setattr(stmod, "omega_lift", counting_lift)
+    monkeypatch.setattr(stmod, "omega_lift", counting(up, "up"))
+    monkeypatch.setattr(stmod, "omega_inverse_lift", counting(down, "down"))
     ring = tate_ring(trivial_module(klein_alg), (-7, 7))
     assert sum(1 for i in ring.degrees() for j in ring.degrees() if ring.in_window(i + j)) == 169
-    assert len(systems) == len(set(systems)) == 64
-    assert len(lifts) == 49
+    assert len(systems) == len(set(systems)) == 18
+    assert sum(rows for _, _, rows in systems) == 124
+    assert (lifts.count("up"), lifts.count("down")) == (49, 56)
 
 
 def test_tate_ring_never_calls_the_higman_oracle(monkeypatch, klein_alg):
