@@ -54,10 +54,14 @@ def _reduce(arr: np.ndarray, p: int) -> np.ndarray:
     return arr
 
 
-def as_residues(data, p: int) -> np.ndarray:
-    """Copy ``data`` into a new C-ordered int64 array of residues mod p."""
-    arr = np.array(data, dtype=np.int64, order="C")
-    if arr.size and (arr.min() < 0 or arr.max() >= p):
+def as_residues(data, p: int, copy: bool = True) -> np.ndarray:
+    """Copy ``data`` into a new C-ordered int64 array of residues mod p.
+
+    With ``copy`` False a C-ordered int64 array is reduced in place instead.
+    """
+    arr = np.array(data, dtype=np.int64, order="C") if copy else np.asarray(data, dtype=np.int64, order="C")
+    # read as uint64 a negative entry is above every p, so one max finds both
+    if arr.size and arr.view(np.uint64).max() >= p:
         _reduce(arr, p)
     return arr
 
@@ -215,13 +219,20 @@ def kernel_mod(mat, p: int) -> np.ndarray:
     return kernel_from_rref(red, pivots, arr.shape[1], p)
 
 
+def complement(taken, n: int) -> np.ndarray:
+    """The indices in range(n) outside ``taken``, ascending, as np.setdiff1d(np.arange(n), taken)."""
+    keep = np.ones(n, dtype=bool)
+    keep[list(taken)] = False
+    return np.flatnonzero(keep)
+
+
 def kernel_from_rref(red: np.ndarray, pivots: tuple[int, ...], cols: int, p: int) -> np.ndarray:
     """kernel_mod's basis for the first ``cols`` columns of a reduced matrix.
 
     ``red, pivots`` is the rref of a matrix whose first ``cols`` columns are
     the matrix to take the kernel of, with every pivot among them.
     """
-    free = np.setdiff1d(np.arange(cols), pivots)
+    free = complement(pivots, cols)
     ker = np.zeros((cols, free.size), dtype=np.int64)
     ker[free, np.arange(free.size)] = 1
     ker[list(pivots)] = (-red[: len(pivots)][:, free]) % p
@@ -270,8 +281,8 @@ class PrimeField:
         if not is_prime(self.p):
             raise ValueError(f"characteristic must be prime: {self.p}")
 
-    def reduce(self, data) -> np.ndarray:
-        return as_residues(data, self.p)
+    def reduce(self, data, copy: bool = True) -> np.ndarray:
+        return as_residues(data, self.p, copy)
 
     def inv(self, a: int) -> int:
         a = int(a) % self.p

@@ -17,9 +17,10 @@ the work follows the nonzero constants, and it is done in runs of bounded
 size.  FDAlgebra's check is the one-degree case of the same routine.
 
 Ring files are read in time linear in their size (algebra_from_json): the
-structure tables go straight from the text into int64 arrays, and any text
-that reading cannot match exactly goes through json.loads, which stays the
-reference and the only source of error messages.
+structure tables go straight from the text into int64 arrays (a table of
+single digits straight from its bytes), and any text that reading cannot
+match exactly goes through json.loads, which stays the reference and the
+only source of error messages.
 """
 
 from __future__ import annotations
@@ -309,7 +310,14 @@ class WindowedGradedAlgebra:
         mult: dict[tuple[int, int], np.ndarray],
         unit: Iterable[int],
         labels: dict[int, list[str]] | None = None,
+        *,
+        copy: bool = True,
     ) -> None:
+        """The algebra with these blocks, each reduced mod p and made read-only.
+
+        Each table is copied first; with ``copy`` False an int64 array table
+        is taken over instead, reduced in place and frozen.
+        """
         d_min, d_max = int(window[0]), int(window[1])
         if not (d_min <= 0 <= d_max):
             raise AlgebraFormatError(f"window [{d_min}, {d_max}] must contain 0")
@@ -336,13 +344,13 @@ class WindowedGradedAlgebra:
             i, j = int(i), int(j)
             if not (self.in_window(i) and self.in_window(j) and self.in_window(i + j)):
                 raise AlgebraFormatError(f"mult block ({i}, {j}) has degrees outside window")
-            arr = field.reduce(table)
+            arr = field.reduce(table, copy)
             want = (self.dims[i], self.dims[j], self.dims[i + j])
             if arr.shape != want:
                 raise AlgebraFormatError(
                     f"mult block ({i}, {j}) must have shape {want}, got {arr.shape}"
                 )
-            if arr.size and np.any(arr):
+            if arr.size and arr.any():
                 arr.setflags(write=False)
                 self.mult[(i, j)] = arr
 
@@ -689,7 +697,19 @@ def algebra_to_json_dict(alg: WindowedGradedAlgebra) -> dict:
     return out
 
 
+def _int64(value, what: str) -> int:
+    """A JSON integer as an int: int_array's checks, without its arrays for a plain int."""
+    if type(value) is int and -(2**63) <= value < 2**63:
+        return value
+    return int(int_array(value, what, ndim=0))
+
+
 def algebra_from_json_dict(payload: dict) -> WindowedGradedAlgebra:
+    """The ring a graded-format payload describes.
+
+    A table given as an int64 array (as algebra_from_json reads them) is
+    taken over: reduced in place and made read-only, not copied.
+    """
     if not isinstance(payload, dict):
         raise AlgebraFormatError("algebra payload must be a JSON object")
     try:
@@ -729,12 +749,13 @@ def algebra_from_json_dict(payload: dict) -> WindowedGradedAlgebra:
             i, j, table = entry["i"], entry["j"], entry["table"]
         except (KeyError, TypeError) as exc:
             raise AlgebraFormatError(f"malformed mult entry ({exc}): {entry!r}") from None
-        key = (int(int_array(i, "mult entry i", ndim=0)), int(int_array(j, "mult entry j", ndim=0)))
+        key = (_int64(i, "mult entry i"), _int64(j, "mult entry j"))
         if key in mult:
             raise AlgebraFormatError(f"duplicate mult block {key}")
         mult[key] = int_array(table, f"mult entry {key}")
     try:
-        return WindowedGradedAlgebra(fld, window, dims, mult, unit, labels)
+        # every table is now an int64 array built here or by the reader
+        return WindowedGradedAlgebra(fld, window, dims, mult, unit, labels, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise AlgebraFormatError(str(exc)) from None
 
@@ -792,6 +813,9 @@ _COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*")
 _SEPARATOR = re.compile(r"[ \t\n\r]*([,}\]])[ \t\n\r]*")
 _SPLIT_NUMBER = re.compile(rb"[0-9-][ \t\n\r]+[0-9-]")
 _MARK_NUMBERS = bytes.maketrans(b"0123456789-", b"d" * 11)
+# the digits become "d", and a "d" in the text becomes "?", so that a "d"
+# after marking always stands for a digit
+_MARK_DIGITS = bytes.maketrans(b"0123456789d", b"d" * 10 + b"?")
 _UNBRACKET = bytes.maketrans(b"[]", b"  ")
 
 
@@ -865,6 +889,8 @@ def _read_table(text: str, at: int) -> tuple[np.ndarray, int]:
     _Declined) unless the text is a nonempty rectangular array of depth 1
     to 3 whose entries are canonical JSON integers below 10**18 in
     magnitude, so that no -0, leading zero or 19-digit entry gets here.
+    A table of single digits (every ring written over p <= 7) is decoded
+    from its bytes; any other goes through np.fromstring.
     """
     # the table ends at the last "]" before the end of its entry or the next
     # key; every table is preceded by its key, so the scans never overlap
@@ -879,14 +905,16 @@ def _read_table(text: str, at: int) -> tuple[np.ndarray, int]:
     depth = len(packed) - len(packed.lstrip(b"["))
     if not 1 <= depth <= 3:
         raise _Declined
-    # the shape read off the first sub-arrays: the first array of depth k
-    # (counting from the innermost) ends at the first k closing brackets
+    # with only the digits marked, a table of single digits is its skeleton
+    # with one mark in each slot, and its digits are what the brackets and
+    # commas leave
+    marked = packed.translate(_MARK_DIGITS)
+    shape, skeleton = _skeleton(marked, depth, b"d")
+    if marked == skeleton and all(shape):
+        digits = np.frombuffer(packed.translate(None, b"[],"), dtype=np.uint8)
+        return np.subtract(digits, ord("0"), dtype=np.int64).reshape(shape), end
     bare = packed.translate(None, b"0123456789-")
-    lengths = [bare.index(b"]" * k) + 2 * k - depth for k in range(1, depth)] + [len(bare)]
-    shape = [(outer - 1) // (inner + 1) for inner, outer in zip([0] + lengths, lengths)][::-1]
-    skeleton = b"[" + b"," * (shape[-1] - 1) + b"]"
-    for n in reversed(shape[:-1]):
-        skeleton = b"[" + b",".join([skeleton] * n) + b"]"
+    shape, skeleton = _skeleton(bare, depth, b"")
     slots = math.prod(shape)
     marked = packed.translate(_MARK_NUMBERS)
     # with the skeleton right, no number next to the outside of a bracket
@@ -912,3 +940,23 @@ def _read_table(text: str, at: int) -> tuple[np.ndarray, int]:
     if packed.count(b"-") != minus or len(packed) - len(skeleton) != digits + minus:
         raise _Declined
     return values.reshape(shape), end
+
+
+def _skeleton(text: bytes, depth: int, item: bytes) -> tuple[list[int], bytes]:
+    """The shape read off the first sub-arrays of a table of ``depth``, and the
+    rectangular array of that shape with ``item`` in every slot.
+
+    ``text`` is the table with every entry written as ``item``, if it is
+    rectangular at all; otherwise the skeleton differs from it.
+    """
+    # the first array of depth k (counting from the innermost) starts after
+    # depth - k brackets and ends at the first k closing brackets
+    ends = [text.find(b"]" * k) for k in range(1, depth)]
+    if -1 in ends:
+        raise _Declined
+    lengths = [end + 2 * k - depth for k, end in enumerate(ends, 1)] + [len(text)]
+    shape = [(outer - 1) // (inner + 1) for inner, outer in zip([len(item)] + lengths, lengths)][::-1]
+    skeleton = item
+    for n in reversed(shape):
+        skeleton = b"[" + b",".join([skeleton] * n) + b"]"
+    return shape, skeleton

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exactlin import PrimeField, kernel_from_rref, kernel_mod, matmul_mod, rank_mod, rref, solve_mod
+from .exactlin import PrimeField, complement, kernel_from_rref, kernel_mod, matmul_mod, rank_mod, rref, solve_mod
 from .graded import AlgebraFormatError, WindowedGradedAlgebra, associativity_failures, col_echelon, int_array
 from .report import FAIL, PASS, CertifiedReport, PreconditionError
 
@@ -566,7 +566,7 @@ def minimal_cover(module: FDModule) -> Cover:
     p, d, m = module.p, alg.dim, module.dim
     jm = _radical_action(module)
     _, in_jm = rref(jm.transpose(0, 2, 1).reshape(jm.shape[0] * m, m), p)
-    gens = tuple(np.setdiff1d(np.arange(m), in_jm).tolist())
+    gens = tuple(complement(in_jm, m).tolist())
     width = len(gens) * d
     pi = module.action[:, :, list(gens)].transpose(1, 2, 0).reshape(m, width)
     red, pivots = rref(np.hstack([pi, np.eye(m, dtype=np.int64)]), p)
@@ -575,7 +575,7 @@ def minimal_cover(module: FDModule) -> Cover:
     kernel = kernel_from_rref(red, pivots, width, p)
     section = np.zeros((width, m), dtype=np.int64)
     section[list(pivots)] = red[:m, width:]
-    module._cover = Cover(pi, gens, kernel, np.setdiff1d(np.arange(width), pivots), section)
+    module._cover = Cover(pi, gens, kernel, complement(pivots, width), section)
     return module._cover
 
 
@@ -612,7 +612,7 @@ def _free_embedding(module: FDModule) -> np.ndarray:
         d, m = alg.dim, module.dim
         jm = _radical_action(module)
         _, in_dj = rref(jm.reshape(jm.shape[0] * m, m), alg.p)
-        gens = np.setdiff1d(np.arange(m), in_dj)
+        gens = complement(in_dj, m)
         moved = matmul_mod(alg.dual_basis(), module.action[:, gens, :].reshape(d, len(gens) * m), alg.p)
         module.inclusion = moved.reshape(d, len(gens), m).transpose(1, 0, 2).reshape(len(gens) * d, m)
     return module.inclusion
@@ -649,7 +649,7 @@ def cosyzygy_step(module: FDModule) -> tuple[FDModule, Quotient]:
     red, pivots = rref(np.hstack([iota.T, np.eye(m, dtype=np.int64)]), p)
     if pivots and pivots[-1] >= width:
         raise ArithmeticError("injective hull is not injective")
-    rest = np.setdiff1d(np.arange(width), pivots)
+    rest = complement(pivots, width)
     k = len(rest)
     proj = np.zeros((k, width), dtype=np.int64)
     proj[np.arange(k), rest] = 1

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from gtl.exactlin import (
     MAX_CHAR,
     PrimeField,
+    as_residues,
+    complement,
     is_prime,
     kernel_mod,
     matmul_mod,
@@ -305,6 +307,22 @@ def test_rref_matches_the_reference(pm, pivot_cols):
 def test_kernel_mod_matches_the_reference(pm):
     p, mat = pm
     assert np.array_equal(kernel_mod(mat, p), reference_kernel(mat, p))
+
+
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(0, max(n - 1, 0)), max_size=n))))
+def test_complement_matches_setdiff1d(case):
+    n, taken = case
+    taken = tuple(sorted(taken))
+    assert np.array_equal(complement(taken, n), np.setdiff1d(np.arange(n), taken))
+
+
+@given(st.sampled_from([2, 3, 7, MAX_CHAR - 1]), st.lists(st.integers(-(2**63), 2**63 - 1), max_size=6))
+def test_as_residues_reduces_every_int64(p, values):
+    data = np.array(values, dtype=np.int64)
+    want = np.array([v % p for v in values], dtype=np.int64)
+    got = as_residues(data, p)
+    assert np.array_equal(got, want) and got is not data
+    assert as_residues(data, p, copy=False) is data and np.array_equal(data, want)
 
 
 @st.composite

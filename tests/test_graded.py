@@ -161,7 +161,8 @@ def sparse_windowed_algebras(draw):
     (only a(bc) nonzero) or arbitrary blocks, and ``bad_unit`` spoils a unit
     block.
     """
-    p = draw(st.sampled_from([2, 3, 5]))
+    # p = 11 writes two-digit entries, which the JSON reader decodes apart
+    p = draw(st.sampled_from([2, 3, 5, 11]))
     lo, hi = draw(st.integers(-3, 0)), draw(st.integers(0, 3))
     degrees = range(lo, hi + 1)
     dims = {d: 1 if d == 0 else draw(st.integers(0, 2)) for d in degrees}
@@ -577,9 +578,13 @@ def _with_tables(text: str):
     return st.just(text) if not spans else edited_text(text, spans, TABLE_EDIT_CHARS)
 
 
-def _degree_zero_ring(table: str, keys: str = '"i":0,"j":0,') -> str:
-    """A degree-0 ring of dimension 2 whose one mult entry is ``keys`` and ``table``."""
-    return '{"dims":{"0":2},"field_char":3,"mult":[{' + keys + '"table":' + table + '}],"unit":[1,0],"window":[0,0]}'
+def _degree_zero_ring(table: str, keys: str = '"i":0,"j":0,', dim: int = 2) -> str:
+    """A degree-0 ring of dimension ``dim`` whose one mult entry is ``keys`` and ``table``."""
+    unit = json.dumps([1] + [0] * (dim - 1))
+    return (
+        '{"dims":{"0":' + str(dim) + '},"field_char":3,"mult":[{' + keys + '"table":' + table + "}],"
+        '"unit":' + unit + ',"window":[0,0]}'
+    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -598,6 +603,18 @@ def test_json_reader_matches_the_oracle_on_relaid_rings(text, short_entry):
 @example(_degree_zero_ring("[[[1 0,0],[0,1]],[[0,1],[1,0]]]"))  # a number split by a space
 @example(_degree_zero_ring("[[[1,0],[0,1]],[[0,1]],[[1],[0]]]"))  # ragged, with as many numbers as slots
 @example(_degree_zero_ring("[[[1,0],[0,1]],[[0,1],[1,0]]]", keys='"j":0,'))  # an entry without "i"
+# texts the single-digit decoder must decline, or read as the oracle does
+@example(_degree_zero_ring("[[[10,],[0,1]],[[0,1],[1,0]]]"))  # a two-digit entry beside an empty slot
+@example(_degree_zero_ring("[[[1,0],[0,-1]],[[0,1],[1,0]]]"))  # a negative entry
+@example(_degree_zero_ring("[[[1,0],[0,1]]1,[[0,1],[1,0]]]"))  # a digit just outside a bracket
+@example(_degree_zero_ring("[[[1,0],[0,1]],[[0,1],1[1,0]]]"))  # a digit just before a bracket
+@example(_degree_zero_ring("[ [[1, 0],[0,1]],\n\t[[0 ,1],[1,0] ] ]"))  # whitespace between single digits
+@example(_degree_zero_ring("[[[1]]]", dim=1))  # a 1x1x1 table
+@example(_degree_zero_ring("[[[7]]]", dim=1))  # a single digit above p
+@example(_degree_zero_ring("[1,0,0,1,0,1,1,0]"))  # depth 1
+@example(_degree_zero_ring("[[1,0,0,1],[0,1,1,0]]"))  # depth 2
+@example(_degree_zero_ring("[[[]]]", dim=1))  # an empty innermost array
+@example(_degree_zero_ring("[[[1,0],[0,1]],[[d,1],[1,0]]]"))  # a letter in a digit's slot
 def test_json_reader_matches_the_oracle_on_edited_tables(text):
     assert_reads_like_the_oracle(text, short_entry=0)
 

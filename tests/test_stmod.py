@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import sys
 
 import numpy as np
@@ -1134,14 +1135,21 @@ def test_emitted_ring_bytes_do_not_depend_on_the_product_shift(monkeypatch, alge
 
 def test_written_rings_load_without_json_loads(monkeypatch):
     # cost guard: the writer's output must stay inside what algebra_from_json
-    # reads straight from the text, or every load pays for json.loads again
+    # reads straight from the text, or every load pays for json.loads again;
+    # over p <= 7 every entry is one digit, and its tables must skip
+    # np.fromstring and its checks too
     texts = [algebra_to_json(build_trivial_extension(3, (-9, 8), 2))]  # the analyze-te3 ring
     texts += [emitted_ring_text(algebra, module, window) for algebra, module, window, _ in EMITTED_RING_SHA256]
+    assert all(json.loads(text)["field_char"] <= 7 for text in texts)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("json.loads called on a ring file the writer produced")
+    def refuse(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{name} called on a ring file the writer produced")
 
-    monkeypatch.setattr(graded.json, "loads", refuse)
+        return refused
+
+    monkeypatch.setattr(graded.json, "loads", refuse("json.loads"))
+    monkeypatch.setattr(graded.np, "fromstring", refuse("np.fromstring"))
     for text in texts:
         assert algebra_to_json(algebra_from_json(text)) == text
 
