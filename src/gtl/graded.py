@@ -16,19 +16,16 @@ of (ab)c = a(bc) are sums of products of two nonzero structure constants, so
 the work follows the nonzero constants, and it is done in runs of bounded
 size.  FDAlgebra's check is the one-degree case of the same routine.
 
-Ring files are read in time linear in their size (algebra_from_json): the
-structure tables go straight from the text into int64 arrays (a table of
-single digits straight from its bytes), and any text that reading cannot
-match exactly goes through json.loads, which stays the reference and the
-only source of error messages.
+Ring files are read in time linear in their size (algebra_from_json): a table
+of canonical non-negative integers of at most 18 digits goes straight from the
+text into an int64 array, and any other text (a negative entry, say) goes
+through json.loads, which stays the reference and the only source of errors.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -782,18 +779,15 @@ def algebra_from_json(text: str) -> WindowedGradedAlgebra:
     """The ring a graded-format JSON text describes, in time linear in its size.
 
     The ``table`` of each long mult entry is read straight from the text
-    into an int64 array, and every other value (short entries whole) through
-    the stdlib decoder (_read_ring_payload).  A text that reader cannot turn
-    into exactly what json.loads and int_array give goes whole through
-    json.loads instead, so both routes accept the same texts, build the same
-    ring and raise the same errors.
+    into an int64 array (_read_table), and every other value (short entries
+    whole) through the stdlib decoder (_read_ring_payload).  A text that
+    reader cannot turn into exactly what json.loads and int_array give (a
+    negative entry, say) goes whole through json.loads instead, so both
+    routes accept the same texts, build the same ring and raise the same errors.
     """
     try:
-        with warnings.catch_warnings():
-            # numpy 1.x only warns where numpy 2 raises on a partly read table
-            warnings.simplefilter("error", DeprecationWarning)
-            payload = _read_ring_payload(text)
-    except (_Declined, ValueError, RecursionError, DeprecationWarning):
+        payload = _read_ring_payload(text)
+    except (_Declined, ValueError, RecursionError):
         payload = load_json(text)
     return algebra_from_json_dict(payload)
 
@@ -812,11 +806,11 @@ _COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*")
 # what follows an item: "," or the closing bracket, with the space around it
 _SEPARATOR = re.compile(r"[ \t\n\r]*([,}\]])[ \t\n\r]*")
 _SPLIT_NUMBER = re.compile(rb"[0-9-][ \t\n\r]+[0-9-]")
-_MARK_NUMBERS = bytes.maketrans(b"0123456789-", b"d" * 11)
 # the digits become "d", and a "d" in the text becomes "?", so that a "d"
 # after marking always stands for a digit
 _MARK_DIGITS = bytes.maketrans(b"0123456789d", b"d" * 10 + b"?")
 _UNBRACKET = bytes.maketrans(b"[]", b"  ")
+_LEADING_ZERO = bytes.maketrans(b"[23456789", b"," + b"1" * 8)
 
 
 def _read_ring_payload(text: str) -> dict:
@@ -887,10 +881,10 @@ def _read_table(text: str, at: int) -> tuple[np.ndarray, int]:
 
     Every test is a bytes method or one numpy call.  Declines (raises
     _Declined) unless the text is a nonempty rectangular array of depth 1
-    to 3 whose entries are canonical JSON integers below 10**18 in
-    magnitude, so that no -0, leading zero or 19-digit entry gets here.
-    A table of single digits (every ring written over p <= 7) is decoded
-    from its bytes; any other goes through np.fromstring.
+    to 3 whose entries are canonical non-negative JSON integers of at most
+    18 digits, so that no negative entry, leading zero or entry beyond
+    int64 gets here.  A table of single digits (every ring written over
+    p <= 7) is decoded from its bytes; any other goes through np.fromstring.
     """
     # the table ends at the last "]" before the end of its entry or the next
     # key; every table is preceded by its key, so the scans never overlap
@@ -909,44 +903,30 @@ def _read_table(text: str, at: int) -> tuple[np.ndarray, int]:
     # with one mark in each slot, and its digits are what the brackets and
     # commas leave
     marked = packed.translate(_MARK_DIGITS)
-    shape, skeleton = _skeleton(marked, depth, b"d")
+    shape, skeleton = _skeleton(marked, depth)
     if marked == skeleton and all(shape):
         digits = np.frombuffer(packed.translate(None, b"[],"), dtype=np.uint8)
         return np.subtract(digits, ord("0"), dtype=np.int64).reshape(shape), end
-    bare = packed.translate(None, b"0123456789-")
-    shape, skeleton = _skeleton(bare, depth, b"")
-    slots = math.prod(shape)
-    marked = packed.translate(_MARK_NUMBERS)
-    # with the skeleton right, no number next to the outside of a bracket
-    # and one starting in each slot, every slot holds one run of [0-9-]
-    if (
-        bare != skeleton
-        or b"]d" in marked
-        or b"d[" in marked
-        or marked.count(b"[d") + marked.count(b",d") != slots
-    ):
+    # any other table is its skeleton once each run of marks is cut to one:
+    # then every slot holds one run of digits
+    chars = np.frombuffer(marked, dtype=np.uint8)
+    repeat = chars == ord("d")
+    repeat[1:] &= repeat[:-1]  # a mark right after a mark (the text opens with "[")
+    squeezed = chars[~repeat].tobytes()
+    shape, skeleton = _skeleton(squeezed, depth)
+    # with "[" as "," and the digits 1-9 as "1", a run with a leading zero
+    # starts ",00" or ",01"
+    zeros = packed.translate(_LEADING_ZERO)
+    if squeezed != skeleton or not all(shape) or b",00" in zeros or b",01" in zeros or b"d" * 19 in marked:
         raise _Declined
-    # raises ValueError unless every run parses whole; numbers beyond int64 saturate
-    values = np.fromstring(packed.translate(_UNBRACKET), dtype=np.int64, sep=",")
-    if values.max() >= 10**18 or values.min() <= -(10**18):
-        raise _Declined
-    # the runs are canonical (no leading zero, no -0) exactly when they hold
-    # as many digits and minus signs as the values written canonically
-    magnitude = np.abs(values)
-    digits = values.size + sum(
-        int(np.count_nonzero(magnitude >= 10**k)) for k in range(1, len(str(magnitude.max())))
-    )
-    minus = int(np.count_nonzero(values < 0))
-    if packed.count(b"-") != minus or len(packed) - len(skeleton) != digits + minus:
-        raise _Declined
-    return values.reshape(shape), end
+    return np.fromstring(packed.translate(_UNBRACKET), dtype=np.int64, sep=",").reshape(shape), end
 
 
-def _skeleton(text: bytes, depth: int, item: bytes) -> tuple[list[int], bytes]:
+def _skeleton(text: bytes, depth: int) -> tuple[list[int], bytes]:
     """The shape read off the first sub-arrays of a table of ``depth``, and the
-    rectangular array of that shape with ``item`` in every slot.
+    rectangular array of that shape with one "d" in every slot.
 
-    ``text`` is the table with every entry written as ``item``, if it is
+    ``text`` is the table with every entry written as one "d", if it is
     rectangular at all; otherwise the skeleton differs from it.
     """
     # the first array of depth k (counting from the innermost) starts after
@@ -955,8 +935,8 @@ def _skeleton(text: bytes, depth: int, item: bytes) -> tuple[list[int], bytes]:
     if -1 in ends:
         raise _Declined
     lengths = [end + 2 * k - depth for k, end in enumerate(ends, 1)] + [len(text)]
-    shape = [(outer - 1) // (inner + 1) for inner, outer in zip([len(item)] + lengths, lengths)][::-1]
-    skeleton = item
+    shape = [(outer - 1) // (inner + 1) for inner, outer in zip([1] + lengths, lengths)][::-1]
+    skeleton = b"d"
     for n in reversed(shape):
         skeleton = b"[" + b",".join([skeleton] * n) + b"]"
     return shape, skeleton

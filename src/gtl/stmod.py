@@ -637,10 +637,11 @@ class Quotient:
 def cosyzygy_step(module: FDModule) -> tuple[FDModule, Quotient]:
     """The cokernel of the module's injective hull, and the quotient data that presents it.
 
-    One reduction of [iota^T | I] gives the hull's pivot rows, the cokernel
-    basis (the other rows) and the left inverse.  The projection times each
-    e_t acting on the free module, restricted to the cokernel rows, is the
-    action; it is checked to kill the hull.
+    One reduction of [iota^T | I] gives the hull's pivot rows, the
+    projection (the kernel basis of iota^T, one row for each other row) and
+    the left inverse.  The projection times each e_t acting on the free
+    module, restricted to the cokernel rows, is the action; it is checked to
+    kill the hull.
     """
     alg = module.algebra
     p, d = alg.p, alg.dim
@@ -651,9 +652,8 @@ def cosyzygy_step(module: FDModule) -> tuple[FDModule, Quotient]:
         raise ArithmeticError("injective hull is not injective")
     rest = complement(pivots, width)
     k = len(rest)
-    proj = np.zeros((k, width), dtype=np.int64)
-    proj[np.arange(k), rest] = 1
-    proj[:, list(pivots)] = -red[:m, rest].T % p
+    # C order, so that its (-1, d) reshapes here and in _down_target are views
+    proj = kernel_from_rref(red, pivots, width, p).T.copy()
     # (proj e_t)[z, (b, s)] = sum_u proj[z, (b, u)] mult[t, s, u], all t in one product
     by_row = alg.left_ops.reshape(d, d, d).transpose(1, 0, 2).reshape(d, d * d)
     moved = matmul_mod(proj.reshape(-1, d), by_row, p).reshape(k, width // d, d, d)
@@ -965,9 +965,6 @@ class StableHom:
                 "maps; the algebra is likely not self-injective"
             )
         return sol[: self.dim].T.reshape(*values.shape[:-2], self.dim)
-
-    def is_stably_zero(self, mat: np.ndarray) -> bool:
-        return not np.any(self.coordinates(mat))
 
 
 def stable_hom(source: FDModule, target: FDModule) -> StableHom:

@@ -424,8 +424,9 @@ def is_regular_sequence2(
     d_max = alg.window[1]
 
     def image_of_r(src: int) -> np.ndarray:
-        """Columns spanning r*A^{src} in A^{src+dr} (zero span if src is absent)."""
-        if not alg.in_window(src) or alg.dim(src) == 0:
+        """Columns spanning r*A^{src} in A^{src+dr}: a zero span for src < 0,
+        since the quotient is by r*A^{>=0}, or where src is absent."""
+        if src < 0 or not alg.in_window(src) or alg.dim(src) == 0:
             return np.zeros((alg.dim(src + dr), 0), dtype=np.int64)
         return col_echelon(alg.left_mult_matrix(dr, rvec, src), alg.p)
 

@@ -137,6 +137,15 @@ def test_analyze_precondition_rejection_exits_three(t2_path, capsys):
     assert "precondition rejected" in capsys.readouterr().err
 
 
+def test_analyze_depth2_rejects_a_unit_pair_on_the_laurent_line(tmp_path, capsys):
+    # w is invertible, but w does not act regularly on k[w]/(w)
+    path = tmp_path / "laurent.json"
+    path.write_text(algebra_to_json(build_laurent(5, (-3, 3))), encoding="utf-8")
+    rc = main(["analyze", str(path), "--check", "depth2", "--r", "w^1", "--rt", "w^1", "--n", "0"])
+    assert rc == 3
+    assert "precondition rejected" in capsys.readouterr().err
+
+
 def test_analyze_missing_required_flag_exits_two(t2_path, capsys):
     rc = main(["analyze", t2_path, "--check", "nondegenerate"])
     assert rc == 2

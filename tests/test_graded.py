@@ -615,6 +615,12 @@ def test_json_reader_matches_the_oracle_on_relaid_rings(text, short_entry):
 @example(_degree_zero_ring("[[1,0,0,1],[0,1,1,0]]"))  # depth 2
 @example(_degree_zero_ring("[[[]]]", dim=1))  # an empty innermost array
 @example(_degree_zero_ring("[[[1,0],[0,1]],[[d,1],[1,0]]]"))  # a letter in a digit's slot
+# texts the multi-digit decoder must decline, or read as the oracle does
+@example(_degree_zero_ring("[[[1,0],[0,10]],[[0,1],[1,0]]]"))  # a two-digit entry among single digits
+@example(_degree_zero_ring("[[[1,0],[0,01]],[[0,1],[1,0]]]"))  # a leading zero in a later slot
+@example(_degree_zero_ring("[[[1,0],[0,00]],[[0,1],[1,0]]]"))  # 00 in a later slot
+@example(_degree_zero_ring("[[[1,0],[0,9999999999999999999]],[[0,1],[1,0]]]"))  # a run of 19 digits, beyond int64
+@example(_degree_zero_ring("[[[1,0],[0,1]]10,[[0,1],[1,0]]]"))  # a two-digit number just outside a bracket
 def test_json_reader_matches_the_oracle_on_edited_tables(text):
     assert_reads_like_the_oracle(text, short_entry=0)
 

@@ -1,4 +1,4 @@
-"""Every name a gtl module imports is used in that module."""
+"""Every name a gtl module imports, and every private name it defines, is used in that module."""
 
 from __future__ import annotations
 
@@ -32,6 +32,32 @@ def test_sources_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def unused_private_names(tree: ast.Module) -> list[str]:
+    """Module-level names starting with "_" that the module never reads."""
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, line in defined.items() if name.startswith("_") and name not in read]
+
+
+def test_unused_private_names_are_detected():
+    tree = ast.parse("_A = 1\n_B, C = 2, 3\ndef _f():\n    return _A\nclass _K:\n    pass\n")
+    assert unused_private_names(tree) == ["_B (line 2)", "_f (line 3)", "_K (line 5)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_private_name_is_used(path):
+    # a helper or constant left behind by a deletion fails here
+    assert unused_private_names(ast.parse(path.read_text())) == []
 
 
 ENV_READERS = {"environ", "environb", "getenv", "getenvb"}

@@ -572,7 +572,7 @@ def test_stable_hom_of_trivial_module(klein_alg):
     st = stable_hom(k, k)
     assert st.dim == 1
     assert st.coordinates(np.eye(1, dtype=np.int64)).tolist() == [1]
-    assert not st.is_stably_zero(np.eye(1, dtype=np.int64))
+    assert st.coordinates(np.eye(1, dtype=np.int64)).any()
 
 
 def test_maps_from_free_modules_are_stably_zero(klein_alg):
@@ -581,7 +581,7 @@ def test_maps_from_free_modules_are_stably_zero(klein_alg):
     assert stable_hom(free, k).dim == 0
     st = stable_hom(free, free)
     assert st.dim == 0
-    assert st.is_stably_zero(np.eye(4, dtype=np.int64))
+    assert not st.coordinates(np.eye(4, dtype=np.int64)).any()
     # the tower of a free module stops at the zero module
     tower = SyzygyTower(free)
     assert tower.module(1).dim == 0 and tower.ranks(3) == [1, 0, 0]
@@ -1133,14 +1133,28 @@ def test_emitted_ring_bytes_do_not_depend_on_the_product_shift(monkeypatch, alge
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def signed_trivial_extension(p: int) -> WindowedGradedAlgebra:
+    """The analyze-te3 ring over F_p with the basis of degree 1 negated.
+
+    The constants of block (i, j) change sign when exactly one of i, j, i + j is
+    1, so long tables such as (1, -9) hold -1, written p - 1.
+    """
+    ring = build_trivial_extension(3, (-9, 8), p)
+    sign = {d: -1 if d == 1 else 1 for d in ring.degrees()}
+    mult = {(i, j): table * (sign[i] * sign[j] * sign[i + j]) for (i, j), table in ring.mult.items()}
+    return WindowedGradedAlgebra(ring.field, ring.window, ring.dims, mult, ring.unit, ring.labels)
+
+
 def test_written_rings_load_without_json_loads(monkeypatch):
     # cost guard: the writer's output must stay inside what algebra_from_json
-    # reads straight from the text, or every load pays for json.loads again;
-    # over p <= 7 every entry is one digit, and its tables must skip
-    # np.fromstring and its checks too
+    # reads straight from the text, or every load pays for json.loads again.
+    # Over p <= 7 every entry is one digit and is decoded from its bytes,
+    # never through np.fromstring; over p = 11 the tables holding a 10 go
+    # through np.fromstring, and none may fall back to json.loads
     texts = [algebra_to_json(build_trivial_extension(3, (-9, 8), 2))]  # the analyze-te3 ring
     texts += [emitted_ring_text(algebra, module, window) for algebra, module, window, _ in EMITTED_RING_SHA256]
     assert all(json.loads(text)["field_char"] <= 7 for text in texts)
+    two_digit = algebra_to_json(signed_trivial_extension(11))
 
     def refuse(name):
         def refused(*args, **kwargs):
@@ -1148,10 +1162,19 @@ def test_written_rings_load_without_json_loads(monkeypatch):
 
         return refused
 
+    fromstring, parsed = np.fromstring, []
+
+    def recorded(*args, **kwargs):
+        parsed.append(fromstring(*args, **kwargs))
+        return parsed[-1]
+
     monkeypatch.setattr(graded.json, "loads", refuse("json.loads"))
     monkeypatch.setattr(graded.np, "fromstring", refuse("np.fromstring"))
     for text in texts:
         assert algebra_to_json(algebra_from_json(text)) == text
+    monkeypatch.setattr(graded.np, "fromstring", recorded)
+    assert algebra_to_json(algebra_from_json(two_digit)) == two_digit
+    assert parsed and all((table == 10).any() for table in parsed)
 
 
 def record_rref_shapes(monkeypatch) -> list[tuple[int, int]]:

@@ -10,6 +10,7 @@ from gtl.gallery import build_trivial_extension
 from gtl.graded import GradedSubspace, col_echelon
 from gtl.report import FAIL, PASS, UNDERDETERMINED, CertifiedReport, PreconditionError
 from gtl.structure import (
+    _tensor_zero_sweep,
     check_orthogonality,
     check_periodicity,
     ideal_leq,
@@ -225,7 +226,7 @@ def reference_second_clause(alg, r, rt) -> CertifiedReport:
     p, d_max = alg.p, alg.window[1]
 
     def image_of_r(src):
-        if not alg.in_window(src) or alg.dim(src) == 0:
+        if src < 0 or not alg.in_window(src) or alg.dim(src) == 0:
             return np.zeros((alg.dim(src + dr), 0), dtype=np.int64)
         return col_echelon(alg.left_mult_matrix(dr, rvec, src), p)
 
@@ -367,22 +368,28 @@ def test_depth2_rejects_broken_sequence(t2):
 
 
 def test_depth2_clauses_fail_in_the_periodic_regime(cubic_ring):
-    # k[x]/(x^3) over F_3: the degree-2 class is invertible, so (beta, beta)
-    # is vacuously a regular sequence and the pairing is perfect, but the
-    # negative part is not torsion and does not square to zero.
+    # k[x]/(x^3) over F_3: the degree-2 class beta is invertible, so it is
+    # regular, but beta does not act regularly on the non-negative quotient
+    # k[beta]/(beta), so (beta, beta) is no regular sequence
     beta = cubic_ring.basis_element(2, 0)
-    rep = verify_depth2(cubic_ring, beta, beta, -1, [1])
-    assert not rep.passed
-    assert not rep.clauses["torsion_is_negative_part"].passed
-    assert not rep.clauses["negative_square_zero"].passed
-    square = rep.clauses["negative_square_zero"]
+    second = is_regular_sequence2(cubic_ring, beta, beta).clauses["second"]
+    assert not second.passed and second.failures()[0].key == 0
+    with pytest.raises(PreconditionError):
+        verify_depth2(cubic_ring, beta, beta, -1, [1])
+    # and the negative part does not square to zero
+    neg = [d for d in cubic_ring.degrees() if d < 0]
+    square = _tensor_zero_sweep(cubic_ring, neg, neg, "negative_square_zero")
     failing = {e.key for e in square.entries if e.verdict == FAIL}
     assert (-2, -2) in failing
     assert (-1, -1) not in failing  # odd negative classes do square to zero
 
 
 def test_depth2_flags_positive_pairing_degree(laurent):
+    # the Laurent line would have pairing degree 0, but it has no regular
+    # sequence of length two: w is invertible, so regular, yet w does not act
+    # regularly on k[w]/(w), so (w, w) fails the precondition
     w = laurent.element_by_label("w^1")
-    rep = verify_depth2(laurent, w, w, 0)
-    assert not rep.passed
-    assert not rep.clauses["pairing_degree_negative"].passed
+    second = is_regular_sequence2(laurent, w, w).clauses["second"]
+    assert not second.passed and second.failures()[0].key == 0
+    with pytest.raises(PreconditionError):
+        verify_depth2(laurent, w, w, 0)
