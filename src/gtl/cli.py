@@ -120,6 +120,8 @@ def _cmd_analyze(args) -> int:
     elif check == "selfdual":
         rep = duality.selfdual_check(alg, need("n", args.n), _lam(need("lam", args.lam)))
     elif check == "find-functional":
+        if not 1 <= args.samples <= duality.EXHAUSTIVE_LIMIT:
+            raise AlgebraFormatError(f"--samples {args.samples} must lie in [1, {duality.EXHAUSTIVE_LIMIT}]")
         res = duality.find_selfdual_functional(alg, need("n", args.n), seed=args.seed, samples=args.samples)
         payload = {
             "command": "find-functional",

@@ -509,16 +509,17 @@ def trivial_module(alg: FDAlgebra) -> FDModule:
 
 
 def regular_bimodule(alg: FDAlgebra) -> tuple[FDAlgebra, FDModule]:
-    """The algebra as a module over its enveloping algebra (s, t): a -> e_s a e_t."""
+    """The algebra as a module over its enveloping algebra (s, t): a -> e_s a e_t.
+
+    All d^3 products are one matrix product, read as (e_s e_v) e_t, which
+    is e_s (e_v e_t) for the associative tables this is meant for.
+    """
     env = alg.enveloping()
-    d, p = alg.dim, alg.p
-    eye = np.eye(d, dtype=np.int64)
-    mats = []
-    for s in range(d):
-        ls = alg.left_matrix(eye[s])
-        for t in range(d):
-            mats.append(matmul_mod(ls, alg.right_matrix(eye[t]), p))
-    return env, FDModule(env, d, np.stack(mats))
+    d = alg.dim
+    prods = matmul_mod(alg.mult.reshape(d * d, d), alg.mult.reshape(d, d * d), alg.p)
+    # prods[(s, v), (t, u)] is the e_u-coefficient of (e_s e_v) e_t
+    mats = prods.reshape(d, d, d, d).transpose(0, 2, 3, 1).reshape(d * d, d, d)
+    return env, FDModule(env, d, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +719,7 @@ def omega_lift(tower: SyzygyTower, mat: np.ndarray, a: int, b: int) -> np.ndarra
 
     ``mat`` is one map (dim W_b, dim W_a) or a stack of them (k, dim W_b,
     dim W_a), lifted together; the result has the same layout.  The maps'
-    values on W_a's cover generators (pi contracted with the unit) are
+    values on W_a's cover generators (the basis vectors ``gens``) are
     lifted through the cover of W_b by its section, extended freely to
     P_a -> P_b (every e_s applied to the lifted values at once), and
     restricted to the syzygies along their inclusions.
@@ -731,9 +732,7 @@ def omega_lift(tower: SyzygyTower, mat: np.ndarray, a: int, b: int) -> np.ndarra
     k = maps.shape[0] if maps.ndim == 3 else 1
     n_b, m_a = maps.shape[-2:]
     r_a, width = len(ca.gens), cb.section.shape[0]
-    on_gens = matmul_mod(ca.pi.reshape(m_a * r_a, d), alg.unit[:, None], p).reshape(m_a, r_a)
-    values = matmul_mod(maps.reshape(k * n_b, m_a), on_gens, p)
-    values = values.reshape(k, n_b, r_a).transpose(1, 0, 2).reshape(n_b, k * r_a)
+    values = maps.reshape(k, n_b, m_a)[:, :, list(ca.gens)].transpose(1, 0, 2).reshape(n_b, k * r_a)
     lifted = matmul_mod(cb.section, values, p)
     free_map = _free_action(alg, lifted).reshape(d, width, k, r_a).transpose(2, 1, 3, 0)
     moved = matmul_mod(free_map.reshape(k * width, r_a * d), iota_a, p).reshape(k, width, iota_a.shape[1])

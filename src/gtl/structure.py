@@ -61,18 +61,6 @@ def regularity(alg: WindowedGradedAlgebra, r: GradedElement) -> CertifiedReport:
 # ---------------------------------------------------------------------------
 
 
-def _power_matrices(alg: WindowedGradedAlgebra, dr: int, vec: np.ndarray, d: int):
-    """Yield (k, matrix of r^k acting on A^d) while d + k*dr stays in window."""
-    d_max = alg.window[1]
-    mat = np.eye(alg.dim(d), dtype=np.int64) % alg.p
-    k = 0
-    while d + (k + 1) * dr <= d_max:
-        step = alg.left_mult_matrix(dr, vec, d + k * dr)
-        mat = matmul_mod(step, mat, alg.p)
-        k += 1
-        yield k, mat
-
-
 def tor_part(alg: WindowedGradedAlgebra, r: GradedElement) -> GradedSubspace:
     """Union of kernels of powers of r, degree by degree.
 
@@ -83,11 +71,13 @@ def tor_part(alg: WindowedGradedAlgebra, r: GradedElement) -> GradedSubspace:
     degree records how it was certified in the notes; callers that hold a
     regularity hypothesis can do sharper certification themselves.  Degrees
     where the window ends the walk early are flagged UNDERDETERMINED and the
-    stored basis is only a lower bound.
+    stored basis, the kernel of the last power the window holds, is only a
+    lower bound.
     """
     dr, vec = r.homogeneous_part()
     if dr <= 0:
         raise ValueError(f"tor_part needs a positive-degree element, got degree {dr}")
+    d_max = alg.window[1]
     basis: dict[int, np.ndarray] = {}
     flags: set[int] = set()
     notes: dict[int, str] = {}
@@ -98,9 +88,11 @@ def tor_part(alg: WindowedGradedAlgebra, r: GradedElement) -> GradedSubspace:
             return d, np.zeros((0, 0), dtype=np.int64), False, "zero degree"
         prev = None
         last = np.zeros((dim, 0), dtype=np.int64)
+        mat = np.eye(dim, dtype=np.int64)
         certified = False
         note = "no power checkable inside the window"
-        for k, mat in _power_matrices(alg, dr, vec, d):
+        for k in range(1, (d_max - d) // dr + 1):
+            mat = matmul_mod(alg.left_mult_matrix(dr, vec, d + (k - 1) * dr), mat, alg.p)
             ker = kernel_mod(mat, alg.p)
             last = ker
             if ker.shape[1] == dim:
@@ -119,15 +111,6 @@ def tor_part(alg: WindowedGradedAlgebra, r: GradedElement) -> GradedSubspace:
         if not certified and alg.dim(d) > 0:
             flags.add(d)
     return GradedSubspace(alg, basis, underdetermined=frozenset(flags), notes=notes)
-
-
-def kernel_of_power(alg: WindowedGradedAlgebra, r: GradedElement, d: int, k: int):
-    """Kernel of r^k on A^d, or None when the window cannot express r^k there."""
-    dr, vec = r.homogeneous_part()
-    for kk, mat in _power_matrices(alg, dr, vec, d):
-        if kk == k:
-            return kernel_mod(mat, alg.p)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -205,68 +188,35 @@ def ideal_leq(alg: WindowedGradedAlgebra, n: int) -> GradedSubspace:
 def _detour_taint(alg, n, span, escapes, step_degrees):
     """Conservative set of window degrees reachable from out-of-window mass.
 
-    Band reasoning: every multiplication step is the degree of a window
-    degree with nonzero dimension, so a product chain moves in bounded hops
-    and cannot cross the window without landing in it.  It therefore
-    suffices to track a band of width one window on each side plus two
-    "deep" states for everything past the band.  Full degrees absorb taint:
-    nothing can be added to them and their onward products are already part
-    of the computed fixpoint.
+    Every multiplication step is a window degree of nonzero dimension, so a
+    product chain moves in hops shorter than the window and cannot cross it
+    without landing in it.  One worklist search over the band
+    [d_min - width, d_max + width] therefore suffices: a degree past a band
+    edge stands for everything past it and taints that whole band side.  The
+    search starts from the low band (degrees below both n and the window are
+    generators the window never saw, for any n), the escapes, and the
+    degrees in (d_max, n].  Full window degrees absorb taint: nothing can be
+    added to them and their onward products are already part of the
+    computed fixpoint.
     """
     d_min, d_max = alg.window
     width = d_max - d_min + 1
     band_lo, band_hi = d_min - width, d_max + width
-
-    def full(d: int) -> bool:
-        return span[d].shape[1] == alg.dim(d)
-
+    work = [band_lo - 1, *escapes, *range(d_max + 1, min(n, band_hi + 1) + 1)]
     tainted: set[int] = set()
-    # Degrees below both n and the window are generators the window never
-    # saw, for any n, so the low band and everything past it start tainted.
-    deep_low, deep_high = True, False
-    work: list[int] = []
-
-    def seed(d: int):
-        nonlocal deep_low, deep_high
-        if alg.in_window(d):
-            if not full(d) and d not in tainted:
-                tainted.add(d)
-                work.append(d)
-        elif band_lo <= d <= band_hi:
-            if d not in tainted:
-                tainted.add(d)
-                work.append(d)
-        elif d < band_lo:
-            deep_low = True
+    while work:
+        d = min(max(work.pop(), band_lo - 1), band_hi + 1)
+        if d in tainted or (alg.in_window(d) and span[d].shape[1] == alg.dim(d)):
+            continue
+        tainted.add(d)
+        if d < band_lo:
+            work.extend(range(band_lo, d_min))
+        elif d > band_hi:
+            work.extend(range(d_max + 1, band_hi + 1))
         else:
-            deep_high = True
+            work.extend(d + j for j in step_degrees)
 
-    for d in escapes:
-        seed(d)
-    if n > d_max:
-        for d in range(d_max + 1, min(n, band_hi) + 1):
-            seed(d)
-        if n > band_hi:
-            deep_high = True
-
-    def expand(d: int):
-        for j in step_degrees:
-            seed(d + j)
-
-    while work or deep_low or deep_high:
-        if deep_low:
-            deep_low = False
-            for d in range(band_lo, d_min):
-                seed(d)
-            continue
-        if deep_high:
-            deep_high = False
-            for d in range(d_max + 1, band_hi + 1):
-                seed(d)
-            continue
-        expand(work.pop())
-
-    flags = {d for d in tainted if alg.in_window(d) and not full(d)}
+    flags = {d for d in tainted if alg.in_window(d)}
     notes = {d: "value could grow via products outside the window" for d in flags}
     return flags, notes
 
@@ -339,29 +289,16 @@ def verify_depth1(alg: WindowedGradedAlgebra, r: GradedElement, n: int) -> Certi
 # ---------------------------------------------------------------------------
 
 
-def check_orthogonality(
-    alg: WindowedGradedAlgebra,
-    r: GradedElement,
-    n: int,
-    lam,
-    assume_regular: bool = False,
-) -> CertifiedReport:
-    """Torsion is the orthogonal complement of the cut ideal, degreewise.
-
-    At degree i (with n-i in the window) the claims are
-    dim I^i = dims(n-i) - dim Tor^{n-i} and Tor^{n-i} = (I^i)^perp under the
-    degree-n Gram pairing.  Degrees where either input subspace is only a
-    lower bound come back UNDERDETERMINED unless ``assume_regular`` lets the
-    torsion side be certified from the regularity hypothesis.
-    """
-    sd = selfdual_check(alg, n, lam)
-    if not sd.passed:
+def _selfdual_form(alg: WindowedGradedAlgebra, n: int, lam):
+    """The degree-n form of ``lam``; PreconditionError unless it passes selfdual_check."""
+    if not selfdual_check(alg, n, lam).passed:
         raise PreconditionError("functional does not pass selfdual_check")
-    form = form_from_functional(alg, n, lam)
+    return form_from_functional(alg, n, lam)
+
+
+def _orthogonality(alg: WindowedGradedAlgebra, n: int, form, tor: GradedSubspace) -> CertifiedReport:
+    """The orthogonality sweep of ``form`` over the cut ideal and a given torsion part."""
     ideal = ideal_leq(alg, n)
-    tor = tor_part(alg, r)
-    if assume_regular:
-        tor = _tor_under_regularity(alg, r, tor)
 
     def orthogonal(i: int):
         j = n - i
@@ -384,12 +321,25 @@ def check_orthogonality(
     return CertifiedReport.sweep("orthogonality", alg.degrees(), orthogonal, n=n)
 
 
+def check_orthogonality(alg: WindowedGradedAlgebra, r: GradedElement, n: int, lam) -> CertifiedReport:
+    """Torsion is the orthogonal complement of the cut ideal, degreewise.
+
+    At degree i (with n-i in the window) the claims are
+    dim I^i = dims(n-i) - dim Tor^{n-i} and Tor^{n-i} = (I^i)^perp under the
+    degree-n Gram pairing.  Degrees where either input subspace is only a
+    lower bound come back UNDERDETERMINED: the torsion part is tor_part's,
+    certified by the window alone.  verify_depth2 runs the same sweep on
+    the torsion part its certified regular sequence sharpens.
+    """
+    return _orthogonality(alg, n, _selfdual_form(alg, n, lam), tor_part(alg, r))
+
+
 def check_periodicity(alg: WindowedGradedAlgebra, r: GradedElement) -> CertifiedReport:
     """Multiplication by r is bijective on every degree the window can check."""
     dr, vec = r.homogeneous_part()
 
     def bijective(i: int):
-        if i + dr > alg.window[1]:
+        if not alg.in_window(i + dr):
             return None
         di, dj = alg.dim(i), alg.dim(i + dr)
         rank = int(rank_mod(alg.left_mult_matrix(dr, vec, i), alg.p))
@@ -462,30 +412,26 @@ def is_regular_sequence2(
 def _tor_under_regularity(
     alg: WindowedGradedAlgebra, r: GradedElement, tor: GradedSubspace
 ) -> GradedSubspace:
-    """Re-certify torsion flags using the regular-on-nonnegative hypothesis.
+    """Certify every one of tor_part's flags using the regular-on-nonnegative hypothesis.
 
     Under that hypothesis Tor^d = 0 for d >= 0, and for d < 0 the chain
     ker r^k is already exhausted at k0 = ceil(-d/|r|) because r^{k0} maps
-    A^d into non-negative degrees where r acts injectively.  Any flagged
-    degree where k0 is reachable inside the window gets its exact value.
+    A^d into non-negative degrees where r acts injectively.  That degree,
+    d + k0*|r|, lies in [0, |r|) and so inside the window, since r does.
+    Every flagged degree therefore keeps its stored basis, which is exact.
+    For d < 0 the walk ran to the window's edge without a plateau, and
+    ker r^{k0} = ker r^{k0+1} would have been one, so the walk ended at
+    power k0 and holds ker r^{k0}.  For d >= 0 the walk stored either no
+    power or the kernel of r on A^d, and both are zero.
     """
     dr, _ = r.homogeneous_part()
-    basis = {d: tor.vectors(d) for d in alg.degrees()}
-    flags = set(tor.underdetermined)
     notes = dict(tor.notes)
-    for d in sorted(flags):
-        if d >= 0:
-            basis[d] = np.zeros((alg.dim(d), 0), dtype=np.int64)
-            flags.discard(d)
-            notes[d] = "zero by the regularity hypothesis"
-            continue
-        k0 = (-d + dr - 1) // dr
-        ker = kernel_of_power(alg, r, d, k0)
-        if ker is not None:
-            basis[d] = ker
-            flags.discard(d)
-            notes[d] = f"exact at power {k0} under the regularity hypothesis"
-    return GradedSubspace(alg, basis, underdetermined=frozenset(flags), notes=notes)
+    for d in tor.underdetermined:
+        notes[d] = (
+            "zero by the regularity hypothesis" if d >= 0
+            else f"exact at power {-(d // dr)} under the regularity hypothesis"
+        )
+    return GradedSubspace(alg, tor.basis, notes=notes)
 
 
 def _tensor_zero_sweep(alg, left_degrees, right_degrees, check_name) -> CertifiedReport:
@@ -558,8 +504,6 @@ def verify_depth2(
     def negative_torsion(d: int):
         """Tor^d is all of A^d for d < 0 and zero for d >= 0."""
         note, dim_tor, dim = tor.notes.get(d), tor.dim(d), alg.dim(d)
-        if d in tor.underdetermined:
-            return UNDERDETERMINED, None, note
         if d < 0:
             return (PASS, None, note) if dim_tor == dim else (FAIL, {"dim_tor": dim_tor, "dim": dim})
         return (PASS, None, note) if dim_tor == 0 else (FAIL, {"dim_tor": dim_tor})
@@ -599,9 +543,7 @@ def verify_depth2(
         report.clauses["dims_match_across_pairing"] = CertifiedReport.sweep(
             "dims_match_across_pairing", [i for i in alg.degrees() if i >= 0], dims_match
         )
-        report.clauses["orthogonality"] = check_orthogonality(
-            alg, r, n, lam, assume_regular=True
-        )
+        report.clauses["orthogonality"] = _orthogonality(alg, n, _selfdual_form(alg, n, lam), tor)
     elif lam is not None:
         report.notes.append("duality clause only applies when n = -1; skipped")
     else:

@@ -8,7 +8,9 @@ exact integer equality throughout — no tolerances anywhere.
 from __future__ import annotations
 
 import contextlib
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,10 @@ from gtl.gallery import (
     expected_hh0_dim,
     expected_tate_hh_dim,
 )
+
+# The benchmark's workloads and recorded output digests, read and never written.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 @contextlib.contextmanager
@@ -279,3 +285,17 @@ def test_8_property_suites_across_gallery(
                     assert not matmul_mod(mat, ker, p).any()
         elapsed = time.perf_counter() - start
         assert elapsed <= 60.0
+
+
+# ---------------------------------------------------------------------------
+# 9. the benchmark's passes reproduce their recorded outputs
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_9_benchmark_passes_match_their_recorded_digests(name, seed, tmp_path):
+    reference = workloads.load_references()[name][workloads.input_variant(seed)]
+    case = workloads.WORKLOADS[name](seed, tmp_path)
+    with _verdict(f"benchmark {name}, seed {seed}: output digest as recorded"):
+        assert workloads.gate(case, case.run(), reference) is None

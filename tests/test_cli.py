@@ -82,6 +82,22 @@ def test_analyze_find_functional_miss_is_a_failure(t2_path, capsys):
     assert "no functional found" in out
 
 
+@pytest.mark.parametrize("samples", ["0", "-3", "1000001"])
+def test_analyze_find_functional_samples_out_of_range_exits_two(t2_path, samples, capsys):
+    rc = main(["analyze", t2_path, "--check", "find-functional", "--n", "-1", f"--samples={samples}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: --samples {samples} must lie in [1, 1000000]\n"
+
+
+def test_analyze_periodicity_of_a_negative_degree_element(tmp_path, capsys):
+    path = tmp_path / "laurent.json"
+    path.write_text(algebra_to_json(build_laurent(3, (-4, 4))), encoding="utf-8")
+    rc = main(["analyze", str(path), "--check", "periodicity", "--r=w^-1"])
+    assert rc == 0
+    assert "RESULT: PASS" in capsys.readouterr().out
+
+
 def test_analyze_depth2_full_verification(t2_path, capsys):
     rc = main([
         "analyze", t2_path, "--check", "depth2",

@@ -497,6 +497,19 @@ def test_regular_bimodule(klein_alg):
     assert bim.validate().passed
 
 
+def test_regular_bimodule_acts_by_two_sided_products(klein_alg, cubic_alg):
+    # the action of (s, t) is e_s * (-) after (-) * e_t, one pair at a time; the
+    # triangular matrices are the one non-commutative table
+    for alg in (klein_alg, cubic_alg, build_truncated_ci((6,), 3), build_truncated_ci((2, 3), 2), upper_triangular(3)):
+        eye = np.eye(alg.dim, dtype=np.int64)
+        want = [
+            matmul_mod(alg.left_matrix(eye[s]), alg.right_matrix(eye[t]), alg.p)
+            for s in range(alg.dim)
+            for t in range(alg.dim)
+        ]
+        assert np.array_equal(regular_bimodule(alg)[1].action, np.stack(want))
+
+
 # -- covers and towers -------------------------------------------------------------
 
 

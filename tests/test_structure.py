@@ -4,18 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gtl.exactlin import kernel_mod, rank_mod, solve_mod
-from gtl.gallery import build_trivial_extension
-from gtl.graded import GradedSubspace, col_echelon
+from gtl import structure
+from gtl.exactlin import PrimeField, kernel_mod, matmul_mod, rank_mod, solve_mod
+from gtl.gallery import build_laurent, build_trivial_extension
+from gtl.graded import GradedSubspace, WindowedGradedAlgebra, col_echelon
 from gtl.report import FAIL, PASS, UNDERDETERMINED, CertifiedReport, PreconditionError
 from gtl.structure import (
+    _detour_taint,
     _tensor_zero_sweep,
+    _tor_under_regularity,
     check_orthogonality,
     check_periodicity,
     ideal_leq,
     is_regular_sequence2,
-    kernel_of_power,
     regularity,
     tor_part,
     verify_depth1,
@@ -113,12 +117,70 @@ def test_tor_part_is_closed_under_the_algebra_action(t2):
                     assert tor.contains(b * x)
 
 
+def kernel_of_power(alg, r, d, k):
+    """Kernel of r^k on A^d, or None when the window cannot express r^k there:
+    r^k multiplied out from the identity, one power at a time."""
+    dr, vec = r.homogeneous_part()
+    mat = np.eye(alg.dim(d), dtype=np.int64)
+    for kk in range(1, k + 1):
+        if d + kk * dr > alg.window[1]:
+            return None
+        mat = matmul_mod(alg.left_mult_matrix(dr, vec, d + (kk - 1) * dr), mat, alg.p)
+    return kernel_mod(mat, alg.p)
+
+
+def product_ring(a, b):
+    """The componentwise product A x B of two graded rings on one window."""
+    dims = {d: a.dim(d) + b.dim(d) for d in a.degrees()}
+    mult = {}
+    for i in a.degrees():
+        for j in a.degrees():
+            if not a.in_window(i + j):
+                continue
+            block = np.zeros((dims[i], dims[j], dims[i + j]), dtype=np.int64)
+            block[: a.dim(i), : a.dim(j), : a.dim(i + j)] = a.mult_block(i, j)
+            block[a.dim(i):, a.dim(j):, a.dim(i + j):] = b.mult_block(i, j)
+            mult[(i, j)] = block
+    return WindowedGradedAlgebra(PrimeField(a.p), a.window, dims, mult, np.concatenate([a.unit, b.unit]))
+
+
 def test_kernel_of_power(t2):
     w1 = t2.element_by_label("w1")
     assert kernel_of_power(t2, w1, -3, 1).shape[1] == 1
     assert kernel_of_power(t2, w1, -3, 2).shape[1] == 2
     assert kernel_of_power(t2, w1, -3, 3).shape[1] == 3
     assert kernel_of_power(t2, w1, 2, 2) is None  # needs degree 4
+
+
+def test_regularity_sharpens_flags_to_the_kernel_of_power_k0():
+    # Laurent x trivial extension with r = (w^2, w1^2): the Laurent half keeps
+    # every negative degree from filling, so degrees -1 and -3 reach the
+    # window's edge at power k0 = ceil(-d/2) with a kernel that is neither 0 nor full
+    te = build_trivial_extension(2, (-4, 2), 2)
+    alg = product_ring(build_laurent(2, (-4, 2)), te)
+    w1 = te.element_by_label("w1")
+    r = alg.element(2, np.concatenate([[1], (w1 * w1).homogeneous_part()[1]]))
+    assert regularity(alg, r).passed
+    tor = tor_part(alg, r)
+    sharp = _tor_under_regularity(alg, r, tor)
+    assert not sharp.underdetermined
+    unflagged = sorted(d for d in tor.underdetermined if d < 0)
+    assert unflagged == [-3, -1]
+    for d in unflagged:
+        k0 = -(d // 2)
+        want = GradedSubspace(alg, {d: kernel_of_power(alg, r, d, k0)})
+        assert want.dim(d) not in (0, alg.dim(d))
+        assert GradedSubspace(alg, {d: sharp.vectors(d)}).equals(want)
+        assert sharp.notes[d] == f"exact at power {k0} under the regularity hypothesis"
+    for alg, r in ((build_laurent(3, (-5, 3)), "w^3"), (build_laurent(3, (-5, 2)), "w^2")):
+        r = alg.element_by_label(r)
+        tor = tor_part(alg, r)
+        sharp = _tor_under_regularity(alg, r, tor)
+        dr = r.homogeneous_part()[0]
+        assert not sharp.underdetermined and min(tor.underdetermined) < 0
+        for d in tor.underdetermined:
+            want = np.zeros((1, 0), dtype=np.int64) if d >= 0 else kernel_of_power(alg, r, d, -(d // dr))
+            assert GradedSubspace(alg, {d: sharp.vectors(d)}).equals(GradedSubspace(alg, {d: want}))
 
 
 # -- cut ideals ---------------------------------------------------------------
@@ -165,6 +227,95 @@ def test_ideal_flags_degrees_reachable_from_outside():
     assert ideal_leq(wide, -1).underdetermined == frozenset()
 
 
+def reference_detour_taint(alg, n, span, escapes, step_degrees):
+    """The taint search with two "deep" states for everything past the band."""
+    d_min, d_max = alg.window
+    width = d_max - d_min + 1
+    band_lo, band_hi = d_min - width, d_max + width
+
+    def full(d: int) -> bool:
+        return span[d].shape[1] == alg.dim(d)
+
+    tainted: set[int] = set()
+    deep_low, deep_high = True, False
+    work: list[int] = []
+
+    def seed(d: int):
+        nonlocal deep_low, deep_high
+        if alg.in_window(d):
+            if not full(d) and d not in tainted:
+                tainted.add(d)
+                work.append(d)
+        elif band_lo <= d <= band_hi:
+            if d not in tainted:
+                tainted.add(d)
+                work.append(d)
+        elif d < band_lo:
+            deep_low = True
+        else:
+            deep_high = True
+
+    for d in escapes:
+        seed(d)
+    if n > d_max:
+        for d in range(d_max + 1, min(n, band_hi) + 1):
+            seed(d)
+        if n > band_hi:
+            deep_high = True
+
+    while work or deep_low or deep_high:
+        if deep_low:
+            deep_low = False
+            for d in range(band_lo, d_min):
+                seed(d)
+            continue
+        if deep_high:
+            deep_high = False
+            for d in range(d_max + 1, band_hi + 1):
+                seed(d)
+            continue
+        d = work.pop()
+        for j in step_degrees:
+            seed(d + j)
+
+    flags = {d for d in tainted if alg.in_window(d) and not full(d)}
+    notes = {d: "value could grow via products outside the window" for d in flags}
+    return flags, notes
+
+
+class _Window:
+    """What the taint search reads of an algebra: its window and dimensions."""
+
+    def __init__(self, window, dims):
+        self.window, self.dims = window, dims
+
+    def dim(self, d):
+        return self.dims[d]
+
+    def in_window(self, d):
+        return self.window[0] <= d <= self.window[1]
+
+
+@st.composite
+def taint_inputs(draw):
+    lo = draw(st.integers(-6, 2))
+    hi = draw(st.integers(max(lo, -2), 6))
+    width = hi - lo + 1
+    degrees = range(lo, hi + 1)
+    dims = {d: draw(st.integers(0, 2)) for d in degrees}
+    span = {d: np.zeros((dims[d], draw(st.integers(0, dims[d]))), dtype=np.int64) for d in degrees}
+    outside = st.integers(lo - 3 * width, hi + 3 * width).filter(lambda d: not lo <= d <= hi)
+    escapes = draw(st.sets(outside, max_size=6))
+    n = draw(st.integers(lo - 3 * width, hi + 3 * width))
+    return _Window((lo, hi), dims), n, span, escapes, [d for d in degrees if dims[d]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(taint_inputs())
+def test_taint_search_matches_the_deep_state_search(case):
+    assert _detour_taint(*case) == reference_detour_taint(*case)
+
+
 @pytest.mark.parametrize("n", [-5, -6, -9])
 def test_ideal_with_cutoff_below_the_window_certifies_only_true_values(t2, n):
     # every degree <= n lies below the window, yet products of those
@@ -184,6 +335,15 @@ def test_periodicity_of_invertible_class(cubic_ring):
     rep = check_periodicity(cubic_ring, cubic_ring.basis_element(2, 0))
     assert rep.passed
     assert rep.unchecked == [3, 4]
+
+
+def test_periodicity_of_a_negative_degree_element():
+    # w^-1 is a unit: its image degree i - 1 leaves the window only at the
+    # bottom degree, which goes unchecked
+    alg = build_laurent(3, (-4, 4))
+    rep = check_periodicity(alg, alg.element_by_label("w^-1"))
+    assert rep.passed
+    assert rep.unchecked == [-4]
 
 
 def test_periodicity_fails_on_one_variable_extension():
@@ -313,7 +473,10 @@ def test_orthogonality_underdetermined_without_hypothesis(t2):
 
 
 def test_orthogonality_sharp_under_regularity(t2):
-    rep = check_orthogonality(t2, t2.element_by_label("w1"), -1, [1], assume_regular=True)
+    # verify_depth2 certifies (w1, w2) first, then sweeps its sharpened torsion part
+    rep = verify_depth2(
+        t2, t2.element_by_label("w1"), t2.element_by_label("w2"), -1, [1]
+    ).clauses["orthogonality"]
     assert rep.passed
     assert all(e.verdict == PASS for e in rep.entries)
 
@@ -352,6 +515,20 @@ def test_depth2_on_klein_ring(klein_ring):
     rep = verify_depth2(klein_ring, r, rt, -1, [1])
     assert rep.passed
     assert rep.clauses["negative_square_zero"].passed
+
+
+def test_depth2_walks_the_torsion_once(monkeypatch):
+    te3 = build_trivial_extension(3, (-9, 8), 2)
+    calls = []
+
+    def counted(alg, r):
+        calls.append(r)
+        return tor_part(alg, r)
+
+    monkeypatch.setattr(structure, "tor_part", counted)
+    rep = verify_depth2(te3, te3.element_by_label("w1"), te3.element_by_label("w2"), -1, [1])
+    assert rep.passed and "orthogonality" in rep.clauses
+    assert len(calls) == 1
 
 
 def test_depth2_without_functional_skips_duality_clauses(t2):
