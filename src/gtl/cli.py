@@ -397,8 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse reads a negative 'degree:index' such as -1:0 as an option, so
+    # "--r -1:0" is passed on as "--r=-1:0"
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for k in range(len(argv) - 1, 0, -1):
+        if argv[k - 1] in ("--r", "--rt") and _DEGREE_INDEX.match(argv[k]):
+            argv[k - 1 : k + 1] = [f"{argv[k - 1]}={argv[k]}"]
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except PreconditionError as exc:

@@ -205,8 +205,11 @@ def find_selfdual_functional(
     order (lowest index wins).  Above it, a randomized search draws
     ``samples`` seeded vectors and the lowest passing sample index wins.
     ``SearchResult.strategy`` names the search that ran.  No canonicity is
-    claimed for the winner.
+    claimed for the winner.  ``samples`` outside [1, EXHAUSTIVE_LIMIT] is a
+    ValueError.
     """
+    if not 1 <= samples <= EXHAUSTIVE_LIMIT:
+        raise ValueError(f"samples {samples} must lie in [1, {EXHAUSTIVE_LIMIT}]")
     if not alg.in_window(n):
         raise ValueError(f"pairing degree {n} outside window {alg.window}")
     d = alg.dim(n)

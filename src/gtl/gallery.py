@@ -110,18 +110,14 @@ def build_trivial_extension(nvars: int, window: tuple[int, int], p: int = 2) -> 
                     for t, beta in enumerate(basis[j]):
                         gamma = tuple(a + b for a, b in zip(alpha, beta))
                         block[s, t, index[k][gamma]] = 1
-            elif i >= 0 and j < 0:
-                for s, beta in enumerate(basis[i]):
-                    for t, alpha in enumerate(basis[j]):
+            elif (i >= 0) != (j >= 0):
+                # the monomial factor's axis first, whichever side it is on
+                acts = block if i >= 0 else block.transpose(1, 0, 2)
+                for s, beta in enumerate(basis[max(i, j)]):
+                    for t, alpha in enumerate(basis[min(i, j)]):
                         if divides(beta, alpha):
                             rem = tuple(a - b for a, b in zip(alpha, beta))
-                            block[s, t, index[k][rem]] = 1
-            elif i < 0 and j >= 0:
-                for s, alpha in enumerate(basis[i]):
-                    for t, beta in enumerate(basis[j]):
-                        if divides(beta, alpha):
-                            rem = tuple(a - b for a, b in zip(alpha, beta))
-                            block[s, t, index[k][rem]] = 1
+                            acts[s, t, index[k][rem]] = 1
             mult[(i, j)] = block
 
     unit = np.zeros(dims[0], dtype=np.int64)

@@ -16,10 +16,12 @@ of (ab)c = a(bc) are sums of products of two nonzero structure constants, so
 the work follows the nonzero constants, and it is done in runs of bounded
 size.  FDAlgebra's check is the one-degree case of the same routine.
 
-Ring files are read in time linear in their size (algebra_from_json): a table
-of canonical non-negative integers of at most 18 digits goes straight from the
-text into an int64 array, and any other text (a negative entry, say) goes
-through json.loads, which stays the reference and the only source of errors.
+Ring files are read in time linear in their size (algebra_from_json), and
+json.loads is the only parser of their structure: each long table of canonical
+non-negative integers of at most 18 digits is cut out of the text and read
+straight into an int64 array, json.loads reads the rest once, and any other
+text (a negative entry, say) goes whole through json.loads, which stays the
+reference and the only source of errors.
 """
 
 from __future__ import annotations
@@ -778,12 +780,12 @@ def load_json(text: str):
 def algebra_from_json(text: str) -> WindowedGradedAlgebra:
     """The ring a graded-format JSON text describes, in time linear in its size.
 
-    The ``table`` of each long mult entry is read straight from the text
-    into an int64 array (_read_table), and every other value (short entries
-    whole) through the stdlib decoder (_read_ring_payload).  A text that
-    reader cannot turn into exactly what json.loads and int_array give (a
-    negative entry, say) goes whole through json.loads instead, so both
-    routes accept the same texts, build the same ring and raise the same errors.
+    The ``table`` of each long mult entry is cut out of the text and read
+    straight into an int64 array (_read_table); json.loads reads the rest
+    (_read_ring_payload).  A text that reader cannot turn into exactly what
+    json.loads and int_array give (a negative entry, say) goes whole through
+    json.loads instead, so both routes accept the same texts, build the same
+    ring and raise the same errors.
     """
     try:
         payload = _read_ring_payload(text)
@@ -796,15 +798,13 @@ class _Declined(Exception):
     """A text the direct reader leaves to json.loads."""
 
 
-_DECODER = json.JSONDecoder()
-# A mult entry that ends within this many characters (the next one starts
-# sooner) is read whole by the stdlib scanner, table and all: below about 500
-# characters that and int_array are faster than reading the table directly.
+# A table whose text ends within this many characters stays in the text for
+# json.loads: below about 500 characters that and int_array are faster than
+# reading the table directly.
 _SHORT_ENTRY = 512
-_SPACE = re.compile(r"[ \t\n\r]*")
-_COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*")
-# what follows an item: "," or the closing bracket, with the space around it
-_SEPARATOR = re.compile(r"[ \t\n\r]*([,}\]])[ \t\n\r]*")
+_TABLE_KEY = re.compile(r'"table"\s*:\s*')
+# a table's text ends before the next string or the end of its entry
+_VALUE_END = re.compile(r'["}]')
 _SPLIT_NUMBER = re.compile(rb"[0-9-][ \t\n\r]+[0-9-]")
 # the digits become "d", and a "d" in the text becomes "?", so that a "d"
 # after marking always stands for a digit
@@ -816,64 +816,39 @@ _LEADING_ZERO = bytes.maketrans(b"[23456789", b"," + b"1" * 8)
 def _read_ring_payload(text: str) -> dict:
     """json.loads(text), but with the table of each long mult entry as an int64 array.
 
-    Python walks the top-level object, the mult list and its entries other
-    than short ones; the stdlib scanner reads every other value.  Raises
-    _Declined (or a ValueError) where the result could differ from
-    json.loads followed by int_array: malformed text, a mult entry that is
-    not an object with i, j and table, or a table _read_table declines.
+    Each long table is cut out and replaced by the placeholder string
+    "\\u0000<k>", k counting the tables cut; json.loads reads the stitched
+    text once, and the tables are put back where the placeholders came out.
+    JSON spells NUL only as \\u0000, so in a text without it every NUL-led
+    string is a placeholder.  Raises _Declined (or a ValueError) where the
+    result could differ from json.loads followed by int_array: a table
+    _read_table declines, or a placeholder that does not come back, in
+    order, as the table of a mult entry with i and j.
     """
-
-    def sequence(at: int, opener: str, closer: str, read_item) -> tuple[list, int]:
-        """The items of the array or object opening at text[at], and the index past it."""
-        if not text.startswith(opener, at):
-            raise _Declined
-        at = _SPACE.match(text, at + 1).end()
-        if text.startswith(closer, at):
-            return [], at + 1
-        items = []
-        while True:
-            item, at = read_item(at)
-            items.append(item)
-            separator = _SEPARATOR.match(text, at)
-            if separator is None or separator[1] not in ("," + closer):
-                raise _Declined
-            at = separator.end()
-            if separator[1] == closer:
-                return items, at
-
-    def member(read_value):
-        def read(at: int) -> tuple[tuple, int]:
-            key, at = _DECODER.raw_decode(text, at)
-            colon = _COLON.match(text, at)
-            if not isinstance(key, str) or colon is None:
-                raise _Declined
-            value, at = read_value(key, colon.end())
-            return (key, value), at
-
-        return read
-
-    def entry_value(key: str, at: int):
-        return _read_table(text, at) if key == "table" else _DECODER.raw_decode(text, at)
-
-    def entry(at: int) -> tuple[dict, int]:
-        if text.find("{", at + 1, at + _SHORT_ENTRY) >= 0:
-            return _DECODER.raw_decode(text, at)
-        pairs, at = sequence(at, "{", "}", member(entry_value))
-        out = dict(pairs)
-        # a mult error message shows the entry, whose table must then be a list
-        if not {"i", "j", "table"} <= out.keys():
-            raise _Declined
-        return out, at
-
-    def top_value(key: str, at: int):
-        if key == "mult" and text.startswith("[", at):
-            return sequence(at, "[", "]", entry)
-        return _DECODER.raw_decode(text, at)
-
-    pairs, at = sequence(_SPACE.match(text).end(), "{", "}", member(top_value))
-    if at != len(text):
+    if "\\u0000" in text:
         raise _Declined
-    return dict(pairs)
+    pieces, tables, at, done = [], [], 0, 0
+    while (key := _TABLE_KEY.search(text, at)) is not None:
+        at = key.end()
+        if _VALUE_END.search(text, at, at + _SHORT_ENTRY):
+            continue
+        table, end = _read_table(text, at)
+        pieces += [text[done:at], f'"\\u0000{len(tables)}"']
+        tables.append(table)
+        at = done = end
+    payload = json.loads("".join(pieces) + text[done:])
+    mult = payload.get("mult") if isinstance(payload, dict) else None
+    found = 0
+    for entry in mult if isinstance(mult, list) else ():
+        table = entry.get("table") if isinstance(entry, dict) else None
+        if isinstance(table, str) and table.startswith("\0"):
+            if table != f"\0{found}" or not {"i", "j"} <= entry.keys():
+                raise _Declined
+            entry["table"] = tables[found]
+            found += 1
+    if found != len(tables):
+        raise _Declined
+    return payload
 
 
 def _read_table(text: str, at: int) -> tuple[np.ndarray, int]:

@@ -4,12 +4,11 @@ An FDAlgebra is a based algebra over a prime field with an explicit radical
 basis; modules are based too, as one action matrix per algebra basis vector.
 Syzygies come from minimal free covers (generators = a complement of J*M),
 cosyzygies from injective hulls (the cokernel of M -> A^r, r = dim soc M).
-A syzygy tower is the complete resolution as two lists of modules: each
-caches its cover, and each records one embedding into a free module, a
-syzygy its inclusion into the cover it is the kernel of, W_0 and the
-cosyzygies their injective hull.  Free modules stay columns: the algebra
-acts on them block by block through its multiplication tensor, never
-through (r*d)^2 action matrices.
+A syzygy tower is the complete resolution, one record per step: W_a and the
+cover F_a -> W_{a-1} whose kernel it is, the minimal cover of W_{a-1} for
+a >= 1 and the injective hull of W_a below that.  Free modules stay columns:
+the algebra acts on them block by block through its multiplication tensor,
+never through (r*d)^2 action matrices.
 
 FDAlgebra.validate certifies associativity with graded.associativity_failures,
 the table being a one-degree ring, and the nilpotency of the radical J by
@@ -529,20 +528,22 @@ def regular_bimodule(alg: FDAlgebra) -> tuple[FDAlgebra, FDModule]:
 
 @dataclass
 class Cover:
-    """Minimal free cover pi: A^r -> module, with pi of shape (module.dim, r*d).
+    """A free cover pi: A^r -> module, with pi of shape (module.dim, r*d).
 
-    Free generator b goes to the module basis vector ``gens[b]``, so the
-    rank r is len(gens).  ``kernel`` is kernel_mod's basis of ker(pi), the
-    identity on the rows ``kernel_rows``; it is the inclusion of the
-    module's syzygy.  ``section`` is solve_mod's right inverse
-    (pi @ section = I).
+    A minimal cover sends free generator b to the module basis vector
+    ``gens[b]`` (r = len(gens)); an injective hull's quotient map has
+    ``gens`` None.  ``kernel`` embeds ker(pi), and ``kernel_rows`` are the
+    rows a left inverse of it reads, L y = inverse @ y[kernel_rows];
+    ``inverse`` None is the identity, for kernel_mod's basis.  ``section``
+    is a linear right inverse (pi @ section = I).
     """
 
     pi: np.ndarray
-    gens: tuple[int, ...]
+    gens: tuple[int, ...] | None
     kernel: np.ndarray
     kernel_rows: np.ndarray
     section: np.ndarray
+    inverse: np.ndarray | None = None
 
 
 def _radical_action(module: FDModule) -> np.ndarray:
@@ -552,14 +553,24 @@ def _radical_action(module: FDModule) -> np.ndarray:
     return matmul_mod(alg.radical.T, module.action.reshape(d, m * m), alg.p).reshape(c, m, m)
 
 
+def _split(mat: np.ndarray, p: int, failure: str) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """One reduction of [mat | I], for mat of full row rank m (else ArithmeticError(failure)):
+    kernel_mod's basis of ker(mat), the pivot columns, and the m x m E with mat[:, pivots] @ E = I."""
+    m, width = mat.shape
+    red, pivots = rref(np.hstack([mat, np.eye(m, dtype=np.int64)]), p)
+    if pivots and pivots[-1] >= width:
+        raise ArithmeticError(failure)
+    return kernel_from_rref(red, pivots, width, p), pivots, red[:m, width:]
+
+
 def minimal_cover(module: FDModule) -> Cover:
     """Free cover on generators completing an echelon basis of J*module.
 
     Cached on the module.  J*module is spanned by the columns of the
     radical's action matrices; the rows where their span has pivots (one
     reduction) lie in it, and the other rows are the generators.  A second
-    reduction, of [pi | I], checks surjectivity and yields both the kernel
-    and the section.
+    reduction, of [pi | I] (_split), checks surjectivity and yields both the
+    kernel and the section.
     """
     if module._cover is not None:
         return module._cover
@@ -570,12 +581,9 @@ def minimal_cover(module: FDModule) -> Cover:
     gens = tuple(complement(in_jm, m).tolist())
     width = len(gens) * d
     pi = module.action[:, :, list(gens)].transpose(1, 2, 0).reshape(m, width)
-    red, pivots = rref(np.hstack([pi, np.eye(m, dtype=np.int64)]), p)
-    if pivots and pivots[-1] >= width:
-        raise ArithmeticError("cover is not surjective; the radical data is inconsistent")
-    kernel = kernel_from_rref(red, pivots, width, p)
+    kernel, pivots, inverse = _split(pi, p, "cover is not surjective; the radical data is inconsistent")
     section = np.zeros((width, m), dtype=np.int64)
-    section[list(pivots)] = red[:m, width:]
+    section[list(pivots)] = inverse
     module._cover = Cover(pi, gens, kernel, complement(pivots, width), section)
     return module._cover
 
@@ -619,26 +627,10 @@ def _free_embedding(module: FDModule) -> np.ndarray:
     return module.inclusion
 
 
-@dataclass
-class Quotient:
-    """W_{a-1} as the quotient F_a / iota_a(W_a) of the free module W_a embeds in.
+def cosyzygy_step(module: FDModule) -> tuple[FDModule, Cover]:
+    """The cokernel of the module's injective hull, and the hull's quotient map onto it.
 
-    ``proj`` (dim W_{a-1}, width) is the projection and ``section`` a
-    linear right inverse of it.  ``rows`` and ``inverse`` give a left
-    inverse L of iota_a as L y = inverse @ y[rows]; ``inverse`` None is the
-    identity.
-    """
-
-    proj: np.ndarray
-    section: np.ndarray
-    rows: np.ndarray
-    inverse: np.ndarray | None
-
-
-def cosyzygy_step(module: FDModule) -> tuple[FDModule, Quotient]:
-    """The cokernel of the module's injective hull, and the quotient data that presents it.
-
-    One reduction of [iota^T | I] gives the hull's pivot rows, the
+    One reduction of [iota^T | I] (_split) gives the hull's pivot rows, the
     projection (the kernel basis of iota^T, one row for each other row) and
     the left inverse.  The projection times each e_t acting on the free
     module, restricted to the cokernel rows, is the action; it is checked to
@@ -647,14 +639,12 @@ def cosyzygy_step(module: FDModule) -> tuple[FDModule, Quotient]:
     alg = module.algebra
     p, d = alg.p, alg.dim
     iota = _free_embedding(module)
-    width, m = iota.shape
-    red, pivots = rref(np.hstack([iota.T, np.eye(m, dtype=np.int64)]), p)
-    if pivots and pivots[-1] >= width:
-        raise ArithmeticError("injective hull is not injective")
+    width = iota.shape[0]
+    proj, pivots, inverse = _split(iota.T, p, "injective hull is not injective")
     rest = complement(pivots, width)
     k = len(rest)
     # C order, so that its (-1, d) reshapes here and in _down_target are views
-    proj = kernel_from_rref(red, pivots, width, p).T.copy()
+    proj = proj.T.copy()
     # (proj e_t)[z, (b, s)] = sum_u proj[z, (b, u)] mult[t, s, u], all t in one product
     by_row = alg.left_ops.reshape(d, d, d).transpose(1, 0, 2).reshape(d, d * d)
     moved = matmul_mod(proj.reshape(-1, d), by_row, p).reshape(k, width // d, d, d)
@@ -662,52 +652,42 @@ def cosyzygy_step(module: FDModule) -> tuple[FDModule, Quotient]:
     if np.any(matmul_mod(moved.reshape(d * k, width), iota, p)):
         raise ArithmeticError("hull image is not closed under the action")
     section = np.eye(width, dtype=np.int64)[:, rest]
-    quotient = Quotient(proj, section, np.asarray(pivots, dtype=np.int64), red[:m, width:].T.copy())
-    return FDModule(alg, k, moved[:, :, rest]), quotient
+    cover = Cover(proj, None, iota, np.asarray(pivots, dtype=np.int64), section, inverse.T.copy())
+    return FDModule(alg, k, moved[:, :, rest]), cover
 
 
 class SyzygyTower:
     """The complete resolution of a module: W_0 = M, W_{a+1} = ker(P_a -> W_a), W_{a-1} = coker(W_a -> I_a).
 
-    ``modules`` holds W_0, W_1, ... and ``cosyzygies`` W_{-1}, W_{-2}, ...
-    as far as built.  Each module caches its minimal cover (P_a -> W_a and
-    its kernel) and records one embedding into a free module: a syzygy
-    W_{a+1} its inclusion into P_a, W_0 and the cosyzygies their injective
-    hull I_a, whose cokernel is the next cosyzygy.  ``quotients[a]`` keeps
-    how W_{a-1} presents I_a / W_a for a <= 0; above, the cover of W_{a-1}
-    does.
+    ``modules[a]`` is W_a, as far as built, and ``covers[a]`` the cover
+    F_a -> W_{a-1} whose kernel is W_a: the minimal cover of W_{a-1} for
+    a >= 1, and the injective hull of W_a below that.
     """
 
     def __init__(self, module: FDModule):
-        self.modules = [module]
-        self.cosyzygies: list[FDModule] = []
-        self.quotients: dict[int, Quotient] = {}
+        self.modules: dict[int, FDModule] = {0: module}
+        self.covers: dict[int, Cover] = {}
         self._down: dict[tuple[str, int], tuple] = {}
 
     def module(self, i: int) -> FDModule:
         """W_i for any integer i, building the tower out to it on first use."""
-        while len(self.modules) <= i:
-            a = len(self.modules) - 1
+        while i > (a := max(self.modules)):
             try:
-                self.modules.append(syzygy_step(self.modules[a]))
+                self.modules[a + 1] = syzygy_step(self.modules[a])
             except ArithmeticError as exc:
                 raise ArithmeticError(f"tower step W_{a} -> W_{a + 1}: {exc}") from exc
-        while len(self.cosyzygies) < -i:
-            a = -len(self.cosyzygies)
+            self.covers[a + 1] = minimal_cover(self.modules[a])
+        while i < (a := min(self.modules)):
             try:
-                cosyzygy, self.quotients[a] = cosyzygy_step(self.module(a))
+                self.modules[a - 1], self.covers[a] = cosyzygy_step(self.modules[a])
             except ArithmeticError as exc:
                 raise ArithmeticError(f"tower step W_{a} -> W_{a - 1}: {exc}") from exc
-            self.cosyzygies.append(cosyzygy)
-        return self.modules[i] if i >= 0 else self.cosyzygies[-i - 1]
+        return self.modules[i]
 
-    def quotient(self, a: int) -> Quotient:
-        """How W_{a-1} is the quotient of the free module that W_a embeds in."""
-        if a >= 1:
-            cover = minimal_cover(self.module(a - 1))
-            return Quotient(cover.pi, cover.section, cover.kernel_rows, None)
-        self.module(a - 1)
-        return self.quotients[a]
+    def cover(self, a: int) -> Cover:
+        """The cover F_a -> W_{a-1} whose kernel is W_a."""
+        self.module(a if a > 0 else a - 1)
+        return self.covers[a]
 
     def ranks(self, count: int) -> list[int]:
         """Generator counts of the covers of W_0 .. W_{count-1} (Betti-number shadow)."""
@@ -722,12 +702,12 @@ def omega_lift(tower: SyzygyTower, mat: np.ndarray, a: int, b: int) -> np.ndarra
     values on W_a's cover generators (the basis vectors ``gens``) are
     lifted through the cover of W_b by its section, extended freely to
     P_a -> P_b (every e_s applied to the lifted values at once), and
-    restricted to the syzygies along their inclusions.
+    restricted to the syzygies along their inclusions (a, b >= 0).
     """
     alg = tower.module(0).algebra
     p, d = alg.p, alg.dim
-    ca, cb = minimal_cover(tower.module(a)), minimal_cover(tower.module(b))
-    iota_a, iota_b = tower.module(a + 1).inclusion, tower.module(b + 1).inclusion
+    ca, cb = tower.cover(a + 1), tower.cover(b + 1)
+    iota_a, iota_b = ca.kernel, cb.kernel
     maps = np.asarray(mat, dtype=np.int64)
     k = maps.shape[0] if maps.ndim == 3 else 1
     n_b, m_a = maps.shape[-2:]
@@ -746,18 +726,17 @@ def _down_source(tower: SyzygyTower, a: int) -> tuple:
     """W_a's matrices as the source of down-lifts, built once per tower index.
 
     ``extend`` (dim W_a, d * dim W_{a-1}) takes functionals nu on the free
-    module, read on the rows of iota_a's left inverse, to the values
-    nu(e_t s(x)) on the quotient section s; ``action`` (dim W_a, d * dim W_a)
-    takes functionals mu on W_a to the mu(e_t x).
+    module, read on the rows of iota_a's left inverse (the cover's
+    ``inverse``), to the values nu(e_t s(x)) on the cover's section s;
+    ``action`` (dim W_a, d * dim W_a) takes functionals mu on W_a to the mu(e_t x).
     """
     key = ("source", a)
     if key not in tower._down:
-        module = tower.module(a)
+        module, cover = tower.module(a), tower.cover(a)
         m = module.dim
-        quotient = tower.quotient(a)
-        extend = _free_action(module.algebra, quotient.section)[:, quotient.rows, :]
+        extend = _free_action(module.algebra, cover.section)[:, cover.kernel_rows, :]
         action = module.action.transpose(1, 0, 2).reshape(m, -1)
-        tower._down[key] = (quotient, extend.transpose(1, 0, 2).reshape(m, -1), action)
+        tower._down[key] = (cover.inverse, extend.transpose(1, 0, 2).reshape(m, -1), action)
     return tower._down[key]
 
 
@@ -773,11 +752,11 @@ def _down_target(tower: SyzygyTower, b: int) -> tuple:
     if key not in tower._down:
         alg = tower.module(0).algebra
         p, d = alg.p, alg.dim
-        iota = _free_embedding(tower.module(b))
+        cover = tower.cover(b)
+        iota, proj = cover.kernel, cover.pi
         width, n = iota.shape
         paired = matmul_mod(alg._gram(), _blocks_side_by_side(iota, d), p)
         paired = paired.reshape(d, width // d, n).transpose(1, 0, 2).reshape(width, n)
-        proj = tower.quotient(b).proj
         pushdown = matmul_mod(proj.reshape(-1, d), alg.dual_basis(), p).reshape(proj.shape)
         tower._down[key] = (paired, pushdown)
     return tower._down[key]
@@ -788,7 +767,7 @@ def omega_inverse_lift(tower: SyzygyTower, mat: np.ndarray, a: int, b: int) -> n
 
     ``mat`` is one map (dim W_b, dim W_a) or a stack of them, lifted
     together; the result has the same layout.  Each W_{c-1} is the quotient
-    of the free module F_c that W_c embeds in by iota_c (tower.quotient).
+    of the free module F_c that W_c embeds in by iota_c (tower.cover).
     The free module is injective, so iota_b f extends along iota_a to
     g: F_a -> F_b, which passes to the quotients.  A map phi into A is
     x |-> sum_t lam(phi(e_t x)) e_t^dual, so g is read off the functionals
@@ -800,7 +779,7 @@ def omega_inverse_lift(tower: SyzygyTower, mat: np.ndarray, a: int, b: int) -> n
     """
     alg = tower.module(0).algebra
     p, d = alg.p, alg.dim
-    quotient, extend, action = _down_source(tower, a)
+    inverse, extend, action = _down_source(tower, a)
     paired, pushdown = _down_target(tower, b)
     maps = np.asarray(mat, dtype=np.int64)
     k = maps.shape[0] if maps.ndim == 3 else 1
@@ -812,7 +791,7 @@ def omega_inverse_lift(tower: SyzygyTower, mat: np.ndarray, a: int, b: int) -> n
     seen = seen.reshape(r_b, d, k, m_a).transpose(2, 0, 1, 3).reshape(k * r_b, d * m_a)
     if not np.array_equal(matmul_mod(mu, action, p), seen):
         raise ArithmeticError(f"omega inverse lift of W_{a} -> W_{b}: extended map does not restrict to the maps")
-    nu = mu if quotient.inverse is None else matmul_mod(mu, quotient.inverse, p)
+    nu = mu if inverse is None else matmul_mod(mu, inverse, p)
     values = matmul_mod(nu, extend, p).reshape(k, r_b * d, m_out)
     out = matmul_mod(pushdown, _side_by_side(values), p).reshape(n_out, k, m_out).transpose(1, 0, 2)
     return out if maps.ndim == 3 else out[0]

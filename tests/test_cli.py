@@ -98,6 +98,16 @@ def test_analyze_periodicity_of_a_negative_degree_element(tmp_path, capsys):
     assert "RESULT: PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags", [["--r", "-1:0"], ["--r=-1:0"], ["--r", "w^-1", "--rt", "-1:0"]])
+def test_analyze_takes_a_negative_degree_index_after_a_space(tmp_path, capsys, flags):
+    # argparse alone reads "-1:0" as an option and exits 2
+    path = tmp_path / "laurent.json"
+    path.write_text(algebra_to_json(build_laurent(3, (-4, 4))), encoding="utf-8")
+    rc = main(["analyze", str(path), "--check", "periodicity", *flags])
+    assert rc == 0
+    assert "RESULT: PASS" in capsys.readouterr().out
+
+
 def test_analyze_depth2_full_verification(t2_path, capsys):
     rc = main([
         "analyze", t2_path, "--check", "depth2",

@@ -197,7 +197,18 @@ def test_find_functional_exhaustive_budget(monkeypatch, klein_ring):
     assert auto.strategy == "randomized" and auto.found
     assert selfdual_check(huge, -1, auto.functional).passed
     # Klein-four: dims(-1) = 1 over F_2, two candidates; the budget is inclusive
+    # (and bounds samples too)
     monkeypatch.setattr(duality, "EXHAUSTIVE_LIMIT", 2)
-    assert find_selfdual_functional(klein_ring, -1).strategy == "exhaustive"
+    assert find_selfdual_functional(klein_ring, -1, samples=1).strategy == "exhaustive"
     monkeypatch.setattr(duality, "EXHAUSTIVE_LIMIT", 1)
-    assert find_selfdual_functional(klein_ring, -1).strategy == "randomized"
+    assert find_selfdual_functional(klein_ring, -1, samples=1).strategy == "randomized"
+
+
+@pytest.mark.parametrize("limit", [EXHAUSTIVE_LIMIT, 1], ids=["exhaustive", "randomized"])
+def test_find_functional_rejects_samples_outside_the_budget(monkeypatch, klein_ring, limit):
+    # a search of no samples would report found=False, tried=0, like one that found nothing
+    monkeypatch.setattr(duality, "EXHAUSTIVE_LIMIT", limit)
+    for samples in (0, -5, limit + 1):
+        with pytest.raises(ValueError, match=rf"samples {samples} must lie in \[1, {limit}\]"):
+            find_selfdual_functional(klein_ring, -1, samples=samples)
+    assert find_selfdual_functional(klein_ring, -1, samples=limit).found

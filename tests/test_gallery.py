@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
@@ -17,7 +18,7 @@ from gtl.gallery import (
     expected_tate_hh_dim,
     fd_algebra_from_payload,
 )
-from gtl.graded import AlgebraFormatError
+from gtl.graded import AlgebraFormatError, algebra_to_json
 from gtl.stmod import FDAlgebra
 
 
@@ -104,6 +105,13 @@ def test_trivial_extension_square_zero_negative_part(t2):
         for j in range(-4, 0):
             if t2.in_window(i + j):
                 assert not t2.mult_block(i, j).any()
+
+
+def test_trivial_extension_bytes_are_pinned():
+    # the analyze-te3 benchmark ring: the benchmark's recorded report digests
+    # hold only while the builder writes these bytes
+    text = algebra_to_json(build_trivial_extension(3, (-9, 8), 2))
+    assert hashlib.sha256(text.encode()).hexdigest() == "546bb37959ac00c0c9398d95fe55ed1c74200adf3e987dd7ad1e3acfaa13d3d2"
 
 
 def test_trivial_extension_default_char_is_two():

@@ -625,6 +625,28 @@ def test_json_reader_matches_the_oracle_on_edited_tables(text):
     assert_reads_like_the_oracle(text, short_entry=0)
 
 
+_TABLE = "[[[1,0],[0,1]],[[0,1],[1,0]]]"
+# texts where a cut-out table's placeholder could come back out of place
+_PLACEHOLDER_EDGE_TEXTS = {
+    "a label holding NUL": _degree_zero_ring(_TABLE).replace('"window"', '"labels":{"0":["a\\u0000","b"]},"window"'),
+    "a top-level table key": '{"table":' + _TABLE + "," + _degree_zero_ring(_TABLE)[1:],
+    "two table keys in one entry": _degree_zero_ring(_TABLE, keys='"i":0,"j":0,"table":' + _TABLE.replace("0", "2") + ","),
+    "an entry without i": _degree_zero_ring(_TABLE, keys='"j":0,'),
+    "a string table spelled like a placeholder": _degree_zero_ring('"\\u00000"'),
+    "a table key nested inside i": _degree_zero_ring(_TABLE, keys='"i":{"table":' + _TABLE + '},"j":0,'),
+    # the error message shows the entry, and so what stands in its nested table
+    "a table key nested in a last entry without one": _degree_zero_ring(_TABLE).replace(
+        "}],", '},{"j":0,"x":{"table":' + _TABLE + "}}],"
+    ),
+}
+
+
+@pytest.mark.parametrize("text", _PLACEHOLDER_EDGE_TEXTS.values(), ids=_PLACEHOLDER_EDGE_TEXTS.keys())
+@pytest.mark.parametrize("short_entry", [0, graded._SHORT_ENTRY])
+def test_json_reader_matches_the_oracle_where_placeholders_could_stray(text, short_entry):
+    assert_reads_like_the_oracle(text, short_entry)
+
+
 def test_json_reader_declines_to_the_oracle_error_messages():
     deep = _degree_zero_ring("[" * 200_000 + "]" * 200_000)
     for text in (deep, "[" * 200_000 + "]" * 200_000, _degree_zero_ring("[[[" + "1" * 5000 + "]]]")):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import re
 import sys
 
 import numpy as np
@@ -1158,16 +1159,25 @@ def signed_trivial_extension(p: int) -> WindowedGradedAlgebra:
     return WindowedGradedAlgebra(ring.field, ring.window, ring.dims, mult, ring.unit, ring.labels)
 
 
-def test_written_rings_load_without_json_loads(monkeypatch):
+def long_table_lengths(text: str) -> list[int]:
+    """The length of each written table (up to its entry's "}") of _SHORT_ENTRY characters or more."""
+    lengths = [text.index("}", m.end()) - m.end() for m in re.finditer('"table":', text)]
+    return [n for n in lengths if n >= graded._SHORT_ENTRY]
+
+
+def test_written_rings_load_with_long_tables_cut_out(monkeypatch):
     # cost guard: the writer's output must stay inside what algebra_from_json
-    # reads straight from the text, or every load pays for json.loads again.
-    # Over p <= 7 every entry is one digit and is decoded from its bytes,
-    # never through np.fromstring; over p = 11 the tables holding a 10 go
-    # through np.fromstring, and none may fall back to json.loads
+    # reads straight from the text, or every load pays for reading its long
+    # tables through json.loads.  No load may fall back to the whole-text
+    # route (load_json), and json.loads may see no table of _SHORT_ENTRY
+    # characters.  Over p <= 7 every entry is one digit and is decoded from
+    # its bytes, never through np.fromstring; over p = 11 the tables holding
+    # a 10 go through np.fromstring
     texts = [algebra_to_json(build_trivial_extension(3, (-9, 8), 2))]  # the analyze-te3 ring
     texts += [emitted_ring_text(algebra, module, window) for algebra, module, window, _ in EMITTED_RING_SHA256]
     assert all(json.loads(text)["field_char"] <= 7 for text in texts)
     two_digit = algebra_to_json(signed_trivial_extension(11))
+    assert long_table_lengths(texts[0]) and long_table_lengths(two_digit)
 
     def refuse(name):
         def refused(*args, **kwargs):
@@ -1176,18 +1186,26 @@ def test_written_rings_load_without_json_loads(monkeypatch):
         return refused
 
     fromstring, parsed = np.fromstring, []
+    loads, handed = json.loads, []
 
     def recorded(*args, **kwargs):
         parsed.append(fromstring(*args, **kwargs))
         return parsed[-1]
 
-    monkeypatch.setattr(graded.json, "loads", refuse("json.loads"))
+    def recorded_loads(text, *args, **kwargs):
+        handed.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(graded, "load_json", refuse("load_json"))
+    monkeypatch.setattr(graded.json, "loads", recorded_loads)
     monkeypatch.setattr(graded.np, "fromstring", refuse("np.fromstring"))
     for text in texts:
         assert algebra_to_json(algebra_from_json(text)) == text
     monkeypatch.setattr(graded.np, "fromstring", recorded)
     assert algebra_to_json(algebra_from_json(two_digit)) == two_digit
     assert parsed and all((table == 10).any() for table in parsed)
+    assert len(handed) == len(texts) + 1
+    assert not any(long_table_lengths(text) for text in handed)
 
 
 def record_rref_shapes(monkeypatch) -> list[tuple[int, int]]:
