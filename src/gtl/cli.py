@@ -206,8 +206,10 @@ def _cmd_tate(args) -> int:
         "validated": validation.passed,
     }
     if args.emit:
+        # the whole text first, so that a failure leaves an existing file as it was
+        text = algebra_to_json(ring)
         with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(algebra_to_json(ring))
+            fh.write(text)
         payload["emitted"] = args.emit
     lines = [f"stable self-extension dimensions over window [{window[0]}, {window[1]}]:"]
     lines.extend(f"  {d}: {ring.dim(d)}" for d in ring.degrees())

@@ -82,23 +82,19 @@ def build_trivial_extension(nvars: int, window: tuple[int, int], p: int = 2) -> 
     if nvars < 1:
         raise AlgebraFormatError("need at least one variable")
     field = PrimeField(p)
-    basis: dict[int, list[tuple[int, ...]]] = {}
-    labels: dict[int, list[str]] = {}
-    for d in range(lo, hi + 1):
-        if d >= 0:
-            basis[d] = _monomials_total(nvars, d)
-            labels[d] = [_monomial_label(m, "w") for m in basis[d]]
-        else:
-            basis[d] = _monomials_total(nvars, -1 - d)
-            labels[d] = [f"d:{_monomial_label(m, 'w')}" for m in basis[d]]
-    dims = {d: len(basis[d]) for d in basis}
-    index = {d: {m: i for i, m in enumerate(basis[d])} for d in basis}
+    total = {d: d if d >= 0 else -1 - d for d in range(lo, hi + 1)}
+    monomials = {d: _monomials_total(nvars, total[d]) for d in total}
+    labels = {d: [("" if d >= 0 else "d:") + _monomial_label(m, "w") for m in monomials[d]] for d in total}
+    dims = {d: len(monomials[d]) for d in total}
+    exponents = {d: np.array(monomials[d], dtype=np.int64).reshape(-1, nvars) for d in total}
+    # a monomial's key is its exponents read as digits in base ``base``: the key
+    # of a product (or a quotient) is the sum (or difference) of the keys, and
+    # each degree lists its monomials in increasing key order
+    base = max(total.values()) + 1
+    weights = np.array([base**e for e in reversed(range(nvars))], dtype=np.int64 if base**nvars < 2**63 else object)
+    keys = {d: exponents[d] @ weights for d in total}
 
     mult: dict[tuple[int, int], np.ndarray] = {}
-
-    def divides(b, a):
-        return all(x <= y for x, y in zip(b, a))
-
     for i in range(lo, hi + 1):
         for j in range(lo, hi + 1):
             k = i + j
@@ -106,23 +102,16 @@ def build_trivial_extension(nvars: int, window: tuple[int, int], p: int = 2) -> 
                 continue
             block = np.zeros((dims[i], dims[j], dims[k]), dtype=np.int64)
             if i >= 0 and j >= 0:
-                for s, alpha in enumerate(basis[i]):
-                    for t, beta in enumerate(basis[j]):
-                        gamma = tuple(a + b for a, b in zip(alpha, beta))
-                        block[s, t, index[k][gamma]] = 1
+                s, t = np.indices((dims[i], dims[j]))
+                block[s, t, np.searchsorted(keys[k], keys[i][:, None] + keys[j])] = 1
             elif (i >= 0) != (j >= 0):
                 # the monomial factor's axis first, whichever side it is on
                 acts = block if i >= 0 else block.transpose(1, 0, 2)
-                for s, beta in enumerate(basis[max(i, j)]):
-                    for t, alpha in enumerate(basis[min(i, j)]):
-                        if divides(beta, alpha):
-                            rem = tuple(a - b for a, b in zip(alpha, beta))
-                            acts[s, t, index[k][rem]] = 1
+                mono, func = max(i, j), min(i, j)
+                s, t = np.nonzero((exponents[mono][:, None] <= exponents[func]).all(axis=2))
+                acts[s, t, np.searchsorted(keys[k], keys[func][t] - keys[mono][s])] = 1
             mult[(i, j)] = block
-
-    unit = np.zeros(dims[0], dtype=np.int64)
-    unit[index[0][tuple(0 for _ in range(nvars))]] = 1
-    return WindowedGradedAlgebra(field, (lo, hi), dims, mult, unit, labels)
+    return WindowedGradedAlgebra(field, (lo, hi), dims, mult, [1], labels)
 
 
 def build_laurent(p: int, window: tuple[int, int]) -> WindowedGradedAlgebra:

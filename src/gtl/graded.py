@@ -21,7 +21,11 @@ json.loads is the only parser of their structure: each long table of canonical
 non-negative integers of at most 18 digits is cut out of the text and read
 straight into an int64 array, json.loads reads the rest once, and any other
 text (a negative entry, say) goes whole through json.loads, which stays the
-reference and the only source of errors.
+reference and the only source of errors.  They are written the same way
+round (algebra_to_json): each long table of single digits fills the template
+of its shape, the bracket text that the reader matches tables against, and
+json.dumps writes the rest once.  Reader and writer cut at the same length,
+_SHORT_ENTRY, and build templates with one routine, _template.
 """
 
 from __future__ import annotations
@@ -681,13 +685,18 @@ class GradedSubspace:
 
 def algebra_to_json_dict(alg: WindowedGradedAlgebra) -> dict:
     """Canonical JSON payload; nonzero dims and mult blocks only, sorted."""
+    return _payload(alg, np.ndarray.tolist)
+
+
+def _payload(alg: WindowedGradedAlgebra, write_table) -> dict:
+    """algebra_to_json_dict's payload, with ``write_table(table)`` standing for each mult table."""
     out: dict = {
         "field_char": alg.p,
         "window": [alg.window[0], alg.window[1]],
         "dims": {str(d): alg.dims[d] for d in sorted(alg.dims) if alg.dims[d] > 0},
         "unit": alg.unit.tolist(),
         "mult": [
-            {"i": i, "j": j, "table": alg.mult[(i, j)].tolist()}
+            {"i": i, "j": j, "table": write_table(alg.mult[(i, j)])}
             for (i, j) in sorted(alg.mult)
         ],
     }
@@ -760,7 +769,43 @@ def algebra_from_json_dict(payload: dict) -> WindowedGradedAlgebra:
 
 
 def algebra_to_json(alg: WindowedGradedAlgebra) -> str:
-    return util.canonical_json(algebra_to_json_dict(alg))
+    """util.canonical_json(algebra_to_json_dict(alg)), in time linear in its size.
+
+    The reader's split in reverse: a table of single digits whose text is at
+    least _SHORT_ENTRY characters long is written by filling its shape's
+    _template, and json.dumps writes the rest, with the placeholder string
+    "\\u0000" where each such table goes.  The tables are spliced in
+    afterwards, in order.  A ring with a NUL in a label, which json.dumps
+    would write as a placeholder's text, is written whole by json.dumps.
+    """
+    if alg.labels is not None and any("\0" in name for names in alg.labels.values() for name in names):
+        return util.canonical_json(algebra_to_json_dict(alg))
+    tables: list[str] = []
+
+    def write_table(table: np.ndarray):
+        if _digits_length(table.shape) < _SHORT_ENTRY or table.max() > 9:
+            return table.tolist()
+        text = np.frombuffer(_template(table.shape), dtype=np.uint8).copy()
+        text[text == ord("d")] = table.ravel() + ord("0")
+        tables.append(text.tobytes().decode("ascii"))
+        return "\0"
+
+    document = util.canonical_json(_payload(alg, write_table))
+    if not tables:
+        return document
+    pieces = document.split('"\\u0000"')
+    pieces[1:] = [text for pair in zip(tables, pieces[1:]) for text in pair]
+    return "".join(pieces)
+
+
+def _digits_length(shape: tuple[int, ...]) -> int:
+    """The length of _template(shape): the opening "[", then two characters for each
+    sub-array and each slot, its "[" or "d" and the "," or "]" after it."""
+    length, count = 1, 1
+    for n in shape:
+        count *= n
+        length += 2 * count
+    return length
 
 
 def load_json(text: str):
@@ -874,35 +919,33 @@ def _read_table(text: str, at: int) -> tuple[np.ndarray, int]:
     depth = len(packed) - len(packed.lstrip(b"["))
     if not 1 <= depth <= 3:
         raise _Declined
-    # with only the digits marked, a table of single digits is its skeleton
-    # with one mark in each slot, and its digits are what the brackets and
-    # commas leave
+    # with only the digits marked, a table of single digits is the template
+    # of its shape, and its digits are what the brackets and commas leave
     marked = packed.translate(_MARK_DIGITS)
-    shape, skeleton = _skeleton(marked, depth)
-    if marked == skeleton and all(shape):
+    shape = _shape(marked, depth)
+    if marked == _template(shape) and all(shape):
         digits = np.frombuffer(packed.translate(None, b"[],"), dtype=np.uint8)
         return np.subtract(digits, ord("0"), dtype=np.int64).reshape(shape), end
-    # any other table is its skeleton once each run of marks is cut to one:
+    # any other table is its template once each run of marks is cut to one:
     # then every slot holds one run of digits
     chars = np.frombuffer(marked, dtype=np.uint8)
     repeat = chars == ord("d")
     repeat[1:] &= repeat[:-1]  # a mark right after a mark (the text opens with "[")
     squeezed = chars[~repeat].tobytes()
-    shape, skeleton = _skeleton(squeezed, depth)
+    shape = _shape(squeezed, depth)
     # with "[" as "," and the digits 1-9 as "1", a run with a leading zero
     # starts ",00" or ",01"
     zeros = packed.translate(_LEADING_ZERO)
-    if squeezed != skeleton or not all(shape) or b",00" in zeros or b",01" in zeros or b"d" * 19 in marked:
+    if squeezed != _template(shape) or not all(shape) or b",00" in zeros or b",01" in zeros or b"d" * 19 in marked:
         raise _Declined
     return np.fromstring(packed.translate(_UNBRACKET), dtype=np.int64, sep=",").reshape(shape), end
 
 
-def _skeleton(text: bytes, depth: int) -> tuple[list[int], bytes]:
-    """The shape read off the first sub-arrays of a table of ``depth``, and the
-    rectangular array of that shape with one "d" in every slot.
+def _shape(text: bytes, depth: int) -> tuple[int, ...]:
+    """The shape read off the first sub-arrays of a table of ``depth``.
 
     ``text`` is the table with every entry written as one "d", if it is
-    rectangular at all; otherwise the skeleton differs from it.
+    rectangular at all; otherwise it differs from the _template of the shape.
     """
     # the first array of depth k (counting from the innermost) starts after
     # depth - k brackets and ends at the first k closing brackets
@@ -910,8 +953,14 @@ def _skeleton(text: bytes, depth: int) -> tuple[list[int], bytes]:
     if -1 in ends:
         raise _Declined
     lengths = [end + 2 * k - depth for k, end in enumerate(ends, 1)] + [len(text)]
-    shape = [(outer - 1) // (inner + 1) for inner, outer in zip([1] + lengths, lengths)][::-1]
-    skeleton = b"d"
+    return tuple((outer - 1) // (inner + 1) for inner, outer in zip([1] + lengths, lengths))[::-1]
+
+
+def _template(shape: tuple[int, ...]) -> bytes:
+    """The rectangular array of ``shape`` with one "d" in every slot, as json.dumps
+    writes it with the separators of util.canonical_json: what the reader
+    matches a table against, and what the writer fills with digits."""
+    template = b"d"
     for n in reversed(shape):
-        skeleton = b"[" + b",".join([skeleton] * n) + b"]"
-    return shape, skeleton
+        template = b"[" + b",".join([template] * n) + b"]"
+    return template

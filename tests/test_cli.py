@@ -454,6 +454,19 @@ def test_tate_emitted_ring_reingests_identically(klein_path, klein_alg, tmp_path
     assert main(["analyze", str(emitted), "--check", "nondegenerate", "--n", "-1"]) == 0
 
 
+def test_tate_emit_failure_leaves_the_existing_file(klein_path, tmp_path, monkeypatch, capsys):
+    emitted = tmp_path / "ring.json"
+    emitted.write_bytes(b"an earlier ring\n")
+
+    def out_of_memory(ring):
+        raise MemoryError
+
+    monkeypatch.setattr(gtl.cli, "algebra_to_json", out_of_memory)
+    assert main(["tate", klein_path, "--window", "-2", "2", "--emit", str(emitted)]) == 2
+    assert "out of memory" in capsys.readouterr().err
+    assert emitted.read_bytes() == b"an earlier ring\n"
+
+
 def test_tate_json_byte_identical_across_runs(klein_path, capsys):
     argv = ["tate", klein_path, "--window", "-2", "2", "--json"]
     assert main(argv) == 0

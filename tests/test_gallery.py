@@ -9,7 +9,10 @@ import math
 import numpy as np
 import pytest
 
+from gtl.exactlin import PrimeField
 from gtl.gallery import (
+    _monomial_label,
+    _monomials_total,
     build_laurent,
     build_trivial_extension,
     build_truncated_ci,
@@ -18,7 +21,7 @@ from gtl.gallery import (
     expected_tate_hh_dim,
     fd_algebra_from_payload,
 )
-from gtl.graded import AlgebraFormatError, algebra_to_json
+from gtl.graded import AlgebraFormatError, WindowedGradedAlgebra, algebra_to_json
 from gtl.stmod import FDAlgebra
 
 
@@ -105,6 +108,47 @@ def test_trivial_extension_square_zero_negative_part(t2):
         for j in range(-4, 0):
             if t2.in_window(i + j):
                 assert not t2.mult_block(i, j).any()
+
+
+def trivial_extension_by_loops(nvars: int, window: tuple[int, int], p: int) -> WindowedGradedAlgebra:
+    """The oracle for build_trivial_extension: every structure constant set one at a time."""
+    lo, hi = window
+    basis = {d: _monomials_total(nvars, d if d >= 0 else -1 - d) for d in range(lo, hi + 1)}
+    labels = {d: [("" if d >= 0 else "d:") + _monomial_label(m, "w") for m in basis[d]] for d in basis}
+    dims = {d: len(basis[d]) for d in basis}
+    index = {d: {m: i for i, m in enumerate(basis[d])} for d in basis}
+    mult = {}
+    for i, j in itertools.product(basis, repeat=2):
+        k = i + j
+        if not lo <= k <= hi:
+            continue
+        block = np.zeros((dims[i], dims[j], dims[k]), dtype=np.int64)
+        if i >= 0 and j >= 0:
+            for s, alpha in enumerate(basis[i]):
+                for t, beta in enumerate(basis[j]):
+                    block[s, t, index[k][tuple(a + b for a, b in zip(alpha, beta))]] = 1
+        elif (i >= 0) != (j >= 0):
+            acts = block if i >= 0 else block.transpose(1, 0, 2)
+            for s, beta in enumerate(basis[max(i, j)]):
+                for t, alpha in enumerate(basis[min(i, j)]):
+                    if all(b <= a for a, b in zip(alpha, beta)):
+                        acts[s, t, index[k][tuple(a - b for a, b in zip(alpha, beta))]] = 1
+        mult[(i, j)] = block
+    return WindowedGradedAlgebra(PrimeField(p), window, dims, mult, [1], labels)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("window", [(0, 0), (-1, 0), (0, 3), (-4, 0), (-3, 2), (-2, 5), (-5, 4)])
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_trivial_extension_matches_the_loop_oracle(nvars, window, p):
+    ring, oracle = build_trivial_extension(nvars, window, p), trivial_extension_by_loops(nvars, window, p)
+    assert ring == oracle
+    assert algebra_to_json(ring) == algebra_to_json(oracle)
+
+
+def test_trivial_extension_keys_beyond_int64_match_the_loop_oracle():
+    # 64 variables of degree at most 1 give keys up to 2**64, held as Python ints
+    assert build_trivial_extension(64, (-1, 1), 3) == trivial_extension_by_loops(64, (-1, 1), 3)
 
 
 def test_trivial_extension_bytes_are_pinned():

@@ -34,6 +34,7 @@ from gtl.graded import (
     col_echelon,
 )
 from gtl.report import FAIL, OUT_OF_WINDOW, PASS, CertifiedReport
+from gtl.util import canonical_json
 
 
 def quantum_plane(q: int, p: int) -> WindowedGradedAlgebra:
@@ -151,7 +152,7 @@ def _dense_degree_verdict(alg, i):
 
 
 @st.composite
-def sparse_windowed_algebras(draw):
+def sparse_windowed_algebras(draw, primes=(2, 3, 5, 11)):
     """Small windowed algebras whose blocks are randomly present or absent.
 
     Degree 0 is the field; every other degree is either in V or in W.  The
@@ -162,7 +163,7 @@ def sparse_windowed_algebras(draw):
     block.
     """
     # p = 11 writes two-digit entries, which the JSON reader decodes apart
-    p = draw(st.sampled_from([2, 3, 5, 11]))
+    p = draw(st.sampled_from(primes))
     lo, hi = draw(st.integers(-3, 0)), draw(st.integers(0, 3))
     degrees = range(lo, hi + 1)
     dims = {d: 1 if d == 0 else draw(st.integers(0, 2)) for d in degrees}
@@ -623,6 +624,35 @@ def test_json_reader_matches_the_oracle_on_relaid_rings(text, short_entry):
 @example(_degree_zero_ring("[[[1,0],[0,1]]10,[[0,1],[1,0]]]"))  # a two-digit number just outside a bracket
 def test_json_reader_matches_the_oracle_on_edited_tables(text):
     assert_reads_like_the_oracle(text, short_entry=0)
+
+
+@st.composite
+def relabelled(draw, ring: WindowedGradedAlgebra) -> WindowedGradedAlgebra:
+    """``ring`` without labels, or with labels that hold quotes, backslashes and
+    non-ASCII characters, and in some rings one that starts with NUL."""
+    if draw(st.booleans()):
+        return WindowedGradedAlgebra(ring.field, ring.window, ring.dims, ring.mult, ring.unit)
+    name = st.text(st.sampled_from('w1"\\\u00e9\u2202\U0001d400'), max_size=4)
+    labels = {d: [draw(name) for _ in range(ring.dims[d])] for d in ring.degrees()}
+    named = [names for names in labels.values() if names]
+    if draw(st.booleans()):
+        names = draw(st.sampled_from(named))
+        names[0] = "\0" + names[0]
+    return WindowedGradedAlgebra(ring.field, ring.window, ring.dims, ring.mult, ring.unit, labels)
+
+
+# p = 11 and 13 write two-digit entries, which keep their tables on the json.dumps route
+@settings(max_examples=300, deadline=None)
+@given(
+    (st.sampled_from(_SMALL_RINGS) | sparse_windowed_algebras(primes=(2, 3, 5, 7, 11, 13))).flatmap(relabelled),
+    st.sampled_from([0, graded._SHORT_ENTRY]),
+)
+# a table whose largest entry is 10, the first that is not one digit
+@example(WindowedGradedAlgebra(PrimeField(11), (0, 1), {0: 1, 1: 2}, {(0, 1): np.full((1, 2, 2), 10)}, [1]), 0)
+def test_json_writer_matches_the_oracle(ring, short_entry):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graded, "_SHORT_ENTRY", short_entry)
+        assert algebra_to_json(ring) == canonical_json(algebra_to_json_dict(ring))
 
 
 _TABLE = "[[[1,0],[0,1]],[[0,1],[1,0]]]"

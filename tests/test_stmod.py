@@ -1208,6 +1208,30 @@ def test_written_rings_load_with_long_tables_cut_out(monkeypatch):
     assert not any(long_table_lengths(text) for text in handed)
 
 
+def test_written_rings_keep_long_tables_out_of_json_dumps(monkeypatch):
+    # cost guard: algebra_to_json writes each long table of single digits by
+    # filling its template, or every write pays for a list and a string per
+    # entry.  The analyze-te3 ring's long tables reach json.dumps only as
+    # placeholders; every table of the Klein-four ring on [-7, 7] is short
+    # and goes through json.dumps as a list
+    te3 = build_trivial_extension(3, (-9, 8), 2)
+    klein = stmod.tate_ring(stmod.trivial_module(build_truncated_ci((2, 2), 2)), (-7, 7))
+    dumps, dumped = json.dumps, []
+
+    def recorded(payload, *args, **kwargs):
+        dumped.append(payload)
+        return dumps(payload, *args, **kwargs)
+
+    monkeypatch.setattr(graded.util.json, "dumps", recorded)
+    for ring in (te3, klein):
+        algebra_to_json(ring)
+    assert len(dumped) == 2
+    te3_tables, klein_tables = ([entry["table"] for entry in payload["mult"]] for payload in dumped)
+    assert "\0" in te3_tables
+    assert all(np.size(table) < 256 for table in te3_tables if isinstance(table, list))
+    assert klein_tables and all(isinstance(table, list) for table in klein_tables)
+
+
 def record_rref_shapes(monkeypatch) -> list[tuple[int, int]]:
     """Route every gtl binding of rref through a recorder of input shapes."""
     sizes = []
