@@ -21,6 +21,8 @@ import argparse
 import re
 import sys
 
+import numpy as np
+
 from . import duality, gallery, stmod, structure, util
 from .graded import (
     WINDOW_BOUND,
@@ -31,6 +33,7 @@ from .graded import (
     algebra_from_json,
     algebra_to_json,
     check_window,
+    int_array,
     load_json,
 )
 from .report import FAIL, PASS, PreconditionError
@@ -61,11 +64,12 @@ def _element(alg: WindowedGradedAlgebra, spec: str) -> GradedElement:
     raise AlgebraFormatError(f"no basis element {spec!r} (use a label or 'degree:index')")
 
 
-def _lam(arg: str) -> list[int]:
+def _lam(arg: str) -> np.ndarray:
     try:
-        return [int(x) for x in arg.split(",")]
+        values = [int(x) for x in arg.split(",")]
     except ValueError as exc:
         raise AlgebraFormatError(f"functional must be comma-separated integers: {arg!r}") from exc
+    return int_array(values, "functional", ndim=1)
 
 
 def _subspace_payload(sub: GradedSubspace) -> dict:
@@ -411,10 +415,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition rejected: {exc}", file=sys.stderr)
         return 3
-    except (AlgebraFormatError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -43,12 +43,6 @@ class NondegeneracyReport:
     def passed(self) -> bool:
         return all(e.verdict == PASS for e in self.entries)
 
-    def verdict_for(self, i: int) -> PairingVerdict | None:
-        for e in self.entries:
-            if e.i == i:
-                return e
-        return None
-
     def to_json_dict(self) -> dict:
         return {
             "check": "nondegenerate_products",

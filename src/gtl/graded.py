@@ -17,15 +17,15 @@ the work follows the nonzero constants, and it is done in runs of bounded
 size.  FDAlgebra's check is the one-degree case of the same routine.
 
 Ring files are read in time linear in their size (algebra_from_json), and
-json.loads is the only parser of their structure: each long table of canonical
-non-negative integers of at most 18 digits is cut out of the text and read
-straight into an int64 array, json.loads reads the rest once, and any other
-text (a negative entry, say) goes whole through json.loads, which stays the
-reference and the only source of errors.  They are written the same way
-round (algebra_to_json): each long table of single digits fills the template
-of its shape, the bracket text that the reader matches tables against, and
-json.dumps writes the rest once.  Reader and writer cut at the same length,
-_SHORT_ENTRY, and build templates with one routine, _template.
+json.loads is the only parser of their structure: single-digit tables decode
+from bytes; any other text goes whole through json.loads.  Each long table of
+single digits is cut out of the text, matched against the template of its
+shape and read straight into an int64 array, and json.loads reads the rest
+once; json.loads stays the reference and the only source of errors.  Ring
+files are written the same way round (algebra_to_json): each long table of
+single digits fills its template and json.dumps writes the rest once.
+Reader and writer cut at the same length, _SHORT_ENTRY, and build templates
+with one routine, _template.
 """
 
 from __future__ import annotations
@@ -547,12 +547,6 @@ class GradedElement:
                 clean[d] = arr
         self.components = clean
 
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def occupied_degrees(self) -> list[int]:
-        return sorted(self.components)
-
     def homogeneous_part(self) -> tuple[int, np.ndarray]:
         if len(self.components) != 1:
             raise ValueError("element is not homogeneous and nonzero")
@@ -647,9 +641,6 @@ class GradedSubspace:
         cols = self.basis.get(d)
         return 0 if cols is None else cols.shape[1]
 
-    def full_at(self, d: int) -> bool:
-        return self.dim(d) == self.algebra.dim(d)
-
     def vectors(self, d: int) -> np.ndarray:
         return self.basis.get(d, np.zeros((self.algebra.dim(d), 0), dtype=np.int64))
 
@@ -672,12 +663,6 @@ class GradedSubspace:
         out.underdetermined = frozenset(d + t for d in self.underdetermined)
         out.notes = {d + t: s for d, s in self.notes.items()}
         return out
-
-    def equals(self, other: "GradedSubspace") -> bool:
-        if self.algebra is not other.algebra:
-            return False
-        keys = set(self.basis) | set(other.basis)
-        return all(np.array_equal(self.vectors(d), other.vectors(d)) for d in keys)
 
 
 # -- serialization ---------------------------------------------------------
@@ -825,12 +810,13 @@ def load_json(text: str):
 def algebra_from_json(text: str) -> WindowedGradedAlgebra:
     """The ring a graded-format JSON text describes, in time linear in its size.
 
-    The ``table`` of each long mult entry is cut out of the text and read
-    straight into an int64 array (_read_table); json.loads reads the rest
+    Single-digit tables decode from bytes; any other text goes whole through
+    json.loads.  The ``table`` of each long mult entry is cut out of the text
+    and decoded from its bytes (_read_table); json.loads reads the rest
     (_read_ring_payload).  A text that reader cannot turn into exactly what
-    json.loads and int_array give (a negative entry, say) goes whole through
-    json.loads instead, so both routes accept the same texts, build the same
-    ring and raise the same errors.
+    json.loads and int_array give (a table with a two-digit or negative
+    entry, say) goes whole through json.loads instead, so both routes accept
+    the same texts, build the same ring and raise the same errors.
     """
     try:
         payload = _read_ring_payload(text)
@@ -850,12 +836,9 @@ _SHORT_ENTRY = 512
 _TABLE_KEY = re.compile(r'"table"\s*:\s*')
 # a table's text ends before the next string or the end of its entry
 _VALUE_END = re.compile(r'["}]')
-_SPLIT_NUMBER = re.compile(rb"[0-9-][ \t\n\r]+[0-9-]")
 # the digits become "d", and a "d" in the text becomes "?", so that a "d"
 # after marking always stands for a digit
 _MARK_DIGITS = bytes.maketrans(b"0123456789d", b"d" * 10 + b"?")
-_UNBRACKET = bytes.maketrans(b"[]", b"  ")
-_LEADING_ZERO = bytes.maketrans(b"[23456789", b"," + b"1" * 8)
 
 
 def _read_ring_payload(text: str) -> dict:
@@ -897,14 +880,15 @@ def _read_ring_payload(text: str) -> dict:
 
 
 def _read_table(text: str, at: int) -> tuple[np.ndarray, int]:
-    """The rectangular array of integers written at text[at], and the index past it.
+    """The rectangular array of single digits written at text[at], and the index past it.
 
-    Every test is a bytes method or one numpy call.  Declines (raises
-    _Declined) unless the text is a nonempty rectangular array of depth 1
-    to 3 whose entries are canonical non-negative JSON integers of at most
-    18 digits, so that no negative entry, leading zero or entry beyond
-    int64 gets here.  A table of single digits (every ring written over
-    p <= 7) is decoded from its bytes; any other goes through np.fromstring.
+    Single-digit tables decode from bytes; any other text goes whole through
+    json.loads.  Declines (raises _Declined) unless the text, whitespace
+    taken out, is the _template of a nonempty shape of depth 1 to 3 with a
+    digit in every slot: a number of two or more digits, a negative entry or
+    a number split by whitespace leaves marks that are not the template
+    (two adjacent ones, or a "-" among them).  Every ring written over
+    p <= 7 passes.
     """
     # the table ends at the last "]" before the end of its entry or the next
     # key; every table is preceded by its key, so the scans never overlap
@@ -912,10 +896,7 @@ def _read_table(text: str, at: int) -> tuple[np.ndarray, int]:
     stop = len(text) if key < 0 else key
     close = text.find("}", at, stop)
     end = text.rfind("]", at, stop if close < 0 else close) + 1
-    table = text[at:end].encode("ascii")
-    packed = table.translate(None, b" \t\n\r")
-    if len(packed) != len(table) and _SPLIT_NUMBER.search(table):
-        raise _Declined
+    packed = text[at:end].encode("ascii").translate(None, b" \t\n\r")
     depth = len(packed) - len(packed.lstrip(b"["))
     if not 1 <= depth <= 3:
         raise _Declined
@@ -923,22 +904,10 @@ def _read_table(text: str, at: int) -> tuple[np.ndarray, int]:
     # of its shape, and its digits are what the brackets and commas leave
     marked = packed.translate(_MARK_DIGITS)
     shape = _shape(marked, depth)
-    if marked == _template(shape) and all(shape):
-        digits = np.frombuffer(packed.translate(None, b"[],"), dtype=np.uint8)
-        return np.subtract(digits, ord("0"), dtype=np.int64).reshape(shape), end
-    # any other table is its template once each run of marks is cut to one:
-    # then every slot holds one run of digits
-    chars = np.frombuffer(marked, dtype=np.uint8)
-    repeat = chars == ord("d")
-    repeat[1:] &= repeat[:-1]  # a mark right after a mark (the text opens with "[")
-    squeezed = chars[~repeat].tobytes()
-    shape = _shape(squeezed, depth)
-    # with "[" as "," and the digits 1-9 as "1", a run with a leading zero
-    # starts ",00" or ",01"
-    zeros = packed.translate(_LEADING_ZERO)
-    if squeezed != _template(shape) or not all(shape) or b",00" in zeros or b",01" in zeros or b"d" * 19 in marked:
+    if marked != _template(shape) or not all(shape):
         raise _Declined
-    return np.fromstring(packed.translate(_UNBRACKET), dtype=np.int64, sep=",").reshape(shape), end
+    digits = np.frombuffer(packed.translate(None, b"[],"), dtype=np.uint8)
+    return np.subtract(digits, ord("0"), dtype=np.int64).reshape(shape), end
 
 
 def _shape(text: bytes, depth: int) -> tuple[int, ...]:

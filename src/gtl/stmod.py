@@ -1061,10 +1061,9 @@ def tate_ring(module: FDModule, window: tuple[int, int]) -> WindowedGradedAlgebr
     by HOME_SHIFT_ROW_SAVING * dim A rows: its factors are then brought down
     the complete resolution by omega inverse lifts.  The stable class of a
     product, and so its coordinates, does not depend on the shift.  The
-    blocks sharing a system, one (degree i+j, shift s) pair, are solved
-    together in one coordinates_at call against the equally lifted stable
-    basis of degree i+j, as soon as the last of them (in (i, j) order) is
-    composed.
+    blocks sharing a system, one (degree i+j, shift s) pair, are grouped,
+    and each system is composed and solved in one pass: one coordinates_at
+    call against the equally lifted stable basis of degree i+j.
     """
     lo, hi = int(window[0]), int(window[1])
     if not lo <= 0 <= hi:
@@ -1080,35 +1079,27 @@ def tate_ring(module: FDModule, window: tuple[int, int]) -> WindowedGradedAlgebr
     def rows(k: int, s: int) -> int:
         return ws.tower.module(s).dim * len(minimal_cover(ws.tower.module(s + k)).gens)
 
-    systems = {}
+    systems: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for i, j in blocks:
         k, s = i + j, max(0, -i - j, -i)
         home = max(0, -k)
         if s > home and rows(k, home) + HOME_SHIFT_ROW_SAVING * alg.dim <= rows(k, s):
             s = home
-        systems[(i, j)] = (k, s)
-    last = {system: block for block, system in systems.items()}
-    pending: dict[tuple[int, int], list] = {}
+        systems.setdefault((k, s), []).append((i, j))
     mult: dict[tuple[int, int], np.ndarray] = {}
-    for i, j in blocks:
-        k, s = systems[(i, j)]
-        left = ws.hom_at(i, s).basis  # (di, dim W_s, dim W_{s+i})
-        right = ws.hom_at(j, s + i).basis  # (dj, dim W_{s+i}, dim W_{s+i+j})
+    for (k, s), members in systems.items():
         gens = list(minimal_cover(ws.tower.module(s + k)).gens)
-        (di, a, b), dj, r = left.shape, right.shape[0], len(gens)
-        comps = matmul_mod(left.reshape(di * a, b), _side_by_side(right[:, :, gens]), alg.p)
-        pending.setdefault((k, s), []).append(((i, j), comps.reshape(di, a, dj, r).transpose(0, 2, 1, 3)))
-        if last[(k, s)] != (i, j):
-            continue
-        done = pending.pop((k, s))
-        if len(done) == 1:
-            stack = done[0][1]
-        else:
-            stack = np.concatenate([values.reshape(-1, a, r) for _, values in done])
-        coords = ws.coordinates_at(k, s, stack).reshape(-1, dims[k])
-        ends = np.cumsum([values.shape[0] * values.shape[1] for _, values in done])
-        for (block, values), part in zip(done, np.split(coords, ends[:-1])):
-            mult[block] = part.reshape(*values.shape[:2], dims[k])
+        r, values = len(gens), []
+        for i, j in members:
+            left = ws.hom_at(i, s).basis  # (di, dim W_s, dim W_{s+i})
+            right = ws.hom_at(j, s + i).basis  # (dj, dim W_{s+i}, dim W_{s+i+j})
+            (di, a, b), dj = left.shape, right.shape[0]
+            comps = matmul_mod(left.reshape(di * a, b), _side_by_side(right[:, :, gens]), alg.p)
+            values.append(comps.reshape(di, a, dj, r).transpose(0, 2, 1, 3).reshape(di * dj, a, r))
+        coords, at = ws.coordinates_at(k, s, np.concatenate(values)), 0
+        for i, j in members:
+            mult[(i, j)] = coords[at : at + dims[i] * dims[j]].reshape(dims[i], dims[j], dims[k])
+            at += dims[i] * dims[j]
 
     unit = ws.hom_at(0, 0).coordinates(np.eye(module.dim, dtype=np.int64))
     return WindowedGradedAlgebra(alg.field, (lo, hi), dims, mult, unit)

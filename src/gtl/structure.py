@@ -308,7 +308,7 @@ def _orthogonality(alg: WindowedGradedAlgebra, n: int, form, tor: GradedSubspace
             return UNDERDETERMINED, None, "input subspaces are lower bounds here"
         u, t = ideal.vectors(i), tor.vectors(j)
         perp = kernel_mod(matmul_mod(u.T, form.gram(i), alg.p), alg.p)
-        perp_matches = GradedSubspace(alg, {j: perp}).equals(GradedSubspace(alg, {j: t}))
+        perp_matches = np.array_equal(col_echelon(perp, alg.p), t)
         if u.shape[1] == alg.dim(j) - t.shape[1] and perp_matches:
             return PASS, None
         return FAIL, {

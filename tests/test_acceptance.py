@@ -168,7 +168,7 @@ def test_6_trivial_extension_depth_two(t2):
         tor = structure.tor_part(ring, w1)
         for d in ring.degrees():
             if d < 0:
-                assert tor.full_at(d)
+                assert tor.dim(d) == ring.dim(d)
             else:
                 assert tor.dim(d) == 0
         for _i, _j, block in _negative_product_blocks(ring):
@@ -249,7 +249,7 @@ def _check_full_ideal(alg):
     sub = structure.ideal_leq(alg, alg.window[1])
     assert not sub.underdetermined
     for d in alg.degrees():
-        assert sub.full_at(d)
+        assert sub.dim(d) == alg.dim(d)
 
 
 def test_8_property_suites_across_gallery(

@@ -190,6 +190,17 @@ def test_analyze_bad_functional_text_exits_two(t2_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--check", "selfdual"],
+    ["--check", "orthogonality", "--r", "w1"],
+    ["--check", "depth2", "--r", "w1", "--rt", "w2"],
+], ids=["selfdual", "orthogonality", "depth2"])
+def test_analyze_functional_beyond_int64_exits_two(t2_path, capsys, flags):
+    rc = main(["analyze", t2_path, *flags, "--n", "-1", "--lam", "99999999999999999999999"])
+    assert rc == 2
+    assert "input error: malformed functional" in capsys.readouterr().err
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     rc = main(["analyze", str(tmp_path / "nope.json")])
     assert rc == 2

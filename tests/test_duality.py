@@ -83,7 +83,7 @@ def test_nondegenerate_failure_carries_kernel_witness():
     assert alg.validate().passed
     rep = nondegenerate_products(alg, 2)
     assert not rep.passed
-    entry = rep.verdict_for(1)
+    entry = next(e for e in rep.entries if e.i == 1)
     assert entry.verdict == FAIL
     assert entry.witness["side"] == "left"
     assert entry.witness["kernel"] == [0, 1]

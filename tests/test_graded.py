@@ -294,7 +294,7 @@ def test_multiply_and_window_overflow(laurent):
     with pytest.raises(OutOfWindowError) as exc:
         laurent.multiply(w2, w2)
     assert exc.value.degrees == (2, 2)
-    assert laurent.multiply(laurent.zero(), w2).is_zero()
+    assert laurent.multiply(laurent.zero(), w2) == laurent.zero()
 
 
 def test_one_is_neutral(laurent, t2):
@@ -313,13 +313,13 @@ def test_element_arithmetic_and_shift(t2):
     s = a + b
     assert s.component(1).tolist() == [1, 1]
     assert (s - a) == b
-    assert (1 * a) == a and (2 * a).is_zero()  # char 2
+    assert (1 * a) == a and (2 * a) == t2.zero()  # char 2
     mixed = a + t2.one()
-    assert mixed.occupied_degrees() == [0, 1]
+    assert sorted(mixed.components) == [0, 1]
     with pytest.raises(ValueError):
         mixed.homogeneous_part()
     shifted = a.shift(-2)
-    assert shifted.occupied_degrees() == [-1]
+    assert sorted(shifted.components) == [-1]
     assert shifted.component(-1) is a.component(1)
 
 
@@ -385,16 +385,16 @@ def test_subspace_canonical_form_and_membership(t2):
     p = t2.p
     a = GradedSubspace(t2, {1: np.array([[1, 1], [1, 0]])})
     b = GradedSubspace(t2, {1: np.array([[0, 1], [1, 1]])})
-    assert a.equals(b)
+    assert np.array_equal(a.vectors(1), b.vectors(1))
     assert np.array_equal(a.vectors(1), col_echelon(np.array([[1, 1], [1, 0]]) % p, p))
-    assert a.full_at(1)
+    assert a.dim(1) == t2.dim(1)
     assert a.dim(0) == 0
     assert a.contains_vector(1, np.array([1, 1]))
     assert a.contains(t2.element_by_label("w1"))
     small = GradedSubspace(t2, {1: np.array([[1], [0]])})
     assert not small.contains_vector(1, np.array([0, 1]))
     assert small.contains_vector(1, np.zeros(2, dtype=np.int64))
-    assert not small.equals(a)
+    assert not np.array_equal(small.vectors(1), a.vectors(1))
 
 
 def test_subspace_shift_shares_arrays(t2):
@@ -408,7 +408,7 @@ def test_subspace_shift_shares_arrays(t2):
 def test_subspace_zero_and_full(t2):
     assert GradedSubspace.zero(t2).dim(0) == 0
     full = GradedSubspace.full(t2)
-    assert all(full.full_at(d) for d in t2.degrees())
+    assert all(full.dim(d) == t2.dim(d) for d in t2.degrees())
 
 
 def test_json_round_trip_is_canonical(t2, laurent):
@@ -616,7 +616,7 @@ def test_json_reader_matches_the_oracle_on_relaid_rings(text, short_entry):
 @example(_degree_zero_ring("[[1,0,0,1],[0,1,1,0]]"))  # depth 2
 @example(_degree_zero_ring("[[[]]]", dim=1))  # an empty innermost array
 @example(_degree_zero_ring("[[[1,0],[0,1]],[[d,1],[1,0]]]"))  # a letter in a digit's slot
-# texts the multi-digit decoder must decline, or read as the oracle does
+# texts with an entry of two or more digits, which the reader must decline to json.loads
 @example(_degree_zero_ring("[[[1,0],[0,10]],[[0,1],[1,0]]]"))  # a two-digit entry among single digits
 @example(_degree_zero_ring("[[[1,0],[0,01]],[[0,1],[1,0]]]"))  # a leading zero in a later slot
 @example(_degree_zero_ring("[[[1,0],[0,00]],[[0,1],[1,0]]]"))  # 00 in a later slot

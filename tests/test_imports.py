@@ -35,8 +35,10 @@ def test_every_imported_name_is_used(path):
 
 
 def unused_private_names(tree: ast.Module) -> list[str]:
-    """Module-level names starting with "_" that the module never reads."""
+    """Module-level names starting with "_", and private methods of module-level
+    classes, that the module never reads."""
     defined: dict[str, int] = {}
+    methods: dict[str, tuple[str, int]] = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             defined[node.name] = node.lineno
@@ -45,13 +47,34 @@ def unused_private_names(tree: ast.Module) -> list[str]:
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name):
                         defined[name.id] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.endswith("__"):
+                    methods[f"{node.name}.{item.name}"] = (item.name, item.lineno)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return [f"{name} (line {line})" for name, line in defined.items() if name.startswith("_") and name not in read]
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unused = [f"{name} (line {line})" for name, line in defined.items() if name.startswith("_") and name not in read]
+    return unused + [
+        f"{qualified} (line {line})"
+        for qualified, (name, line) in methods.items()
+        if name.startswith("_") and name not in attributes
+    ]
 
 
 def test_unused_private_names_are_detected():
     tree = ast.parse("_A = 1\n_B, C = 2, 3\ndef _f():\n    return _A\nclass _K:\n    pass\n")
     assert unused_private_names(tree) == ["_B (line 2)", "_f (line 3)", "_K (line 5)"]
+
+
+def test_unused_private_methods_are_detected():
+    tree = ast.parse(
+        "class K:\n"
+        "    def __init__(self):\n        self._used()\n"
+        "    def _used(self):\n        pass\n"
+        "    def _unused(self):\n        pass\n"
+        "    def public(self):\n        pass\n"
+    )
+    assert unused_private_names(tree) == ["K._unused (line 6)"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -1168,44 +1168,40 @@ def long_table_lengths(text: str) -> list[int]:
 def test_written_rings_load_with_long_tables_cut_out(monkeypatch):
     # cost guard: the writer's output must stay inside what algebra_from_json
     # reads straight from the text, or every load pays for reading its long
-    # tables through json.loads.  No load may fall back to the whole-text
-    # route (load_json), and json.loads may see no table of _SHORT_ENTRY
-    # characters.  Over p <= 7 every entry is one digit and is decoded from
-    # its bytes, never through np.fromstring; over p = 11 the tables holding
-    # a 10 go through np.fromstring
+    # tables through json.loads.  Over p <= 7 every entry is one digit: no
+    # load may fall back to the whole-text route (load_json), and json.loads
+    # may see no table of _SHORT_ENTRY characters.  Over p = 11 the tables
+    # holding a 10 send the text whole through load_json, once
     texts = [algebra_to_json(build_trivial_extension(3, (-9, 8), 2))]  # the analyze-te3 ring
     texts += [emitted_ring_text(algebra, module, window) for algebra, module, window, _ in EMITTED_RING_SHA256]
     assert all(json.loads(text)["field_char"] <= 7 for text in texts)
     two_digit = algebra_to_json(signed_trivial_extension(11))
     assert long_table_lengths(texts[0]) and long_table_lengths(two_digit)
+    oracle = graded.algebra_from_json_dict(json.loads(two_digit))
 
-    def refuse(name):
-        def refused(*args, **kwargs):
-            raise AssertionError(f"{name} called on a ring file the writer produced")
+    def refused(*args, **kwargs):
+        raise AssertionError("load_json called on a ring file the writer produced over p <= 7")
 
-        return refused
-
-    fromstring, parsed = np.fromstring, []
+    load_json, whole = graded.load_json, []
     loads, handed = json.loads, []
 
-    def recorded(*args, **kwargs):
-        parsed.append(fromstring(*args, **kwargs))
-        return parsed[-1]
+    def recorded_load_json(text):
+        whole.append(text)
+        return load_json(text)
 
     def recorded_loads(text, *args, **kwargs):
         handed.append(text)
         return loads(text, *args, **kwargs)
 
-    monkeypatch.setattr(graded, "load_json", refuse("load_json"))
+    monkeypatch.setattr(graded, "load_json", refused)
     monkeypatch.setattr(graded.json, "loads", recorded_loads)
-    monkeypatch.setattr(graded.np, "fromstring", refuse("np.fromstring"))
     for text in texts:
         assert algebra_to_json(algebra_from_json(text)) == text
-    monkeypatch.setattr(graded.np, "fromstring", recorded)
-    assert algebra_to_json(algebra_from_json(two_digit)) == two_digit
-    assert parsed and all((table == 10).any() for table in parsed)
-    assert len(handed) == len(texts) + 1
+    assert len(handed) == len(texts)
     assert not any(long_table_lengths(text) for text in handed)
+    monkeypatch.setattr(graded, "load_json", recorded_load_json)
+    assert algebra_from_json(two_digit) == oracle
+    assert whole == [two_digit]
 
 
 def test_written_rings_keep_long_tables_out_of_json_dumps(monkeypatch):
