@@ -316,17 +316,14 @@ def _pipeline_hypersurface_periodic() -> list[dict]:
     return steps
 
 
+# each pipeline with the options it reads and their defaults
 PIPELINES = {
-    "klein-four": lambda args: _pipeline_klein_four(),
-    "gorenstein0": lambda args: _pipeline_gorenstein0(),
-    "trivial-extension": lambda args: _pipeline_trivial_extension(),
-    "hh-truncated": lambda args: _pipeline_hh_truncated(
-        tuple(args.exponents or (3,)), args.p or 2
-    ),
-    "ci-ext-dims": lambda args: _pipeline_ci_ext_dims(
-        tuple(args.exponents or (2, 2)), args.p or 2, args.count
-    ),
-    "hypersurface-periodic": lambda args: _pipeline_hypersurface_periodic(),
+    "klein-four": (_pipeline_klein_four, {}),
+    "gorenstein0": (_pipeline_gorenstein0, {}),
+    "trivial-extension": (_pipeline_trivial_extension, {}),
+    "hh-truncated": (_pipeline_hh_truncated, {"exponents": (3,), "p": 2}),
+    "ci-ext-dims": (_pipeline_ci_ext_dims, {"exponents": (2, 2), "p": 2, "count": 5}),
+    "hypersurface-periodic": (_pipeline_hypersurface_periodic, {}),
 }
 
 
@@ -335,7 +332,12 @@ def _cmd_reproduce(args) -> int:
         raise AlgebraFormatError(
             f"unknown computation {args.name!r}; choose from {sorted(PIPELINES)}"
         )
-    steps = PIPELINES[args.name](args)
+    pipeline, defaults = PIPELINES[args.name]
+    given = {opt: getattr(args, opt) for opt in ("exponents", "p", "count") if getattr(args, opt) is not None}
+    ignored = [f"--{opt}" for opt in given if opt not in defaults]
+    if ignored:
+        raise AlgebraFormatError(f"reproduce {args.name} does not read {', '.join(ignored)}")
+    steps = pipeline(**{**defaults, **given})
     passed = all(s["ok"] for s in steps)
     payload = {"command": "reproduce", "name": args.name, "steps": steps, "passed": passed}
     lines = [
@@ -396,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("name", help=f"one of {sorted(PIPELINES)}")
     pr.add_argument("--exponents", type=_parse_exponents, default=None)
     pr.add_argument("--p", type=int, default=None)
-    pr.add_argument("--count", type=int, default=5)
+    pr.add_argument("--count", type=int, default=None)
     pr.add_argument("--json", action="store_true")
     pr.set_defaults(fn=_cmd_reproduce)
     return parser

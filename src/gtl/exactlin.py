@@ -283,9 +283,3 @@ class PrimeField:
 
     def reduce(self, data, copy: bool = True) -> np.ndarray:
         return as_residues(data, self.p, copy)
-
-    def inv(self, a: int) -> int:
-        a = int(a) % self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)

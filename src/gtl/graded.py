@@ -556,13 +556,6 @@ class GradedElement:
     def component(self, d: int) -> np.ndarray:
         return self.components.get(d, np.zeros(self.algebra.dim(d), dtype=np.int64))
 
-    def shift(self, t: int) -> "GradedElement":
-        """Degree-shifted view; coefficient arrays are shared, not copied."""
-        out = object.__new__(GradedElement)
-        out.algebra = self.algebra
-        out.components = {d + t: vec for d, vec in self.components.items()}
-        return out
-
     def __add__(self, other: "GradedElement") -> "GradedElement":
         self._same_algebra(other)
         parts = dict(self.components)
@@ -625,18 +618,6 @@ class GradedSubspace:
         self.basis = clean
         self.underdetermined = frozenset(self.underdetermined)
 
-    @classmethod
-    def zero(cls, algebra: WindowedGradedAlgebra) -> "GradedSubspace":
-        return cls(algebra, {})
-
-    @classmethod
-    def full(cls, algebra: WindowedGradedAlgebra, degrees: Iterable[int] | None = None) -> "GradedSubspace":
-        degs = algebra.degrees() if degrees is None else degrees
-        return cls(
-            algebra,
-            {d: np.eye(algebra.dim(d), dtype=np.int64) for d in degs if algebra.dim(d) > 0},
-        )
-
     def dim(self, d: int) -> int:
         cols = self.basis.get(d)
         return 0 if cols is None else cols.shape[1]
@@ -651,18 +632,6 @@ class GradedSubspace:
         if cols.shape[1] == 0:
             return False
         return solve_mod(cols, vec, self.algebra.p) is not None
-
-    def contains(self, element: GradedElement) -> bool:
-        return all(self.contains_vector(d, v) for d, v in element.components.items())
-
-    def shift(self, t: int) -> "GradedSubspace":
-        """Degree-shifted view; basis arrays are shared, not copied."""
-        out = object.__new__(GradedSubspace)
-        out.algebra = self.algebra
-        out.basis = {d + t: cols for d, cols in self.basis.items()}
-        out.underdetermined = frozenset(d + t for d in self.underdetermined)
-        out.notes = {d + t: s for d, s in self.notes.items()}
-        return out
 
 
 # -- serialization ---------------------------------------------------------

@@ -84,12 +84,6 @@ class CertifiedReport:
     def passed(self) -> bool:
         return not self.failures()
 
-    def verdict_for(self, key: Any) -> str | None:
-        for e in self.entries:
-            if e.key == key:
-                return e.verdict
-        return None
-
     def to_json_dict(self) -> dict:
         out: dict[str, Any] = {
             "check": self.check,

@@ -67,9 +67,11 @@ _SQUARE_CHUNK = 2048
 
 
 def check_fd_dim(dim: int, what: str) -> None:
-    """Reject an algebra above FD_DIM_BOUND before it is built."""
+    """Reject an algebra of dimension below 1 or above FD_DIM_BOUND before it is built."""
     if dim > FD_DIM_BOUND:
         raise AlgebraFormatError(f"{what} has dimension {dim}, above the cap of {FD_DIM_BOUND}")
+    if dim < 1:
+        raise AlgebraFormatError(f"{what} has dimension {dim}, outside [1, {FD_DIM_BOUND}]")
 
 
 def _kron(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -154,18 +156,6 @@ class FDAlgebra:
         mid = self.mult.transpose(1, 0, 2)
         flat = matmul_mod(np.asarray(vec, dtype=np.int64)[None, :], mid.reshape(self.dim, -1), self.p)
         return flat.reshape(self.dim, self.dim).T
-
-    def op(self) -> FDAlgebra:
-        """Opposite algebra; the radical and symmetrizing functional carry over."""
-        return FDAlgebra(
-            self.field,
-            self.dim,
-            self.mult.transpose(1, 0, 2),
-            self.unit,
-            self.radical,
-            self.symmetrizing,
-            self.labels,
-        )
 
     # -- validation -------------------------------------------------------
 
@@ -466,10 +456,6 @@ class FDModule:
         rep.add("multiplicativity", PASS if defect is None else FAIL,
                 None if defect is None else {"pair": defect})
         return rep
-
-    def dual(self) -> FDModule:
-        """Linear dual, a module over the opposite algebra (transposed actions)."""
-        return FDModule(self.algebra.op(), self.dim, self.action.transpose(0, 2, 1))
 
 
 def _free_action(alg: FDAlgebra, cols: np.ndarray) -> np.ndarray:

@@ -574,6 +574,16 @@ def test_tate_non_integer_number_exits_two(tmp_path, klein_alg, capsys):
     assert "malformed mult: not integers: float" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dim", [-1, 0])
+def test_tate_algebra_dimension_below_one_exits_two(tmp_path, dim, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"field_char": 2, "dim": dim, "mult": [], "unit": []}), encoding="utf-8")
+    assert main(["tate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"algebra has dimension {dim}, outside [1, 128]" in err
+    assert "Traceback" not in err
+
+
 def test_tate_accepts_shorthand_payload(tmp_path, capsys):
     path = tmp_path / "short.json"
     path.write_text(
@@ -727,6 +737,27 @@ def test_ci_ext_dims_counts_only_exponents_of_at_least_two(exponents, count, exp
 def test_ci_ext_dims_count_outside_its_range_exits_two(count, capsys):
     assert main(["reproduce", "ci-ext-dims", "--count", str(count)]) == 2
     assert f"--count {count} must lie in [1, 32]" in capsys.readouterr().err
+
+
+def test_ci_ext_dims_counts_five_by_default(capsys):
+    assert main(["reproduce", "ci-ext-dims", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["steps"][0]["got"] == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("name", ["hh-truncated", "ci-ext-dims"])
+def test_reproduce_characteristic_zero_exits_two(name, capsys):
+    assert main(["reproduce", name, "--p", "0"]) == 2
+    assert "characteristic must be an integer in [2, 2**31): 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["klein-four", "--p", "5"], "--p"),
+    (["klein-four", "--exponents", "3"], "--exponents"),
+    (["hh-truncated", "--count", "9"], "--count"),
+])
+def test_reproduce_option_the_pipeline_does_not_read_exits_two(argv, option, capsys):
+    assert main(["reproduce", *argv]) == 2
+    assert f"input error: reproduce {argv[0]} does not read {option}" in capsys.readouterr().err
 
 
 def test_reproduce_json_deterministic(capsys):

@@ -139,7 +139,7 @@ def test_selfdual_check_passes_on_trivial_extension(t2):
 def test_selfdual_check_flags_dimension_mismatch(t2):
     rep = selfdual_check(t2, 0, [1])
     assert not rep.passed
-    assert rep.verdict_for(1) == FAIL
+    assert {e.key: e.verdict for e in rep.entries}[1] == FAIL
     bad = next(e for e in rep.failures() if e.key == 1)
     assert bad.witness["reason"] == "dimension mismatch"
     assert tuple(bad.witness["dims"]) == (2, 1)

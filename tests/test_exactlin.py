@@ -257,13 +257,6 @@ def test_rref_is_deterministic_and_reduced(mp):
         assert not np.any(r1[others, col])
 
 
-def test_prime_field_inverse():
-    f = PrimeField(7)
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
-    assert f.inv(3) == 5
-
-
 # 33554393 is the largest prime below 2**25: one product of residues is close to
 # 2**50, so a float64 chunk holds only 8 terms and an inner dimension of a few
 # dozen spans several chunks.  2**31 - 1 is too large for any float64 chunk.

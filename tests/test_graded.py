@@ -307,7 +307,7 @@ def test_one_is_neutral(laurent, t2):
                 assert b * one == b
 
 
-def test_element_arithmetic_and_shift(t2):
+def test_element_arithmetic(t2):
     a = t2.element_by_label("w1")
     b = t2.element_by_label("w2")
     s = a + b
@@ -318,9 +318,6 @@ def test_element_arithmetic_and_shift(t2):
     assert sorted(mixed.components) == [0, 1]
     with pytest.raises(ValueError):
         mixed.homogeneous_part()
-    shifted = a.shift(-2)
-    assert sorted(shifted.components) == [-1]
-    assert shifted.component(-1) is a.component(1)
 
 
 def test_element_validation_errors(laurent, t2):
@@ -339,20 +336,21 @@ def test_element_validation_errors(laurent, t2):
 def test_is_central_flags_noncommutative_pair():
     alg = quantum_plane(2, 5)
     x = alg.element_by_label("x")
-    rep = alg.is_central(x)
-    assert rep.verdict_for(0) == PASS
-    assert rep.verdict_for(1) == FAIL
-    assert rep.verdict_for(2) == OUT_OF_WINDOW
+    verdicts = {e.key: e.verdict for e in alg.is_central(x).entries}
+    assert verdicts[0] == PASS
+    assert verdicts[1] == FAIL
+    assert verdicts[2] == OUT_OF_WINDOW
     # q = 1 is the commutative specialization
     commutative = quantum_plane(1, 5)
-    assert commutative.is_central(commutative.element_by_label("x")).verdict_for(1) == PASS
+    rep = commutative.is_central(commutative.element_by_label("x"))
+    assert {e.key: e.verdict for e in rep.entries}[1] == PASS
 
 
 def test_is_central_on_laurent(laurent):
     w = laurent.element_by_label("w^1")
     rep = laurent.is_central(w)
     assert all(e.verdict == PASS for e in rep.entries if e.key != 3)
-    assert rep.verdict_for(3) == OUT_OF_WINDOW
+    assert {e.key: e.verdict for e in rep.entries}[3] == OUT_OF_WINDOW
 
 
 def test_left_right_mult_matrices_match_products(t2):
@@ -390,25 +388,11 @@ def test_subspace_canonical_form_and_membership(t2):
     assert a.dim(1) == t2.dim(1)
     assert a.dim(0) == 0
     assert a.contains_vector(1, np.array([1, 1]))
-    assert a.contains(t2.element_by_label("w1"))
+    assert a.contains_vector(1, t2.element_by_label("w1").component(1))
     small = GradedSubspace(t2, {1: np.array([[1], [0]])})
     assert not small.contains_vector(1, np.array([0, 1]))
     assert small.contains_vector(1, np.zeros(2, dtype=np.int64))
     assert not np.array_equal(small.vectors(1), a.vectors(1))
-
-
-def test_subspace_shift_shares_arrays(t2):
-    sub = GradedSubspace(t2, {1: np.eye(2, dtype=np.int64)}, underdetermined={1})
-    moved = sub.shift(-3)
-    assert moved.dim(-2) == 2
-    assert moved.underdetermined == frozenset({-2})
-    assert moved.basis[-2] is sub.basis[1]
-
-
-def test_subspace_zero_and_full(t2):
-    assert GradedSubspace.zero(t2).dim(0) == 0
-    full = GradedSubspace.full(t2)
-    assert all(full.dim(d) == t2.dim(d) for d in t2.degrees())
 
 
 def test_json_round_trip_is_canonical(t2, laurent):

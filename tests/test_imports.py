@@ -83,6 +83,62 @@ def test_every_private_name_is_used(path):
     assert unused_private_names(ast.parse(path.read_text())) == []
 
 
+def uncalled_public_methods(trees: list[ast.Module]) -> list[str]:
+    """Public methods of module-level classes whose name no module reads as an
+    attribute; matched by name, so any ``x.name`` counts as a call."""
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{node.name}.{item.name}"
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+        and item.name not in read
+    ]
+
+
+# public methods no gtl module calls, kept as the user-facing element and form API
+LIBRARY_API = {
+    "WindowedGradedAlgebra.zero": "the additive identity, to start a sum of elements",
+    "WindowedGradedAlgebra.one": "the unit as an element, the multiplicative identity",
+    "WindowedGradedAlgebra.element": "a homogeneous element from its degree and coefficients",
+    "GradedElement.component": "an element's coefficients in one degree, zero where it has none",
+    "GradedSubspace.contains_vector": "membership of a vector of one degree in a subspace",
+    "GradedForm.pairing": "the value of a bilinear form on two elements",
+}
+
+
+def test_uncalled_public_methods_are_detected():
+    trees = [
+        ast.parse(
+            "class K:\n"
+            "    def __init__(self):\n        pass\n"
+            "    def used(self):\n        pass\n"
+            "    def unused(self):\n        pass\n"
+            "    def _private(self):\n        pass\n"
+            "def f():\n"
+            "    class Inner:\n"
+            "        def hidden(self):\n            pass\n"
+        ),
+        ast.parse("def g(k):\n    return k.used()\n"),
+    ]
+    assert uncalled_public_methods(trees) == ["K.unused"]
+
+
+def test_every_public_method_is_called_or_library_api():
+    # a method only tests call fails here; LIBRARY_API lists the exceptions,
+    # and an entry whose method is gone or now called fails too
+    trees = [ast.parse(path.read_text()) for path in sorted(Path(gtl.__file__).parent.glob("*.py"))]
+    assert sorted(uncalled_public_methods(trees)) == sorted(LIBRARY_API)
+
+
 ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
 
 

@@ -67,7 +67,6 @@ def test_gallery_algebras_validate(klein_alg, cubic_alg):
     for alg in (klein_alg, cubic_alg):
         assert alg.validate().passed
         assert alg.validate_symmetric().passed
-        assert alg.op().validate().passed
 
 
 def test_validate_catches_broken_associativity(cubic_alg):
@@ -78,7 +77,7 @@ def test_validate_catches_broken_associativity(cubic_alg):
     )
     rep = broken.validate()
     assert not rep.passed
-    assert rep.verdict_for("associativity") == FAIL
+    assert {e.key: e.verdict for e in rep.entries}["associativity"] == FAIL
 
 
 def dense_associativity_defect(alg: FDAlgebra):
@@ -165,7 +164,7 @@ def test_associativity_matches_the_dense_loop_on_corrupted_tables(name, dense, d
     failure = next(iter(WindowedGradedAlgebra(alg.field, (0, 0), {0: d}, {(0, 0): mult}, alg.unit)
                         .validate().failures()), None)
     if failure is not None and failure.witness["law"] == "unit":
-        assert broken.validate().verdict_for("unit") == FAIL
+        assert {e.key: e.verdict for e in broken.validate().entries}["unit"] == FAIL
     else:
         assert (None if failure is None else failure.witness["indices"]) == defect
 
@@ -176,7 +175,7 @@ def test_validate_symmetric_needs_a_functional(klein_alg):
     )
     rep = bare.validate_symmetric()
     assert not rep.passed
-    assert rep.verdict_for("present") == FAIL
+    assert {e.key: e.verdict for e in rep.entries}["present"] == FAIL
 
 
 def test_validate_symmetric_rejects_degenerate_functional(klein_alg):
@@ -187,8 +186,9 @@ def test_validate_symmetric_rejects_degenerate_functional(klein_alg):
         klein_alg.radical, lam,
     )
     rep = shady.validate_symmetric()
-    assert rep.verdict_for("symmetric") == PASS
-    assert rep.verdict_for("nondegenerate") == FAIL
+    verdicts = {e.key: e.verdict for e in rep.entries}
+    assert verdicts["symmetric"] == PASS
+    assert verdicts["nondegenerate"] == FAIL
 
 
 
@@ -268,7 +268,8 @@ def test_radical_clauses_match_the_column_loops(name):
     build, radical, want = RADICAL_CASES[name]
     alg = build() if radical is None else with_radical(build(), radical)
     rep = alg.validate()
-    got = {key: rep.verdict_for(key) for key in ("radical_ideal", "radical_nilpotent", "radical_codim_one")}
+    verdicts = {e.key: e.verdict for e in rep.entries}
+    got = {key: verdicts[key] for key in ("radical_ideal", "radical_nilpotent", "radical_codim_one")}
     assert got == reference_radical_clauses(alg)
     assert tuple(got.values()) == want
 
@@ -297,7 +298,8 @@ def test_radical_clauses_match_the_column_loops_on_random_radicals(name, data):
     broken = with_radical(alg, radical)
     rep = broken.validate()
     want = reference_radical_clauses(broken)
-    assert {key: rep.verdict_for(key) for key in want} == want
+    verdicts = {e.key: e.verdict for e in rep.entries}
+    assert {key: verdicts[key] for key in want} == want
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 2048])
@@ -327,7 +329,7 @@ def test_nilpotency_stops_once_a_squaring_leaves_the_span_unchanged(monkeypatch)
         return square(self, span)
 
     monkeypatch.setattr(FDAlgebra, "_square_span", counting)
-    assert alg.validate().verdict_for("radical_nilpotent") == FAIL
+    assert {e.key: e.verdict for e in alg.validate().entries}["radical_nilpotent"] == FAIL
     assert calls == [30]
 
 
@@ -482,14 +484,7 @@ def test_module_validate_catches_wrong_action(klein_alg):
     action[1, 0, 0] = 1  # x1 acting as the identity is not multiplicative
     bad = FDModule(klein_alg, 1, action)
     rep = bad.validate()
-    assert rep.verdict_for("multiplicativity") == FAIL
-
-
-def test_dual_module_is_a_module_over_op(klein_alg):
-    k = trivial_module(klein_alg)
-    dual = k.dual()
-    assert dual.validate().passed
-    assert dual.algebra.mult.shape == klein_alg.mult.shape
+    assert {e.key: e.verdict for e in rep.entries}["multiplicativity"] == FAIL
 
 
 def test_regular_bimodule(klein_alg):
@@ -542,13 +537,15 @@ def test_syzygy_inclusion_is_exact(klein_alg):
 
 
 def test_cosyzygy_and_window_inverse(klein_alg):
-    # the cosyzygy of k is the dual of the syzygy of its dual over the opposite algebra
+    # the cosyzygy of k is the dual of the syzygy of its dual over the opposite
+    # algebra; the Klein-four algebra is commutative and k is one-dimensional,
+    # so k is its own dual
     k = trivial_module(klein_alg)
-    dual_syzygy = syzygy_step(k.dual())
+    dual_syzygy = syzygy_step(k)
     co = FDModule(klein_alg, dual_syzygy.dim, dual_syzygy.action.transpose(0, 2, 1))
     assert co.dim == 3
     assert co.validate().passed
-    embed, project = minimal_cover(k.dual()).pi.T, dual_syzygy.inclusion.T
+    embed, project = minimal_cover(k).pi.T, dual_syzygy.inclusion.T
     assert not np.any(matmul_mod(project, embed, 2))
     # going back down recovers k on the nose (no free summand appears)
     back = syzygy_step(co)
