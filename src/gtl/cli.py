@@ -10,9 +10,10 @@ Three subcommands:
   values.
 
 Exit codes: 0 all checks passed / values matched; 1 a check failed or a
-value mismatched; 2 malformed input (file, format, window, arguments) or an
-input too large for the memory at hand; 3 a verifier's mathematical
-preconditions were rejected.
+value mismatched; 2 malformed input (file, format, window, arguments, an
+``analyze`` option the check does not read, a ``reproduce`` option the
+pipeline does not read) or an input too large for the memory at hand; 3 a
+verifier's mathematical preconditions were rejected.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ from .graded import (
 from .report import FAIL, PASS, PreconditionError
 
 _DEGREE_INDEX = re.compile(r"^(-?\d+):(\d+)$")
+_INTEGERS = re.compile(r"^-?\d+(,-?\d+)*$")
+# main() joins each option here to a following value that matches its pattern
+_JOINED = {"--r": _DEGREE_INDEX, "--rt": _DEGREE_INDEX, "--lam": _INTEGERS}
 
 
 def _load_graded(path: str) -> WindowedGradedAlgebra:
@@ -83,22 +87,43 @@ def _subspace_payload(sub: GradedSubspace) -> dict:
     }
 
 
-def _print_subspace(name: str, sub: GradedSubspace) -> None:
-    print(name)
+def _subspace_text(name: str, sub: GradedSubspace) -> str:
+    lines = [name]
     for d in sub.algebra.degrees():
         flag = "  [UNDERDETERMINED lower bound]" if d in sub.underdetermined else ""
         note = f"  ({sub.notes[d]})" if d in sub.notes and flag == "" else ""
-        print(f"  {d}: dim {sub.dim(d)}{flag}{note}")
+        lines.append(f"  {d}: dim {sub.dim(d)}{flag}{note}")
+    return "\n".join(lines)
 
 
-def _emit(payload: dict, passed: bool, as_json: bool, text: str | None = None) -> int:
+def _emit(payload: dict, passed: bool | None, as_json: bool, text: str | None = None) -> int:
+    """Print a result; with no verdict (None) there is no RESULT line and the exit code is 0."""
     if as_json:
         sys.stdout.write(util.canonical_json(payload))
     else:
         if text:
             print(text)
-        print(f"RESULT: {'PASS' if passed else 'FAIL'}")
-    return 0 if passed else 1
+        if passed is not None:
+            print(f"RESULT: {'PASS' if passed else 'FAIL'}")
+    return 1 if passed is False else 0
+
+
+def _bind(args, table: dict, name: str, label: str) -> dict:
+    """The options that ``table[name]`` reads, each as given or else defaulted.
+
+    A command takes the options that some entry of its table reads; a required
+    option not given, or a given option this entry does not read, is bad input.
+    """
+    _, required, defaults = table[name]
+    for opt in required:
+        if getattr(args, opt) is None:
+            raise AlgebraFormatError(f"{label} requires --{opt}")
+    options = dict.fromkeys(opt for _, req, dflt in table.values() for opt in (*req, *dflt))
+    given = {opt: getattr(args, opt) for opt in options if getattr(args, opt) is not None}
+    unread = [f"--{opt}" for opt in given if opt not in required and opt not in defaults]
+    if unread:
+        raise AlgebraFormatError(f"{args.command} {label} does not read {', '.join(unread)}")
+    return {**defaults, **given}
 
 
 # ---------------------------------------------------------------------------
@@ -106,82 +131,71 @@ def _emit(payload: dict, passed: bool, as_json: bool, text: str | None = None) -
 # ---------------------------------------------------------------------------
 
 
+def _find_functional(alg: WindowedGradedAlgebra, n: int, seed: int, samples: int) -> tuple:
+    if not 1 <= samples <= duality.EXHAUSTIVE_LIMIT:
+        raise AlgebraFormatError(f"--samples {samples} must lie in [1, {duality.EXHAUSTIVE_LIMIT}]")
+    res = duality.find_selfdual_functional(alg, n, seed=seed, samples=samples)
+    payload = {
+        "command": "find-functional",
+        "n": n,
+        "found": res.found,
+        "functional": res.functional.tolist() if res.found else None,
+        "tried": res.tried,
+        "strategy": res.strategy,
+    }
+    text = (
+        f"functional {res.functional.tolist()} found after {res.tried} candidates ({res.strategy})"
+        if res.found
+        else f"no functional found within the search budget ({res.tried} candidates, {res.strategy})"
+    )
+    return payload, res.found, text
+
+
+def _tor(alg: WindowedGradedAlgebra, r: GradedElement) -> tuple:
+    sub = structure.tor_part(alg, r)
+    return {"command": "tor", "subspace": _subspace_payload(sub)}, None, _subspace_text("torsion part", sub)
+
+
+def _ideal(alg: WindowedGradedAlgebra, n: int) -> tuple:
+    sub = structure.ideal_leq(alg, n)
+    payload = {"command": "ideal", "n": n, "subspace": _subspace_payload(sub)}
+    return payload, None, _subspace_text(f"ideal generated by degrees <= {n}", sub)
+
+
+# Each check: its function of the algebra and its options (by keyword), the
+# options it requires, and the options it reads with their defaults.  A
+# function returns a report or a (payload, verdict, text) result.  The library
+# function is looked up at each call, so that perfbench's tracer sees it.
+CHECKS = {
+    "validate": (lambda alg: alg.validate(), (), {}),
+    "central": (lambda alg, r: alg.is_central(r), ("r",), {}),
+    "nondegenerate": (lambda alg, **o: duality.nondegenerate_products(alg, **o), ("n",), {}),
+    "selfdual": (lambda alg, **o: duality.selfdual_check(alg, **o), ("n", "lam"), {}),
+    "find-functional": (_find_functional, ("n",), {"seed": 0, "samples": 200}),
+    "regularity": (lambda alg, **o: structure.regularity(alg, **o), ("r",), {}),
+    "tor": (_tor, ("r",), {}),
+    "ideal": (_ideal, ("n",), {}),
+    "periodicity": (lambda alg, **o: structure.check_periodicity(alg, **o), ("r",), {}),
+    "depth1": (lambda alg, **o: structure.verify_depth1(alg, **o), ("r", "n"), {}),
+    "orthogonality": (lambda alg, **o: structure.check_orthogonality(alg, **o), ("r", "n", "lam"), {}),
+    "regseq2": (lambda alg, **o: structure.is_regular_sequence2(alg, **o), ("r", "rt"), {}),
+    "depth2": (lambda alg, **o: structure.verify_depth2(alg, **o), ("r", "rt", "n"), {"lam": None}),
+}
+
+
 def _cmd_analyze(args) -> int:
     alg = _load_graded(args.algebra)
-    check = args.check
-
-    def need(flag: str, value):
-        if value is None:
-            raise AlgebraFormatError(f"--check {check} requires --{flag}")
-        return value
-
-    if check == "validate":
-        rep = alg.validate()
-    elif check == "central":
-        rep = alg.is_central(_element(alg, need("r", args.r)))
-    elif check == "nondegenerate":
-        rep = duality.nondegenerate_products(alg, need("n", args.n))
-    elif check == "selfdual":
-        rep = duality.selfdual_check(alg, need("n", args.n), _lam(need("lam", args.lam)))
-    elif check == "find-functional":
-        if not 1 <= args.samples <= duality.EXHAUSTIVE_LIMIT:
-            raise AlgebraFormatError(f"--samples {args.samples} must lie in [1, {duality.EXHAUSTIVE_LIMIT}]")
-        res = duality.find_selfdual_functional(alg, need("n", args.n), seed=args.seed, samples=args.samples)
-        payload = {
-            "command": "find-functional",
-            "n": args.n,
-            "found": res.found,
-            "functional": res.functional.tolist() if res.found else None,
-            "tried": res.tried,
-            "strategy": res.strategy,
-        }
-        text = (
-            f"functional {res.functional.tolist()} found after {res.tried} candidates ({res.strategy})"
-            if res.found
-            else f"no functional found within the search budget ({res.tried} candidates, {res.strategy})"
-        )
-        return _emit(payload, res.found, args.json, text)
-    elif check == "regularity":
-        rep = structure.regularity(alg, _element(alg, need("r", args.r)))
-    elif check == "tor":
-        sub = structure.tor_part(alg, _element(alg, need("r", args.r)))
-        payload = {"command": "tor", "subspace": _subspace_payload(sub)}
-        if args.json:
-            sys.stdout.write(util.canonical_json(payload))
-        else:
-            _print_subspace("torsion part", sub)
-        return 0
-    elif check == "ideal":
-        sub = structure.ideal_leq(alg, need("n", args.n))
-        payload = {"command": "ideal", "n": args.n, "subspace": _subspace_payload(sub)}
-        if args.json:
-            sys.stdout.write(util.canonical_json(payload))
-        else:
-            _print_subspace(f"ideal generated by degrees <= {args.n}", sub)
-        return 0
-    elif check == "periodicity":
-        rep = structure.check_periodicity(alg, _element(alg, need("r", args.r)))
-    elif check == "depth1":
-        rep = structure.verify_depth1(alg, _element(alg, need("r", args.r)), need("n", args.n))
-    elif check == "orthogonality":
-        rep = structure.check_orthogonality(
-            alg, _element(alg, need("r", args.r)), need("n", args.n), _lam(need("lam", args.lam))
-        )
-    elif check == "regseq2":
-        rep = structure.is_regular_sequence2(
-            alg, _element(alg, need("r", args.r)), _element(alg, need("rt", args.rt))
-        )
-    elif check == "depth2":
-        lam = _lam(args.lam) if args.lam is not None else None
-        rep = structure.verify_depth2(
-            alg, _element(alg, need("r", args.r)), _element(alg, need("rt", args.rt)),
-            need("n", args.n), lam,
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise AlgebraFormatError(f"unknown check {check!r}")
-
-    payload = {"command": check, "report": rep.to_json_dict()}
-    return _emit(payload, rep.passed, args.json, rep.render_text())
+    options = _bind(args, CHECKS, args.check, f"--check {args.check}")
+    for opt in ("r", "rt"):
+        if opt in options:
+            options[opt] = _element(alg, options[opt])
+    if options.get("lam") is not None:
+        options["lam"] = _lam(options["lam"])
+    result = CHECKS[args.check][0](alg, **options)
+    if not isinstance(result, tuple):  # a report
+        result = {"command": args.check, "report": result.to_json_dict()}, result.passed, result.render_text()
+    payload, passed, text = result
+    return _emit(payload, passed, args.json, text)
 
 
 # ---------------------------------------------------------------------------
@@ -316,28 +330,21 @@ def _pipeline_hypersurface_periodic() -> list[dict]:
     return steps
 
 
-# each pipeline with the options it reads and their defaults
+# each pipeline as a CHECKS entry: it requires no option
 PIPELINES = {
-    "klein-four": (_pipeline_klein_four, {}),
-    "gorenstein0": (_pipeline_gorenstein0, {}),
-    "trivial-extension": (_pipeline_trivial_extension, {}),
-    "hh-truncated": (_pipeline_hh_truncated, {"exponents": (3,), "p": 2}),
-    "ci-ext-dims": (_pipeline_ci_ext_dims, {"exponents": (2, 2), "p": 2, "count": 5}),
-    "hypersurface-periodic": (_pipeline_hypersurface_periodic, {}),
+    "klein-four": (_pipeline_klein_four, (), {}),
+    "gorenstein0": (_pipeline_gorenstein0, (), {}),
+    "trivial-extension": (_pipeline_trivial_extension, (), {}),
+    "hh-truncated": (_pipeline_hh_truncated, (), {"exponents": (3,), "p": 2}),
+    "ci-ext-dims": (_pipeline_ci_ext_dims, (), {"exponents": (2, 2), "p": 2, "count": 5}),
+    "hypersurface-periodic": (_pipeline_hypersurface_periodic, (), {}),
 }
 
 
 def _cmd_reproduce(args) -> int:
     if args.name not in PIPELINES:
-        raise AlgebraFormatError(
-            f"unknown computation {args.name!r}; choose from {sorted(PIPELINES)}"
-        )
-    pipeline, defaults = PIPELINES[args.name]
-    given = {opt: getattr(args, opt) for opt in ("exponents", "p", "count") if getattr(args, opt) is not None}
-    ignored = [f"--{opt}" for opt in given if opt not in defaults]
-    if ignored:
-        raise AlgebraFormatError(f"reproduce {args.name} does not read {', '.join(ignored)}")
-    steps = pipeline(**{**defaults, **given})
+        raise AlgebraFormatError(f"unknown computation {args.name!r}; choose from {sorted(PIPELINES)}")
+    steps = PIPELINES[args.name][0](**_bind(args, PIPELINES, args.name, args.name))
     passed = all(s["ok"] for s in steps)
     payload = {"command": "reproduce", "name": args.name, "steps": steps, "passed": passed}
     lines = [
@@ -368,21 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="run a check on a graded algebra file")
     pa.add_argument("algebra", help="path to a degree-windowed graded algebra JSON file")
-    pa.add_argument(
-        "--check",
-        default="validate",
-        choices=[
-            "validate", "central", "nondegenerate", "selfdual", "find-functional",
-            "regularity", "tor", "ideal", "periodicity", "depth1", "orthogonality",
-            "regseq2", "depth2",
-        ],
-    )
+    pa.add_argument("--check", default="validate", choices=list(CHECKS))
     pa.add_argument("--n", type=int, default=None, help="pairing / cutoff degree")
     pa.add_argument("--r", default=None, help="element: a basis label or 'degree:index'")
     pa.add_argument("--rt", default=None, help="second element for sequence checks")
     pa.add_argument("--lam", default=None, help="functional coefficients, comma-separated")
-    pa.add_argument("--seed", type=int, default=0, help="find-functional: seed of the randomized search")
-    pa.add_argument("--samples", type=int, default=200, help="find-functional: randomized search budget")
+    pa.add_argument("--seed", type=int, default=None, help="find-functional: seed of the randomized search")
+    pa.add_argument("--samples", type=int, default=None, help="find-functional: randomized search budget")
     pa.add_argument("--json", action="store_true", help="machine-readable output")
     pa.set_defaults(fn=_cmd_analyze)
 
@@ -405,11 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # argparse reads a negative 'degree:index' such as -1:0 as an option, so
-    # "--r -1:0" is passed on as "--r=-1:0"
+    # argparse reads a negative 'degree:index' such as -1:0, or a functional
+    # such as -1,1, as an option, so "--r -1:0" is passed on as "--r=-1:0"
     argv = list(sys.argv[1:] if argv is None else argv)
     for k in range(len(argv) - 1, 0, -1):
-        if argv[k - 1] in ("--r", "--rt") and _DEGREE_INDEX.match(argv[k]):
+        if argv[k - 1] in _JOINED and _JOINED[argv[k - 1]].match(argv[k]):
             argv[k - 1 : k + 1] = [f"{argv[k - 1]}={argv[k]}"]
     args = build_parser().parse_args(argv)
     try:

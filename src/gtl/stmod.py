@@ -51,8 +51,6 @@ from .exactlin import PrimeField, complement, kernel_from_rref, kernel_mod, matm
 from .graded import AlgebraFormatError, WindowedGradedAlgebra, associativity_failures, col_echelon, int_array
 from .report import FAIL, PASS, CertifiedReport, PreconditionError
 
-ROOT_SEARCH_MAX_CHAR = 1009
-
 # Tate rings are built over algebras of dimension at most FD_DIM_BOUND: the
 # explicit format's dim, a truncated_polynomial shorthand's product of
 # exponents and a bimodule's enveloping algebra (d^2) are all checked before
@@ -89,15 +87,20 @@ def _blocks_side_by_side(stack: np.ndarray, rows: int) -> np.ndarray:
     return _side_by_side(stack.reshape(stack.shape[0] // rows, rows, stack.shape[1]))
 
 
-def _nilpotent(mat: np.ndarray, p: int) -> bool:
-    """Is the square matrix nilpotent over F_p?  (Checks M^(2^k) = 0, 2^k >= n.)"""
-    n = mat.shape[0]
-    cur = mat % p
-    size = 1
-    while size < n:
-        cur = matmul_mod(cur, cur, p)
-        size *= 2
-    return not np.any(cur)
+def _powers(flat: np.ndarray, e: int, p: int) -> np.ndarray:
+    """Row s: the e-th power (e >= 1) of basis element s, all at once, where
+    ``flat[s, t*d + u]`` is the e_u-coefficient of e_s * e_t."""
+    d = flat.shape[0]
+
+    def times(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # row s: a[s] * b[s]
+        return np.einsum("st,stu->su", b, matmul_mod(a, flat, p).reshape(d, d, d)) % p
+
+    power = basis = np.eye(d, dtype=np.int64)
+    for bit in bin(e)[3:]:  # the bits after the leading one
+        power = times(power, power)
+        if bit == "1":
+            power = times(power, basis)
+    return power
 
 
 @dataclass(eq=False)
@@ -321,13 +324,13 @@ def derive_radical(mult: np.ndarray, unit: np.ndarray, field: PrimeField) -> np.
 
     Locality means x |-> (scalar c with x - c*1 nilpotent) is the algebra's
     unique character; the radical is its kernel.  The scalar for a basis
-    element comes from trace(L_x)/dim when p does not divide dim, otherwise
-    from trying every c in F_p (refused for large characteristic).
+    element comes from trace(L_x)/dim when p does not divide dim.  Otherwise
+    it is read off x^q = c*1, q the least power of p with q >= dim: the
+    nilpotent part's q-th power vanishes, and c^q = c.
     """
     p = field.p
     d = unit.shape[0]
     chars = np.zeros(d, dtype=np.int64)
-    eye = np.eye(d, dtype=np.int64)
     flat = np.asarray(mult, dtype=np.int64).reshape(d, d * d) % p
     if d % p != 0:
         inv_d = pow(d % p, -1, p)
@@ -335,21 +338,18 @@ def derive_radical(mult: np.ndarray, unit: np.ndarray, field: PrimeField) -> np.
             left = flat[s].reshape(d, d).T
             chars[s] = int(np.trace(left) % p) * inv_d % p
     else:
-        if p > ROOT_SEARCH_MAX_CHAR:
-            raise AlgebraFormatError(
-                "cannot derive the radical: characteristic divides the dimension "
-                f"and exceeds the root-search bound {ROOT_SEARCH_MAX_CHAR}"
-            )
-        for s in range(d):
-            left = flat[s].reshape(d, d).T
-            found = None
-            for c in range(p):
-                if _nilpotent((left - c * eye) % p, p):
-                    found = c
-                    break
-            if found is None:
-                raise AlgebraFormatError(f"basis element {s} has no nilpotent shift; algebra is not local")
-            chars[s] = found
+        q = p
+        while q < d:
+            q *= p
+        powers = _powers(flat, q, p)
+        unit = np.asarray(unit, dtype=np.int64) % p
+        lead = np.flatnonzero(unit)
+        if lead.size == 0:
+            raise AlgebraFormatError("unit is zero")
+        chars = powers[:, lead[0]] * pow(int(unit[lead[0]]), -1, p) % p
+        off = np.flatnonzero(np.any((powers - chars[:, None] * unit) % p, axis=1))
+        if off.size:
+            raise AlgebraFormatError(f"basis element {off[0]} has no nilpotent shift; algebra is not local")
     rad = kernel_mod(chars[None, :], p)
     if rad.shape[1] != d - 1:
         raise AlgebraFormatError("derived character does not cut out a codimension-one radical")

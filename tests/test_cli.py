@@ -98,14 +98,22 @@ def test_analyze_periodicity_of_a_negative_degree_element(tmp_path, capsys):
     assert "RESULT: PASS" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flags", [["--r", "-1:0"], ["--r=-1:0"], ["--r", "w^-1", "--rt", "-1:0"]])
+@pytest.mark.parametrize("flags", [
+    ["--check", "periodicity", "--r", "-1:0"],
+    ["--check", "periodicity", "--r=-1:0"],
+    ["--check", "regseq2", "--r", "w^1", "--rt", "-1:0"],
+])
 def test_analyze_takes_a_negative_degree_index_after_a_space(tmp_path, capsys, flags):
-    # argparse alone reads "-1:0" as an option and exits 2
+    # argparse alone reads "-1:0" as an option and exits 2 through SystemExit
     path = tmp_path / "laurent.json"
     path.write_text(algebra_to_json(build_laurent(3, (-4, 4))), encoding="utf-8")
-    rc = main(["analyze", str(path), "--check", "periodicity", *flags])
-    assert rc == 0
-    assert "RESULT: PASS" in capsys.readouterr().out
+    rc = main(["analyze", str(path), *flags])
+    out, err = capsys.readouterr()
+    if "--rt" in flags:  # regseq2 read --rt as the degree -1 element, and rejects it
+        assert (rc, err) == (2, "input error: regular sequence elements must have positive degree\n")
+    else:
+        assert rc == 0
+        assert "RESULT: PASS" in out
 
 
 def test_analyze_depth2_full_verification(t2_path, capsys):
@@ -365,16 +373,22 @@ def test_analyze_integer_beyond_int64_exits_two(tmp_path, t2, capsys):
 # and check, with the exit code.  Recorded before the per-degree reports moved
 # onto CertifiedReport.sweep; only `regularity` was re-recorded, because its
 # report shape changed on purpose (clauses `kernels` and `central`).
+# Both rings search every functional at the pinned degree, so --seed and
+# --samples (given here at their defaults) leave the output as it is.
 ANALYZE_FLAGS = {
-    "t2": {"r": "w1", "rt": "w2", "n": "-1", "lam": "1"},
-    "quantum-plane": {"r": "x", "rt": "y", "n": "2", "lam": "1,0,1"},
+    "t2": {"r": "w1", "rt": "w2", "n": "-1", "lam": "1", "seed": "0", "samples": "200"},
+    "quantum-plane": {"r": "x", "rt": "y", "n": "2", "lam": "1,0,1", "seed": "0", "samples": "200"},
 }
+# The options each check reads, written out here as the oracle of the option
+# contract; OPTIONAL_FLAGS names those a check reads with a default.
 CHECK_FLAGS = {
     "validate": (), "central": ("r",), "nondegenerate": ("n",), "selfdual": ("n", "lam"),
-    "find-functional": ("n",), "regularity": ("r",), "tor": ("r",), "ideal": ("n",),
+    "find-functional": ("n", "seed", "samples"), "regularity": ("r",), "tor": ("r",), "ideal": ("n",),
     "periodicity": ("r",), "depth1": ("r", "n"), "orthogonality": ("r", "n", "lam"),
     "regseq2": ("r", "rt"), "depth2": ("r", "rt", "n", "lam"),
 }
+OPTIONAL_FLAGS = {"find-functional": ("seed", "samples"), "depth2": ("lam",)}
+ANALYZE_OPTIONS = ("n", "r", "rt", "lam", "seed", "samples")
 PINNED_ANALYZE_OUTPUT = [
     ("t2", "validate", 0, "bf310f9d9d647d2100333e227df37bcd456c8a9445ce48c9a1102231c6428d2d"),
     ("t2", "central", 0, "e6b87a144280489d0926ac1fa0367256973a7eebc578c083cd8b835bfdd76f4d"),
@@ -417,6 +431,93 @@ def test_analyze_output_bytes_are_pinned(ring, check, code, digest, tmp_path, t2
     assert main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _required(check: str) -> list[str]:
+    return [flag for flag in CHECK_FLAGS[check] if flag not in OPTIONAL_FLAGS.get(check, ())]
+
+
+def _t2_argv(path: str, check: str, flags) -> list[str]:
+    argv = ["analyze", path, "--check", check]
+    for flag in flags:
+        argv += [f"--{flag}", ANALYZE_FLAGS["t2"][flag]]
+    return argv
+
+
+@pytest.mark.parametrize("check, flag", [
+    (check, flag) for check in CHECK_FLAGS for flag in ANALYZE_OPTIONS if flag not in CHECK_FLAGS[check]
+])
+def test_analyze_option_the_check_does_not_read_exits_two(check, flag, t2_path, capsys):
+    assert main(_t2_argv(t2_path, check, [*_required(check), flag])) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"input error: analyze --check {check} does not read --{flag}\n"
+
+
+@pytest.mark.parametrize("check, flag", [(check, flag) for check in CHECK_FLAGS for flag in _required(check)])
+def test_analyze_check_missing_a_required_option_exits_two(check, flag, t2_path, capsys):
+    assert main(_t2_argv(t2_path, check, [f for f in CHECK_FLAGS[check] if f != flag])) == 2
+    assert capsys.readouterr().err == f"input error: --check {check} requires --{flag}\n"
+
+
+@pytest.fixture(scope="module")
+def t2_file(tmp_path_factory, t2):
+    path = tmp_path_factory.mktemp("contract") / "t2.json"
+    path.write_text(algebra_to_json(t2), encoding="utf-8")
+    return str(path)
+
+
+# valid and invalid values for each option, some led by "-"
+_OPTION_VALUES = {
+    "n": ["-1", "0", "2", "-9"],
+    "r": ["w1", "w2", "0:0", "-1:0", "zzz"],
+    "rt": ["w2", "1:1", "-2:1", "9:0"],
+    "lam": ["1", "-1", "1,0", "one"],
+    "seed": ["0", "7"],
+    "samples": ["200", "1", "0"],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(CHECK_FLAGS)),
+    st.dictionaries(st.sampled_from(ANALYZE_OPTIONS), st.just(None)).flatmap(
+        lambda chosen: st.fixed_dictionaries({opt: st.sampled_from(_OPTION_VALUES[opt]) for opt in chosen})
+    ),
+)
+def test_analyze_option_subsets_keep_the_exit_code_contract(t2_file, check, options):
+    argv = ["analyze", t2_file, "--check", check]
+    for opt, value in options.items():
+        argv += [f"--{opt}", value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    missing = [opt for opt in _required(check) if opt not in options]
+    unread = {f"--{opt}" for opt in options if opt not in CHECK_FLAGS[check]}
+    if missing:
+        assert err.getvalue() == f"input error: --check {check} requires --{missing[0]}\n"
+    elif unread:
+        assert code == 2
+        head = f"input error: analyze --check {check} does not read "
+        assert err.getvalue().startswith(head)
+        assert set(err.getvalue()[len(head):].rstrip("\n").split(", ")) == unread
+
+
+@pytest.mark.parametrize("flags, lam", [
+    (["--check", "selfdual", "--n", "-2"], "-1,1"),
+    (["--check", "orthogonality", "--r", "w1", "--n", "-2"], "-1,0"),
+    (["--check", "depth2", "--r", "w1", "--rt", "w2", "--n", "-1"], "-1"),
+])
+def test_analyze_takes_a_negative_functional_after_a_space(flags, lam, t2_path, capsys):
+    # argparse alone reads "-1,1" as an option and exits 2 through SystemExit
+    for json_flag in ([], ["--json"]):
+        spaced = main(["analyze", t2_path, *flags, "--lam", lam, *json_flag])
+        spaced_out = capsys.readouterr()
+        joined = main(["analyze", t2_path, *flags, f"--lam={lam}", *json_flag])
+        assert (spaced, spaced_out) == (joined, capsys.readouterr())
+        assert spaced != 2
 
 
 @pytest.mark.parametrize("edit", [

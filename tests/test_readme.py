@@ -1,9 +1,12 @@
-"""The README's Quick start runs as written and prints what it says it prints."""
+"""The README's Quick start runs as written and prints what it says it prints,
+and its Command line tables name the checks and pipelines that ``gtl`` has."""
 
 from __future__ import annotations
 
 import re
 from pathlib import Path
+
+from gtl import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,3 +25,35 @@ def test_quick_start_runs_and_prints_its_comments(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == ["{-3: 3, -2: 2, -1: 1, 0: 1, 1: 2, 2: 3, 3: 4}", "True"]
     assert f"# {lines[0]}\n" in code  # the dims comment shows what the print prints
+
+
+def command_line_table(header: str) -> dict[str, list[dict[str, str]]]:
+    """The Command line table whose first column is ``header``: each row's name
+    mapped to, per further column, the options it names with their defaults."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1].split("\n## ", 1)[0]
+    lines = [line.strip() for line in section.splitlines()]
+    start = next(k for k, line in enumerate(lines) if line.startswith(f"| {header} |"))
+    rows = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = line.strip("|").split("|")
+        name = re.search(r"`([^`]+)`", cells[0]).group(1)
+        rows[name] = [dict(re.findall(r"`--([a-z]+)`(?: \(([^):]*))?", cell)) for cell in cells[1:]]
+    return rows
+
+
+def _default(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value).lower()
+
+
+def test_command_line_tables_match_the_checks_and_pipelines():
+    checks = command_line_table("check")
+    assert list(checks) == list(cli.CHECKS)
+    for name, (_, required, defaults) in cli.CHECKS.items():
+        assert checks[name] == [dict.fromkeys(required, ""), {opt: _default(v) for opt, v in defaults.items()}]
+    pipelines = command_line_table("pipeline")
+    assert list(pipelines) == list(cli.PIPELINES)
+    for name, (_, required, defaults) in cli.PIPELINES.items():
+        assert required == ()
+        assert pipelines[name] == [{opt: _default(v) for opt, v in defaults.items()}]

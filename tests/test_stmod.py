@@ -361,7 +361,7 @@ def test_generator_vectors(klein_alg):
 
 
 def test_derive_radical_both_paths(klein_alg):
-    # dim 4 over F_2 forces the root search; dim 3 over F_2 uses traces
+    # dim 4 over F_2 reads the characters off 4th powers; dim 3 over F_2 uses traces
     derived = derive_radical(klein_alg.mult, klein_alg.unit, klein_alg.field)
     assert np.array_equal(
         col_echelon(derived, 2), col_echelon(klein_alg.radical, 2)
@@ -371,6 +371,36 @@ def test_derive_radical_both_paths(klein_alg):
     assert np.array_equal(
         col_echelon(derived_line, 2), col_echelon(line.radical, 2)
     )
+
+
+def shifted_line(a: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k[x]/(x^a) over F_p in the basis 1, x - 1, ..., x^(a-1) - 1: mult, unit, radical."""
+    line = build_truncated_ci((a,), p)
+    to_old = np.eye(a, dtype=np.int64)
+    to_old[0, 1:] = p - 1  # column s holds x^s - 1
+    to_new = np.eye(a, dtype=np.int64)
+    to_new[0, 1:] = 1  # x^s = (x^s - 1) + 1
+    mult = np.einsum("sa,tb,stu,cu->abc", to_old, to_old, line.mult, to_new, optimize=True) % p
+    return mult, to_new @ line.unit % p, to_new @ line.radical % p
+
+
+@pytest.mark.parametrize("a, p", [(4, 2), (9, 3), (61, 61)])
+def test_derive_radical_when_the_characteristic_divides_the_dimension(a, p):
+    # every basis element but 1 has character -1, so none lies in the radical
+    mult, unit, radical = shifted_line(a, p)
+    derived = derive_radical(mult, unit, PrimeField(p))
+    assert np.array_equal(col_echelon(derived, p), col_echelon(radical, p))
+
+
+def test_derive_radical_rejects_a_non_local_table():
+    # F_2 x F_2: e0^2 = e0 is no scalar, so no character exists
+    mult = np.zeros((2, 2, 2), dtype=np.int64)
+    mult[0, 0, 0] = mult[1, 1, 1] = 1
+    payload = {"field_char": 2, "dim": 2, "mult": mult.tolist(), "unit": [1, 1]}
+    with pytest.raises(AlgebraFormatError, match="basis element 0 has no nilpotent shift; algebra is not local"):
+        fd_algebra_from_json_dict(payload)
+    with pytest.raises(AlgebraFormatError, match="unit is zero"):
+        fd_algebra_from_json_dict({**payload, "unit": [2, 0]})
 
 
 def test_fd_json_round_trip_and_derivation(klein_alg):
