@@ -57,15 +57,21 @@ def _load_fd(path: str) -> stmod.FDAlgebra:
 
 
 def _element(alg: WindowedGradedAlgebra, spec: str) -> GradedElement:
-    """Pick a basis element by label, or by 'degree:index'."""
-    if alg.labels is not None:
-        for names in alg.labels.values():
-            if spec in names:
-                return alg.element_by_label(spec)
+    """Pick a basis element by label, or by 'degree:index'.  A spec that names
+    more than one (a repeated label, or a label that spells another element's
+    'degree:index') is refused with the candidates."""
+    found = alg.label_positions(spec)
     m = _DEGREE_INDEX.match(spec)
     if m:
-        return alg.basis_element(int(m.group(1)), int(m.group(2)))
-    raise AlgebraFormatError(f"no basis element {spec!r} (use a label or 'degree:index')")
+        d, i = int(m.group(1)), int(m.group(2))
+        if not found or (i < alg.dims.get(d, 0) and (d, i) not in found):
+            found.append((d, i))
+    if not found:
+        raise AlgebraFormatError(f"no basis element {spec!r} (use a label or 'degree:index')")
+    if len(found) > 1:
+        where = ", ".join(f"{d}:{i}" for d, i in found)
+        raise AlgebraFormatError(f"{spec!r} names {len(found)} basis elements, at {where}")
+    return alg.basis_element(*found[0])
 
 
 def _lam(arg: str) -> np.ndarray:

@@ -285,14 +285,15 @@ def _dense_defect(p, mult, dims, i: int, j: int, k: int, r0: int, r1: int) -> tu
     step = max(1, _RUN_TERMS // max(1, db * dc * dy))
     for a in range(r0, r1, step):
         rows = slice(a, min(a + step, r1))
-        diff = np.zeros((rows.stop - a, db, dc, dy), dtype=np.int64)
+        na = rows.stop - a  # the shapes below are spelled out, as a degree may have dimension 0
+        diff = np.zeros((na, db, dc, dy), dtype=np.int64)
         if has_lhs:
             dx = dims[i + j]
-            diff += matmul_mod(t_ij[rows].reshape(-1, dx), t_ij_k.reshape(dx, dc * dy), p).reshape(diff.shape)
+            diff += matmul_mod(t_ij[rows].reshape(na * db, dx), t_ij_k.reshape(dx, dc * dy), p).reshape(diff.shape)
         if has_rhs:
             dz = dims[j + k]
-            rhs = matmul_mod(t_jk.reshape(db * dc, dz), t_i_jk[rows].transpose(1, 0, 2).reshape(dz, -1), p)
-            diff -= rhs.reshape(db, dc, -1, dy).transpose(2, 0, 1, 3)
+            rhs = matmul_mod(t_jk.reshape(db * dc, dz), t_i_jk[rows].transpose(1, 0, 2).reshape(dz, na * dy), p)
+            diff -= rhs.reshape(db, dc, na, dy).transpose(2, 0, 1, 3)
         # both sides are reduced into [0, p), so a nonzero difference is
         # exactly a nonzero defect mod p
         bad = np.flatnonzero(diff)
@@ -418,10 +419,18 @@ class WindowedGradedAlgebra:
     def element_by_label(self, name: str) -> "GradedElement":
         if self.labels is None:
             raise ValueError("algebra carries no basis labels")
-        for d, names in self.labels.items():
-            if name in names:
-                return self.basis_element(d, names.index(name))
-        raise ValueError(f"no basis element labeled {name!r}")
+        found = self.label_positions(name)
+        if not found:
+            raise ValueError(f"no basis element labeled {name!r}")
+        if len(found) > 1:
+            where = ", ".join(f"{d}:{i}" for d, i in found)
+            raise ValueError(f"{name!r} names {len(found)} basis elements, at {where}")
+        return self.basis_element(*found[0])
+
+    def label_positions(self, name: str) -> list[tuple[int, int]]:
+        """The (degree, index) of every basis element labeled ``name``, in order."""
+        labels = self.labels or {}
+        return [(d, i) for d, names in labels.items() for i, label in enumerate(names) if label == name]
 
     # -- multiplication helpers ------------------------------------------
 

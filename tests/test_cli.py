@@ -27,7 +27,7 @@ import gtl
 from gtl import build_laurent, build_trivial_extension, build_truncated_ci, stmod
 from gtl.gallery import expected_ext_dim_ci
 from gtl.cli import PIPELINES, main
-from gtl.graded import algebra_from_json, algebra_to_json
+from gtl.graded import WindowedGradedAlgebra, algebra_from_json, algebra_to_json
 from gtl.util import canonical_json
 
 from test_graded import TABLE_EDIT_CHARS, edited_text, quantum_plane
@@ -114,6 +114,38 @@ def test_analyze_takes_a_negative_degree_index_after_a_space(tmp_path, capsys, f
     else:
         assert rc == 0
         assert "RESULT: PASS" in out
+
+
+def relabelled_laurent_path(tmp_path, renamed: dict) -> str:
+    """The Laurent ring k[w, 1/w] over F_3 on [-4, 4], its degree d element
+    labeled ``renamed[d]`` where given."""
+    ring = build_laurent(3, (-4, 4))
+    labels = {d: [renamed.get(d, names[0])] for d, names in ring.labels.items()}
+    relabelled = WindowedGradedAlgebra(ring.field, ring.window, ring.dims, ring.mult, ring.unit, labels)
+    path = tmp_path / "laurent.json"
+    path.write_text(algebra_to_json(relabelled), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("check", ["periodicity", "regularity"])
+def test_analyze_refuses_a_repeated_label(tmp_path, capsys, check):
+    # "a" labels both w^-2 and w^1; the ring still loads, and an unambiguous spec still works
+    path = relabelled_laurent_path(tmp_path, {-2: "a", 1: "a"})
+    assert main(["analyze", path, "--check", check, "--r", "a"]) == 2
+    assert capsys.readouterr().err == "input error: 'a' names 2 basis elements, at -2:0, 1:0\n"
+    assert main(["analyze", path, "--check", "periodicity", "--r", "1:0"]) == 0
+    with pytest.raises(ValueError, match="'a' names 2 basis elements, at -2:0, 1:0"):
+        algebra_from_json(Path(path).read_text(encoding="utf-8")).element_by_label("a")
+
+
+def test_analyze_refuses_a_label_that_spells_another_position(tmp_path, capsys):
+    path = relabelled_laurent_path(tmp_path, {2: "1:0"})  # w^2 labeled as if it stood at degree 1
+    assert main(["analyze", path, "--check", "periodicity", "--r", "1:0"]) == 2
+    assert capsys.readouterr().err == "input error: '1:0' names 2 basis elements, at 2:0, 1:0\n"
+    # a label that spells its own position, or a position past the window, names one element
+    path = relabelled_laurent_path(tmp_path, {1: "1:0", 2: "9:0"})
+    assert main(["analyze", path, "--check", "periodicity", "--r", "1:0"]) == 0
+    assert main(["analyze", path, "--check", "periodicity", "--r", "9:0"]) == 0
 
 
 def test_analyze_depth2_full_verification(t2_path, capsys):

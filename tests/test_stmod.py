@@ -32,7 +32,7 @@ from gtl import build_trivial_extension, graded, stmod
 from gtl.exactlin import PrimeField, kernel_mod, matmul_mod, rank_mod, rref, solve_mod
 from gtl.gallery import build_truncated_ci, expected_ext_dim_ci, expected_hh0_dim
 from gtl.graded import AlgebraFormatError, WindowedGradedAlgebra, algebra_from_json, algebra_to_json, col_echelon
-from gtl.report import FAIL, PASS, PreconditionError
+from gtl.report import FAIL, PASS, CertifiedReport, PreconditionError
 from gtl.stmod import (
     FD_DIM_BOUND,
     FDAlgebra,
@@ -513,8 +513,63 @@ def test_module_validate_catches_wrong_action(klein_alg):
     action[0, 0, 0] = 1
     action[1, 0, 0] = 1  # x1 acting as the identity is not multiplicative
     bad = FDModule(klein_alg, 1, action)
-    rep = bad.validate()
-    assert {e.key: e.verdict for e in rep.entries}["multiplicativity"] == FAIL
+    report = check_module_validate_against_the_dense_loop(bad)
+    entry = next(e for e in report["per_degree"] if e["i"] == "multiplicativity")
+    assert entry["verdict"] == FAIL and entry["witness"] == {"pair": [1, 1]}
+
+
+def dense_module_defect(module: FDModule):
+    """The first (s, t) in C order where e_s (e_t x) != (e_s e_t) x for some x,
+    from the dense (d*d, m*m) product that FDModule.validate once formed."""
+    p, d, m = module.p, module.algebra.dim, module.dim
+    expected = matmul_mod(module.algebra.mult.reshape(d * d, d), module.action.reshape(d, m * m), p)
+    for s in range(d):
+        got = matmul_mod(module.action[s], module.action.transpose(1, 0, 2).reshape(m, d * m), p)
+        got = got.reshape(m, d, m).transpose(1, 0, 2).reshape(d, m * m)
+        if not np.array_equal(got, expected[s * d:(s + 1) * d]):
+            return s, int(np.argwhere(np.any((got - expected[s * d:(s + 1) * d]) % p, axis=1))[0][0])
+    return None
+
+
+def check_module_validate_against_the_dense_loop(module: FDModule,
+                                                 terms_per_madd=graded._SPARSE_TERMS_PER_MADD) -> dict:
+    """validate()'s report, with the given sparse/dense cost ratio, equals the
+    one built on the dense loop; returns it.  Meant for associative tables."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graded, "_SPARSE_TERMS_PER_MADD", terms_per_madd)
+        got = module.validate().to_json_dict()
+    want = CertifiedReport(check="fd_module")
+    unit_ok = np.array_equal(module.action_of(module.algebra.unit), np.eye(module.dim, dtype=np.int64))
+    want.add("unit", PASS if unit_ok else FAIL)
+    defect = dense_module_defect(module)
+    want.add("multiplicativity", PASS if defect is None else FAIL, None if defect is None else {"pair": defect})
+    assert got == want.to_json_dict()
+    return got
+
+
+def test_zero_dimensional_module_validates(klein_alg, cubic_alg):
+    for alg in (klein_alg, cubic_alg, klein_alg.enveloping()):
+        zero = FDModule(alg, 0, np.zeros((alg.dim, 0, 0), dtype=np.int64))
+        for terms_per_madd in (0, 10**9):
+            assert check_module_validate_against_the_dense_loop(zero, terms_per_madd)["passed"]
+
+
+def test_module_over_a_non_associative_table_names_the_table_triple(cubic_alg):
+    # x * x^2 = x^2: (x x) x = x^2 x = 0, but x (x x) = x x^2 = x^2.  The
+    # character of the trivial module kills x^2 either way, so the dense loop
+    # passes the module; the associativity check fails the table first.
+    mult = cubic_alg.mult.copy()
+    mult[1, 2, 2] = 1
+    broken = FDAlgebra(cubic_alg.field, cubic_alg.dim, mult, cubic_alg.unit, cubic_alg.radical)
+    module = FDModule(broken, 1, trivial_module(cubic_alg).action)
+    assert dense_module_defect(module) is None
+    for terms_per_madd in (0, graded._SPARSE_TERMS_PER_MADD, 10**9):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graded, "_SPARSE_TERMS_PER_MADD", terms_per_madd)
+            report = module.validate().to_json_dict()
+        entry = next(e for e in report["per_degree"] if e["i"] == "multiplicativity")
+        assert entry["verdict"] == FAIL and entry["witness"] == {"triple": list(broken._associativity_defect())}
+        assert entry["witness"] == {"triple": [1, 1, 1]}
 
 
 def test_regular_bimodule(klein_alg):
@@ -783,6 +838,45 @@ def check_free_embedding(module: FDModule) -> None:
     moved = _free_action(alg, emb)
     for s in range(alg.dim):
         assert np.array_equal(moved[s], matmul_mod(emb, module.action[s], alg.p)), s
+
+
+@functools.cache
+def _higman_tower(case) -> SyzygyTower:
+    return SyzygyTower(_base_module(case))
+
+
+# a cost ratio of 0 lists every run term by term, and 10**9 multiplies every
+# run densely; up to three corrupted action entries break the module law
+@settings(max_examples=200, deadline=None)
+@given(case=hst.sampled_from(HIGMAN_CASES), a=hst.integers(-3, 3),
+       terms_per_madd=hst.sampled_from([0, graded._SPARSE_TERMS_PER_MADD, 10**9]), data=hst.data())
+def test_module_validate_matches_the_dense_loop_on_corrupted_tower_modules(case, a, terms_per_madd, data):
+    module = _higman_tower(case).module(a)
+    d, m, p = module.algebra.dim, module.dim, module.p
+    action = module.action.copy()
+    for _ in range(data.draw(hst.integers(0, 3)) if m else 0):
+        s = data.draw(hst.integers(0, d - 1))
+        x, y = data.draw(hst.integers(0, m - 1)), data.draw(hst.integers(0, m - 1))
+        action[s, x, y] = data.draw(hst.integers(0, p - 1))
+    check_module_validate_against_the_dense_loop(FDModule(module.algebra, m, action), terms_per_madd)
+
+
+def test_module_validate_forms_no_dense_product_of_the_module_law(monkeypatch):
+    # W_1 of the (2,2,2) bimodule: d = 64, m = 56; the dense loop's
+    # (d*d, m*m) product alone is 12.8M cells
+    alg, mod = regular_bimodule(build_truncated_ci((2, 2, 2), 2))
+    w1 = SyzygyTower(mod).module(1)
+    d, m = alg.dim, w1.dim
+    cells = []
+
+    def counted(a, b, p):
+        cells.append(a.shape[0] * b.shape[1])
+        return matmul_mod(a, b, p)
+
+    monkeypatch.setattr(stmod, "matmul_mod", counted)
+    monkeypatch.setattr(graded, "matmul_mod", counted)
+    assert w1.validate().passed
+    assert max(cells) < d * d * m * m
 
 
 @pytest.mark.parametrize("case", HIGMAN_CASES)
