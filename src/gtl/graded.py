@@ -47,13 +47,21 @@ class AlgebraFormatError(ValueError):
 
 
 # Size caps on input, so that a small file cannot ask for gigabytes: windows
-# stay within [-WINDOW_BOUND, WINDOW_BOUND], and a graded ring file may give no
-# degree more than DIM_BOUND basis elements.  The widest gallery, test and
+# stay within [-WINDOW_BOUND, WINDOW_BOUND], and no degree of a graded ring file
+# or of a Tate ring may have more than DIM_BOUND basis elements, so every ring
+# that gtl tate emits reads back.  The widest gallery, test and
 # benchmark ring has 45.  One DIM_BOUND**3 structure block of int64 is 16 MiB.
 # Beyond the blocks, validate holds runs of about _RUN_TERMS terms or dense
 # result cells, where one dense (d, d, d, d) side of a triple would be 2 GiB.
 WINDOW_BOUND = 32
 DIM_BOUND = 128
+
+
+def check_degree_dim(d: int, count: int) -> int:
+    """The dimension of degree d, or AlgebraFormatError above DIM_BOUND (read at call time)."""
+    if count > DIM_BOUND:
+        raise AlgebraFormatError(f"degree {d} has dimension {count}, above the cap of {DIM_BOUND}")
+    return count
 
 
 def check_window(window) -> tuple[int, int]:
@@ -704,10 +712,7 @@ def algebra_from_json_dict(payload: dict) -> WindowedGradedAlgebra:
         labels = util.parse_int_keys(payload["labels"], "labels") if "labels" in payload else None
     except ValueError as exc:
         raise AlgebraFormatError(str(exc)) from None
-    dims = {d: int(int_array(count, f"dims entry {d}", ndim=0)) for d, count in dims.items()}
-    for d, count in dims.items():
-        if count > DIM_BOUND:
-            raise AlgebraFormatError(f"degree {d} has dimension {count}, above the cap of {DIM_BOUND}")
+    dims = {d: check_degree_dim(d, int(int_array(count, f"dims entry {d}", ndim=0))) for d, count in dims.items()}
     for d, names in (labels or {}).items():
         if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
             raise AlgebraFormatError(f"labels for degree {d} must be a list of strings")

@@ -51,7 +51,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exactlin import PrimeField, complement, kernel_from_rref, kernel_mod, matmul_mod, rank_mod, rref, solve_mod
-from .graded import AlgebraFormatError, WindowedGradedAlgebra, associativity_failures, col_echelon, int_array
+from .graded import (
+    AlgebraFormatError, WindowedGradedAlgebra, associativity_failures, check_degree_dim, col_echelon, int_array,
+)
 from .report import FAIL, PASS, CertifiedReport, PreconditionError
 
 # Tate rings are built over algebras of dimension at most FD_DIM_BOUND: the
@@ -473,12 +475,6 @@ def _free_action(alg: FDAlgebra, cols: np.ndarray) -> np.ndarray:
     return moved.reshape(d, d, r, k).transpose(0, 2, 1, 3).reshape(d, width, k)
 
 
-def free_module(alg: FDAlgebra, rank: int) -> FDModule:
-    """Direct sum of ``rank`` copies of the left regular module."""
-    width = rank * alg.dim
-    return FDModule(alg, width, _free_action(alg, np.eye(width, dtype=np.int64)))
-
-
 def trivial_module(alg: FDAlgebra) -> FDModule:
     """The one-dimensional module through the unique character of a local algebra."""
     p, d = alg.p, alg.dim
@@ -815,12 +811,6 @@ def _generator_columns(values: np.ndarray) -> np.ndarray:
     return values.transpose(axes).reshape(r * n, int(np.prod(values.shape[:-2])))
 
 
-def _on_generators(maps: np.ndarray, gens: tuple[int, ...]) -> np.ndarray:
-    """Generator coordinates of a stack of maps (c, n, m): column i holds
-    the values on the cover generators, generator b's at rows b*n .. b*n+n-1."""
-    return _generator_columns(maps[:, :, list(gens)])
-
-
 def hom_space(source: FDModule, target: FDModule) -> np.ndarray:
     """Column basis (vec'd row-major) of the module maps source -> target.
 
@@ -920,7 +910,8 @@ class StableHom:
         values = np.asarray(values, dtype=np.int64)
         if self.pf_gen is None:
             self.pf_gen = _projective_factor_span(self.source, self.target)
-        system = np.hstack([_on_generators(self.basis, minimal_cover(self.source).gens), self.pf_gen])
+        gens = list(minimal_cover(self.source).gens)
+        system = np.hstack([_generator_columns(self.basis[:, :, gens]), self.pf_gen])
         sol = solve_mod(system, _generator_columns(values), self.source.p)
         if sol is None:
             raise ArithmeticError(
@@ -948,7 +939,8 @@ def stable_hom(source: FDModule, target: FDModule) -> StableHom:
     n, m = target.dim, source.dim
     hom = hom_space(source, target)
     pf = _projective_factor_span(source, target)
-    hom_gen = _on_generators(hom.T.reshape(hom.shape[1], n, m), minimal_cover(source).gens)
+    gens = list(minimal_cover(source).gens)
+    hom_gen = _generator_columns(hom.T.reshape(hom.shape[1], n, m)[:, :, gens])
     _, pivots = rref(np.hstack([pf, hom_gen]), p)
     n_pf = pf.shape[1]
     kept = [c - n_pf for c in pivots if c >= n_pf]
@@ -1048,7 +1040,9 @@ def tate_ring(module: FDModule, window: tuple[int, int]) -> WindowedGradedAlgebr
     product, and so its coordinates, does not depend on the shift.  The
     blocks sharing a system, one (degree i+j, shift s) pair, are grouped,
     and each system is composed and solved in one pass: one coordinates_at
-    call against the equally lifted stable basis of degree i+j.
+    call against the equally lifted stable basis of degree i+j.  A degree
+    whose dimension passes graded.DIM_BOUND, the ring-file cap, raises
+    AlgebraFormatError before any product is composed.
     """
     lo, hi = int(window[0]), int(window[1])
     if not lo <= 0 <= hi:
@@ -1057,7 +1051,7 @@ def tate_ring(module: FDModule, window: tuple[int, int]) -> WindowedGradedAlgebr
     alg.dual_basis()  # the stable homs need it; fail before building the tower
     ws = _TateWorkspace(module)
 
-    dims = {d: ws.hom_at(d, max(0, -d)).dim for d in range(lo, hi + 1)}
+    dims = {d: check_degree_dim(d, ws.hom_at(d, max(0, -d)).dim) for d in range(lo, hi + 1)}
     blocks = [(i, j) for i in range(lo, hi + 1) for j in range(lo, hi + 1)
               if lo <= i + j <= hi and dims[i] and dims[j] and dims[i + j]]
 

@@ -1,16 +1,24 @@
-"""Shared fixtures: the expensive rings are built once per session."""
+"""Shared fixtures, the expensive rings built once per session, and test-wide settings."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import settings
 
-from gtl import (
-    build_laurent,
-    build_truncated_ci,
-    build_trivial_extension,
-    tate_ring,
-    trivial_module,
-)
+from gtl.gallery import build_laurent, build_trivial_extension, build_truncated_ci
+from gtl.stmod import FDAlgebra, FDModule, _free_action, tate_ring, trivial_module
+
+# one deadline policy for every @given test: a cold runner's first examples
+# can exceed hypothesis's 200 ms default without anything being wrong
+settings.register_profile("gtl", deadline=None)
+settings.load_profile("gtl")
+
+
+def free_module(alg: FDAlgebra, rank: int) -> FDModule:
+    """Direct sum of ``rank`` copies of the left regular module, with its (rank*d)^2 action matrices."""
+    width = rank * alg.dim
+    return FDModule(alg, width, _free_action(alg, np.eye(width, dtype=np.int64)))
 
 
 @pytest.fixture(scope="session")

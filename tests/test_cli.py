@@ -24,9 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gtl
-from gtl import build_laurent, build_trivial_extension, build_truncated_ci, stmod
-from gtl.gallery import expected_ext_dim_ci
+from gtl import graded, stmod
 from gtl.cli import PIPELINES, main
+from gtl.gallery import build_laurent, build_trivial_extension, build_truncated_ci, expected_ext_dim_ci
 from gtl.graded import WindowedGradedAlgebra, algebra_from_json, algebra_to_json
 from gtl.util import canonical_json
 
@@ -510,7 +510,7 @@ _OPTION_VALUES = {
 }
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     st.sampled_from(sorted(CHECK_FLAGS)),
     st.dictionaries(st.sampled_from(ANALYZE_OPTIONS), st.just(None)).flatmap(
@@ -609,6 +609,28 @@ def test_tate_emit_failure_leaves_the_existing_file(klein_path, tmp_path, monkey
     assert main(["tate", klein_path, "--window", "-2", "2", "--emit", str(emitted)]) == 2
     assert "out of memory" in capsys.readouterr().err
     assert emitted.read_bytes() == b"an earlier ring\n"
+
+
+def test_tate_refuses_a_degree_above_the_ring_cap(klein_path, tmp_path, monkeypatch, capsys):
+    # degree 3 of the Klein-four ring has dimension 4; the cap is read at call
+    # time and stops the run before any product system is solved
+    def no_products(self, d, shift, values):
+        raise AssertionError("product system solved")
+
+    monkeypatch.setattr(graded, "DIM_BOUND", 3)
+    monkeypatch.setattr(stmod._TateWorkspace, "coordinates_at", no_products)
+    emitted = tmp_path / "ring.json"
+    assert main(["tate", klein_path, "--window", "-3", "3", "--emit", str(emitted)]) == 2
+    assert capsys.readouterr().err == "input error: degree 3 has dimension 4, above the cap of 3\n"
+    assert not emitted.exists()
+
+
+def test_tate_ring_at_the_cap_reingests(klein_path, tmp_path, monkeypatch, capsys):
+    # degree 2 has dimension 3, exactly the cap: what tate emits, analyze reads
+    monkeypatch.setattr(graded, "DIM_BOUND", 3)
+    emitted = tmp_path / "ring.json"
+    assert main(["tate", klein_path, "--window", "-2", "2", "--emit", str(emitted)]) == 0
+    assert main(["analyze", str(emitted), "--check", "validate"]) == 0
 
 
 def test_tate_json_byte_identical_across_runs(klein_path, capsys):
@@ -806,7 +828,7 @@ _GRADED_BASES = [json.loads(text) for text in _GRADED_TEXTS]
 _TEXT_EDIT_CHARS = TABLE_EDIT_CHARS + "{}:x"
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.sampled_from(_FD_BASES).flatmap(_mutated),
     st.integers(-2, 0),
@@ -818,13 +840,13 @@ def test_fuzzed_fd_payloads_keep_the_exit_code_contract(payload, lo, hi, module)
     assert code in (0, 1, 2, 3)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.sampled_from(_GRADED_BASES).flatmap(_mutated))
 def test_fuzzed_graded_payloads_keep_the_exit_code_contract(payload):
     assert _run_main_on(payload, "analyze", "--check", "validate", "--json") in (0, 1, 2, 3)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.sampled_from(_GRADED_TEXTS).flatmap(lambda text: edited_text(text, [(0, len(text))], _TEXT_EDIT_CHARS)))
 def test_fuzzed_graded_texts_keep_the_exit_code_contract(text):
     assert _run_main_on_text(text, "analyze", "--check", "validate", "--json") in (0, 1, 2, 3)

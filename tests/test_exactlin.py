@@ -170,7 +170,7 @@ def matrix_and_prime(draw):
     return np.array(data, dtype=np.int64), p
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(matrix_and_prime())
 def test_rank_nullity_and_kernel(mp):
     mat, p = mp
@@ -180,7 +180,7 @@ def test_rank_nullity_and_kernel(mp):
         assert not np.any(matmul_mod(mat, ker, p))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(matrix_and_prime(), st.integers(0, 10**6))
 def test_solve_recovers_consistent_systems(mp, seed):
     mat, p = mp
@@ -231,7 +231,7 @@ def linear_system(draw):
     return mat, rhs, p
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(linear_system())
 def test_solve_matches_the_augmented_identity_reference(system):
     mat, rhs, p = system
@@ -244,7 +244,7 @@ def test_solve_matches_the_augmented_identity_reference(system):
         assert np.array_equal(got, want)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(matrix_and_prime())
 def test_rref_is_deterministic_and_reduced(mp):
     mat, p = mp
@@ -283,7 +283,7 @@ def prime_and_matrix(draw):
     return p, draw(matrices(p))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(prime_and_matrix(), st.one_of(st.none(), st.integers(0, 9)))
 def test_rref_matches_the_reference(pm, pivot_cols):
     p, mat = pm
@@ -295,7 +295,7 @@ def test_rref_matches_the_reference(pm, pivot_cols):
         assert pivots == rref(mat[:, :pivot_cols], p)[1]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(prime_and_matrix())
 def test_kernel_mod_matches_the_reference(pm):
     p, mat = pm
@@ -348,7 +348,7 @@ def prime_and_system(draw):
     return p, mat, rhs
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(prime_and_system())
 def test_solve_mod_matches_the_reference(system):
     p, mat, rhs = system
@@ -387,7 +387,7 @@ def prime_and_product(draw):
     return p, operand((m, k)), operand((k, n))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(prime_and_product())
 def test_matmul_mod_matches_the_reference(product):
     p, a, b = product

@@ -10,16 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtl import (
-    build_laurent,
-    build_trivial_extension,
-    build_truncated_ci,
-    graded,
-    regular_bimodule,
-    tate_ring,
-    trivial_module,
-)
+from gtl import graded
 from gtl.exactlin import PrimeField, matmul_mod, solve_mod
+from gtl.gallery import build_laurent, build_trivial_extension, build_truncated_ci
 from gtl.graded import (
     DIM_BOUND,
     AlgebraFormatError,
@@ -34,6 +27,7 @@ from gtl.graded import (
     col_echelon,
 )
 from gtl.report import FAIL, OUT_OF_WINDOW, PASS, CertifiedReport
+from gtl.stmod import regular_bimodule, tate_ring, trivial_module
 from gtl.util import canonical_json
 
 
@@ -227,7 +221,7 @@ def check_validate_against_the_oracle(alg, run_terms=graded._RUN_TERMS, terms_pe
 
 # a run budget of 1 to 16 terms splits runs inside a degree; a cost ratio of
 # 0 lists every run term by term, and 10**9 multiplies every run densely
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     alg=sparse_windowed_algebras(),
     rebase_seed=st.none() | st.integers(0, 2**32 - 1),
@@ -572,13 +566,13 @@ def _degree_zero_ring(table: str, keys: str = '"i":0,"j":0,', dim: int = 2) -> s
     )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(relaid_ring_texts(), st.sampled_from([0, graded._SHORT_ENTRY]))
 def test_json_reader_matches_the_oracle_on_relaid_rings(text, short_entry):
     assert_reads_like_the_oracle(text, short_entry)
 
 
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=600)
 @given((st.sampled_from(_SMALL_RINGS) | sparse_windowed_algebras()).map(algebra_to_json).flatmap(_with_tables))
 # texts that an earlier or a weakened direct reader misread
 @example(_degree_zero_ring("[[[-1,]0,[0,1]],[[0,1],[1,0]]]"))  # a number moved across a bracket
@@ -626,7 +620,7 @@ def relabelled(draw, ring: WindowedGradedAlgebra) -> WindowedGradedAlgebra:
 
 
 # p = 11 and 13 write two-digit entries, which keep their tables on the json.dumps route
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     (st.sampled_from(_SMALL_RINGS) | sparse_windowed_algebras(primes=(2, 3, 5, 7, 11, 13))).flatmap(relabelled),
     st.sampled_from([0, graded._SHORT_ENTRY]),

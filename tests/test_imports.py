@@ -1,15 +1,20 @@
-"""Every name a gtl module imports, and every private name it defines, is used in that module."""
+"""Every name a gtl module imports, and every private name it defines, is used in that module;
+every public function and method is called from gtl or named as library API; each name has
+one path, from the module that defines it."""
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import gtl
 
-SOURCES = sorted(p for p in Path(gtl.__file__).parent.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(Path(gtl.__file__).parent.glob("*.py"))
+MODULES = [p.stem for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -26,7 +31,22 @@ def unused_imports(tree: ast.Module) -> list[str]:
 
 
 def test_sources_are_found():
-    assert {"stmod.py", "graded.py", "exactlin.py"} <= {p.name for p in SOURCES}
+    assert {"__init__.py", "stmod.py", "graded.py", "exactlin.py"} <= {p.name for p in SOURCES}
+
+
+def test_package_binds_only_its_version():
+    # the library is used through its submodules, each bound on the package
+    # once imported; the package itself re-exports nothing
+    bound = {name for name in vars(gtl) if not (name.startswith("__") and name.endswith("__"))}
+    assert bound <= set(MODULES) and gtl.__version__
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_alone(module):
+    # no module relies on another having been imported first
+    src = str(Path(gtl.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import gtl.{module}"
+    subprocess.run([sys.executable, "-I", "-c", code], check=True, timeout=60)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -35,8 +55,8 @@ def test_every_imported_name_is_used(path):
 
 
 def unused_private_names(tree: ast.Module) -> list[str]:
-    """Module-level names starting with "_", and private methods of module-level
-    classes, that the module never reads."""
+    """Module-level names starting with "_" (dunders aside), and private methods
+    of module-level classes, that the module never reads."""
     defined: dict[str, int] = {}
     methods: dict[str, tuple[str, int]] = {}
     for node in tree.body:
@@ -53,7 +73,11 @@ def unused_private_names(tree: ast.Module) -> list[str]:
                     methods[f"{node.name}.{item.name}"] = (item.name, item.lineno)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    unused = [f"{name} (line {line})" for name, line in defined.items() if name.startswith("_") and name not in read]
+    unused = [
+        f"{name} (line {line})"
+        for name, line in defined.items()
+        if name.startswith("_") and not name.endswith("__") and name not in read
+    ]
     return unused + [
         f"{qualified} (line {line})"
         for qualified, (name, line) in methods.items()
@@ -62,8 +86,8 @@ def unused_private_names(tree: ast.Module) -> list[str]:
 
 
 def test_unused_private_names_are_detected():
-    tree = ast.parse("_A = 1\n_B, C = 2, 3\ndef _f():\n    return _A\nclass _K:\n    pass\n")
-    assert unused_private_names(tree) == ["_B (line 2)", "_f (line 3)", "_K (line 5)"]
+    tree = ast.parse("_A = 1\n_B, C = 2, 3\n__version__ = '1'\ndef _f():\n    return _A\nclass _K:\n    pass\n")
+    assert unused_private_names(tree) == ["_B (line 2)", "_f (line 4)", "_K (line 6)"]
 
 
 def test_unused_private_methods_are_detected():
@@ -104,8 +128,32 @@ def uncalled_public_methods(trees: list[ast.Module]) -> list[str]:
     ]
 
 
-# public methods no gtl module calls, kept as the user-facing element and form API
+def uncalled_public_functions(sources: dict[str, ast.Module]) -> list[str]:
+    """Public module-level functions, as ``module.name``, whose name no module
+    reads outside their own definition, bare or as an attribute."""
+    read: set[str] = set()
+    for tree in sources.values():
+        for top in tree.body:
+            skip = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id != skip:
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr != skip:
+                    read.add(node.attr)
+    return [
+        f"{module}.{node.name}"
+        for module, tree in sources.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+
+
+# public functions and methods no gtl module calls, each with the reason it stays
 LIBRARY_API = {
+    "stmod.projective_factor_columns": "the Higman oracle of _projective_factor_span, traced by name by perfbench",
+    "gallery.build_laurent": "a gallery example, named in README's module table",
     "WindowedGradedAlgebra.zero": "the additive identity, to start a sum of elements",
     "WindowedGradedAlgebra.one": "the unit as an element, the multiplicative identity",
     "WindowedGradedAlgebra.element": "a homogeneous element from its degree and coefficients",
@@ -132,11 +180,35 @@ def test_uncalled_public_methods_are_detected():
     assert uncalled_public_methods(trees) == ["K.unused"]
 
 
+def library_api(functions: bool) -> list[str]:
+    return sorted(name for name in LIBRARY_API if (name.split(".")[0] in MODULES) == functions)
+
+
 def test_every_public_method_is_called_or_library_api():
     # a method only tests call fails here; LIBRARY_API lists the exceptions,
     # and an entry whose method is gone or now called fails too
-    trees = [ast.parse(path.read_text()) for path in sorted(Path(gtl.__file__).parent.glob("*.py"))]
-    assert sorted(uncalled_public_methods(trees)) == sorted(LIBRARY_API)
+    trees = [ast.parse(path.read_text()) for path in SOURCES]
+    assert sorted(uncalled_public_methods(trees)) == library_api(functions=False)
+
+
+def test_uncalled_public_functions_are_detected():
+    sources = {
+        "a": ast.parse(
+            "def used():\n    pass\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "def _private():\n    pass\n"
+            "class K:\n    def method(self):\n        pass\n"
+        ),
+        "b": ast.parse("import a\ndef caller():\n    return a.used()\nx = caller()\n"),
+    }
+    assert uncalled_public_functions(sources) == ["a.recursive"]
+
+
+def test_every_public_function_is_called_or_library_api():
+    # a function only tests call fails here, as does a LIBRARY_API entry
+    # whose function is gone or now called
+    sources = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
+    assert sorted(uncalled_public_functions(sources)) == library_api(functions=True)
 
 
 ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
@@ -159,7 +231,7 @@ def test_environment_reads_are_detected():
     assert len(environment_reads(tree)) == 3
 
 
-@pytest.mark.parametrize("path", sorted(Path(gtl.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_module_reads_environment_variables(path):
     # Behaviour is set by arguments and options only, never by a hidden env-var knob.
     assert environment_reads(ast.parse(path.read_text())) == []

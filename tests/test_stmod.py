@@ -28,9 +28,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from gtl import build_trivial_extension, graded, stmod
+from gtl import graded, stmod
 from gtl.exactlin import PrimeField, kernel_mod, matmul_mod, rank_mod, rref, solve_mod
-from gtl.gallery import build_truncated_ci, expected_ext_dim_ci, expected_hh0_dim
+from gtl.gallery import build_trivial_extension, build_truncated_ci, expected_ext_dim_ci, expected_hh0_dim
 from gtl.graded import AlgebraFormatError, WindowedGradedAlgebra, algebra_from_json, algebra_to_json, col_echelon
 from gtl.report import FAIL, PASS, CertifiedReport, PreconditionError
 from gtl.stmod import (
@@ -40,12 +40,11 @@ from gtl.stmod import (
     SyzygyTower,
     _free_action,
     _free_embedding,
-    _on_generators,
+    _generator_columns,
     _projective_factor_span,
     _TateWorkspace,
     derive_radical,
     fd_algebra_from_json_dict,
-    free_module,
     hom_space,
     minimal_cover,
     omega_inverse_lift,
@@ -58,6 +57,8 @@ from gtl.stmod import (
     tate_ring,
     trivial_module,
 )
+
+from conftest import free_module
 
 
 # -- algebras -----------------------------------------------------------------
@@ -140,7 +141,7 @@ ASSOCIATIVITY_ALGEBRAS = {
 }
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(name=hst.sampled_from(sorted(ASSOCIATIVITY_ALGEBRAS)), dense=hst.booleans(), data=hst.data())
 def test_associativity_matches_the_dense_loop_on_corrupted_tables(name, dense, data):
     # monomial tables leave most products structurally zero; a unitriangular
@@ -283,7 +284,7 @@ RADICAL_ALGEBRAS = {
 }
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(name=hst.sampled_from(sorted(RADICAL_ALGEBRAS)), data=hst.data())
 def test_radical_clauses_match_the_column_loops_on_random_radicals(name, data):
     alg = RADICAL_ALGEBRAS[name]()
@@ -495,7 +496,7 @@ FREE_ACTION_ALGEBRAS = {
 }
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(name=hst.sampled_from(sorted(FREE_ACTION_ALGEBRAS)), rank=hst.integers(1, 3),
        k=hst.integers(0, 4), data=hst.data())
 def test_blockwise_free_action_matches_the_dense_free_module(name, rank, k, data):
@@ -815,7 +816,7 @@ def check_against_the_dense_oracle(source: FDModule, target: FDModule, where=Non
     dense = dense_hom_space(source, target)
     assert np.array_equal(hom_space(source, target), dense), where
     higman = projective_factor_columns(source, target)
-    on_gens = _on_generators(higman.T.reshape(higman.shape[1], target.dim, source.dim), gens)
+    on_gens = _generator_columns(higman.T.reshape(higman.shape[1], target.dim, source.dim)[:, :, list(gens)])
     span = _projective_factor_span(source, target)
     assert np.array_equal(col_echelon(span, p), col_echelon(on_gens, p)), where
     _, pivots = rref(np.hstack([higman, dense]), p)
@@ -847,7 +848,7 @@ def _higman_tower(case) -> SyzygyTower:
 
 # a cost ratio of 0 lists every run term by term, and 10**9 multiplies every
 # run densely; up to three corrupted action entries break the module law
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(case=hst.sampled_from(HIGMAN_CASES), a=hst.integers(-3, 3),
        terms_per_madd=hst.sampled_from([0, graded._SPARSE_TERMS_PER_MADD, 10**9]), data=hst.data())
 def test_module_validate_matches_the_dense_loop_on_corrupted_tower_modules(case, a, terms_per_madd, data):
@@ -896,7 +897,7 @@ def test_generator_coordinates_match_the_dense_oracle(case):
         check_against_the_dense_oracle(source, target, pair)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     case=hst.sampled_from([((2, 2), 2, "trivial"), ((2, 2), 3, "trivial"), ((3,), 3, "trivial"),
                            ((3,), 2, "bimodule")]),
@@ -1003,7 +1004,7 @@ def test_omega_inverse_lifts_carry_stable_bases_into_the_cosyzygies(case):
                 assert rank_mod(coords, source.p) == len(maps), (a, b, step)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     case=hst.sampled_from([((2, 2), 2, "trivial"), ((2, 2), 3, "trivial"), ((3,), 3, "trivial"),
                            ((3,), 2, "bimodule")]),
@@ -1029,7 +1030,7 @@ def vec_coordinates(st, maps: np.ndarray) -> np.ndarray | None:
     return None if sol is None else sol[: st.dim].T.reshape(*maps.shape[:-2], st.dim)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(case=hst.sampled_from(HIGMAN_CASES), data=hst.data())
 def test_coordinates_of_full_maps_equal_those_of_their_generator_columns(case, data):
     # random stacks of module maps: combinations of the stable basis and the
@@ -1053,8 +1054,8 @@ def test_coordinates_of_full_maps_equal_those_of_their_generator_columns(case, d
     extra = np.array(data.draw(hst.lists(hst.integers(0, p - 1), min_size=n * m, max_size=n * m)),
                      dtype=np.int64).reshape(n, m)
     hom = hom_space(st.source, st.target)
-    hom_gen = _on_generators(hom.T.reshape(-1, n, m), gens)
-    if rank_mod(np.hstack([hom_gen, _on_generators(extra[None], gens)]), p) > rank_mod(hom_gen, p):
+    hom_gen = _generator_columns(hom.T.reshape(-1, n, m)[:, :, gens])
+    if rank_mod(np.hstack([hom_gen, _generator_columns(extra[:, gens])]), p) > rank_mod(hom_gen, p):
         bad = maps.copy()
         bad[(0,) * len(lead)] = (bad[(0,) * len(lead)] + extra) % p
         assert vec_coordinates(st, bad) is None
@@ -1416,11 +1417,15 @@ def test_tate_ring_never_calls_the_higman_oracle(monkeypatch, klein_alg):
 
 def test_tate_ring_never_builds_a_free_module(monkeypatch, klein_alg):
     # covers act on free-module columns block by block; the (r*d)^2 action
-    # matrices of A^r are never formed
-    def refuse(alg, rank):
-        raise AssertionError(f"free_module({rank}) built")
+    # matrices of A^r, its free action on the identity, are never formed
+    free_action = stmod._free_action
 
-    monkeypatch.setattr(stmod, "free_module", refuse)
+    def refuse_identity(alg, cols):
+        if cols.shape[0] == cols.shape[1] and np.array_equal(cols, np.eye(len(cols), dtype=np.int64)):
+            raise AssertionError(f"free module of rank {len(cols) // alg.dim} built")
+        return free_action(alg, cols)
+
+    monkeypatch.setattr(stmod, "_free_action", refuse_identity)
     ring = tate_ring(trivial_module(klein_alg), (-3, 3))
     assert [ring.dim(d) for d in ring.degrees()] == [3, 2, 1, 1, 2, 3, 4]
     _, mod = regular_bimodule(build_truncated_ci((3,), 3))

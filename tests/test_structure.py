@@ -310,7 +310,7 @@ def taint_inputs(draw):
     return _Window((lo, hi), dims), n, span, escapes, [d for d in degrees if dims[d]]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(taint_inputs())
 def test_taint_search_matches_the_deep_state_search(case):
     assert _detour_taint(*case) == reference_detour_taint(*case)
