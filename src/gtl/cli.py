@@ -26,6 +26,7 @@ import numpy as np
 
 from . import duality, gallery, stmod, structure, util
 from .graded import (
+    DEGREE_INDEX,
     WINDOW_BOUND,
     AlgebraFormatError,
     GradedElement,
@@ -39,10 +40,9 @@ from .graded import (
 )
 from .report import FAIL, PASS, PreconditionError
 
-_DEGREE_INDEX = re.compile(r"^(-?\d+):(\d+)$")
 _INTEGERS = re.compile(r"^-?\d+(,-?\d+)*$")
 # main() joins each option here to a following value that matches its pattern
-_JOINED = {"--r": _DEGREE_INDEX, "--rt": _DEGREE_INDEX, "--lam": _INTEGERS}
+_JOINED = {"--r": DEGREE_INDEX, "--rt": DEGREE_INDEX, "--lam": _INTEGERS}
 
 
 def _load_graded(path: str) -> WindowedGradedAlgebra:
@@ -54,24 +54,6 @@ def _load_fd(path: str) -> stmod.FDAlgebra:
     with open(path, "r", encoding="utf-8") as fh:
         payload = load_json(fh.read())
     return gallery.fd_algebra_from_payload(payload)
-
-
-def _element(alg: WindowedGradedAlgebra, spec: str) -> GradedElement:
-    """Pick a basis element by label, or by 'degree:index'.  A spec that names
-    more than one (a repeated label, or a label that spells another element's
-    'degree:index') is refused with the candidates."""
-    found = alg.label_positions(spec)
-    m = _DEGREE_INDEX.match(spec)
-    if m:
-        d, i = int(m.group(1)), int(m.group(2))
-        if not found or (i < alg.dims.get(d, 0) and (d, i) not in found):
-            found.append((d, i))
-    if not found:
-        raise AlgebraFormatError(f"no basis element {spec!r} (use a label or 'degree:index')")
-    if len(found) > 1:
-        where = ", ".join(f"{d}:{i}" for d, i in found)
-        raise AlgebraFormatError(f"{spec!r} names {len(found)} basis elements, at {where}")
-    return alg.basis_element(*found[0])
 
 
 def _lam(arg: str) -> np.ndarray:
@@ -194,7 +176,7 @@ def _cmd_analyze(args) -> int:
     options = _bind(args, CHECKS, args.check, f"--check {args.check}")
     for opt in ("r", "rt"):
         if opt in options:
-            options[opt] = _element(alg, options[opt])
+            options[opt] = alg.element_by_label(options[opt])
     if options.get("lam") is not None:
         options["lam"] = _lam(options["lam"])
     result = CHECKS[args.check][0](alg, **options)
@@ -327,9 +309,9 @@ def _pipeline_hypersurface_periodic() -> list[dict]:
     ring = stmod.tate_ring(stmod.trivial_module(alg), (-4, 4))
     steps = [_step("all dims equal one", [1] * 9, [ring.dim(d) for d in ring.degrees()])]
     odd = ring.multiply(ring.basis_element(-1, 0), ring.basis_element(-1, 0))
-    steps.append(_step("odd negative square vanishes", True, not odd.components))
+    steps.append(_step("odd negative square vanishes", True, not odd.vector.any()))
     even = ring.multiply(ring.basis_element(-2, 0), ring.basis_element(-2, 0))
-    steps.append(_step("even negative square nonzero", True, bool(even.components)))
+    steps.append(_step("even negative square nonzero", True, bool(even.vector.any())))
     per = structure.check_periodicity(ring, ring.basis_element(2, 0))
     steps.append(_step("degree-2 element acts bijectively", PASS,
                        PASS if per.passed else FAIL))

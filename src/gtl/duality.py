@@ -112,12 +112,11 @@ class GradedForm:
     functional: np.ndarray
 
     def pairing(self, a: GradedElement, b: GradedElement) -> int:
-        """Scalar <a, b>; occupied degree pairs must multiply inside the window."""
+        """Scalar <a, b>; OutOfWindowError when |a| + |b| leaves the window."""
         prod = self.algebra.multiply(a, b)
-        comp = prod.components.get(self.n)
-        if comp is None:
+        if prod.degree != self.n:
             return 0
-        val = matmul_mod(comp[None, :], self.functional[:, None], self.algebra.p)
+        val = matmul_mod(prod.vector[None, :], self.functional[:, None], self.algebra.p)
         return int(val[0, 0])
 
     def gram(self, i: int) -> np.ndarray:

@@ -3,9 +3,11 @@
 A WindowedGradedAlgebra stores, for a window [d_min, d_max] with
 d_min <= 0 <= d_max, the dimension of each graded piece and the structure
 constants of every product that stays inside the window.  Degrees outside the
-window are unknown, not zero: every operation that would need them reports
-OUT-OF-WINDOW (or raises OutOfWindowError for element products) instead of
-guessing.  The unit lives in degree 0 and is pinned at construction.
+window are unknown, not zero: every check that would need them reports
+OUT-OF-WINDOW instead of guessing.  Elements are homogeneous, one degree and
+one coefficient vector (GradedElement), and the product of two elements whose
+degrees sum outside the window raises OutOfWindowError, even when either
+vector is zero.  The unit lives in degree 0 and is pinned at construction.
 
 Structure constants for a pair (i, j) form a tensor T of shape
 (dim i, dim j, dim i+j) with e_a * e_b = sum_c T[a, b, c] e_c.  Absent blocks
@@ -97,8 +99,12 @@ def int_array(value, what: str, ndim: int | None = None) -> np.ndarray:
     return arr
 
 
+# a basis element named by its position, 'degree:index'
+DEGREE_INDEX = re.compile(r"^(-?\d+):(\d+)$")
+
+
 class OutOfWindowError(ValueError):
-    """A product of occupied degrees lands outside the window."""
+    """A product of elements whose degrees sum outside the window."""
 
     def __init__(self, i: int, j: int) -> None:
         super().__init__(f"product of degrees ({i}, {j}) leaves the window")
@@ -167,17 +173,15 @@ def associativity_failures(
     start = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
     n = int(start[-1])
     deg_of = np.repeat(np.arange(lo, hi + 1), sizes)
-    blocks = [table.ravel() for table in mult.values()]
-    flat = [table.nonzero()[0] for table in blocks]
-    V = np.concatenate([np.zeros(0, dtype=np.int64)] + [table[f] for table, f in zip(blocks, flat)])
+    # each block's nonzero constants in C order, read off the block as it is
+    # stored: a block may be a non-contiguous view, which ravel would copy
+    where = [table.nonzero() for table in mult.values()]
+    empty = np.zeros(0, dtype=np.int64)
+    V = np.concatenate([empty] + [table[at] for table, at in zip(mult.values(), where)])
     # each block's degrees i, j, i+j, repeated for each of its nonzero constants
     deg = np.repeat(np.array([(i, j, i + j) for i, j in mult], dtype=np.int64).reshape(-1, 3) - lo,
-                    [f.size for f in flat], axis=0).T
-    size = np.asarray(sizes, dtype=np.int64)[deg]
-    flat = np.concatenate([np.zeros(0, dtype=np.int64)] + flat)
-    A = flat // (size[1] * size[2]) + start[deg[0]]
-    B = flat // size[2] % size[1] + start[deg[1]]
-    X = flat % size[2] + start[deg[2]]
+                    [at[0].size for at in where], axis=0).T
+    A, B, X = (np.concatenate([empty] + [at[axis] for at in where]) + start[deg[axis]] for axis in range(3))
     order = np.argsort(A, kind="stable")
     A, B, X, V = A[order], B[order], X[order], V[order]
     first_ptr = np.searchsorted(A, np.arange(n + 1))
@@ -405,40 +409,36 @@ class WindowedGradedAlgebra:
             return np.zeros((self.dims[i], self.dims[j], self.dims[i + j]), dtype=np.int64)
         return block
 
-    def zero(self) -> "GradedElement":
-        return GradedElement(self, {})
-
     def one(self) -> "GradedElement":
-        return GradedElement(self, {0: self.unit})
+        return GradedElement(self, 0, self.unit)
 
     def basis_element(self, d: int, index: int) -> "GradedElement":
         if not 0 <= index < self.dim(d):
             raise ValueError(f"degree {d} has no basis index {index}")
         vec = np.zeros(self.dims[d], dtype=np.int64)
         vec[index] = 1
-        return GradedElement(self, {d: vec})
+        return GradedElement(self, d, vec)
 
     def element(self, d: int, coeffs: Iterable[int]) -> "GradedElement":
-        vec = self.field.reduce(list(coeffs))
-        if vec.shape != (self.dim(d),):
-            raise ValueError(f"degree {d} expects {self.dim(d)} coefficients")
-        return GradedElement(self, {d: vec})
+        return GradedElement(self, d, list(coeffs))
 
-    def element_by_label(self, name: str) -> "GradedElement":
-        if self.labels is None:
-            raise ValueError("algebra carries no basis labels")
-        found = self.label_positions(name)
+    def element_by_label(self, spec: str) -> "GradedElement":
+        """The basis element a label or a 'degree:index' names.  A spec that
+        names more than one (a repeated label, or a label that spells another
+        element's 'degree:index') is refused with the candidates."""
+        labels = self.labels or {}
+        found = [(d, i) for d, names in labels.items() for i, label in enumerate(names) if label == spec]
+        m = DEGREE_INDEX.match(spec)
+        if m:
+            d, i = int(m.group(1)), int(m.group(2))
+            if not found or (i < self.dims.get(d, 0) and (d, i) not in found):
+                found.append((d, i))
         if not found:
-            raise ValueError(f"no basis element labeled {name!r}")
+            raise ValueError(f"no basis element {spec!r} (use a label or 'degree:index')")
         if len(found) > 1:
             where = ", ".join(f"{d}:{i}" for d, i in found)
-            raise ValueError(f"{name!r} names {len(found)} basis elements, at {where}")
+            raise ValueError(f"{spec!r} names {len(found)} basis elements, at {where}")
         return self.basis_element(*found[0])
-
-    def label_positions(self, name: str) -> list[tuple[int, int]]:
-        """The (degree, index) of every basis element labeled ``name``, in order."""
-        labels = self.labels or {}
-        return [(d, i) for d, names in labels.items() for i, label in enumerate(names) if label == name]
 
     # -- multiplication helpers ------------------------------------------
 
@@ -465,20 +465,13 @@ class WindowedGradedAlgebra:
         return flat.reshape(dc)
 
     def multiply(self, a: "GradedElement", b: "GradedElement") -> "GradedElement":
-        """Product of two elements; every occupied degree pair must stay in window."""
+        """The product ab, in degree |a| + |b|; OutOfWindowError when that leaves the window."""
         if a.algebra is not self or b.algebra is not self:
             raise ValueError("elements belong to a different algebra")
-        parts: dict[int, np.ndarray] = {}
-        for i, vi in a.components.items():
-            for j, vj in b.components.items():
-                if not self.in_window(i + j):
-                    raise OutOfWindowError(i, j)
-                vec = self.product_vector(i, vi, j, vj)
-                if i + j in parts:
-                    parts[i + j] = (parts[i + j] + vec) % self.p
-                else:
-                    parts[i + j] = vec
-        return GradedElement(self, parts)
+        degree = a.degree + b.degree
+        if not self.in_window(degree):
+            raise OutOfWindowError(a.degree, b.degree)
+        return GradedElement(self, degree, self.product_vector(a.degree, a.vector, b.degree, b.vector))
 
     # -- checks ------------------------------------------------------------
 
@@ -516,7 +509,7 @@ class WindowedGradedAlgebra:
 
     def is_central(self, z: "GradedElement") -> CertifiedReport:
         """Window-certified centrality: za = az per degree, else OUT-OF-WINDOW."""
-        dz, vz = z.homogeneous_part()
+        dz, vz = z.degree, z.vector
 
         def commutes(i: int):
             if not self.in_window(i + dz):
@@ -544,69 +537,20 @@ class WindowedGradedAlgebra:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class GradedElement:
-    """Element of a windowed graded algebra: degree -> coefficient vector."""
+    """Homogeneous element of a windowed graded algebra: a degree in the window
+    and its coefficient vector, reduced mod p.  A zero vector keeps its degree."""
 
     algebra: WindowedGradedAlgebra
-    components: dict[int, np.ndarray]
+    degree: int
+    vector: np.ndarray
 
     def __post_init__(self) -> None:
-        clean: dict[int, np.ndarray] = {}
-        for d, vec in self.components.items():
-            d = int(d)
-            arr = self.algebra.field.reduce(vec)
-            if arr.shape != (self.algebra.dim(d),):
-                raise ValueError(
-                    f"degree {d} component must have {self.algebra.dim(d)} coefficients"
-                )
-            if np.any(arr):
-                clean[d] = arr
-        self.components = clean
-
-    def homogeneous_part(self) -> tuple[int, np.ndarray]:
-        if len(self.components) != 1:
-            raise ValueError("element is not homogeneous and nonzero")
-        [(d, vec)] = self.components.items()
-        return d, vec
-
-    def component(self, d: int) -> np.ndarray:
-        return self.components.get(d, np.zeros(self.algebra.dim(d), dtype=np.int64))
-
-    def __add__(self, other: "GradedElement") -> "GradedElement":
-        self._same_algebra(other)
-        parts = dict(self.components)
-        for d, vec in other.components.items():
-            parts[d] = (parts.get(d, 0) + vec) % self.algebra.p
-        return GradedElement(self.algebra, parts)
-
-    def __sub__(self, other: "GradedElement") -> "GradedElement":
-        self._same_algebra(other)
-        parts = dict(self.components)
-        for d, vec in other.components.items():
-            parts[d] = (parts.get(d, 0) - vec) % self.algebra.p
-        return GradedElement(self.algebra, parts)
-
-    def __mul__(self, other: "GradedElement") -> "GradedElement":
-        return self.algebra.multiply(self, other)
-
-    def __rmul__(self, scalar: int) -> "GradedElement":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return GradedElement(
-            self.algebra, {d: (scalar * vec) % self.algebra.p for d, vec in self.components.items()}
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GradedElement):
-            return NotImplemented
-        return self.algebra is other.algebra and self.components.keys() == other.components.keys() and all(
-            np.array_equal(self.components[d], other.components[d]) for d in self.components
-        )
-
-    def _same_algebra(self, other: "GradedElement") -> None:
-        if self.algebra is not other.algebra:
-            raise ValueError("elements belong to different algebras")
+        self.degree = int(self.degree)
+        self.vector = self.algebra.field.reduce(self.vector)
+        if self.vector.shape != (self.algebra.dim(self.degree),):
+            raise ValueError(f"degree {self.degree} expects {self.algebra.dim(self.degree)} coefficients")
 
 
 @dataclass

@@ -26,7 +26,7 @@ from .report import FAIL, PASS, UNDERDETERMINED, CertifiedReport, PreconditionEr
 def _injectivity(alg: WindowedGradedAlgebra, r: GradedElement, degrees, check: str) -> CertifiedReport:
     """Per degree i: PASS when ker(r * -) on A^i is zero, FAIL with a kernel
     vector otherwise; degrees whose image degree leaves the window are unchecked."""
-    dr, vec = r.homogeneous_part()
+    dr, vec = r.degree, r.vector
 
     def kernel(i: int):
         if i + dr > alg.window[1]:
@@ -45,7 +45,7 @@ def regularity(alg: WindowedGradedAlgebra, r: GradedElement) -> CertifiedReport:
     non-central element is not a meaningful claim.  The report passes when
     neither clause fails.
     """
-    dr, _ = r.homogeneous_part()
+    dr = r.degree
     if dr <= 0:
         raise ValueError(f"regularity needs a positive-degree element, got degree {dr}")
     kernels = _injectivity(alg, r, range(0, alg.window[1] + 1), "regularity_kernels")
@@ -74,7 +74,7 @@ def tor_part(alg: WindowedGradedAlgebra, r: GradedElement) -> GradedSubspace:
     stored basis, the kernel of the last power the window holds, is only a
     lower bound.
     """
-    dr, vec = r.homogeneous_part()
+    dr, vec = r.degree, r.vector
     if dr <= 0:
         raise ValueError(f"tor_part needs a positive-degree element, got degree {dr}")
     d_max = alg.window[1]
@@ -336,7 +336,7 @@ def check_orthogonality(alg: WindowedGradedAlgebra, r: GradedElement, n: int, la
 
 def check_periodicity(alg: WindowedGradedAlgebra, r: GradedElement) -> CertifiedReport:
     """Multiplication by r is bijective on every degree the window can check."""
-    dr, vec = r.homogeneous_part()
+    dr, vec = r.degree, r.vector
 
     def bijective(i: int):
         if not alg.in_window(i + dr):
@@ -362,8 +362,8 @@ def is_regular_sequence2(
     any x in A^i with rt*x in r*A^{i+|rt|-|r|} must already lie in
     r*A^{i-|r|}; that is exactly regularity of rt on (A / rA)^{>=0}.
     """
-    dr, rvec = r.homogeneous_part()
-    drt, rtvec = rt.homogeneous_part()
+    dr, rvec = r.degree, r.vector
+    drt, rtvec = rt.degree, rt.vector
     if dr <= 0 or drt <= 0:
         raise ValueError("regular sequence elements must have positive degree")
     rep = CertifiedReport(check="regular_sequence2")
@@ -424,7 +424,7 @@ def _tor_under_regularity(
     power k0 and holds ker r^{k0}.  For d >= 0 the walk stored either no
     power or the kernel of r on A^d, and both are zero.
     """
-    dr, _ = r.homogeneous_part()
+    dr = r.degree
     notes = dict(tor.notes)
     for d in tor.underdetermined:
         notes[d] = (

@@ -150,17 +150,36 @@ def uncalled_public_functions(sources: dict[str, ast.Module]) -> list[str]:
     ]
 
 
-# public functions and methods no gtl module calls, each with the reason it stays
+# public functions and methods no gtl module calls, and every operator method
+# (which no name search can see called), each with the reason it stays
 LIBRARY_API = {
     "stmod.projective_factor_columns": "the Higman oracle of _projective_factor_span, traced by name by perfbench",
     "gallery.build_laurent": "a gallery example, named in README's module table",
-    "WindowedGradedAlgebra.zero": "the additive identity, to start a sum of elements",
     "WindowedGradedAlgebra.one": "the unit as an element, the multiplicative identity",
     "WindowedGradedAlgebra.element": "a homogeneous element from its degree and coefficients",
-    "GradedElement.component": "an element's coefficients in one degree, zero where it has none",
+    "WindowedGradedAlgebra.__eq__": "the round-trip oracle: a ring read back from its JSON equals the ring written",
     "GradedSubspace.contains_vector": "membership of a vector of one degree in a subspace",
     "GradedForm.pairing": "the value of a bilinear form on two elements",
 }
+
+# the special methods behind Python's arithmetic, bitwise and comparison operators
+_BINARY = ("add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "divmod", "pow",
+           "lshift", "rshift", "and", "or", "xor")
+OPERATOR_METHODS = {f"__{side}{op}__" for op in _BINARY for side in ("", "r", "i")} | {
+    f"__{op}__" for op in ("neg", "pos", "abs", "invert", "eq", "ne", "lt", "le", "gt", "ge")
+}
+
+
+def operator_methods(trees: list[ast.Module]) -> list[str]:
+    """Operator special methods defined on module-level classes, as ``Class.__op__``."""
+    return [
+        f"{node.name}.{item.name}"
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name in OPERATOR_METHODS
+    ]
 
 
 def test_uncalled_public_methods_are_detected():
@@ -180,15 +199,45 @@ def test_uncalled_public_methods_are_detected():
     assert uncalled_public_methods(trees) == ["K.unused"]
 
 
-def library_api(functions: bool) -> list[str]:
-    return sorted(name for name in LIBRARY_API if (name.split(".")[0] in MODULES) == functions)
+def library_api(kind: str) -> list[str]:
+    """LIBRARY_API's entries of one kind: "function", "operator" or "method"."""
+
+    def kind_of(name: str) -> str:
+        owner, attr = name.split(".")
+        return "function" if owner in MODULES else "operator" if attr in OPERATOR_METHODS else "method"
+
+    return sorted(name for name in LIBRARY_API if kind_of(name) == kind)
 
 
 def test_every_public_method_is_called_or_library_api():
     # a method only tests call fails here; LIBRARY_API lists the exceptions,
     # and an entry whose method is gone or now called fails too
     trees = [ast.parse(path.read_text()) for path in SOURCES]
-    assert sorted(uncalled_public_methods(trees)) == library_api(functions=False)
+    assert sorted(uncalled_public_methods(trees)) == library_api("method")
+
+
+def test_operator_methods_are_detected():
+    trees = [
+        ast.parse(
+            "class K:\n"
+            "    def __init__(self):\n        pass\n"
+            "    def __add__(self, other):\n        pass\n"
+            "    def __rmul__(self, other):\n        pass\n"
+            "    def __eq__(self, other):\n        pass\n"
+            "    def __post_init__(self):\n        pass\n"
+            "def f():\n"
+            "    class Inner:\n"
+            "        def __sub__(self, other):\n            pass\n"
+        ),
+    ]
+    assert operator_methods(trees) == ["K.__add__", "K.__rmul__", "K.__eq__"]
+
+
+def test_every_operator_method_is_library_api():
+    # operators are called through syntax, which the name searches above
+    # cannot see, so each one must be listed with the reason it stays
+    trees = [ast.parse(path.read_text()) for path in SOURCES]
+    assert sorted(operator_methods(trees)) == library_api("operator")
 
 
 def test_uncalled_public_functions_are_detected():
@@ -208,7 +257,7 @@ def test_every_public_function_is_called_or_library_api():
     # a function only tests call fails here, as does a LIBRARY_API entry
     # whose function is gone or now called
     sources = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
-    assert sorted(uncalled_public_functions(sources)) == library_api(functions=True)
+    assert sorted(uncalled_public_functions(sources)) == library_api("function")
 
 
 ENV_READERS = {"environ", "environb", "getenv", "getenvb"}

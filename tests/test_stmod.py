@@ -22,6 +22,7 @@ import hashlib
 import json
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -519,6 +520,14 @@ def test_module_validate_catches_wrong_action(klein_alg):
     assert entry["verdict"] == FAIL and entry["witness"] == {"pair": [1, 1]}
 
 
+def action_of(module: FDModule, vec) -> np.ndarray:
+    """The matrix by which the algebra element with coefficients vec acts, as one
+    dense (d, m*m) product: the reference for FDModule.validate's unit law."""
+    d, m = module.algebra.dim, module.dim
+    flat = matmul_mod(np.asarray(vec, dtype=np.int64)[None, :], module.action.reshape(d, m * m), module.p)
+    return flat.reshape(m, m)
+
+
 def dense_module_defect(module: FDModule):
     """The first (s, t) in C order where e_s (e_t x) != (e_s e_t) x for some x,
     from the dense (d*d, m*m) product that FDModule.validate once formed."""
@@ -540,12 +549,36 @@ def check_module_validate_against_the_dense_loop(module: FDModule,
         patch.setattr(graded, "_SPARSE_TERMS_PER_MADD", terms_per_madd)
         got = module.validate().to_json_dict()
     want = CertifiedReport(check="fd_module")
-    unit_ok = np.array_equal(module.action_of(module.algebra.unit), np.eye(module.dim, dtype=np.int64))
+    unit_ok = np.array_equal(action_of(module, module.algebra.unit), np.eye(module.dim, dtype=np.int64))
     want.add("unit", PASS if unit_ok else FAIL)
     defect = dense_module_defect(module)
     want.add("multiplicativity", PASS if defect is None else FAIL, None if defect is None else {"pair": defect})
     assert got == want.to_json_dict()
     return got
+
+
+def test_module_unit_law_sums_every_coordinate_of_the_unit():
+    # the unit e11 + e22 of the triangular matrices acts through two slices
+    alg = upper_triangular(3)
+    action = alg.left_ops.reshape(3, 3, 3).copy()
+    assert check_module_validate_against_the_dense_loop(FDModule(alg, 3, action))["passed"]
+    action[2] = 0  # e22 acting as zero leaves e11 + e22 acting as e11 alone
+    report = check_module_validate_against_the_dense_loop(FDModule(alg, 3, action))
+    assert {e["i"]: e["verdict"] for e in report["per_degree"]}["unit"] == FAIL
+
+
+def test_module_validate_holds_no_copy_of_the_action():
+    # W_4 of the (2,2,2,2) trivial module: its action is a non-contiguous
+    # (16, 209, 209) view of 5.3 MiB, which a ravel or reshape would copy whole
+    module = SyzygyTower(trivial_module(build_truncated_ci((2, 2, 2, 2), 2))).module(4)
+    assert module.dim == 209 and not module.action.flags.c_contiguous
+    tracemalloc.start()
+    try:
+        assert module.validate().passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < module.action.nbytes / 2
 
 
 def test_zero_dimensional_module_validates(klein_alg, cubic_alg):
@@ -720,8 +753,8 @@ def dense_hom_space(source: FDModule, target: FDModule) -> np.ndarray:
     eye_n = np.eye(n, dtype=np.int64)
     eye_m = np.eye(m, dtype=np.int64)
     for c in range(gens.shape[1]):
-        rho_s = source.action_of(gens[:, c])
-        rho_t = target.action_of(gens[:, c])
+        rho_s = action_of(source, gens[:, c])
+        rho_t = action_of(target, gens[:, c])
         rows.append((np.kron(eye_n, rho_s.T) - np.kron(rho_t, eye_m)) % p)
     return kernel_mod(np.vstack(rows), p)
 
@@ -833,7 +866,7 @@ def check_free_embedding(module: FDModule) -> None:
     alg = module.algebra
     emb = _free_embedding(module)
     assert module.inclusion is emb
-    socle = kernel_mod(np.vstack([module.action_of(alg.radical[:, c]) for c in range(alg.radical.shape[1])]), alg.p)
+    socle = kernel_mod(np.vstack([action_of(module, alg.radical[:, c]) for c in range(alg.radical.shape[1])]), alg.p)
     assert emb.shape == (socle.shape[1] * alg.dim, module.dim)
     assert rank_mod(emb, alg.p) == module.dim
     moved = _free_action(alg, emb)
@@ -877,7 +910,7 @@ def test_module_validate_forms_no_dense_product_of_the_module_law(monkeypatch):
     monkeypatch.setattr(stmod, "matmul_mod", counted)
     monkeypatch.setattr(graded, "matmul_mod", counted)
     assert w1.validate().passed
-    assert max(cells) < d * d * m * m
+    assert max(cells, default=0) < d * d * m * m  # its unit law takes no product at all
 
 
 @pytest.mark.parametrize("case", HIGMAN_CASES)

@@ -70,6 +70,15 @@ def test_regularity_requires_central_element():
     assert not rep.passed
 
 
+def test_regularity_of_zero_fails_with_a_kernel_witness(t2):
+    # a zero element keeps its degree, and kills every degree it acts on
+    rep = regularity(t2, t2.element(1, [0, 0]))
+    assert not rep.passed and rep.clauses["central"].passed
+    kernels = rep.clauses["kernels"]
+    assert [e.key for e in kernels.failures()] == [0, 1, 2]
+    assert kernels.failures()[0].witness == {"kernel_vector": [1]}
+
+
 def test_regularity_rejects_nonpositive_degree(t2):
     with pytest.raises(ValueError):
         regularity(t2, t2.one())
@@ -113,14 +122,14 @@ def test_tor_part_is_closed_under_the_algebra_action(t2):
                 for idx in range(t2.dim(j)):
                     x = t2.element(d, cols[:, c])
                     b = t2.basis_element(j, idx)
-                    assert tor.contains_vector(d + j, (x * b).component(d + j))
-                    assert tor.contains_vector(d + j, (b * x).component(d + j))
+                    assert tor.contains_vector(d + j, t2.multiply(x, b).vector)
+                    assert tor.contains_vector(d + j, t2.multiply(b, x).vector)
 
 
 def kernel_of_power(alg, r, d, k):
     """Kernel of r^k on A^d, or None when the window cannot express r^k there:
     r^k multiplied out from the identity, one power at a time."""
-    dr, vec = r.homogeneous_part()
+    dr, vec = r.degree, r.vector
     mat = np.eye(alg.dim(d), dtype=np.int64)
     for kk in range(1, k + 1):
         if d + kk * dr > alg.window[1]:
@@ -159,7 +168,7 @@ def test_regularity_sharpens_flags_to_the_kernel_of_power_k0():
     te = build_trivial_extension(2, (-4, 2), 2)
     alg = product_ring(build_laurent(2, (-4, 2)), te)
     w1 = te.element_by_label("w1")
-    r = alg.element(2, np.concatenate([[1], (w1 * w1).homogeneous_part()[1]]))
+    r = alg.element(2, np.concatenate([[1], te.multiply(w1, w1).vector]))
     assert regularity(alg, r).passed
     tor = tor_part(alg, r)
     sharp = _tor_under_regularity(alg, r, tor)
@@ -176,7 +185,7 @@ def test_regularity_sharpens_flags_to_the_kernel_of_power_k0():
         r = alg.element_by_label(r)
         tor = tor_part(alg, r)
         sharp = _tor_under_regularity(alg, r, tor)
-        dr = r.homogeneous_part()[0]
+        dr = r.degree
         assert not sharp.underdetermined and min(tor.underdetermined) < 0
         for d in tor.underdetermined:
             want = np.zeros((1, 0), dtype=np.int64) if d >= 0 else kernel_of_power(alg, r, d, -(d // dr))
@@ -381,8 +390,8 @@ def test_regular_sequence_rejects_nonpositive_degrees(t2):
 
 def reference_second_clause(alg, r, rt) -> CertifiedReport:
     """The "second" clause of is_regular_sequence2: two ranks, then one solve per preimage column."""
-    dr, rvec = r.homogeneous_part()
-    drt, rtvec = rt.homogeneous_part()
+    dr, rvec = r.degree, r.vector
+    drt, rtvec = rt.degree, rt.vector
     p, d_max = alg.p, alg.window[1]
 
     def image_of_r(src):
