@@ -15,7 +15,7 @@ import numpy as np
 
 from . import util
 from .exactlin import kernel_mod, matmul_mod, rank_mod
-from .graded import GradedElement, WindowedGradedAlgebra
+from .graded import WindowedGradedAlgebra
 from .report import FAIL, PASS, CertifiedReport
 
 
@@ -103,43 +103,21 @@ def nondegenerate_products(alg: WindowedGradedAlgebra, n: int) -> NondegeneracyR
     return report
 
 
-@dataclass(frozen=True)
-class GradedForm:
-    """Degree-n pairing <a, b> = lam(pi_n(a*b)) induced by a functional."""
-
-    algebra: WindowedGradedAlgebra
-    n: int
-    functional: np.ndarray
-
-    def pairing(self, a: GradedElement, b: GradedElement) -> int:
-        """Scalar <a, b>; OutOfWindowError when |a| + |b| leaves the window."""
-        prod = self.algebra.multiply(a, b)
-        if prod.degree != self.n:
-            return 0
-        val = matmul_mod(prod.vector[None, :], self.functional[:, None], self.algebra.p)
-        return int(val[0, 0])
-
-    def gram(self, i: int) -> np.ndarray:
-        """Gram matrix of A^i x A^{n-i} in the standard bases."""
-        j = self.n - i
-        tensor = self.algebra.mult_block(i, j)
-        di, dj, dn = tensor.shape
-        flat = matmul_mod(tensor.reshape(di * dj, dn), self.functional[:, None], self.algebra.p)
-        return flat.reshape(di, dj)
-
-
-def form_from_functional(alg: WindowedGradedAlgebra, n: int, lam) -> GradedForm:
-    """The degree-n form induced by the functional ``lam`` on A^n.
-
-    Associativity of the form follows from associativity of the algebra,
-    which ``validate`` checks exactly.
-    """
+def functional(alg: WindowedGradedAlgebra, n: int, lam) -> np.ndarray:
+    """``lam`` as a vector on A^n reduced mod p; ValueError outside the window or off dims(n)."""
     if not alg.in_window(n):
         raise ValueError(f"pairing degree {n} outside window {alg.window}")
     vec = alg.field.reduce(list(lam))
     if vec.shape != (alg.dim(n),):
         raise ValueError(f"functional must have dims({n})={alg.dim(n)} coefficients")
-    return GradedForm(alg, n, vec)
+    return vec
+
+
+def gram(alg: WindowedGradedAlgebra, n: int, vec: np.ndarray, i: int) -> np.ndarray:
+    """Gram block of <a, b> = vec(pi_n(ab)) on A^i x A^{n-i}, in the standard bases."""
+    tensor = alg.mult_block(i, n - i)
+    di, dj, dn = tensor.shape
+    return matmul_mod(tensor.reshape(di * dj, dn), vec[:, None], alg.p).reshape(di, dj)
 
 
 def selfdual_check(alg: WindowedGradedAlgebra, n: int, lam) -> CertifiedReport:
@@ -147,7 +125,7 @@ def selfdual_check(alg: WindowedGradedAlgebra, n: int, lam) -> CertifiedReport:
 
     Degrees whose partner n-i leaves the window are unchecked.
     """
-    form = form_from_functional(alg, n, lam)
+    vec = functional(alg, n, lam)
 
     def check(i: int):
         j = n - i
@@ -156,16 +134,16 @@ def selfdual_check(alg: WindowedGradedAlgebra, n: int, lam) -> CertifiedReport:
         di, dj = alg.dim(i), alg.dim(j)
         if di != dj:
             return FAIL, {"reason": "dimension mismatch", "dims": (di, dj)}
-        gram = form.gram(i)
-        r = rank_mod(gram, alg.p)
+        block = gram(alg, n, vec, i)
+        r = rank_mod(block, alg.p)
         if r != di:
-            return FAIL, {"reason": "degenerate", "rank": r, "kernel": kernel_mod(gram, alg.p)[:, 0].tolist()}
+            return FAIL, {"reason": "degenerate", "rank": r, "kernel": kernel_mod(block, alg.p)[:, 0].tolist()}
         return PASS, None
 
     return CertifiedReport.sweep("selfdual_check", alg.degrees(), check, n=n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchResult:
     """Outcome of a selfdual-functional search.
 

@@ -332,7 +332,10 @@ class WindowedGradedAlgebra:
         """The algebra with these blocks, each reduced mod p and made read-only.
 
         Each table is copied first; with ``copy`` False an int64 array table
-        is taken over instead, reduced in place and frozen.
+        is taken over instead, reduced in place and frozen.  ``self.mult``
+        keeps only the blocks that are nonzero mod p, so a key (i, j) is
+        present exactly when A^i * A^j is not zero; the verifiers that sweep
+        over products read that instead of testing a block for zeros.
         """
         d_min, d_max = int(window[0]), int(window[1])
         if not (d_min <= 0 <= d_max):
@@ -553,7 +556,7 @@ class GradedElement:
             raise ValueError(f"degree {self.degree} expects {self.algebra.dim(self.degree)} coefficients")
 
 
-@dataclass
+@dataclass(eq=False)
 class GradedSubspace:
     """Per-degree subspaces in canonical column-echelon form.
 

@@ -505,7 +505,7 @@ def regular_bimodule(alg: FDAlgebra) -> tuple[FDAlgebra, FDModule]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class Cover:
     """A free cover pi: A^r -> module, with pi of shape (module.dim, r*d).
 
@@ -865,7 +865,7 @@ def _projective_factor_span(source: FDModule, target: FDModule) -> np.ndarray:
     return _free_values(_free_embedding(source)[:, gens], target)
 
 
-@dataclass
+@dataclass(eq=False)
 class StableHom:
     """Hom modulo maps factoring through a projective, with chosen representatives.
 

@@ -9,10 +9,12 @@ threads those flags into its own verdicts.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import util
-from .duality import form_from_functional, nondegenerate_products, selfdual_check
+from .duality import functional, gram, nondegenerate_products, selfdual_check
 from .exactlin import kernel_mod, matmul_mod, rank_mod, rref
 from .graded import GradedElement, GradedSubspace, WindowedGradedAlgebra, col_echelon
 from .report import FAIL, PASS, UNDERDETERMINED, CertifiedReport, PreconditionError
@@ -81,6 +83,8 @@ def tor_part(alg: WindowedGradedAlgebra, r: GradedElement) -> GradedSubspace:
     basis: dict[int, np.ndarray] = {}
     flags: set[int] = set()
     notes: dict[int, str] = {}
+    # the walks of different degrees share the matrices of r
+    times_r = functools.cache(lambda e: alg.left_mult_matrix(dr, vec, e))
 
     def walk(d: int):
         dim = alg.dim(d)
@@ -88,11 +92,12 @@ def tor_part(alg: WindowedGradedAlgebra, r: GradedElement) -> GradedSubspace:
             return d, np.zeros((0, 0), dtype=np.int64), False, "zero degree"
         prev = None
         last = np.zeros((dim, 0), dtype=np.int64)
-        mat = np.eye(dim, dtype=np.int64)
+        mat = None
         certified = False
         note = "no power checkable inside the window"
         for k in range(1, (d_max - d) // dr + 1):
-            mat = matmul_mod(alg.left_mult_matrix(dr, vec, d + (k - 1) * dr), mat, alg.p)
+            step = times_r(d + (k - 1) * dr)
+            mat = step if mat is None else matmul_mod(step, mat, alg.p)
             ker = kernel_mod(mat, alg.p)
             last = ker
             if ker.shape[1] == dim:
@@ -139,15 +144,20 @@ def _right_images(alg: WindowedGradedAlgebra, d: int, cols: np.ndarray, j: int) 
 def ideal_leq(alg: WindowedGradedAlgebra, n: int) -> GradedSubspace:
     """Smallest two-sided ideal containing every A^i with i <= n.
 
-    The in-window part is grown to a fixpoint under single-sided
-    multiplication.  Degrees whose value could be inflated by products that
-    detour through degrees outside the window are found by a conservative
-    reachability pass (multiplication steps are bounded by the window, so a
-    detour can never jump across it) and flagged UNDERDETERMINED; degrees
-    that are already full absorb any detour and stay certified.
+    The in-window part is grown to its least fixpoint under single-sided
+    multiplication by a worklist.  A degree d is visited when seeded and
+    again only after its span grew; a visit multiplies the span into every
+    degree d + j that is not yet full and whose block (j, d) or (d, j) is
+    stored (absent blocks are zero).  A visit adds only vectors the ideal
+    must contain, and an empty worklist means every product of a span lies
+    in its target's span, so any visiting order ends at the same least
+    fixpoint, held in canonical column-echelon form.  Degrees whose value
+    could be inflated by products that detour through degrees outside the
+    window are found by a conservative reachability pass (multiplication
+    steps are bounded by the window, so a detour can never jump across it)
+    and flagged UNDERDETERMINED; degrees that are already full absorb any
+    detour and stay certified.
     """
-    d_min, d_max = alg.window
-    p = alg.p
     span: dict[int, np.ndarray] = {}
     for d in alg.degrees():
         dim = alg.dim(d)
@@ -157,30 +167,25 @@ def ideal_leq(alg: WindowedGradedAlgebra, n: int) -> GradedSubspace:
             span[d] = np.zeros((dim, 0), dtype=np.int64)
 
     step_degrees = [j for j in alg.degrees() if alg.dim(j) > 0]
-    escapes: set[int] = set()
-
-    changed = True
-    while changed:
-        changed = False
-        for d in list(alg.degrees()):
-            cols = span[d]
-            if cols.shape[1] == 0:
+    work = {d for d in alg.degrees() if span[d].shape[1]}
+    while work:
+        d = min(work)
+        work.remove(d)
+        cols = span[d]
+        for j in step_degrees:
+            target = d + j
+            if not alg.in_window(target) or span[target].shape[1] == alg.dim(target):
                 continue
-            for j in step_degrees:
-                if not alg.in_window(d + j):
-                    escapes.add(d + j)
-                    continue
-                target = d + j
-                if span[target].shape[1] == alg.dim(target):
-                    continue
-                new_cols = np.hstack(
-                    [span[target], _left_images(alg, j, d, cols), _right_images(alg, d, cols, j)]
-                )
-                merged = col_echelon(new_cols, p)
+            if (j, d) in alg.mult or (d, j) in alg.mult:
+                images = [span[target], _left_images(alg, j, d, cols), _right_images(alg, d, cols, j)]
+                merged = col_echelon(np.hstack(images), alg.p)
                 if merged.shape[1] > span[target].shape[1]:
                     span[target] = merged
-                    changed = True
+                    work.add(target)
 
+    escapes = {
+        d + j for d in alg.degrees() if span[d].shape[1] for j in step_degrees if not alg.in_window(d + j)
+    }
     flags, notes = _detour_taint(alg, n, span, escapes, step_degrees)
     return GradedSubspace(alg, span, underdetermined=frozenset(flags), notes=notes)
 
@@ -289,15 +294,15 @@ def verify_depth1(alg: WindowedGradedAlgebra, r: GradedElement, n: int) -> Certi
 # ---------------------------------------------------------------------------
 
 
-def _selfdual_form(alg: WindowedGradedAlgebra, n: int, lam):
-    """The degree-n form of ``lam``; PreconditionError unless it passes selfdual_check."""
+def _selfdual_functional(alg: WindowedGradedAlgebra, n: int, lam) -> np.ndarray:
+    """``lam`` as a vector on A^n; PreconditionError unless it passes selfdual_check."""
     if not selfdual_check(alg, n, lam).passed:
         raise PreconditionError("functional does not pass selfdual_check")
-    return form_from_functional(alg, n, lam)
+    return functional(alg, n, lam)
 
 
-def _orthogonality(alg: WindowedGradedAlgebra, n: int, form, tor: GradedSubspace) -> CertifiedReport:
-    """The orthogonality sweep of ``form`` over the cut ideal and a given torsion part."""
+def _orthogonality(alg: WindowedGradedAlgebra, n: int, vec: np.ndarray, tor: GradedSubspace) -> CertifiedReport:
+    """The orthogonality sweep of the pairing of ``vec`` over the cut ideal and a given torsion part."""
     ideal = ideal_leq(alg, n)
 
     def orthogonal(i: int):
@@ -307,7 +312,7 @@ def _orthogonality(alg: WindowedGradedAlgebra, n: int, form, tor: GradedSubspace
         if i in ideal.underdetermined or j in tor.underdetermined:
             return UNDERDETERMINED, None, "input subspaces are lower bounds here"
         u, t = ideal.vectors(i), tor.vectors(j)
-        perp = kernel_mod(matmul_mod(u.T, form.gram(i), alg.p), alg.p)
+        perp = kernel_mod(matmul_mod(u.T, gram(alg, n, vec, i), alg.p), alg.p)
         perp_matches = np.array_equal(col_echelon(perp, alg.p), t)
         if u.shape[1] == alg.dim(j) - t.shape[1] and perp_matches:
             return PASS, None
@@ -331,7 +336,7 @@ def check_orthogonality(alg: WindowedGradedAlgebra, r: GradedElement, n: int, la
     certified by the window alone.  verify_depth2 runs the same sweep on
     the torsion part its certified regular sequence sharpens.
     """
-    return _orthogonality(alg, n, _selfdual_form(alg, n, lam), tor_part(alg, r))
+    return _orthogonality(alg, n, _selfdual_functional(alg, n, lam), tor_part(alg, r))
 
 
 def check_periodicity(alg: WindowedGradedAlgebra, r: GradedElement) -> CertifiedReport:
@@ -373,6 +378,8 @@ def is_regular_sequence2(
     rep.clauses["second_central"] = alg.is_central(rt)
     d_max = alg.window[1]
 
+    # the sweep asks for some spans twice, as i + |rt| - |r| and as i - |r|
+    @functools.cache
     def image_of_r(src: int) -> np.ndarray:
         """Columns spanning r*A^{src} in A^{src+dr}: a zero span for src < 0,
         since the quotient is by r*A^{>=0}, or where src is absent."""
@@ -438,11 +445,11 @@ def _tensor_zero_sweep(alg, left_degrees, right_degrees, check_name) -> Certifie
     """All in-window products A^i * A^j with i, j drawn from the given degree sets vanish."""
 
     def vanishes(key):
-        tensor = alg.mult_block(*key)
-        if np.any(tensor):
-            a, b, c = (int(v) for v in np.argwhere(tensor)[0])
-            return FAIL, {"left_index": a, "right_index": b, "component": c}
-        return PASS, None
+        tensor = alg.mult.get(key)
+        if tensor is None:
+            return PASS, None
+        a, b, c = (int(v) for v in np.argwhere(tensor)[0])
+        return FAIL, {"left_index": a, "right_index": b, "component": c}
 
     keys = [
         (i, j)
@@ -457,9 +464,9 @@ def _ideal_sweep(alg, member, check_name) -> CertifiedReport:
 
     def closed(key):
         i, j = key
-        for tensor, order in ((alg.mult_block(i, j), "right"), (alg.mult_block(j, i), "left")):
-            if np.any(tensor):
-                a, b, c = (int(v) for v in np.argwhere(tensor)[0])
+        for block, order in (((i, j), "right"), ((j, i), "left")):
+            if block in alg.mult:
+                a, b, c = (int(v) for v in np.argwhere(alg.mult[block])[0])
                 return FAIL, {"side": order, "indices": (a, b, c)}
         return PASS, None
 
@@ -543,7 +550,7 @@ def verify_depth2(
         report.clauses["dims_match_across_pairing"] = CertifiedReport.sweep(
             "dims_match_across_pairing", [i for i in alg.degrees() if i >= 0], dims_match
         )
-        report.clauses["orthogonality"] = _orthogonality(alg, n, _selfdual_form(alg, n, lam), tor)
+        report.clauses["orthogonality"] = _orthogonality(alg, n, _selfdual_functional(alg, n, lam), tor)
     elif lam is not None:
         report.notes.append("duality clause only applies when n = -1; skipped")
     else:

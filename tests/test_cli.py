@@ -2,9 +2,10 @@
 
 Each test drives ``gtl.cli.main`` with an argv list and asserts on the exit
 code and captured output, so the whole argument-parsing / dispatch / exit-code
-contract is exercised without spawning subprocesses.  The one exception runs
-the input size caps in a child process under a memory limit, so that a missing
-cap fails cleanly instead of exhausting memory.
+contract is exercised without spawning subprocesses.  Two exceptions run a
+child process: the input size caps run under a memory limit, so that a missing
+cap fails cleanly instead of exhausting memory, and the module entry point
+``python -m gtl.cli`` is checked against ``main`` once per command.
 """
 
 from __future__ import annotations
@@ -114,6 +115,24 @@ def test_analyze_takes_a_negative_degree_index_after_a_space(tmp_path, capsys, f
     else:
         assert rc == 0
         assert "RESULT: PASS" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "klein-four", "--json"],
+    ["analyze", "RING", "--check", "central", "--r", "-1:0", "--json"],
+], ids=["reproduce", "analyze"])
+def test_module_entry_point_matches_main(tmp_path, capsys, argv):
+    # main(argv=None) reads sys.argv, and joins "--r -1:0" there as well
+    ring = tmp_path / "laurent.json"
+    ring.write_text(algebra_to_json(build_laurent(3, (-4, 4))), encoding="utf-8")
+    argv = [str(ring) if arg == "RING" else arg for arg in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(gtl.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    child = subprocess.run(
+        [sys.executable, "-m", "gtl.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    rc = main(argv)
+    assert rc == 0
+    assert (child.returncode, child.stdout) == (rc, capsys.readouterr().out)
 
 
 def relabelled_laurent_path(tmp_path, renamed: dict) -> str:

@@ -9,12 +9,13 @@ from gtl import duality
 from gtl.duality import (
     EXHAUSTIVE_LIMIT,
     find_selfdual_functional,
-    form_from_functional,
+    functional,
+    gram,
     nondegenerate_products,
     selfdual_check,
 )
 from gtl.exactlin import PrimeField
-from gtl.graded import OutOfWindowError, WindowedGradedAlgebra
+from gtl.graded import WindowedGradedAlgebra
 from gtl.report import FAIL, PASS
 
 
@@ -98,35 +99,41 @@ def test_report_json_shape(laurent):
 
 
 def test_form_pairing_values(t2):
-    form = form_from_functional(t2, -1, [1])
-    w1 = t2.element_by_label("w1")
-    dual_w1 = t2.element_by_label("d:w1")
-    dual_w2 = t2.element_by_label("d:w2")
-    assert form.pairing(w1, dual_w1) == 1
-    assert form.pairing(w1, dual_w2) == 0
-    assert form.pairing(t2.one(), t2.element_by_label("d:1")) == 1
-    # off-degree pairs land outside degree -1 and pair to zero
-    assert form.pairing(w1, t2.one()) == 0
+    # entries of the Gram blocks of the degree -1 form of [1]: each monomial
+    # pairs to 1 with its own dual and to 0 with any other
+    vec = functional(t2, -1, [1])
 
+    def pairing(a: str, b: str) -> int:
+        x, y = t2.element_by_label(a), t2.element_by_label(b)
+        block = gram(t2, -1, vec, x.degree)
+        assert block.shape == (t2.dim(x.degree), t2.dim(y.degree))
+        return int(x.vector @ block @ y.vector)
 
-def test_form_pairing_respects_window(laurent):
-    form = form_from_functional(laurent, -1, [1])
-    top = laurent.element_by_label("w^2")
-    with pytest.raises(OutOfWindowError):
-        form.pairing(top, top)
+    assert pairing("w1", "d:w1") == 1
+    assert pairing("w1", "d:w2") == 0
+    assert pairing("d:w2", "w2") == 1
+    assert pairing("1", "d:1") == 1
 
 
 def test_form_rejects_wrong_functional_length(t2):
-    with pytest.raises(ValueError):
-        form_from_functional(t2, -1, [1, 0])
+    with pytest.raises(ValueError, match=r"functional must have dims\(-1\)=1 coefficients"):
+        functional(t2, -1, [1, 0])
+
+
+def test_functional_rejects_degree_outside_window(t2):
+    with pytest.raises(ValueError, match=r"pairing degree 9 outside window \(-4, 3\)"):
+        functional(t2, 9, [1])
+
+
+def test_functional_is_reduced_mod_p(t2):
+    assert functional(t2, -1, [3]).tolist() == [1]
 
 
 def test_gram_matrix_is_permutation_like(t2):
-    form = form_from_functional(t2, -1, [1])
-    gram = form.gram(2)  # degree-2 monomials against their duals
-    assert gram.shape == (3, 3)
-    assert sorted(gram.sum(axis=0).tolist()) == [1, 1, 1]
-    assert sorted(gram.sum(axis=1).tolist()) == [1, 1, 1]
+    block = gram(t2, -1, functional(t2, -1, [1]), 2)  # degree-2 monomials against their duals
+    assert block.shape == (3, 3)
+    assert sorted(block.sum(axis=0).tolist()) == [1, 1, 1]
+    assert sorted(block.sum(axis=1).tolist()) == [1, 1, 1]
 
 
 def test_selfdual_check_passes_on_trivial_extension(t2):

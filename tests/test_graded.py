@@ -413,6 +413,15 @@ def test_subspace_canonical_form_and_membership(t2):
     assert not np.array_equal(small.vectors(1), a.vectors(1))
 
 
+def test_subspaces_compare_by_identity(t2):
+    # the same subspace from two bases: a field-wise == would compare the
+    # basis dicts of arrays and raise "truth value ... is ambiguous"
+    a = GradedSubspace(t2, {1: [[1, 1], [1, 0]]})
+    b = GradedSubspace(t2, {1: [[0, 1], [1, 1]]})
+    assert (a == b) is False and (a == a) is True
+    assert len({a, b}) == 2
+
+
 def test_json_round_trip_is_canonical(t2, laurent):
     for alg in (t2, laurent):
         text = algebra_to_json(alg)

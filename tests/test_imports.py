@@ -159,7 +159,6 @@ LIBRARY_API = {
     "WindowedGradedAlgebra.element": "a homogeneous element from its degree and coefficients",
     "WindowedGradedAlgebra.__eq__": "the round-trip oracle: a ring read back from its JSON equals the ring written",
     "GradedSubspace.contains_vector": "membership of a vector of one degree in a subspace",
-    "GradedForm.pairing": "the value of a bilinear form on two elements",
 }
 
 # the special methods behind Python's arithmetic, bitwise and comparison operators
@@ -258,6 +257,65 @@ def test_every_public_function_is_called_or_library_api():
     # whose function is gone or now called
     sources = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
     assert sorted(uncalled_public_functions(sources)) == library_api("function")
+
+
+def dataclasses_comparing_arrays(trees: list[ast.Module]) -> list[str]:
+    """Module-level ``@dataclass`` classes with a field annotated with ``np.ndarray``
+    (bare, inside a container or in a union) that do not set ``eq=False``: their
+    generated ``__eq__`` compares arrays, which raises on arrays of more than one entry."""
+
+    def mentions_ndarray(annotation: ast.expr) -> bool:
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            annotation = ast.parse(annotation.value, mode="eval").body
+        return any(
+            isinstance(node, ast.Attribute) and node.attr == "ndarray"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+            for node in ast.walk(annotation)
+        )
+
+    def is_dataclass(decorator: ast.expr) -> bool:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return isinstance(target, ast.Name) and target.id == "dataclass"
+
+    def eq_false(decorator: ast.expr) -> bool:
+        return isinstance(decorator, ast.Call) and any(
+            kw.arg == "eq" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+            for kw in decorator.keywords
+        )
+
+    return [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any(is_dataclass(d) and not eq_false(d) for d in node.decorator_list)
+        and any(isinstance(item, ast.AnnAssign) and mentions_ndarray(item.annotation) for item in node.body)
+    ]
+
+
+def test_dataclasses_comparing_arrays_are_detected():
+    trees = [
+        ast.parse(
+            "from dataclasses import dataclass\n"
+            "import numpy as np\n"
+            "@dataclass\nclass Bare:\n    a: np.ndarray\n"
+            "@dataclass(frozen=True)\nclass Nested:\n    a: dict[int, np.ndarray]\n"
+            "@dataclass\nclass Optional:\n    a: np.ndarray | None = None\n"
+            "@dataclass\nclass Quoted:\n    a: 'list[np.ndarray]'\n"
+            "@dataclass(eq=False)\nclass Identity:\n    a: np.ndarray\n"
+            "@dataclass(frozen=True, eq=False)\nclass FrozenIdentity:\n    a: np.ndarray\n"
+            "@dataclass\nclass Plain:\n    a: int\n"
+            "class NotADataclass:\n    a: np.ndarray\n"
+        ),
+    ]
+    assert dataclasses_comparing_arrays(trees) == ["Bare", "Nested", "Optional", "Quoted"]
+
+
+def test_no_dataclass_compares_arrays():
+    # a record holding arrays compares by identity; a field-wise == raises
+    # "truth value of an array ... is ambiguous" on any array of two entries
+    trees = [ast.parse(path.read_text()) for path in SOURCES]
+    assert dataclasses_comparing_arrays(trees) == []
 
 
 ENV_READERS = {"environ", "environb", "getenv", "getenvb"}

@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 
 from gtl import structure
 from gtl.exactlin import PrimeField, kernel_mod, matmul_mod, rank_mod, solve_mod
-from gtl.gallery import build_laurent, build_trivial_extension
+from gtl.gallery import build_laurent, build_trivial_extension, build_truncated_ci
 from gtl.graded import GradedSubspace, WindowedGradedAlgebra, col_echelon
 from gtl.report import FAIL, PASS, UNDERDETERMINED, CertifiedReport, PreconditionError
+from gtl.stmod import tate_ring, trivial_module
 from gtl.structure import (
     _detour_taint,
+    _left_images,
+    _right_images,
     _tensor_zero_sweep,
     _tor_under_regularity,
     check_orthogonality,
@@ -323,6 +326,73 @@ def taint_inputs(draw):
 @given(taint_inputs())
 def test_taint_search_matches_the_deep_state_search(case):
     assert _detour_taint(*case) == reference_detour_taint(*case)
+
+
+def reference_ideal_leq(alg, n) -> GradedSubspace:
+    """The cut ideal by a rescan fixpoint: every pass multiplies every nonzero
+    span by every step degree, until a pass grows no span."""
+    span = {
+        d: np.eye(alg.dim(d), dtype=np.int64) if d <= n else np.zeros((alg.dim(d), 0), dtype=np.int64)
+        for d in alg.degrees()
+    }
+    step_degrees = [j for j in alg.degrees() if alg.dim(j) > 0]
+    escapes: set[int] = set()
+    changed = True
+    while changed:
+        changed = False
+        for d in alg.degrees():
+            cols = span[d]
+            if cols.shape[1] == 0:
+                continue
+            for j in step_degrees:
+                if not alg.in_window(d + j):
+                    escapes.add(d + j)
+                    continue
+                target = d + j
+                if span[target].shape[1] == alg.dim(target):
+                    continue
+                new_cols = np.hstack([span[target], _left_images(alg, j, d, cols), _right_images(alg, d, cols, j)])
+                merged = col_echelon(new_cols, alg.p)
+                if merged.shape[1] > span[target].shape[1]:
+                    span[target] = merged
+                    changed = True
+    flags, notes = _detour_taint(alg, n, span, escapes, step_degrees)
+    return GradedSubspace(alg, span, underdetermined=frozenset(flags), notes=notes)
+
+
+def assert_same_subspace(got: GradedSubspace, want: GradedSubspace):
+    alg = want.algebra
+    for d in alg.degrees():
+        assert np.array_equal(got.vectors(d), want.vectors(d)), d
+    assert got.underdetermined == want.underdetermined
+    assert got.notes == want.notes
+
+
+@st.composite
+def ideal_inputs(draw):
+    """On a random window: a trivial extension (1-3 variables), a Laurent line or
+    their product over F_2, F_3 or F_5, or the Klein-four Tate ring; and a cut
+    from below the window to above it."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    window = (draw(st.integers(-5, 0)), draw(st.integers(0, 4)))
+    kind = draw(st.sampled_from(["trivial extension", "laurent", "product", "klein four"]))
+    if kind == "trivial extension":
+        alg = build_trivial_extension(draw(st.integers(1, 3)), window, p)
+    elif kind == "laurent":
+        alg = build_laurent(p, window)
+    elif kind == "product":
+        alg = product_ring(build_laurent(p, window), build_trivial_extension(draw(st.integers(1, 2)), window, p))
+    else:
+        alg = tate_ring(trivial_module(build_truncated_ci((2, 2), 2)), window)
+    width = window[1] - window[0] + 1
+    return alg, draw(st.integers(window[0] - width - 1, window[1] + width + 1))
+
+
+@settings(max_examples=80)
+@given(ideal_inputs())
+def test_worklist_ideal_matches_the_rescan_fixpoint(case):
+    alg, n = case
+    assert_same_subspace(ideal_leq(alg, n), reference_ideal_leq(alg, n))
 
 
 @pytest.mark.parametrize("n", [-5, -6, -9])
