@@ -66,12 +66,11 @@ def as_residues(data, p: int, copy: bool = True) -> np.ndarray:
     return arr
 
 
-# The float64 path converts and scans every operand entry once and saves a
-# little on each multiply-add, so it pays only when there are enough of them
-# and each entry is used in many: a product with fewer multiply-adds, or with
-# fewer rows on the left or columns on the right, stays on the int64 path.
+# The float64 path converts and scans every operand entry once, so it pays only
+# on this many multiply-adds and two or more output columns.  On one column, a
+# matrix-vector product, it lost on balance: 4.75 ms to int64's 4.27 ms on the
+# 18 such shapes of the benchmark and frontier runs (x86-64 OpenBLAS, 1 thread).
 _FLOAT_MIN_MADDS = 16384
-_FLOAT_MIN_SIDE = 16
 # Cells per float64 temporary: the product is computed in tiles whose operand
 # slices and result each hold about this many cells, so the float copies stay
 # a few MiB however large the operands are.
@@ -129,11 +128,11 @@ def _matmul_float(a: np.ndarray, b: np.ndarray, p: int, term: int) -> np.ndarray
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact A @ B mod p.
 
-    A large enough product goes through float64 BLAS when one product of the
-    operands' largest entries stays below 2**53, with the inner dimension cut
-    into chunks whose partial sums stay below 2**53.  Everything else
-    multiplies in int64, in chunks whose partial sums cannot overflow when the
-    entries are residues.
+    A product of at least _FLOAT_MIN_MADDS multiply-adds and two or more
+    output columns goes through float64 BLAS, in inner chunks whose partial
+    sums stay below 2**53, when one product of the operands' largest entries
+    does; one column, a matrix-vector product, gains nothing there on balance.
+    Everything else multiplies in int64, in chunks that cannot overflow.
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
@@ -141,8 +140,7 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if inner == 0:
         return np.zeros((rows, cols), dtype=np.int64)
     term = (p - 1) ** 2
-    large = rows * inner * cols >= _FLOAT_MIN_MADDS and min(rows, cols) >= _FLOAT_MIN_SIDE
-    if large and term < 2**53:
+    if rows * inner * cols >= _FLOAT_MIN_MADDS and cols > 1 and term < 2**53:
         term = _magnitude(a) * _magnitude(b)
         if term < 2**53:
             return _matmul_float(a, b, p, term)

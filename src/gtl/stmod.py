@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exactlin import PrimeField, complement, kernel_from_rref, kernel_mod, matmul_mod, rank_mod, rref, solve_mod
+from .exactlin import PrimeField, complement, kernel_from_rref, kernel_mod, matmul_mod, rref, solve_mod
 from .graded import (
     AlgebraFormatError, WindowedGradedAlgebra, associativity_failures, check_degree_dim, col_echelon, int_array,
 )
@@ -171,14 +171,10 @@ class FDAlgebra:
         """Unit law, associativity, and the local-radical axioms."""
         p, d = self.p, self.dim
         rep = CertifiedReport(check="fd_algebra")
-        left_unit = self.left_matrix(self.unit)
-        right_unit = self.right_matrix(self.unit)
         eye = np.eye(d, dtype=np.int64)
-        if np.array_equal(left_unit, eye) and np.array_equal(right_unit, eye):
-            rep.add("unit", PASS)
-        else:
-            bad = np.argwhere((left_unit - eye) % p) if not np.array_equal(left_unit, eye) else np.argwhere((right_unit - eye) % p)
-            rep.add("unit", FAIL, {"entry": tuple(int(v) for v in bad[0])})
+        units = (self.left_matrix(self.unit), self.right_matrix(self.unit))
+        bad = next((np.argwhere(act != eye)[0] for act in units if not np.array_equal(act, eye)), None)
+        rep.add("unit", PASS if bad is None else FAIL, None if bad is None else {"entry": tuple(int(v) for v in bad)})
 
         defect = self._associativity_defect()
         rep.add("associativity", PASS if defect is None else FAIL,
@@ -204,7 +200,8 @@ class FDAlgebra:
             span, power = square, power * 2
         rep.add("radical_nilpotent", FAIL if span.shape[1] else PASS)
 
-        codim_ok = rank_mod(r, p) == d - 1 and solve_mod(r, self.unit, p) is None
+        pivots = rref(np.hstack([r, self.unit[:, None]]), p)[1]  # rank d - 1, the unit outside the span
+        codim_ok = len(pivots) == d and pivots[-1] == r.shape[1]
         rep.add("radical_codim_one", PASS if codim_ok else FAIL)
         return rep
 
@@ -241,7 +238,10 @@ class FDAlgebra:
         return None if failure is None else failure[2]
 
     def validate_symmetric(self) -> CertifiedReport:
-        """The symmetrizing functional induces a symmetric nondegenerate form."""
+        """The symmetrizing functional induces a symmetric nondegenerate form.
+
+        One reduction of [gram | I], pivots sought in gram: their count is the
+        verdict, and the right block is the inverse of gram that dual_basis returns."""
         rep = CertifiedReport(check="symmetric_form")
         if self.symmetrizing is None:
             rep.add("present", FAIL, {"reason": "no symmetrizing functional"})
@@ -254,11 +254,14 @@ class FDAlgebra:
         else:
             s, t = (int(v) for v in np.argwhere((gram - gram.T) % p)[0])
             rep.add("symmetric", FAIL, {"entry": (s, t)})
-        r = rank_mod(gram, p)
-        if r == d:
+        red, pivots = rref(np.hstack([gram, np.eye(d, dtype=np.int64)]), p, d)
+        if len(pivots) == d:
             rep.add("nondegenerate", PASS)
         else:
-            rep.add("nondegenerate", FAIL, {"rank": int(r), "kernel": kernel_mod(gram, p)[:, 0].tolist()})
+            kernel = kernel_from_rref(red, pivots, d, p)[:, 0].tolist()
+            rep.add("nondegenerate", FAIL, {"rank": len(pivots), "kernel": kernel})
+        if rep.passed:
+            self._dual_basis = red[:, d:]
         return rep
 
     def _gram(self) -> np.ndarray:
@@ -269,15 +272,14 @@ class FDAlgebra:
     def dual_basis(self) -> np.ndarray:
         """Column t holds e_t^dual, the basis with lam(e_s e_t^dual) = delta_st.
 
-        That is the C with gram @ C = I.  Raises PreconditionError, naming
-        the failing clauses, unless validate_symmetric passes.
+        That is the C with gram @ C = I, the right block of validate_symmetric's one reduction.
+        Raises PreconditionError, naming the failing clauses, unless validate_symmetric passes.
         """
         if self._dual_basis is None:
             rep = self.validate_symmetric()
             if not rep.passed:
                 clauses = ", ".join(str(f.key) for f in rep.failures())
                 raise PreconditionError(f"algebra has no validated symmetrizing form ({clauses} failed)")
-            self._dual_basis = solve_mod(self._gram(), np.eye(self.dim, dtype=np.int64), self.p)
         return self._dual_basis
 
     # -- constructions ----------------------------------------------------
@@ -477,13 +479,10 @@ def trivial_module(alg: FDAlgebra) -> FDModule:
     """The one-dimensional module through the unique character of a local algebra."""
     p, d = alg.p, alg.dim
     basis = np.hstack([alg.unit[:, None], alg.radical])
-    if basis.shape[1] != d:
-        raise AlgebraFormatError("algebra is not local: unit plus radical is not a basis")
-    coords = solve_mod(basis, np.eye(d, dtype=np.int64), p)
+    coords = solve_mod(basis, np.eye(d, dtype=np.int64), p) if basis.shape[1] == d else None
     if coords is None:
         raise AlgebraFormatError("algebra is not local: unit plus radical is not a basis")
-    chars = coords[0]
-    return FDModule(alg, 1, chars.reshape(d, 1, 1))
+    return FDModule(alg, 1, coords[0].reshape(d, 1, 1))
 
 
 def regular_bimodule(alg: FDAlgebra) -> tuple[FDAlgebra, FDModule]:
@@ -650,6 +649,8 @@ class SyzygyTower:
 
     def module(self, i: int) -> FDModule:
         """W_i for any integer i, building the tower out to it on first use."""
+        if i in self.modules:  # built indices are one range around 0; a missing i is past an end
+            return self.modules[i]
         while i > (a := max(self.modules)):
             try:
                 self.modules[a + 1] = syzygy_step(self.modules[a])
@@ -1073,10 +1074,11 @@ def tate_ring(module: FDModule, window: tuple[int, int]) -> WindowedGradedAlgebr
             (di, a, b), dj = left.shape, right.shape[0]
             comps = matmul_mod(left.reshape(di * a, b), _side_by_side(right[:, :, gens]), alg.p)
             values.append(comps.reshape(di, a, dj, r).transpose(0, 2, 1, 3).reshape(di * dj, a, r))
-        coords, at = ws.coordinates_at(k, s, np.concatenate(values)), 0
+        # C order, so that each block below is a view the ring takes over without a copy
+        coords, at = np.ascontiguousarray(ws.coordinates_at(k, s, np.concatenate(values))), 0
         for i, j in members:
             mult[(i, j)] = coords[at : at + dims[i] * dims[j]].reshape(dims[i], dims[j], dims[k])
             at += dims[i] * dims[j]
 
     unit = ws.hom_at(0, 0).coordinates(np.eye(module.dim, dtype=np.int64))
-    return WindowedGradedAlgebra(alg.field, (lo, hi), dims, mult, unit)
+    return WindowedGradedAlgebra(alg.field, (lo, hi), dims, mult, unit, copy=False)

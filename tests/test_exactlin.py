@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtl import exactlin
 from gtl.exactlin import (
     MAX_CHAR,
     PrimeField,
@@ -363,17 +364,22 @@ def test_solve_mod_matches_the_reference(system):
 
 @st.composite
 def prime_and_product(draw):
-    """Operands up to 24 x 48 x 24, so both the int64 and the float64 paths run.
+    """Small, square-ish and thin operands, so both the int64 and the float64 paths run.
 
-    Entries come from a seeded generator (drawing each one through hypothesis
-    is too slow at this size): residues, the largest residue p - 1 everywhere,
-    or integers of either sign outside [0, p).
+    The thin ones (100-400 rows, inner dimension 30-64, 1-6 columns) fall on
+    both sides of the float64 path's multiply-add threshold and of its
+    one-column rule.  Entries come from a seeded generator (drawing each
+    one through hypothesis is too slow at this size): residues, the largest
+    residue p - 1 everywhere, or integers of either sign outside [0, p).
     """
     p = draw(st.sampled_from(DIFFERENTIAL_PRIMES))
-    if draw(st.booleans()):
+    size = draw(st.sampled_from(["small", "square", "thin"]))
+    if size == "small":
         m, k, n = draw(st.integers(0, 4)), draw(st.integers(0, 12)), draw(st.integers(0, 4))
-    else:
+    elif size == "square":
         m, k, n = draw(st.integers(12, 24)), draw(st.integers(9, 48)), draw(st.integers(12, 24))
+    else:
+        m, k, n = draw(st.integers(100, 400)), draw(st.integers(30, 64)), draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     wide = 3 * p if p < 2**30 else p - 1
 
@@ -420,3 +426,25 @@ def test_matmul_mod_tiles_a_large_product_exactly(p):
     a = rng.integers(0, p, (400, 300), dtype=np.int64)
     b = rng.integers(0, p, (300, 1000), dtype=np.int64)
     assert np.array_equal(matmul_mod(a, b, p), reference_matmul_mod(a, b, p))
+
+
+@pytest.mark.parametrize("shape, route", [
+    ((400, 64, 1), "int64"),  # enough work, one output column
+    ((1, 16384, 1), "int64"),
+    ((400, 64, 2), "float64"),
+    ((2, 64, 128), "float64"),  # two rows, many columns
+    ((60, 28, 15), "float64"),
+    ((1, 8191, 2), "int64"),  # 16382 multiply-adds, under the threshold
+    ((1, 8192, 2), "float64"),  # exactly at it
+])
+def test_matmul_mod_routes_by_work_and_output_width(monkeypatch, shape, route):
+    taken = []
+    for name in ("_matmul_int64", "_matmul_float"):
+        kernel = getattr(exactlin, name)
+        monkeypatch.setattr(exactlin, name, lambda *args, k=kernel, n=name: taken.append(n) or k(*args))
+    rows, inner, cols = shape
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, 3, (rows, inner), dtype=np.int64)
+    b = rng.integers(0, 3, (inner, cols), dtype=np.int64)
+    assert np.array_equal(matmul_mod(a, b, 3), reference_matmul_mod(a, b, 3))
+    assert taken == ["_matmul_int64" if route == "int64" else "_matmul_float"]

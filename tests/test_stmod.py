@@ -139,6 +139,7 @@ ASSOCIATIVITY_ALGEBRAS = {
     "(2,2,2)-F2": lambda: build_truncated_ci((2, 2, 2), 2),
     "cubic-enveloping-F3": lambda: build_truncated_ci((3,), 3).enveloping(),
     "triangular-F3": lambda: upper_triangular(3),
+    "split-F3": lambda: split(3),
 }
 
 
@@ -194,6 +195,91 @@ def test_validate_symmetric_rejects_degenerate_functional(klein_alg):
 
 
 
+# -- the symmetric form: one reduction against rank, kernel and solve ---------------
+
+
+def reference_symmetric_form(alg: FDAlgebra) -> tuple[dict, np.ndarray | None]:
+    """validate_symmetric's report and dual_basis from rank_mod, kernel_mod and solve_mod."""
+    rep = CertifiedReport(check="symmetric_form")
+    if alg.symmetrizing is None:
+        rep.add("present", FAIL, {"reason": "no symmetrizing functional"})
+        return rep.to_json_dict(), None
+    rep.add("present", PASS)
+    p, d = alg.p, alg.dim
+    gram = matmul_mod(alg.mult.reshape(d * d, d), alg.symmetrizing[:, None], p).reshape(d, d)
+    if np.array_equal(gram, gram.T):
+        rep.add("symmetric", PASS)
+    else:
+        s, t = (int(v) for v in np.argwhere((gram - gram.T) % p)[0])
+        rep.add("symmetric", FAIL, {"entry": (s, t)})
+    r = rank_mod(gram, p)
+    if r == d:
+        rep.add("nondegenerate", PASS)
+    else:
+        rep.add("nondegenerate", FAIL, {"rank": int(r), "kernel": kernel_mod(gram, p)[:, 0].tolist()})
+    dual = solve_mod(gram, np.eye(d, dtype=np.int64), p) if rep.passed else None
+    return rep.to_json_dict(), dual
+
+
+def with_functional(alg: FDAlgebra, lam) -> FDAlgebra:
+    return FDAlgebra(alg.field, alg.dim, alg.mult, alg.unit, alg.radical, lam, alg.labels)
+
+
+def check_symmetric_form_against_the_reference(alg: FDAlgebra) -> dict:
+    """Report and dual basis match the reference, whether the report or the basis comes first."""
+    want, dual = reference_symmetric_form(alg)
+    for first in ("report", "dual_basis"):
+        fresh = with_functional(alg, alg.symmetrizing)
+        if first == "report":
+            assert fresh.validate_symmetric().to_json_dict() == want
+        if dual is None:
+            with pytest.raises(PreconditionError):
+                fresh.dual_basis()
+        else:
+            assert np.array_equal(fresh.dual_basis(), dual)
+        assert fresh.validate_symmetric().to_json_dict() == want
+    return want
+
+
+SYMMETRIC_GALLERY = {
+    "klein-F2": lambda: build_truncated_ci((2, 2), 2),
+    "klein-F3": lambda: build_truncated_ci((2, 2), 3),
+    "cubic-F3": lambda: build_truncated_ci((3,), 3),
+    "2x3-F2": lambda: build_truncated_ci((2, 3), 2),
+    "x6-F3": lambda: build_truncated_ci((6,), 3),
+    "2x2x2-F2": lambda: build_truncated_ci((2, 2, 2), 2),
+    "klein-enveloping": lambda: build_truncated_ci((2, 2), 2).enveloping(),
+    "cubic-enveloping": lambda: build_truncated_ci((3,), 3).enveloping(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_GALLERY))
+def test_symmetric_form_matches_the_reference_on_the_gallery(name):
+    assert check_symmetric_form_against_the_reference(SYMMETRIC_GALLERY[name]())["passed"]
+
+
+def test_symmetric_form_matches_the_reference_when_it_fails(klein_alg):
+    absent = with_functional(klein_alg, None)
+    degenerate = with_functional(klein_alg, [1, 0, 0, 0])  # the unit's dual kills the radical
+    triangular = upper_triangular(3)
+    asymmetric = with_functional(triangular, [0, 1, 0])  # lam(e11 e12) = 1, lam(e12 e11) = 0
+    verdicts = {}
+    for name, alg in [("absent", absent), ("degenerate", degenerate), ("asymmetric", asymmetric)]:
+        report = check_symmetric_form_against_the_reference(alg)
+        verdicts[name] = {e["i"]: e["verdict"] for e in report["per_degree"]}
+    assert verdicts["absent"] == {"present": FAIL}
+    assert verdicts["degenerate"]["nondegenerate"] == FAIL
+    assert verdicts["asymmetric"]["symmetric"] == FAIL
+
+
+@settings(max_examples=60)
+@given(name=hst.sampled_from(sorted(SYMMETRIC_GALLERY) + ["triangular-F3"]), data=hst.data())
+def test_symmetric_form_matches_the_reference_on_random_functionals(name, data):
+    alg = upper_triangular(3) if name == "triangular-F3" else SYMMETRIC_GALLERY[name]()
+    lam = data.draw(hst.lists(hst.integers(0, alg.p - 1), min_size=alg.dim, max_size=alg.dim))
+    check_symmetric_form_against_the_reference(with_functional(alg, lam))
+
+
 # -- radical clauses: the batched checks against the per-column loops -----------
 
 
@@ -232,12 +318,52 @@ def reference_radical_clauses(alg: FDAlgebra) -> dict[str, str]:
     }
 
 
+def reference_unit_clause(alg: FDAlgebra) -> tuple[str, dict | None]:
+    """FDAlgebra.validate's unit clause: the first wrong entry of 1 * (-), else of (-) * 1."""
+    p, eye = alg.p, np.eye(alg.dim, dtype=np.int64)
+    left, right = oracle_left_matrix(alg, alg.unit), oracle_right_matrix(alg, alg.unit)
+    if np.array_equal(left, eye) and np.array_equal(right, eye):
+        return PASS, None
+    bad = np.argwhere((left - eye) % p) if not np.array_equal(left, eye) else np.argwhere((right - eye) % p)
+    return FAIL, {"entry": tuple(int(v) for v in bad[0])}
+
+
+def left_zero_band(p: int) -> FDAlgebra:
+    """e_s e_t = e_t on three idempotents: every e_s is a left unit and none a right unit."""
+    mult = np.zeros((3, 3, 3), dtype=np.int64)
+    mult[:, np.arange(3), np.arange(3)] = 1
+    return FDAlgebra(PrimeField(p), 3, mult, [1, 0, 0], np.zeros((3, 0), dtype=np.int64))
+
+
+@pytest.mark.parametrize("build, unit, verdict", [
+    (lambda: build_truncated_ci((2, 2), 3), None, PASS),
+    (lambda: build_truncated_ci((2, 2), 3), [2, 0, 0, 0], FAIL),  # both sides fail; the left one is named
+    (lambda: build_truncated_ci((3,), 3), [1, 1, 0], FAIL),
+    (lambda: left_zero_band(3), None, FAIL),  # only the right unit law fails
+    (lambda: upper_triangular(3), [1, 0, 0], FAIL),
+])
+def test_unit_clause_matches_the_reference(build, unit, verdict):
+    alg = build()
+    if unit is not None:
+        alg = FDAlgebra(alg.field, alg.dim, alg.mult, unit, alg.radical)
+    entry = next(e for e in alg.validate().entries if e.key == "unit")
+    assert (entry.verdict, entry.witness) == reference_unit_clause(alg)
+    assert entry.verdict == verdict
+
+
 def upper_triangular(p: int) -> FDAlgebra:
     """Upper triangular 2x2 matrices on e11, e12, e22: not commutative, not local."""
     mult = np.zeros((3, 3, 3), dtype=np.int64)
     for s, t, u in [(0, 0, 0), (0, 1, 1), (1, 2, 1), (2, 2, 2)]:
         mult[s, t, u] = 1
     return FDAlgebra(PrimeField(p), 3, mult, [1, 0, 1], np.eye(3, dtype=np.int64)[:, [1]])
+
+
+def split(p: int) -> FDAlgebra:
+    """F_p x F_p on its idempotents e1, e2: commutative, semisimple, not local; radical span e1."""
+    mult = np.zeros((2, 2, 2), dtype=np.int64)
+    mult[0, 0, 0] = mult[1, 1, 1] = 1
+    return FDAlgebra(PrimeField(p), 2, mult, [1, 1], [[1], [0]])
 
 
 def with_radical(alg: FDAlgebra, radical) -> FDAlgebra:
@@ -262,6 +388,9 @@ RADICAL_CASES = {
     "triangular-radical": (lambda: upper_triangular(3), None, (PASS, PASS, FAIL)),
     "triangular-left-ideal-only": (lambda: upper_triangular(3), _cols(3, [1, 0, 0]), (FAIL, FAIL, FAIL)),
     "triangular-right-ideal-only": (lambda: upper_triangular(3), _cols(3, [0, 0, 1]), (FAIL, FAIL, FAIL)),
+    "split-idempotent": (lambda: split(3), None, (PASS, FAIL, PASS)),
+    "split-zero": (lambda: split(3), _cols(2), (PASS, PASS, FAIL)),
+    "split-through-the-unit": (lambda: split(3), _cols(2, [1, 1]), (FAIL, FAIL, FAIL)),
 }
 
 
@@ -282,6 +411,7 @@ RADICAL_ALGEBRAS = {
     "cubic-F3": lambda: build_truncated_ci((3,), 3),
     "2x3-F2": lambda: build_truncated_ci((2, 3), 2),
     "triangular-F3": lambda: upper_triangular(3),
+    "split-F3": lambda: split(3),
 }
 
 
