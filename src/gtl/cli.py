@@ -201,7 +201,7 @@ def _cmd_tate(args) -> int:
     if args.module == "trivial":
         module = stmod.trivial_module(alg)
     else:
-        _, module = stmod.regular_bimodule(alg)
+        module = stmod.regular_bimodule(alg)
     ring = stmod.tate_ring(module, window)
     validation = ring.validate()
     payload = {
@@ -278,7 +278,7 @@ def _pipeline_trivial_extension() -> list[dict]:
 
 def _pipeline_hh_truncated(exponents, p) -> list[dict]:
     alg = gallery.build_truncated_ci(exponents, p)
-    _, bimod = stmod.regular_bimodule(alg)
+    bimod = stmod.regular_bimodule(alg)
     tower = stmod.SyzygyTower(bimod)
     hh0 = stmod.tate_ext(bimod, 0, tower).dim
     steps = [_step("degree-0 stable Hochschild dim",

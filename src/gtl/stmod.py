@@ -21,8 +21,9 @@ span unchanged.
 Hom spaces work in generator coordinates: a map out of a module is fixed by
 its values on the r cover generators, so Hom(W, N) is the kernel of a
 relation matrix in r*n unknowns (every kernel column of the cover must go
-to 0).  Stable homs divide out the maps that factor through a projective.
-Over a self-injective algebra projectives are injective, so those are the
+to 0).  Stable homs divide out the maps that factor through a projective,
+which have one construction, projective_factor_columns.  Over a
+self-injective algebra projectives are injective, so those are the
 restrictions of the maps P -> N along any embedding W -> P into a free
 module: free data, no elimination.  Every module uses its recorded
 embedding: a syzygy W_a (a >= 1) its inclusion into P_{a-1}, any other
@@ -146,6 +147,8 @@ class FDAlgebra:
         self.left_ops = self.mult.transpose(0, 2, 1).reshape(d * d, d)
         for arr in (self.mult, self.unit, self.radical, self.left_ops):
             arr.setflags(write=False)
+        # both set by validate_symmetric once it passes
+        self._gram: np.ndarray | None = None
         self._dual_basis: np.ndarray | None = None
 
     @property
@@ -176,9 +179,9 @@ class FDAlgebra:
         bad = next((np.argwhere(act != eye)[0] for act in units if not np.array_equal(act, eye)), None)
         rep.add("unit", PASS if bad is None else FAIL, None if bad is None else {"entry": tuple(int(v) for v in bad)})
 
-        defect = self._associativity_defect()
-        rep.add("associativity", PASS if defect is None else FAIL,
-                None if defect is None else {"triple": defect})
+        failure = associativity_failures(p, (0, 0), {0: d}, {(0, 0): self.mult}).get(0)
+        rep.add("associativity", PASS if failure is None else FAIL,
+                None if failure is None else {"triple": failure[2]})
 
         r = self.radical
         # block c of left_rad is the matrix of r_c * (-); its columns are the r_c * e_t
@@ -229,26 +232,19 @@ class FDAlgebra:
                 basis = col_echelon(np.hstack([basis, new]), p)
         return basis
 
-    def _associativity_defect(self) -> tuple[int, int, int] | None:
-        """The first basis triple (s, t, u), in lexicographic order, with (e_s e_t) e_u != e_s (e_t e_u).
-
-        The one-degree case of graded.associativity_failures.
-        """
-        failure = associativity_failures(self.p, (0, 0), {0: self.dim}, {(0, 0): self.mult}).get(0)
-        return None if failure is None else failure[2]
-
     def validate_symmetric(self) -> CertifiedReport:
         """The symmetrizing functional induces a symmetric nondegenerate form.
 
-        One reduction of [gram | I], pivots sought in gram: their count is the
-        verdict, and the right block is the inverse of gram that dual_basis returns."""
+        gram[s, t] = lam(e_s e_t).  One reduction of [gram | I], pivots sought
+        in gram: their count is the verdict, and the right block is the
+        inverse of gram that dual_basis returns.  Both matrices are kept."""
         rep = CertifiedReport(check="symmetric_form")
         if self.symmetrizing is None:
             rep.add("present", FAIL, {"reason": "no symmetrizing functional"})
             return rep
         rep.add("present", PASS)
         p, d = self.p, self.dim
-        gram = self._gram()
+        gram = matmul_mod(self.mult.reshape(d * d, d), self.symmetrizing[:, None], p).reshape(d, d)
         if np.array_equal(gram, gram.T):
             rep.add("symmetric", PASS)
         else:
@@ -261,13 +257,8 @@ class FDAlgebra:
             kernel = kernel_from_rref(red, pivots, d, p)[:, 0].tolist()
             rep.add("nondegenerate", FAIL, {"rank": len(pivots), "kernel": kernel})
         if rep.passed:
-            self._dual_basis = red[:, d:]
+            self._gram, self._dual_basis = gram, red[:, d:]
         return rep
-
-    def _gram(self) -> np.ndarray:
-        """gram[s, t] = lam(e_s e_t) for the symmetrizing functional lam."""
-        d = self.dim
-        return matmul_mod(self.mult.reshape(d * d, d), self.symmetrizing[:, None], self.p).reshape(d, d)
 
     def dual_basis(self) -> np.ndarray:
         """Column t holds e_t^dual, the basis with lam(e_s e_t^dual) = delta_st.
@@ -485,7 +476,7 @@ def trivial_module(alg: FDAlgebra) -> FDModule:
     return FDModule(alg, 1, coords[0].reshape(d, 1, 1))
 
 
-def regular_bimodule(alg: FDAlgebra) -> tuple[FDAlgebra, FDModule]:
+def regular_bimodule(alg: FDAlgebra) -> FDModule:
     """The algebra as a module over its enveloping algebra (s, t): a -> e_s a e_t.
 
     All d^3 products are one matrix product, read as (e_s e_v) e_t, which
@@ -496,7 +487,7 @@ def regular_bimodule(alg: FDAlgebra) -> tuple[FDAlgebra, FDModule]:
     prods = matmul_mod(alg.mult.reshape(d * d, d), alg.mult.reshape(d, d * d), alg.p)
     # prods[(s, v), (t, u)] is the e_u-coefficient of (e_s e_v) e_t
     mats = prods.reshape(d, d, d, d).transpose(0, 2, 3, 1).reshape(d * d, d, d)
-    return env, FDModule(env, d, mats)
+    return FDModule(env, d, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -735,9 +726,10 @@ def _down_target(tower: SyzygyTower, b: int) -> tuple:
         cover = tower.cover(b)
         iota, proj = cover.kernel, cover.pi
         width, n = iota.shape
-        paired = matmul_mod(alg._gram(), _blocks_side_by_side(iota, d), p)
-        paired = paired.reshape(d, width // d, n).transpose(1, 0, 2).reshape(width, n)
+        # dual_basis validates the form first, which keeps its Gram matrix
         pushdown = matmul_mod(proj.reshape(-1, d), alg.dual_basis(), p).reshape(proj.shape)
+        paired = matmul_mod(alg._gram, _blocks_side_by_side(iota, d), p)
+        paired = paired.reshape(d, width // d, n).transpose(1, 0, 2).reshape(width, n)
         tower._down[key] = (paired, pushdown)
     return tower._down[key]
 
@@ -834,27 +826,6 @@ def hom_space(source: FDModule, target: FDModule) -> np.ndarray:
 
 
 def projective_factor_columns(source: FDModule, target: FDModule) -> np.ndarray:
-    """Echelon columns (vec'd row-major) of the maps source -> target that factor through a projective.
-
-    The test oracle for _projective_factor_span, by Higman's criterion: over
-    a symmetric algebra these maps are exactly the relative traces Tr(f) =
-    sum_s rho_T(e_s) f rho_S(e_s^dual) of the linear maps f, so they are the
-    column span of the (n*m)^2 matrix sum_s rho_T(e_s) (x) rho_S(e_s^dual)^T
-    acting on vec'd maps.  Raises PreconditionError when the algebra has no
-    validated symmetrizing form.
-    """
-    alg = source.algebra
-    p, d = alg.p, alg.dim
-    m, n = source.dim, target.dim
-    if m == 0 or n == 0:
-        return np.zeros((n * m, 0), dtype=np.int64)
-    dual_actions = matmul_mod(alg.dual_basis().T, source.action.reshape(d, m * m), p)
-    trace = matmul_mod(target.action.reshape(d, n * n).T, dual_actions, p)
-    trace = trace.reshape(n, n, m, m).transpose(0, 3, 1, 2).reshape(n * m, n * m)
-    return col_echelon(trace, p)
-
-
-def _projective_factor_span(source: FDModule, target: FDModule) -> np.ndarray:
     """Spanning columns, in generator coordinates, of the maps source -> target through a projective.
 
     Over a self-injective algebra these are the restrictions of the maps
@@ -908,7 +879,7 @@ class StableHom:
         """
         values = np.asarray(values, dtype=np.int64)
         if self.pf_gen is None:
-            self.pf_gen = _projective_factor_span(self.source, self.target)
+            self.pf_gen = projective_factor_columns(self.source, self.target)
         gens = list(minimal_cover(self.source).gens)
         system = np.hstack([_generator_columns(self.basis[:, :, gens]), self.pf_gen])
         sol = solve_mod(system, _generator_columns(values), self.source.p)
@@ -937,7 +908,7 @@ def stable_hom(source: FDModule, target: FDModule) -> StableHom:
     source.algebra.dual_basis()
     n, m = target.dim, source.dim
     hom = hom_space(source, target)
-    pf = _projective_factor_span(source, target)
+    pf = projective_factor_columns(source, target)
     gens = list(minimal_cover(source).gens)
     hom_gen = _generator_columns(hom.T.reshape(hom.shape[1], n, m)[:, :, gens])
     _, pivots = rref(np.hstack([pf, hom_gen]), p)

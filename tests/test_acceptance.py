@@ -46,7 +46,7 @@ def hh_rings():
     rings = {}
     for a, p in [(2, 2), (3, 2), (3, 3), (4, 2)]:
         alg = build_truncated_ci((a,), p)
-        _, bimod = stmod.regular_bimodule(alg)
+        bimod = stmod.regular_bimodule(alg)
         rings[(a, p)] = stmod.tate_ring(bimod, (-2, 2))
     return rings
 
@@ -78,8 +78,8 @@ def test_2_degree_zero_stable_hochschild_two_variables():
             ((3, 3), 2, 81, 8),
         ]:
             alg = build_truncated_ci(exponents, p)
-            env, bimod = stmod.regular_bimodule(alg)
-            assert env.dim == env_dim
+            bimod = stmod.regular_bimodule(alg)
+            assert bimod.algebra.dim == env_dim
             assert expected_hh0_dim(exponents, p) == want
             assert stmod.tate_ext(bimod, 0).dim == want
 

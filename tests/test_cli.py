@@ -222,6 +222,13 @@ def test_analyze_precondition_rejection_exits_three(t2_path, capsys):
     assert "precondition rejected" in capsys.readouterr().err
 
 
+def test_analyze_depth2_rejects_degenerate_products(t2_path, capsys):
+    # (w1, w2) is a regular sequence; the degree-0 products are degenerate
+    rc = main(["analyze", t2_path, "--check", "depth2", "--r", "w1", "--rt", "w2", "--n", "0"])
+    assert rc == 3
+    assert "degree-0 products are degenerate" in capsys.readouterr().err
+
+
 def test_analyze_depth2_rejects_a_unit_pair_on_the_laurent_line(tmp_path, capsys):
     # w is invertible, but w does not act regularly on k[w]/(w)
     path = tmp_path / "laurent.json"

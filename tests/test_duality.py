@@ -32,6 +32,18 @@ def truncated_line(p: int = 5) -> WindowedGradedAlgebra:
     )
 
 
+def one_sided_ring() -> WindowedGradedAlgebra:
+    """Degrees 0..3 spanned by 1; x; u, v; z over F_2, whose only product off the unit is x u = z."""
+    dims = {0: 1, 1: 1, 2: 2, 3: 1}
+    mult = {}
+    for i, di in dims.items():
+        eye = np.eye(di, dtype=np.int64)
+        mult[(0, i)], mult[(i, 0)] = eye[None, :, :], eye[:, None, :]
+    mult[(1, 2)] = np.array([[[1], [0]]], dtype=np.int64)
+    return WindowedGradedAlgebra(PrimeField(2), (0, 3), dims, mult, [1],
+                                 labels={0: ["1"], 1: ["x"], 2: ["u", "v"], 3: ["z"]})
+
+
 def test_laurent_products_nondegenerate_at_every_degree(laurent):
     for n in laurent.degrees():
         rep = nondegenerate_products(laurent, n)
@@ -88,6 +100,19 @@ def test_nondegenerate_failure_carries_kernel_witness():
     assert entry.verdict == FAIL
     assert entry.witness["side"] == "left"
     assert entry.witness["kernel"] == [0, 1]
+
+
+def test_nondegenerate_names_a_right_side_kernel():
+    # degree 1 pairs into degree 3 on the left (x u = z) but not on the
+    # right (u x = v x = 0), so the witness is the right map's kernel, x;
+    # degree 2 fails on both sides, and the left witness comes first
+    alg = one_sided_ring()
+    assert alg.validate().passed
+    rep = nondegenerate_products(alg, 3)
+    got = {e.i: (e.left, e.right, e.witness) for e in rep.entries}
+    assert got[1] == (PASS, FAIL, {"side": "right", "kernel": [1]})
+    assert got[2][:2] == (FAIL, FAIL) and got[2][2]["side"] == "left"
+    assert got[0] == got[3] == (PASS, PASS, None)
 
 
 def test_report_json_shape(laurent):
@@ -209,6 +234,19 @@ def test_find_functional_exhaustive_budget(monkeypatch, klein_ring):
     assert find_selfdual_functional(klein_ring, -1, samples=1).strategy == "exhaustive"
     monkeypatch.setattr(duality, "EXHAUSTIVE_LIMIT", 1)
     assert find_selfdual_functional(klein_ring, -1, samples=1).strategy == "randomized"
+
+
+def test_randomized_search_skips_zero_draws_and_exhausts_its_budget(monkeypatch, t2):
+    # t2 has no selfdual functional of degree 3: dims(i) != dims(3 - i) at
+    # every checked i, dims(0) = 1 and dims(3) = 4 among them.  Its 16 candidates
+    # over F_2 exceed a budget of 8, so the search is randomized; the second
+    # of seed 0's eight draws is zero and is not tried
+    monkeypatch.setattr(duality, "EXHAUSTIVE_LIMIT", 8)
+    rng = np.random.default_rng(0)
+    draws = [rng.integers(0, 2, size=4) for _ in range(8)]
+    assert [k for k, draw in enumerate(draws) if not draw.any()] == [1]
+    res = find_selfdual_functional(t2, 3, seed=0, samples=8)
+    assert (res.functional, res.tried, res.strategy) == (None, 7, "randomized")
 
 
 @pytest.mark.parametrize("limit", [EXHAUSTIVE_LIMIT, 1], ids=["exhaustive", "randomized"])

@@ -248,7 +248,7 @@ def test_validate_matches_the_dense_oracle_on_gallery_rings(t2, laurent, klein_r
 @pytest.fixture(scope="module")
 def hh6_ring():
     """The stable Hochschild ring of k[x]/(x^6) over F_3 on [-2, 2]."""
-    return tate_ring(regular_bimodule(build_truncated_ci((6,), 3))[1], (-2, 2))
+    return tate_ring(regular_bimodule(build_truncated_ci((6,), 3)), (-2, 2))
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -1,6 +1,7 @@
 """Every name a gtl module imports, and every private name it defines, is used in that module;
-every public function and method is called from gtl or named as library API; each name has
-one path, from the module that defines it."""
+every public function and method is called from gtl or named as library API, and every
+function the benchmark tracer wraps is called from gtl; each name has one path, from the
+module that defines it."""
 
 from __future__ import annotations
 
@@ -12,6 +13,10 @@ from pathlib import Path
 import pytest
 
 import gtl
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import spans  # noqa: E402
 
 SOURCES = sorted(Path(gtl.__file__).parent.glob("*.py"))
 MODULES = [p.stem for p in SOURCES if p.name != "__init__.py"]
@@ -128,9 +133,9 @@ def uncalled_public_methods(trees: list[ast.Module]) -> list[str]:
     ]
 
 
-def uncalled_public_functions(sources: dict[str, ast.Module]) -> list[str]:
-    """Public module-level functions, as ``module.name``, whose name no module
-    reads outside their own definition, bare or as an attribute."""
+def names_read(sources: dict[str, ast.Module]) -> set[str]:
+    """Every name some module reads, bare or as an attribute, outside the
+    module-level function of that name."""
     read: set[str] = set()
     for tree in sources.values():
         for top in tree.body:
@@ -140,6 +145,13 @@ def uncalled_public_functions(sources: dict[str, ast.Module]) -> list[str]:
                     read.add(node.id)
                 elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr != skip:
                     read.add(node.attr)
+    return read
+
+
+def uncalled_public_functions(sources: dict[str, ast.Module]) -> list[str]:
+    """Public module-level functions, as ``module.name``, whose name no module
+    reads outside their own definition, bare or as an attribute."""
+    read = names_read(sources)
     return [
         f"{module}.{node.name}"
         for module, tree in sources.items()
@@ -153,7 +165,6 @@ def uncalled_public_functions(sources: dict[str, ast.Module]) -> list[str]:
 # public functions and methods no gtl module calls, and every operator method
 # (which no name search can see called), each with the reason it stays
 LIBRARY_API = {
-    "stmod.projective_factor_columns": "the Higman oracle of _projective_factor_span, traced by name by perfbench",
     "gallery.build_laurent": "a gallery example, named in README's module table",
     "WindowedGradedAlgebra.one": "the unit as an element, the multiplicative identity",
     "WindowedGradedAlgebra.element": "a homogeneous element from its degree and coefficients",
@@ -257,6 +268,56 @@ def test_every_public_function_is_called_or_library_api():
     # whose function is gone or now called
     sources = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
     assert sorted(uncalled_public_functions(sources)) == library_api("function")
+
+
+def uncalled_traced_targets(targets, sources: dict[str, ast.Module]) -> list[str]:
+    """Span names of tracer targets (span, "gtl.module", attribute, note) that no
+    module defines, or whose function or method no module calls; a dotted
+    attribute is a method of a module-level class, matched by name."""
+    defined = {
+        f"gtl.{module}.{name}"
+        for module, tree in sources.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for name in [node.name] + [
+            f"{node.name}.{item.name}"
+            for item in (node.body if isinstance(node, ast.ClassDef) else [])
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+    }
+    read = names_read(sources)
+    return [
+        span
+        for span, module, attr, _ in targets
+        if f"{module}.{attr}" not in defined or attr.split(".")[-1] not in read
+    ]
+
+
+def test_uncalled_traced_targets_are_detected():
+    sources = {
+        "a": ast.parse(
+            "def called():\n    pass\n"
+            "def uncalled():\n    return uncalled()\n"
+            "class K:\n    def used(self):\n        return called()\n    def unused(self):\n        pass\n"
+        ),
+        "b": ast.parse("import a\ndef caller(k):\n    return k.used()\n"),
+    }
+    targets = [
+        ("a.called", "gtl.a", "called", None),
+        ("a.uncalled", "gtl.a", "uncalled", None),
+        ("a.used", "gtl.a", "K.used", None),
+        ("a.unused", "gtl.a", "K.unused", None),
+        ("a.gone", "gtl.a", "gone", None),
+        ("b.used", "gtl.b", "K.used", None),
+    ]
+    assert uncalled_traced_targets(targets, sources) == ["a.uncalled", "a.unused", "a.gone", "b.used"]
+
+
+def test_every_traced_function_is_called_in_gtl():
+    # a span on a function nothing calls reads 0 on every workload, and
+    # measures nothing
+    sources = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
+    assert uncalled_traced_targets(spans.TARGETS, sources) == []
 
 
 def dataclasses_comparing_arrays(trees: list[ast.Module]) -> list[str]:

@@ -42,7 +42,6 @@ from gtl.stmod import (
     _free_action,
     _free_embedding,
     _generator_columns,
-    _projective_factor_span,
     _TateWorkspace,
     derive_radical,
     fd_algebra_from_json_dict,
@@ -82,25 +81,38 @@ def test_validate_catches_broken_associativity(cubic_alg):
     assert {e.key: e.verdict for e in rep.entries}["associativity"] == FAIL
 
 
-def dense_associativity_defect(alg: FDAlgebra):
+def dense_associativity_defect(p: int, mult: np.ndarray):
     """The first (s, t, u) with (e_s e_t) e_u != e_s (e_t e_u), from all d^5 multiply-adds."""
-    p, d = alg.p, alg.dim
-    flat_right = alg.mult.reshape(d, d * d)
-    flat_left = alg.mult.reshape(d * d, d)
+    d = len(mult)
+    flat_right = mult.reshape(d, d * d)
+    flat_left = mult.reshape(d * d, d)
     for s in range(d):
-        lhs = matmul_mod(alg.mult[s], flat_right, p).reshape(d, d, d)
-        rhs = matmul_mod(flat_left, alg.mult[s], p).reshape(d, d, d)
+        lhs = matmul_mod(mult[s], flat_right, p).reshape(d, d, d)
+        rhs = matmul_mod(flat_left, mult[s], p).reshape(d, d, d)
         if not np.array_equal(lhs, rhs):
             t, u, _ = (int(x) for x in np.argwhere((lhs - rhs) % p)[0])
             return (s, t, u)
     return None
 
 
+def associativity_defect(alg: FDAlgebra):
+    """The triple FDAlgebra.validate reports: the one-degree case of graded.associativity_failures."""
+    failure = graded.associativity_failures(alg.p, (0, 0), {0: alg.dim}, {(0, 0): alg.mult}).get(0)
+    return None if failure is None else failure[2]
+
+
+def dense_associativity_failures(p, window, dims, mult):
+    """associativity_failures of a one-degree table, as FDAlgebra.validate asks it, by the dense loop."""
+    assert window == (0, 0) and list(mult) == [(0, 0)]
+    defect = dense_associativity_defect(p, mult[(0, 0)])
+    return {} if defect is None else {0: (0, 0, defect)}
+
+
 def check_validate_against_the_dense_loop(alg: FDAlgebra) -> dict:
     """validate()'s report equals the one built on the dense associativity loop; returns it."""
     got = alg.validate().to_json_dict()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(FDAlgebra, "_associativity_defect", dense_associativity_defect)
+        patch.setattr(stmod, "associativity_failures", dense_associativity_failures)
         want = alg.validate().to_json_dict()
     assert got == want
     return got
@@ -159,8 +171,8 @@ def test_associativity_matches_the_dense_loop_on_corrupted_tables(name, dense, d
         index = tuple(data.draw(hst.integers(0, d - 1)) for _ in range(3))
         mult[index] = data.draw(hst.integers(0, p - 1))
     broken = FDAlgebra(alg.field, d, mult, alg.unit, alg.radical)
-    defect = broken._associativity_defect()
-    assert defect == dense_associativity_defect(broken)
+    defect = associativity_defect(broken)
+    assert defect == dense_associativity_defect(broken.p, broken.mult)
     check_validate_against_the_dense_loop(broken)
     # the same table as a one-degree graded ring names the same triple, unless
     # a broken unit law comes first there
@@ -732,13 +744,13 @@ def test_module_over_a_non_associative_table_names_the_table_triple(cubic_alg):
             patch.setattr(graded, "_SPARSE_TERMS_PER_MADD", terms_per_madd)
             report = module.validate().to_json_dict()
         entry = next(e for e in report["per_degree"] if e["i"] == "multiplicativity")
-        assert entry["verdict"] == FAIL and entry["witness"] == {"triple": list(broken._associativity_defect())}
+        assert entry["verdict"] == FAIL and entry["witness"] == {"triple": list(associativity_defect(broken))}
         assert entry["witness"] == {"triple": [1, 1, 1]}
 
 
 def test_regular_bimodule(klein_alg):
-    env, bim = regular_bimodule(klein_alg)
-    assert bim.dim == klein_alg.dim
+    bim = regular_bimodule(klein_alg)
+    assert bim.dim == klein_alg.dim and bim.algebra.dim == klein_alg.dim**2
     assert bim.validate().passed
 
 
@@ -752,7 +764,7 @@ def test_regular_bimodule_acts_by_two_sided_products(klein_alg, cubic_alg):
             for s in range(alg.dim)
             for t in range(alg.dim)
         ]
-        assert np.array_equal(regular_bimodule(alg)[1].action, np.stack(want))
+        assert np.array_equal(regular_bimodule(alg).action, np.stack(want))
 
 
 # -- covers and towers -------------------------------------------------------------
@@ -889,6 +901,25 @@ def dense_hom_space(source: FDModule, target: FDModule) -> np.ndarray:
     return kernel_mod(np.vstack(rows), p)
 
 
+def higman_projective_factor_columns(source: FDModule, target: FDModule) -> np.ndarray:
+    """Echelon columns (vec'd row-major) of the maps source -> target that factor through a projective.
+
+    By Higman's criterion: over a symmetric algebra these maps are exactly
+    the relative traces Tr(f) = sum_s rho_T(e_s) f rho_S(e_s^dual) of the
+    linear maps f, so they are the column span of the (n*m)^2 matrix
+    sum_s rho_T(e_s) (x) rho_S(e_s^dual)^T acting on vec'd maps.
+    """
+    alg = source.algebra
+    p, d = alg.p, alg.dim
+    m, n = source.dim, target.dim
+    if m == 0 or n == 0:
+        return np.zeros((n * m, 0), dtype=np.int64)
+    dual_actions = matmul_mod(alg.dual_basis().T, source.action.reshape(d, m * m), p)
+    trace = matmul_mod(target.action.reshape(d, n * n).T, dual_actions, p)
+    trace = trace.reshape(n, n, m, m).transpose(0, 3, 1, 2).reshape(n * m, n * m)
+    return col_echelon(trace, p)
+
+
 def cover_projective_factor_columns(source: FDModule, target: FDModule) -> np.ndarray:
     """Echelon columns of the maps source -> target through the minimal free cover of target."""
     p = source.p
@@ -944,16 +975,21 @@ def test_higman_columns_match_the_cover_oracle(exponents, p, module, rebase):
         gram = matmul_mod(alg.mult.reshape(-1, alg.dim), alg.symmetrizing[:, None], p)
         assert not np.array_equal(alg.dual_basis(), gram.reshape(alg.dim, alg.dim))
     if module == "bimodule":
-        alg, mod = regular_bimodule(alg)
+        mod = regular_bimodule(alg)
     else:
         mod = trivial_module(alg)
     tower = SyzygyTower(mod)
     for a in range(4):
         for b in range(min(4, 5 - a)):
             source, target = tower.module(a), tower.module(b)
-            got = projective_factor_columns(source, target)
+            got = higman_projective_factor_columns(source, target)
             want = cover_projective_factor_columns(source, target)
             assert np.array_equal(got, want), (a, b)
+            # the production span, in generator coordinates, spans the same maps
+            gens = list(minimal_cover(source).gens)
+            on_gens = _generator_columns(want.T.reshape(-1, target.dim, source.dim)[:, :, gens])
+            span = projective_factor_columns(source, target)
+            assert np.array_equal(col_echelon(span, p), col_echelon(on_gens, p)), (a, b)
 
 
 def _base_module(case) -> FDModule:
@@ -962,7 +998,7 @@ def _base_module(case) -> FDModule:
     alg = build_truncated_ci(exponents, p)
     if rebase:
         alg = unitriangular_rebase(alg)
-    return regular_bimodule(alg)[1] if module == "bimodule" else trivial_module(alg)
+    return regular_bimodule(alg) if module == "bimodule" else trivial_module(alg)
 
 
 def _tower_pairs(case):
@@ -978,9 +1014,9 @@ def check_against_the_dense_oracle(source: FDModule, target: FDModule, where=Non
     p, gens = source.p, minimal_cover(source).gens
     dense = dense_hom_space(source, target)
     assert np.array_equal(hom_space(source, target), dense), where
-    higman = projective_factor_columns(source, target)
+    higman = higman_projective_factor_columns(source, target)
     on_gens = _generator_columns(higman.T.reshape(higman.shape[1], target.dim, source.dim)[:, :, list(gens)])
-    span = _projective_factor_span(source, target)
+    span = projective_factor_columns(source, target)
     assert np.array_equal(col_echelon(span, p), col_echelon(on_gens, p)), where
     _, pivots = rref(np.hstack([higman, dense]), p)
     want = [dense[:, c - higman.shape[1]].tolist() for c in pivots if c >= higman.shape[1]]
@@ -1028,9 +1064,9 @@ def test_module_validate_matches_the_dense_loop_on_corrupted_tower_modules(case,
 def test_module_validate_forms_no_dense_product_of_the_module_law(monkeypatch):
     # W_1 of the (2,2,2) bimodule: d = 64, m = 56; the dense loop's
     # (d*d, m*m) product alone is 12.8M cells
-    alg, mod = regular_bimodule(build_truncated_ci((2, 2, 2), 2))
+    mod = regular_bimodule(build_truncated_ci((2, 2, 2), 2))
     w1 = SyzygyTower(mod).module(1)
-    d, m = alg.dim, w1.dim
+    d, m = mod.algebra.dim, w1.dim
     cells = []
 
     def counted(a, b, p):
@@ -1075,7 +1111,7 @@ def test_hom_space_matches_the_dense_oracle_in_random_bases(case, data):
     below = data.draw(hst.lists(hst.integers(0, p - 1), min_size=d * d, max_size=d * d))
     alg = rebase(alg, np.tril(np.array(below, dtype=np.int64).reshape(d, d), -1) + np.eye(d, dtype=np.int64))
     if module == "bimodule":
-        alg, mod = regular_bimodule(alg)
+        mod = regular_bimodule(alg)
     else:
         mod = trivial_module(alg)
     check_free_embedding(mod)
@@ -1179,7 +1215,7 @@ def test_batched_omega_lift_matches_the_per_map_loop_in_random_bases(case, data)
     d = alg.dim
     below = data.draw(hst.lists(hst.integers(0, p - 1), min_size=d * d, max_size=d * d))
     alg = rebase(alg, np.tril(np.array(below, dtype=np.int64).reshape(d, d), -1) + np.eye(d, dtype=np.int64))
-    mod = regular_bimodule(alg)[1] if module == "bimodule" else trivial_module(alg)
+    mod = regular_bimodule(alg) if module == "bimodule" else trivial_module(alg)
     tower = SyzygyTower(mod)
     check_batched_omega_lift(tower, data.draw(hst.integers(0, 2), label="a"), data.draw(hst.integers(0, 2), label="b"))
 
@@ -1188,7 +1224,7 @@ def vec_coordinates(st, maps: np.ndarray) -> np.ndarray | None:
     """Stable coordinates of full maps by one solve on all n*m entries against the Higman columns."""
     n, m = st.target.dim, st.source.dim
     basis = st.basis.reshape(st.dim, n * m).T
-    pf = projective_factor_columns(st.source, st.target)
+    pf = higman_projective_factor_columns(st.source, st.target)
     sol = solve_mod(np.hstack([basis, pf]), maps.reshape(-1, n * m).T, st.source.p)
     return None if sol is None else sol[: st.dim].T.reshape(*maps.shape[:-2], st.dim)
 
@@ -1203,7 +1239,7 @@ def test_coordinates_of_full_maps_equal_those_of_their_generator_columns(case, d
     st = ws.hom_at(d, max(0, -d) + shift)
     p, n, m = st.source.p, st.target.dim, st.source.dim
     gens = list(minimal_cover(st.source).gens)
-    pf = projective_factor_columns(st.source, st.target)
+    pf = higman_projective_factor_columns(st.source, st.target)
     spanning = np.concatenate([st.basis, pf.T.reshape(-1, n, m)])
     lead = tuple(data.draw(hst.lists(hst.integers(1, 3), min_size=0, max_size=2), label="lead"))
     count = int(np.prod(lead)) * len(spanning)
@@ -1232,7 +1268,7 @@ def test_stacked_coordinates_match_single_solves(klein_alg):
     ws = _TateWorkspace(trivial_module(klein_alg))
     st = ws.hom_at(1, 2)
     shape = (st.target.dim, st.source.dim)
-    pf = projective_factor_columns(st.source, st.target)
+    pf = higman_projective_factor_columns(st.source, st.target)
     pf_maps = [pf[:, c].reshape(shape) for c in range(pf.shape[1])]
     spanning = np.concatenate([st.basis, pf_maps])
     assert st.dim > 0 and pf_maps
@@ -1410,7 +1446,7 @@ EMITTED_RING_SHA256 = [
 def emitted_ring_text(algebra, module: str, window) -> str:
     alg = build_truncated_ci(*algebra)
     if module == "bimodule":
-        alg, mod = regular_bimodule(alg)
+        mod = regular_bimodule(alg)
     else:
         mod = trivial_module(alg)
     return algebra_to_json(tate_ring(mod, window))
@@ -1534,7 +1570,7 @@ def test_tate_ring_eliminates_nothing_wider_than_a_syzygy_cover(monkeypatch):
     # k[x]/(x^6) bimodule the largest elimination is minimal_cover's J*W_1
     # reduction (35 radical columns by dim W_1 = 30), 1050 x 30
     sizes = record_rref_shapes(monkeypatch)
-    _, mod = regular_bimodule(build_truncated_ci((6,), 3))
+    mod = regular_bimodule(build_truncated_ci((6,), 3))
     tate_ring(mod, (-2, 2))
     assert sizes and max(r * c for r, c in sizes) <= 1050 * 30
 
@@ -1567,17 +1603,6 @@ def test_tate_ring_solves_each_system_once_and_lifts_each_basis_once(monkeypatch
     assert (lifts.count("up"), lifts.count("down")) == (49, 56)
 
 
-def test_tate_ring_never_calls_the_higman_oracle(monkeypatch, klein_alg):
-    def refuse(source, target):
-        raise AssertionError("projective_factor_columns called")
-
-    monkeypatch.setattr(stmod, "projective_factor_columns", refuse)
-    ring = tate_ring(trivial_module(klein_alg), (-3, 3))
-    assert [ring.dim(d) for d in ring.degrees()] == [3, 2, 1, 1, 2, 3, 4]
-    _, mod = regular_bimodule(build_truncated_ci((3,), 3))
-    assert [tate_ring(mod, (-2, 2)).dim(d) for d in range(-2, 3)] == [3] * 5
-
-
 def test_tate_ring_never_builds_a_free_module(monkeypatch, klein_alg):
     # covers act on free-module columns block by block; the (r*d)^2 action
     # matrices of A^r, its free action on the identity, are never formed
@@ -1591,7 +1616,7 @@ def test_tate_ring_never_builds_a_free_module(monkeypatch, klein_alg):
     monkeypatch.setattr(stmod, "_free_action", refuse_identity)
     ring = tate_ring(trivial_module(klein_alg), (-3, 3))
     assert [ring.dim(d) for d in ring.degrees()] == [3, 2, 1, 1, 2, 3, 4]
-    _, mod = regular_bimodule(build_truncated_ci((3,), 3))
+    mod = regular_bimodule(build_truncated_ci((3,), 3))
     tate_ring(mod, (-2, 2))
 
 
@@ -1600,7 +1625,7 @@ def test_minimal_cover_makes_two_eliminations(monkeypatch, klein_alg, which):
     # one reduction finds the generators (J*M), one of [pi | I] gives the
     # kernel and the section
     if which == "bimodule":
-        module = regular_bimodule(klein_alg)[1]
+        module = regular_bimodule(klein_alg)
     else:
         module = trivial_module(klein_alg)
         if which == "syzygy":
@@ -1626,7 +1651,7 @@ def test_tate_ring_window_must_contain_zero(klein_alg):
 
 
 def test_hh0_of_klein_four(klein_alg):
-    _, bim = regular_bimodule(klein_alg)
+    bim = regular_bimodule(klein_alg)
     assert tate_ext(bim, 0).dim == expected_hh0_dim((2, 2), 2) == 4
 
 

@@ -15,6 +15,7 @@ from gtl.report import FAIL, PASS, UNDERDETERMINED, CertifiedReport, Preconditio
 from gtl.stmod import tate_ring, trivial_module
 from gtl.structure import (
     _detour_taint,
+    _ideal_sweep,
     _left_images,
     _right_images,
     _tensor_zero_sweep,
@@ -535,6 +536,17 @@ def test_depth1_with_nonnegative_cut(laurent):
     assert everywhere.unchecked == [3]
 
 
+def test_depth1_fails_when_the_cut_ideal_holds_the_unit(t2):
+    # n = 5 lies above the window, so the cut ideal is all of t2, unit
+    # included, and the unit does not annihilate the torsion (the negative
+    # part); the first key pairs it with d:w2^3 in degree -4
+    rep = verify_depth1(t2, t2.element_by_label("w1"), 5)
+    ann = rep.clauses["ideal_annihilates_torsion"]
+    assert not rep.passed and not ann.passed
+    first = ann.failures()[0]
+    assert (first.key, first.witness) == (("ideal*tor", 0, -4), {"left_index": 0, "right_index": 0})
+
+
 def test_depth1_rejects_noncentral_element():
     alg = quantum_plane(2, 5)
     with pytest.raises(PreconditionError):
@@ -558,6 +570,17 @@ def test_orthogonality_sharp_under_regularity(t2):
     ).clauses["orthogonality"]
     assert rep.passed
     assert all(e.verdict == PASS for e in rep.entries)
+
+
+def test_orthogonality_fails_for_a_nilpotent_element(cubic_ring):
+    # k[x]/(x^3) over F_3: the degree-1 class squares to zero, so its torsion
+    # is every degree, and so is the cut ideal, which holds the invertible
+    # class of degree -2; the ideal cannot be the complement of the torsion
+    a = cubic_ring.basis_element(1, 0)
+    rep = check_orthogonality(cubic_ring, a, -1, [1])
+    witness = {"dim_ideal": 1, "dim_tor_partner": 1, "dim_partner": 1, "perp_matches": False}
+    assert [(e.key, e.verdict, e.witness) for e in rep.entries] == [(i, FAIL, witness) for i in range(-4, 4)]
+    assert rep.unchecked == [4]
 
 
 def test_orthogonality_requires_selfdual_functional(t2):
@@ -615,6 +638,23 @@ def test_depth2_without_functional_skips_duality_clauses(t2):
     assert rep.passed
     assert "orthogonality" not in rep.clauses
     assert any("no functional" in note for note in rep.notes)
+
+
+def test_depth2_rejects_degenerate_products(t2):
+    # (w1, w2) is a regular sequence, but the degree-0 products are degenerate:
+    # A^1 pairs with A^-1 into A^0 = k only through zero products
+    w1, w2 = t2.element_by_label("w1"), t2.element_by_label("w2")
+    with pytest.raises(PreconditionError, match="degree-0 products are degenerate"):
+        verify_depth2(t2, w1, w2, 0)
+
+
+def test_ideal_sweep_names_a_product_leaving_the_span(laurent):
+    # the negative part of the Laurent line is no ideal: w^-3 w^3 = 1
+    rep = _ideal_sweep(laurent, lambda d: d < 0, "negative_part_ideal")
+    assert not rep.passed
+    first = rep.failures()[0]
+    assert (first.key, first.witness) == ((-3, 3), {"side": "right", "indices": (0, 0, 0)})
+    assert {e.key for e in rep.failures()} == {(i, j) for i in (-3, -2, -1) for j in range(-i, 4)}
 
 
 def test_depth2_rejects_broken_sequence(t2):
