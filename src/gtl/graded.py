@@ -443,29 +443,26 @@ class WindowedGradedAlgebra:
             raise ValueError(f"{spec!r} names {len(found)} basis elements, at {where}")
         return self.basis_element(*found[0])
 
-    # -- multiplication helpers ------------------------------------------
+    # -- multiplication ----------------------------------------------------
 
-    def left_mult_matrix(self, r_deg: int, r_vec: np.ndarray, i: int) -> np.ndarray:
-        """Matrix of x -> r*x from A^i to A^{i+r_deg} (columns index A^i)."""
-        tensor = self.mult_block(r_deg, i)
-        da, db, dc = tensor.shape
-        flat = matmul_mod(r_vec[None, :], tensor.reshape(da, db * dc), self.p)
-        return flat.reshape(db, dc).T
+    def products(self, i: int, u: np.ndarray | None, j: int, w: np.ndarray | None) -> np.ndarray:
+        """Every product x*y of a column x of ``u`` (in A^i) and a column y of ``w`` (in A^j).
 
-    def right_mult_matrix(self, r_deg: int, r_vec: np.ndarray, i: int) -> np.ndarray:
-        """Matrix of x -> x*r from A^i to A^{i+r_deg}."""
-        tensor = self.mult_block(i, r_deg)
-        da, db, dc = tensor.shape
-        swapped = tensor.transpose(1, 0, 2).reshape(db, da * dc)
-        flat = matmul_mod(r_vec[None, :], swapped, self.p)
-        return flat.reshape(da, dc).T
-
-    def product_vector(self, i: int, vi: np.ndarray, j: int, vj: np.ndarray) -> np.ndarray:
-        tensor = self.mult_block(i, j)
-        da, db, dc = tensor.shape
-        outer = (vi[:, None] * vj[None, :]) % self.p
-        flat = matmul_mod(outer.reshape(1, da * db), tensor.reshape(da * db, dc), self.p)
-        return flat.reshape(dc)
+        The result has shape (dim A^{i+j}, columns of u, columns of w); None
+        stands for the basis of its degree.  ``u`` is contracted into the
+        block's first axis and ``w`` into its second, one matmul_mod each.
+        Every shape is spelled out from the block's dims, so an empty degree
+        or a factor without columns gives an empty result.
+        """
+        block = self.mult_block(i, j)
+        di, dj, dc = block.shape
+        if u is not None:
+            block = matmul_mod(u.T, block.reshape(di, dj * dc), self.p).reshape(u.shape[1], dj, dc)
+            di = u.shape[1]
+        if w is not None:
+            flat = block.transpose(1, 0, 2).reshape(dj, di * dc)
+            block = matmul_mod(w.T, flat, self.p).reshape(w.shape[1], di, dc).transpose(1, 0, 2)
+        return block.transpose(2, 0, 1)
 
     def multiply(self, a: "GradedElement", b: "GradedElement") -> "GradedElement":
         """The product ab, in degree |a| + |b|; OutOfWindowError when that leaves the window."""
@@ -474,7 +471,8 @@ class WindowedGradedAlgebra:
         degree = a.degree + b.degree
         if not self.in_window(degree):
             raise OutOfWindowError(a.degree, b.degree)
-        return GradedElement(self, degree, self.product_vector(a.degree, a.vector, b.degree, b.vector))
+        product = self.products(a.degree, a.vector[:, None], b.degree, b.vector[:, None])
+        return GradedElement(self, degree, product[:, 0, 0])
 
     # -- checks ------------------------------------------------------------
 
@@ -495,11 +493,11 @@ class WindowedGradedAlgebra:
             if di == 0:
                 return PASS, None
             eye = np.eye(di, dtype=np.int64)
-            left_unit = self.left_mult_matrix(0, self.unit, i)
+            left_unit = self.products(0, self.unit[:, None], i, None)[:, 0]
             if not np.array_equal(left_unit, eye):
                 col = int(np.flatnonzero((left_unit - eye) % self.p)[0] % di)
                 return FAIL, {"law": "unit", "side": "left", "degree": i, "index": col}
-            right_unit = self.right_mult_matrix(0, self.unit, i)
+            right_unit = self.products(i, None, 0, self.unit[:, None])[:, :, 0]
             if not np.array_equal(right_unit, eye):
                 col = int(np.flatnonzero((right_unit - eye) % self.p)[0] % di)
                 return FAIL, {"law": "unit", "side": "right", "degree": i, "index": col}
@@ -512,12 +510,12 @@ class WindowedGradedAlgebra:
 
     def is_central(self, z: "GradedElement") -> CertifiedReport:
         """Window-certified centrality: za = az per degree, else OUT-OF-WINDOW."""
-        dz, vz = z.degree, z.vector
+        dz, vz = z.degree, z.vector[:, None]
 
         def commutes(i: int):
             if not self.in_window(i + dz):
                 return OUT_OF_WINDOW, None
-            diff = (self.left_mult_matrix(dz, vz, i) - self.right_mult_matrix(dz, vz, i)) % self.p
+            diff = (self.products(dz, vz, i, None)[:, 0] - self.products(i, None, dz, vz)[:, :, 0]) % self.p
             if np.any(diff):
                 return FAIL, {"degree": i, "index": int(np.flatnonzero(np.any(diff, axis=0))[0])}
             return PASS, None

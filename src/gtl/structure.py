@@ -28,12 +28,12 @@ from .report import FAIL, PASS, UNDERDETERMINED, CertifiedReport, PreconditionEr
 def _injectivity(alg: WindowedGradedAlgebra, r: GradedElement, degrees, check: str) -> CertifiedReport:
     """Per degree i: PASS when ker(r * -) on A^i is zero, FAIL with a kernel
     vector otherwise; degrees whose image degree leaves the window are unchecked."""
-    dr, vec = r.degree, r.vector
+    dr, vec = r.degree, r.vector[:, None]
 
     def kernel(i: int):
         if i + dr > alg.window[1]:
             return None
-        ker = kernel_mod(alg.left_mult_matrix(dr, vec, i), alg.p)
+        ker = kernel_mod(alg.products(dr, vec, i, None)[:, 0], alg.p)
         return (PASS, None) if ker.shape[1] == 0 else (FAIL, {"kernel_vector": ker[:, 0].tolist()})
 
     return CertifiedReport.sweep(check, degrees, kernel)
@@ -76,7 +76,7 @@ def tor_part(alg: WindowedGradedAlgebra, r: GradedElement) -> GradedSubspace:
     stored basis, the kernel of the last power the window holds, is only a
     lower bound.
     """
-    dr, vec = r.degree, r.vector
+    dr, vec = r.degree, r.vector[:, None]
     if dr <= 0:
         raise ValueError(f"tor_part needs a positive-degree element, got degree {dr}")
     d_max = alg.window[1]
@@ -84,7 +84,7 @@ def tor_part(alg: WindowedGradedAlgebra, r: GradedElement) -> GradedSubspace:
     flags: set[int] = set()
     notes: dict[int, str] = {}
     # the walks of different degrees share the matrices of r
-    times_r = functools.cache(lambda e: alg.left_mult_matrix(dr, vec, e))
+    times_r = functools.cache(lambda e: alg.products(dr, vec, e, None)[:, 0])
 
     def walk(d: int):
         dim = alg.dim(d)
@@ -123,24 +123,6 @@ def tor_part(alg: WindowedGradedAlgebra, r: GradedElement) -> GradedSubspace:
 # ---------------------------------------------------------------------------
 
 
-def _left_images(alg: WindowedGradedAlgebra, j: int, d: int, cols: np.ndarray) -> np.ndarray:
-    """Columns spanning A^j * span(cols) inside A^{j+d}."""
-    tensor = alg.mult_block(j, d)
-    dj, dd, dc = tensor.shape
-    flat = tensor.transpose(0, 2, 1).reshape(dj * dc, dd)
-    prods = matmul_mod(flat, cols, alg.p)
-    return prods.reshape(dj, dc, cols.shape[1]).transpose(1, 0, 2).reshape(dc, -1)
-
-
-def _right_images(alg: WindowedGradedAlgebra, d: int, cols: np.ndarray, j: int) -> np.ndarray:
-    """Columns spanning span(cols) * A^j inside A^{d+j}."""
-    tensor = alg.mult_block(d, j)
-    dd, dj, dc = tensor.shape
-    flat = tensor.reshape(dd, dj * dc)
-    prods = matmul_mod(cols.T, flat, alg.p)
-    return prods.reshape(cols.shape[1] * dj, dc).T
-
-
 def ideal_leq(alg: WindowedGradedAlgebra, n: int) -> GradedSubspace:
     """Smallest two-sided ideal containing every A^i with i <= n.
 
@@ -177,8 +159,11 @@ def ideal_leq(alg: WindowedGradedAlgebra, n: int) -> GradedSubspace:
             if not alg.in_window(target) or span[target].shape[1] == alg.dim(target):
                 continue
             if (j, d) in alg.mult or (d, j) in alg.mult:
-                images = [span[target], _left_images(alg, j, d, cols), _right_images(alg, d, cols, j)]
-                merged = col_echelon(np.hstack(images), alg.p)
+                # A^j * span and span * A^j, one column per product
+                width = alg.dim(j) * cols.shape[1]
+                left = alg.products(j, None, d, cols).reshape(alg.dim(target), width)
+                right = alg.products(d, cols, j, None).reshape(alg.dim(target), width)
+                merged = col_echelon(np.hstack([span[target], left, right]), alg.p)
                 if merged.shape[1] > span[target].shape[1]:
                     span[target] = merged
                     work.add(target)
@@ -253,15 +238,10 @@ def verify_depth1(alg: WindowedGradedAlgebra, r: GradedElement, n: int) -> Certi
         if not alg.in_window(i + j):
             return None
         left, right = sides[tag]
-        u, w = left.vectors(i), right.vectors(j)
-        tensor = alg.mult_block(i, j)
-        di, dj, dc = tensor.shape
-        nu, nw = u.shape[1], w.shape[1]
-        half = matmul_mod(u.T, tensor.reshape(di, dj * dc), alg.p)
-        half = half.reshape(nu, dj, dc).transpose(1, 0, 2).reshape(dj, nu * dc)
-        prods = matmul_mod(w.T, half, alg.p)
+        prods = alg.products(i, left.vectors(i), j, right.vectors(j))
         if np.any(prods):
-            y, x, _ = np.argwhere(prods.reshape(nw, nu, dc)).tolist()[0]
+            # the first pair in (right index, left index) order
+            y, x, _ = np.argwhere(prods.transpose(2, 1, 0))[0].tolist()
             return FAIL, {"left_index": x, "right_index": y}
         return PASS, None
 
@@ -341,13 +321,13 @@ def check_orthogonality(alg: WindowedGradedAlgebra, r: GradedElement, n: int, la
 
 def check_periodicity(alg: WindowedGradedAlgebra, r: GradedElement) -> CertifiedReport:
     """Multiplication by r is bijective on every degree the window can check."""
-    dr, vec = r.degree, r.vector
+    dr, vec = r.degree, r.vector[:, None]
 
     def bijective(i: int):
         if not alg.in_window(i + dr):
             return None
         di, dj = alg.dim(i), alg.dim(i + dr)
-        rank = int(rank_mod(alg.left_mult_matrix(dr, vec, i), alg.p))
+        rank = int(rank_mod(alg.products(dr, vec, i, None)[:, 0], alg.p))
         return (PASS, None) if di == dj == rank else (FAIL, {"dims": (di, dj), "rank": rank})
 
     return CertifiedReport.sweep("periodicity", alg.degrees(), bijective)
@@ -367,8 +347,8 @@ def is_regular_sequence2(
     any x in A^i with rt*x in r*A^{i+|rt|-|r|} must already lie in
     r*A^{i-|r|}; that is exactly regularity of rt on (A / rA)^{>=0}.
     """
-    dr, rvec = r.degree, r.vector
-    drt, rtvec = rt.degree, rt.vector
+    dr, rvec = r.degree, r.vector[:, None]
+    drt, rtvec = rt.degree, rt.vector[:, None]
     if dr <= 0 or drt <= 0:
         raise ValueError("regular sequence elements must have positive degree")
     rep = CertifiedReport(check="regular_sequence2")
@@ -385,7 +365,7 @@ def is_regular_sequence2(
         since the quotient is by r*A^{>=0}, or where src is absent."""
         if src < 0 or not alg.in_window(src) or alg.dim(src) == 0:
             return np.zeros((alg.dim(src + dr), 0), dtype=np.int64)
-        return col_echelon(alg.left_mult_matrix(dr, rvec, src), alg.p)
+        return col_echelon(alg.products(dr, rvec, src, None)[:, 0], alg.p)
 
     def regular_mod_first(i: int):
         if i + drt > d_max:
@@ -393,7 +373,7 @@ def is_regular_sequence2(
         di = alg.dim(i)
         if di == 0:
             return PASS, None
-        lt = alg.left_mult_matrix(drt, rtvec, i)
+        lt = alg.products(drt, rtvec, i, None)[:, 0]
         w = image_of_r(i + drt - dr)
         if w.shape[1]:
             ker = kernel_mod(np.hstack([lt, (-w) % alg.p]), alg.p)

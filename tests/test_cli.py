@@ -31,7 +31,7 @@ from gtl.gallery import build_laurent, build_trivial_extension, build_truncated_
 from gtl.graded import WindowedGradedAlgebra, algebra_from_json, algebra_to_json
 from gtl.util import canonical_json
 
-from test_graded import TABLE_EDIT_CHARS, edited_text, quantum_plane
+from test_graded import TABLE_EDIT_CHARS, edited_text, quantum_plane, w_cubed
 from test_stmod import elementary_abelian_group_algebra
 
 
@@ -295,6 +295,22 @@ def test_analyze_labels_given_as_a_list_exits_two(tmp_path, t2, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["dims"].update({"9": 1}), "dims entry for degree 9 outside window"),
+    (lambda d: d.update(unit=[1, 0]), "unit must have dims(0)=1 coefficients"),
+    (lambda d: d["mult"].append({"i": 3, "j": 1, "table": [[[0]]]}), "mult block (3, 1) has degrees outside window"),
+    (lambda d: d["labels"].update({"9": []}), "labels for degree 9 outside window"),
+    (lambda d: d.update(window=[-4, 3, 5]), "window must be a two-element list"),
+    (lambda d: d.update(field_char=[2]), "malformed field_char: expected 0 nested levels, got 1"),
+], ids=["dims-entry", "unit-length", "mult-block", "labels-degree", "window-length", "field-char-list"])
+def test_analyze_ring_file_checks_exit_two_with_one_line(tmp_path, t2, edit, message, capsys):
+    path = _write_ring_payload(tmp_path, t2, edit)
+    assert main(["analyze", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert message in err
+
+
 _UNDER_MEMORY_LIMIT = """
 import resource, sys
 soft, hard = resource.getrlimit(resource.RLIMIT_AS)
@@ -485,6 +501,32 @@ def test_analyze_output_bytes_are_pinned(ring, check, code, digest, tmp_path, t2
     argv = ["analyze", str(path), "--check", check]
     for flag in CHECK_FLAGS[check]:
         argv += [f"--{flag}", ANALYZE_FLAGS[ring][flag]]
+    assert main(argv + ["--json"]) == code
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The same digests for k[w]/(w^3), |w| = 2, on [-1, 4] (test_graded.w_cubed):
+# the only ring here with zero-dimensional degrees, where tor_part's "zero
+# degree" walk and is_regular_sequence2's empty-degree PASS run.
+PINNED_ZERO_DEGREE_OUTPUT = [
+    (("validate",), 0, "286c5b0395f9055006e9420af5d143503cbd10e55c29d87a846e19ce8fd5d3fc"),
+    (("tor", "--r", "w"), 0, "affe9efb8926139947573f365b6894d158ed87be8ad62bfc848fcdfb90464925"),
+    (("regularity", "--r", "w"), 0, "252cfe3ac803f22b400136db1fbf00fa7fa4bc565f6f56ae654cd602dbb8e039"),
+    (("central", "--r", "w"), 0, "abc639dd0c5b39a274ef8408ad63ce66c2704d765dc69eee803cc3642b472ce6"),
+    (("ideal", "--n", "0"), 0, "8bab9dc23ee566d8171ca7ac67fc8143ab7113cee19d41162e88ff063377af56"),
+    (("periodicity", "--r", "w"), 0, "2ca4cd63a038a504191da6c868c60f608c0209103ff956d73f02b7f2c71b211e"),
+    (("depth1", "--r", "w", "--n", "0"), 0, "de8f4e6a3f6b5f3fee4f5ab6ab26b6c1c7b89a46349a835a374fa52656a522ff"),
+    (("regseq2", "--r", "w", "--rt", "w"), 1, "8770421a378ec25a4a7edca376f83815898301b77cf833e0ecfc7cdfaf11b27d"),
+]
+
+
+@pytest.mark.parametrize("check, code, digest", PINNED_ZERO_DEGREE_OUTPUT)
+def test_analyze_output_bytes_are_pinned_on_zero_dimensional_degrees(check, code, digest, tmp_path, capsys):
+    path = tmp_path / "w_cubed.json"
+    path.write_text(algebra_to_json(w_cubed()), encoding="utf-8")
+    argv = ["analyze", str(path), "--check", *check]
     assert main(argv + ["--json"]) == code
     assert main(argv) == code
     out = capsys.readouterr().out
@@ -765,6 +807,20 @@ def test_tate_algebra_dimension_below_one_exits_two(tmp_path, dim, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({**build_truncated_ci((2, 2), 2).to_json_dict(), "labels": ["1"]}, "labels length must equal dim"),
+    ({"field_char": 2, "dim": 3, "mult": [[[0] * 3] * 3] * 3, "unit": [1, 0, 0]},
+     "derived character does not cut out a codimension-one radical"),
+], ids=["labels-length", "zero-table"])
+def test_tate_fd_file_checks_exit_two_with_one_line(tmp_path, payload, message, capsys):
+    path = tmp_path / "fd.json"
+    path.write_text(canonical_json(payload), encoding="utf-8")
+    assert main(["tate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_tate_accepts_shorthand_payload(tmp_path, capsys):
     path = tmp_path / "short.json"
     path.write_text(
@@ -939,6 +995,14 @@ def test_reproduce_characteristic_zero_exits_two(name, capsys):
 def test_reproduce_option_the_pipeline_does_not_read_exits_two(argv, option, capsys):
     assert main(["reproduce", *argv]) == 2
     assert f"input error: reproduce {argv[0]} does not read {option}" in capsys.readouterr().err
+
+
+def test_reproduce_exponents_that_are_not_integers_exit_two(capsys):
+    # argparse rejects the option text before main's own error handling, with its usage line
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "hh-truncated", "--exponents", "x"])
+    assert exc.value.code == 2
+    assert "exponents must be comma-separated integers: 'x'" in capsys.readouterr().err
 
 
 def test_reproduce_json_deterministic(capsys):

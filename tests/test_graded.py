@@ -371,16 +371,68 @@ def test_is_central_on_laurent(laurent):
     assert {e.key: e.verdict for e in rep.entries}[3] == OUT_OF_WINDOW
 
 
+def reference_products(alg, i, u, j, w) -> np.ndarray:
+    """The oracle for ``alg.products``: one einsum on mult_block, None standing for an identity.
+
+    int64 is exact here while p**3 * dim i * dim j stays below 2**63, as on every test ring.
+    """
+    u = np.eye(alg.dim(i), dtype=np.int64) if u is None else u
+    w = np.eye(alg.dim(j), dtype=np.int64) if w is None else w
+    return np.einsum("abc,ax,by->cxy", alg.mult_block(i, j), u, w) % alg.p
+
+
+def w_cubed() -> WindowedGradedAlgebra:
+    """k[w]/(w^3) with |w| = 2 over F_3 on [-1, 4]: dimension 1 at degrees 0, 2 and 4, and 0 elsewhere."""
+    one = np.ones((1, 1, 1), dtype=np.int64)
+    mult = {(i, j): one for i in (0, 2, 4) for j in (0, 2, 4) if i + j <= 4}
+    labels = {0: ["1"], 2: ["w"], 4: ["w^2"]}
+    return WindowedGradedAlgebra(PrimeField(3), (-1, 4), {0: 1, 2: 1, 4: 1}, mult, [1], labels)
+
+
 def test_left_right_mult_matrices_match_products(t2):
+    """The matrices of x -> a*x and x -> x*b (None on one side of products) and
+    multiply all agree with the einsum reference."""
     rng = np.random.default_rng(7)
     for i, j in [(1, 1), (1, -2), (-2, 1), (0, -3), (2, -4)]:
         vi = rng.integers(0, t2.p, size=t2.dim(i))
         vj = rng.integers(0, t2.p, size=t2.dim(j))
-        via_tensor = t2.product_vector(i, vi, j, vj)
-        via_left = matmul_mod(t2.left_mult_matrix(i, vi, j), vj.reshape(-1, 1), t2.p)
-        via_right = matmul_mod(t2.right_mult_matrix(j, vj, i), vi.reshape(-1, 1), t2.p)
-        assert via_tensor.tolist() == via_left.reshape(-1).tolist()
-        assert via_tensor.tolist() == via_right.reshape(-1).tolist()
+        want = reference_products(t2, i, vi[:, None], j, vj[:, None])[:, 0, 0].tolist()
+        via_left = matmul_mod(t2.products(i, vi[:, None], j, None)[:, 0], vj[:, None], t2.p)
+        via_right = matmul_mod(t2.products(i, None, j, vj[:, None])[:, :, 0], vi[:, None], t2.p)
+        assert via_left[:, 0].tolist() == want
+        assert via_right[:, 0].tolist() == want
+        assert t2.multiply(t2.element(i, vi), t2.element(j, vj)).vector.tolist() == want
+
+
+@st.composite
+def product_arguments(draw, rings):
+    """A ring, degrees (i, j) with i + j in its window, and for each side None or
+    a matrix of zero to three columns."""
+    ring = draw(st.sampled_from(rings))
+    i = draw(st.sampled_from(list(ring.degrees())))
+    j = draw(st.sampled_from([j for j in ring.degrees() if ring.in_window(i + j)]))
+
+    def columns(d):
+        cols = draw(st.none() | st.lists(st.lists(st.integers(0, ring.p - 1), min_size=ring.dim(d),
+                                                  max_size=ring.dim(d)), max_size=3))
+        return None if cols is None else np.array(cols, dtype=np.int64).reshape(len(cols), ring.dim(d)).T
+
+    return ring, i, columns(i), j, columns(j)
+
+
+@pytest.fixture(scope="module")
+def product_rings(t2, klein_ring):
+    return [t2, build_trivial_extension(1, (-4, 3), 3), klein_ring, w_cubed()]
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_products_match_the_einsum_reference(product_rings, data):
+    ring, i, u, j, w = data.draw(product_arguments(product_rings))
+    got = ring.products(i, u, j, w)
+    want = reference_products(ring, i, u, j, w)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_zero_dimensional_degrees_are_harmless():
@@ -395,6 +447,18 @@ def test_zero_dimensional_degrees_are_harmless():
     assert alg.validate().passed
     assert alg.mult_block(1, 1).shape == (0, 0, 1)
     assert alg.dim(1) == 0
+
+
+def test_multiply_by_an_element_of_an_empty_degree():
+    ring = w_cubed()
+    empty, w = ring.element(1, []), ring.element_by_label("w")
+    for a, b, degree in ((empty, w, 3), (w, empty, 3), (ring.element(-1, []), w, 1), (empty, empty, 2)):
+        product = ring.multiply(a, b)
+        assert product.degree == degree
+        assert product.vector.shape == (ring.dim(degree),) and not product.vector.any()
+    assert ring.multiply(w, w).vector.tolist() == [1]
+    assert ring.products(1, None, 2, None).shape == (0, 0, 1)
+    assert ring.products(2, np.zeros((1, 0), dtype=np.int64), 2, None).shape == (1, 0, 1)
 
 
 def test_subspace_canonical_form_and_membership(t2):

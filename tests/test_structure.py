@@ -16,8 +16,6 @@ from gtl.stmod import tate_ring, trivial_module
 from gtl.structure import (
     _detour_taint,
     _ideal_sweep,
-    _left_images,
-    _right_images,
     _tensor_zero_sweep,
     _tor_under_regularity,
     check_orthogonality,
@@ -30,7 +28,7 @@ from gtl.structure import (
     verify_depth2,
 )
 
-from test_graded import quantum_plane
+from test_graded import quantum_plane, reference_products
 
 
 # -- regularity --------------------------------------------------------------
@@ -138,7 +136,7 @@ def kernel_of_power(alg, r, d, k):
     for kk in range(1, k + 1):
         if d + kk * dr > alg.window[1]:
             return None
-        mat = matmul_mod(alg.left_mult_matrix(dr, vec, d + (kk - 1) * dr), mat, alg.p)
+        mat = matmul_mod(reference_products(alg, dr, vec[:, None], d + (kk - 1) * dr, None)[:, 0], mat, alg.p)
     return kernel_mod(mat, alg.p)
 
 
@@ -352,7 +350,10 @@ def reference_ideal_leq(alg, n) -> GradedSubspace:
                 target = d + j
                 if span[target].shape[1] == alg.dim(target):
                     continue
-                new_cols = np.hstack([span[target], _left_images(alg, j, d, cols), _right_images(alg, d, cols, j)])
+                width = alg.dim(j) * cols.shape[1]
+                left = reference_products(alg, j, None, d, cols).reshape(alg.dim(target), width)
+                right = reference_products(alg, d, cols, j, None).reshape(alg.dim(target), width)
+                new_cols = np.hstack([span[target], left, right])
                 merged = col_echelon(new_cols, alg.p)
                 if merged.shape[1] > span[target].shape[1]:
                     span[target] = merged
@@ -468,7 +469,7 @@ def reference_second_clause(alg, r, rt) -> CertifiedReport:
     def image_of_r(src):
         if src < 0 or not alg.in_window(src) or alg.dim(src) == 0:
             return np.zeros((alg.dim(src + dr), 0), dtype=np.int64)
-        return col_echelon(alg.left_mult_matrix(dr, rvec, src), p)
+        return col_echelon(reference_products(alg, dr, rvec[:, None], src, None)[:, 0], p)
 
     def regular_mod_first(i):
         if i + drt > d_max:
@@ -476,7 +477,7 @@ def reference_second_clause(alg, r, rt) -> CertifiedReport:
         di = alg.dim(i)
         if di == 0:
             return PASS, None
-        lt = alg.left_mult_matrix(drt, rtvec, i)
+        lt = reference_products(alg, drt, rtvec[:, None], i, None)[:, 0]
         w = image_of_r(i + drt - dr)
         if w.shape[1]:
             ker = kernel_mod(np.hstack([lt, (-w) % p]), p)
