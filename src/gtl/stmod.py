@@ -88,6 +88,13 @@ def _side_by_side(stack: np.ndarray) -> np.ndarray:
     return stack.transpose(1, 0, 2).reshape(rows, k * cols)
 
 
+def _acting(action: np.ndarray, coeffs: np.ndarray, p: int) -> np.ndarray:
+    """The matrices (k, rows, cols) of the elements whose coordinates are the k columns of ``coeffs``,
+    given the matrices ``action`` (d, rows, cols) of the d basis elements."""
+    d, rows, cols = action.shape
+    return matmul_mod(coeffs.T, action.reshape(d, rows * cols), p).reshape(coeffs.shape[1], rows, cols)
+
+
 def _blocks_side_by_side(stack: np.ndarray, rows: int) -> np.ndarray:
     """The row blocks of ``stack``, ``rows`` rows each, laid side by side."""
     return _side_by_side(stack.reshape(stack.shape[0] // rows, rows, stack.shape[1]))
@@ -155,19 +162,6 @@ class FDAlgebra:
     def p(self) -> int:
         return self.field.p
 
-    # -- actions ----------------------------------------------------------
-
-    def left_matrix(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix of a * (-) in the basis."""
-        flat = matmul_mod(np.asarray(vec, dtype=np.int64)[None, :], self.left_ops.reshape(self.dim, -1), self.p)
-        return flat.reshape(self.dim, self.dim)
-
-    def right_matrix(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix of (-) * a in the basis."""
-        mid = self.mult.transpose(1, 0, 2)
-        flat = matmul_mod(np.asarray(vec, dtype=np.int64)[None, :], mid.reshape(self.dim, -1), self.p)
-        return flat.reshape(self.dim, self.dim).T
-
     # -- validation -------------------------------------------------------
 
     def validate(self) -> CertifiedReport:
@@ -175,7 +169,9 @@ class FDAlgebra:
         p, d = self.p, self.dim
         rep = CertifiedReport(check="fd_algebra")
         eye = np.eye(d, dtype=np.int64)
-        units = (self.left_matrix(self.unit), self.right_matrix(self.unit))
+        left = self.left_ops.reshape(d, d, d)  # slice s: the matrix of e_s * (-)
+        right = self.mult.transpose(1, 2, 0)  # slice t: the matrix of (-) * e_t
+        units = (_acting(left, self.unit[:, None], p)[0], _acting(right, self.unit[:, None], p)[0])
         bad = next((np.argwhere(act != eye)[0] for act in units if not np.array_equal(act, eye)), None)
         rep.add("unit", PASS if bad is None else FAIL, None if bad is None else {"entry": tuple(int(v) for v in bad)})
 
@@ -184,10 +180,8 @@ class FDAlgebra:
                 None if failure is None else {"triple": failure[2]})
 
         r = self.radical
-        # block c of left_rad is the matrix of r_c * (-); its columns are the r_c * e_t
-        left_rad = matmul_mod(r.T, self.left_ops.reshape(d, d * d), p).reshape(-1, d)
-        right_prods = matmul_mod(self.left_ops, r, p)  # block t holds the e_t * r_c
-        prods = np.hstack([_blocks_side_by_side(left_rad, d), _blocks_side_by_side(right_prods, d)])
+        # the columns of the two stacks are the r_c * e_t and the e_t * r_c
+        prods = np.hstack([_side_by_side(_acting(left, r, p)), _side_by_side(_acting(right, r, p))])
         ideal_ok = solve_mod(r, prods, p) is not None
         rep.add("radical_ideal", PASS if ideal_ok else FAIL)
 
@@ -220,7 +214,7 @@ class FDAlgebra:
         k = span.shape[1]
         basis = np.zeros((d, 0), dtype=np.int64)
         # block c of left is the matrix of x_c * (-)
-        left = matmul_mod(span.T, self.left_ops.reshape(d, d * d), p).reshape(-1, d)
+        left = _acting(self.left_ops.reshape(d, d, d), span, p).reshape(-1, d)
         step = d * max(1, _SQUARE_CHUNK // max(k, 1))
         for lo in range(0, k * d, step):
             prods = _blocks_side_by_side(matmul_mod(left[lo:lo + step], span, p), d)
@@ -515,13 +509,6 @@ class Cover:
     inverse: np.ndarray | None = None
 
 
-def _radical_action(module: FDModule) -> np.ndarray:
-    """The matrices (c, dim, dim) by which the c radical basis vectors act."""
-    alg = module.algebra
-    c, d, m = alg.radical.shape[1], alg.dim, module.dim
-    return matmul_mod(alg.radical.T, module.action.reshape(d, m * m), alg.p).reshape(c, m, m)
-
-
 def _split(mat: np.ndarray, p: int, failure: str) -> tuple[np.ndarray, list[int], np.ndarray]:
     """One reduction of [mat | I], for mat of full row rank m (else ArithmeticError(failure)):
     kernel_mod's basis of ker(mat), the pivot columns, and the m x m E with mat[:, pivots] @ E = I."""
@@ -545,7 +532,7 @@ def minimal_cover(module: FDModule) -> Cover:
         return module._cover
     alg = module.algebra
     p, d, m = module.p, alg.dim, module.dim
-    jm = _radical_action(module)
+    jm = _acting(module.action, alg.radical, p)
     _, in_jm = rref(jm.transpose(0, 2, 1).reshape(jm.shape[0] * m, m), p)
     gens = tuple(complement(in_jm, m).tolist())
     width = len(gens) * d
@@ -588,11 +575,11 @@ def _free_embedding(module: FDModule) -> np.ndarray:
     if module.inclusion is None:
         alg = module.algebra
         d, m = alg.dim, module.dim
-        jm = _radical_action(module)
+        jm = _acting(module.action, alg.radical, alg.p)
         _, in_dj = rref(jm.reshape(jm.shape[0] * m, m), alg.p)
         gens = complement(in_dj, m)
-        moved = matmul_mod(alg.dual_basis(), module.action[:, gens, :].reshape(d, len(gens) * m), alg.p)
-        module.inclusion = moved.reshape(d, len(gens), m).transpose(1, 0, 2).reshape(len(gens) * d, m)
+        moved = _acting(module.action[:, gens, :], alg.dual_basis().T, alg.p)
+        module.inclusion = moved.transpose(1, 0, 2).reshape(len(gens) * d, m)
     return module.inclusion
 
 
@@ -668,29 +655,27 @@ class SyzygyTower:
 def omega_lift(tower: SyzygyTower, mat: np.ndarray, a: int, b: int) -> np.ndarray:
     """Shift module maps W_a -> W_b one step up the tower, to W_{a+1} -> W_{b+1}.
 
-    ``mat`` is one map (dim W_b, dim W_a) or a stack of them (k, dim W_b,
-    dim W_a), lifted together; the result has the same layout.  The maps'
-    values on W_a's cover generators (the basis vectors ``gens``) are
-    lifted through the cover of W_b by its section, extended freely to
-    P_a -> P_b (every e_s applied to the lifted values at once), and
-    restricted to the syzygies along their inclusions (a, b >= 0).
+    ``mat`` is a stack of maps (k, dim W_b, dim W_a), lifted together into
+    the stack (k, dim W_{b+1}, dim W_{a+1}).  The maps' values on W_a's
+    cover generators (the basis vectors ``gens``) are lifted through the
+    cover of W_b by its section, extended freely to P_a -> P_b (every e_s
+    applied to the lifted values at once), and restricted to the syzygies
+    along their inclusions (a, b >= 0).
     """
     alg = tower.module(0).algebra
     p, d = alg.p, alg.dim
     ca, cb = tower.cover(a + 1), tower.cover(b + 1)
     iota_a, iota_b = ca.kernel, cb.kernel
-    maps = np.asarray(mat, dtype=np.int64)
-    k = maps.shape[0] if maps.ndim == 3 else 1
-    n_b, m_a = maps.shape[-2:]
+    k, n_b, _ = mat.shape
     r_a, width = len(ca.gens), cb.section.shape[0]
-    values = maps.reshape(k, n_b, m_a)[:, :, list(ca.gens)].transpose(1, 0, 2).reshape(n_b, k * r_a)
+    values = mat[:, :, list(ca.gens)].transpose(1, 0, 2).reshape(n_b, k * r_a)
     lifted = matmul_mod(cb.section, values, p)
     free_map = _free_action(alg, lifted).reshape(d, width, k, r_a).transpose(2, 1, 3, 0)
     moved = matmul_mod(free_map.reshape(k * width, r_a * d), iota_a, p).reshape(k, width, iota_a.shape[1])
     out = moved[:, cb.kernel_rows]
     if not np.array_equal(matmul_mod(iota_b, _side_by_side(out), p), _side_by_side(moved)):
         raise ArithmeticError(f"omega lift of W_{a} -> W_{b}: lifted map does not preserve kernels")
-    return out if maps.ndim == 3 else out[0]
+    return out
 
 
 def _down_source(tower: SyzygyTower, a: int) -> tuple:
@@ -737,8 +722,8 @@ def _down_target(tower: SyzygyTower, b: int) -> tuple:
 def omega_inverse_lift(tower: SyzygyTower, mat: np.ndarray, a: int, b: int) -> np.ndarray:
     """Shift module maps W_a -> W_b one step down the tower, to W_{a-1} -> W_{b-1}.
 
-    ``mat`` is one map (dim W_b, dim W_a) or a stack of them, lifted
-    together; the result has the same layout.  Each W_{c-1} is the quotient
+    ``mat`` is a stack of maps (k, dim W_b, dim W_a), lifted together into
+    the stack (k, dim W_{b-1}, dim W_{a-1}).  Each W_{c-1} is the quotient
     of the free module F_c that W_c embeds in by iota_c (tower.cover).
     The free module is injective, so iota_b f extends along iota_a to
     g: F_a -> F_b, which passes to the quotients.  A map phi into A is
@@ -753,11 +738,9 @@ def omega_inverse_lift(tower: SyzygyTower, mat: np.ndarray, a: int, b: int) -> n
     p, d = alg.p, alg.dim
     inverse, extend, action = _down_source(tower, a)
     paired, pushdown = _down_target(tower, b)
-    maps = np.asarray(mat, dtype=np.int64)
-    k = maps.shape[0] if maps.ndim == 3 else 1
-    n_b, m_a = maps.shape[-2:]
+    k, _, m_a = mat.shape
     r_b, n_out, m_out = paired.shape[0] // d, pushdown.shape[0], extend.shape[1] // d
-    seen = matmul_mod(paired, _side_by_side(maps.reshape(k, n_b, m_a)), p)  # lam(e_t (iota_b f x)_c)
+    seen = matmul_mod(paired, _side_by_side(mat), p)  # lam(e_t (iota_b f x)_c)
     mu = matmul_mod(alg.unit[None, :], _blocks_side_by_side(seen, d), p)
     mu = mu.reshape(r_b, k, m_a).transpose(1, 0, 2).reshape(k * r_b, m_a)
     seen = seen.reshape(r_b, d, k, m_a).transpose(2, 0, 1, 3).reshape(k * r_b, d * m_a)
@@ -765,8 +748,7 @@ def omega_inverse_lift(tower: SyzygyTower, mat: np.ndarray, a: int, b: int) -> n
         raise ArithmeticError(f"omega inverse lift of W_{a} -> W_{b}: extended map does not restrict to the maps")
     nu = mu if inverse is None else matmul_mod(mu, inverse, p)
     values = matmul_mod(nu, extend, p).reshape(k, r_b * d, m_out)
-    out = matmul_mod(pushdown, _side_by_side(values), p).reshape(n_out, k, m_out).transpose(1, 0, 2)
-    return out if maps.ndim == 3 else out[0]
+    return matmul_mod(pushdown, _side_by_side(values), p).reshape(n_out, k, m_out).transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +768,7 @@ def _free_values(cols: np.ndarray, target: FDModule) -> np.ndarray:
     width, k = cols.shape
     r = width // d
     coeffs = cols.reshape(r, d, k).transpose(2, 0, 1).reshape(k * r, d)
-    vals = matmul_mod(coeffs, target.action.reshape(d, n * n), p)
+    vals = _acting(target.action, coeffs.T, p)
     return vals.reshape(k, r, n, n).transpose(0, 2, 1, 3).reshape(k * n, r * n)
 
 

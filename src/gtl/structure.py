@@ -482,7 +482,8 @@ def verify_depth2(
         raise PreconditionError("(r, rt) is not a window-certified regular sequence")
     nondeg = nondegenerate_products(alg, n)
     if not nondeg.passed:
-        raise PreconditionError(f"degree-{n} products are degenerate at some degree")
+        bad = next(e.i for e in nondeg.entries if e.verdict != PASS)
+        raise PreconditionError(f"products into degree {n} are degenerate at degree {bad}")
 
     report = CertifiedReport(check="verify_depth2", n=n)
 

@@ -223,10 +223,11 @@ def test_analyze_precondition_rejection_exits_three(t2_path, capsys):
 
 
 def test_analyze_depth2_rejects_degenerate_products(t2_path, capsys):
-    # (w1, w2) is a regular sequence; the degree-0 products are degenerate
-    rc = main(["analyze", t2_path, "--check", "depth2", "--r", "w1", "--rt", "w2", "--n", "0"])
-    assert rc == 3
-    assert "degree-0 products are degenerate" in capsys.readouterr().err
+    # (w1, w2) is a regular sequence; the products into degrees 0 and -2 are degenerate
+    for n, degree in ((0, -3), (-2, -1)):
+        rc = main(["analyze", t2_path, "--check", "depth2", "--r", "w1", "--rt", "w2", "--n", str(n)])
+        assert rc == 3
+        assert f"products into degree {n} are degenerate at degree {degree}" in capsys.readouterr().err
 
 
 def test_analyze_depth2_rejects_a_unit_pair_on_the_laurent_line(tmp_path, capsys):
@@ -247,6 +248,11 @@ def test_analyze_missing_required_flag_exits_two(t2_path, capsys):
 def test_analyze_unknown_element_exits_two(t2_path, capsys):
     assert main(["analyze", t2_path, "--check", "central", "--r", "zzz"]) == 2
     assert main(["analyze", t2_path, "--check", "central", "--r", "9:0"]) == 2
+
+
+def test_analyze_tor_of_a_degree_zero_element_exits_two(t2_path, capsys):
+    assert main(["analyze", t2_path, "--check", "tor", "--r", "0:0"]) == 2
+    assert capsys.readouterr().err == "input error: tor_part needs a positive-degree element, got degree 0\n"
 
 
 def test_analyze_bad_functional_text_exits_two(t2_path, capsys):
@@ -297,12 +303,13 @@ def test_analyze_labels_given_as_a_list_exits_two(tmp_path, t2, capsys):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda d: d["dims"].update({"9": 1}), "dims entry for degree 9 outside window"),
+    (lambda d: d["dims"].update({"1": -1}), "negative dimension at degree 1"),
     (lambda d: d.update(unit=[1, 0]), "unit must have dims(0)=1 coefficients"),
     (lambda d: d["mult"].append({"i": 3, "j": 1, "table": [[[0]]]}), "mult block (3, 1) has degrees outside window"),
     (lambda d: d["labels"].update({"9": []}), "labels for degree 9 outside window"),
     (lambda d: d.update(window=[-4, 3, 5]), "window must be a two-element list"),
     (lambda d: d.update(field_char=[2]), "malformed field_char: expected 0 nested levels, got 1"),
-], ids=["dims-entry", "unit-length", "mult-block", "labels-degree", "window-length", "field-char-list"])
+], ids=["dims-entry", "negative-dim", "unit-length", "mult-block", "labels-degree", "window-length", "field-char-list"])
 def test_analyze_ring_file_checks_exit_two_with_one_line(tmp_path, t2, edit, message, capsys):
     path = _write_ring_payload(tmp_path, t2, edit)
     assert main(["analyze", path]) == 2

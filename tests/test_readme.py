@@ -1,9 +1,11 @@
 """The README's Quick start runs as written and prints what it says it prints,
-and its Command line tables name the checks and pipelines that ``gtl`` has."""
+its command Examples exit 0, and its Command line tables name the checks and
+pipelines that ``gtl`` has."""
 
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
 from gtl import cli
@@ -25,6 +27,19 @@ def test_quick_start_runs_and_prints_its_comments(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == ["{-3: 3, -2: 2, -1: 1, 0: 1, 1: 2, 2: 3, 3: 4}", "True"]
     assert f"# {lines[0]}\n" in code  # the dims comment shows what the print prints
+
+
+def test_command_examples_exit_zero(tmp_path, monkeypatch, capsys):
+    # klein.json is the truncated_polynomial shorthand the README spells out
+    text = README.read_text(encoding="utf-8")
+    shorthand = re.search(r'`(\{"truncated_polynomial".*?\}\})`', text).group(1)
+    (tmp_path / "klein.json").write_text(shorthand, encoding="utf-8")
+    block = re.search(r"Examples:\n\n```sh\n(.*?)```", text, re.DOTALL).group(1)
+    commands = [shlex.split(line) for line in block.splitlines()]
+    assert len(commands) == 4 and all(argv[0] == "gtl" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, (argv, capsys.readouterr().err)
 
 
 def command_line_table(header: str) -> dict[str, list[dict[str, str]]]:

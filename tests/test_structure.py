@@ -642,11 +642,14 @@ def test_depth2_without_functional_skips_duality_clauses(t2):
 
 
 def test_depth2_rejects_degenerate_products(t2):
-    # (w1, w2) is a regular sequence, but the degree-0 products are degenerate:
-    # A^1 pairs with A^-1 into A^0 = k only through zero products
+    # (w1, w2) is a regular sequence, but the degree-0 products are degenerate
+    # (A^1 pairs with A^-1 into A^0 = k only through zero products), and so are
+    # those into degree -2; the message names the first degree that fails
     w1, w2 = t2.element_by_label("w1"), t2.element_by_label("w2")
-    with pytest.raises(PreconditionError, match="degree-0 products are degenerate"):
+    with pytest.raises(PreconditionError, match="products into degree 0 are degenerate at degree -3"):
         verify_depth2(t2, w1, w2, 0)
+    with pytest.raises(PreconditionError, match="products into degree -2 are degenerate at degree -1"):
+        verify_depth2(t2, w1, w2, -2)
 
 
 def test_ideal_sweep_names_a_product_leaving_the_span(laurent):
