@@ -19,6 +19,7 @@ verifier's mathematical preconditions were rejected.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -190,6 +191,9 @@ def _cmd_analyze(args) -> int:
 # tate
 # ---------------------------------------------------------------------------
 
+# each --module choice: the module it builds over the algebra
+MODULES = {"trivial": stmod.trivial_module, "bimodule": stmod.regular_bimodule}
+
 
 def _cmd_tate(args) -> int:
     window = check_window(args.window)
@@ -198,11 +202,7 @@ def _cmd_tate(args) -> int:
     if not axioms.passed:
         failed = ", ".join(str(f.key) for f in axioms.failures())
         raise AlgebraFormatError(f"algebra fails its axioms: {failed}")
-    if args.module == "trivial":
-        module = stmod.trivial_module(alg)
-    else:
-        module = stmod.regular_bimodule(alg)
-    ring = stmod.tate_ring(module, window)
+    ring = stmod.tate_ring(MODULES[args.module](alg), window)
     validation = ring.validate()
     payload = {
         "command": "tate",
@@ -253,14 +253,6 @@ def _pipeline_selfext_depth2(exponents, p, window, expected_dims) -> list[dict]:
         rep = structure.verify_depth2(ring, r, rt, -1, search.functional)
         steps.append(_step("depth-2 verification", PASS, PASS if rep.passed else FAIL))
     return steps
-
-
-def _pipeline_klein_four() -> list[dict]:
-    return _pipeline_selfext_depth2((2, 2), 2, (-3, 3), [3, 2, 1, 1, 2, 3, 4])
-
-
-def _pipeline_gorenstein0() -> list[dict]:
-    return _pipeline_selfext_depth2((2, 2), 3, (-3, 3), [3, 2, 1, 1, 2, 3, 4])
 
 
 def _pipeline_trivial_extension() -> list[dict]:
@@ -318,10 +310,11 @@ def _pipeline_hypersurface_periodic() -> list[dict]:
     return steps
 
 
-# each pipeline as a CHECKS entry: it requires no option
+# each pipeline as a CHECKS entry: it requires no option; the two depth-2
+# pipelines fix their ring, which no option changes
 PIPELINES = {
-    "klein-four": (_pipeline_klein_four, (), {}),
-    "gorenstein0": (_pipeline_gorenstein0, (), {}),
+    "klein-four": (functools.partial(_pipeline_selfext_depth2, (2, 2), 2, (-3, 3), [3, 2, 1, 1, 2, 3, 4]), (), {}),
+    "gorenstein0": (functools.partial(_pipeline_selfext_depth2, (2, 2), 3, (-3, 3), [3, 2, 1, 1, 2, 3, 4]), (), {}),
     "trivial-extension": (_pipeline_trivial_extension, (), {}),
     "hh-truncated": (_pipeline_hh_truncated, (), {"exponents": (3,), "p": 2}),
     "ci-ext-dims": (_pipeline_ci_ext_dims, (), {"exponents": (2, 2), "p": 2, "count": 5}),
@@ -375,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("tate", help="stable self-extension ring of a module")
     pt.add_argument("algebra", help="path to a finite-dimensional algebra JSON file")
-    pt.add_argument("--module", default="trivial", choices=["trivial", "bimodule"])
+    pt.add_argument("--module", default="trivial", choices=list(MODULES))
     pt.add_argument("--window", type=int, nargs=2, default=(-3, 3), metavar=("LO", "HI"))
     pt.add_argument("--emit", default=None, help="write the ring as graded-algebra JSON")
     pt.add_argument("--json", action="store_true")

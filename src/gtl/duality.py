@@ -171,11 +171,11 @@ def find_selfdual_functional(
 ) -> SearchResult:
     """First functional on A^n whose induced form passes selfdual_check.
 
-    When the space has at most ``EXHAUSTIVE_LIMIT`` candidates, exhaustive
-    enumeration walks candidate indices 1 .. p^dims(n)-1 in base-p digit
-    order (lowest index wins).  Above it, a randomized search draws
-    ``samples`` seeded vectors and the lowest passing sample index wins.
-    ``SearchResult.strategy`` names the search that ran.  No canonicity is
+    When the space has at most ``EXHAUSTIVE_LIMIT`` candidates, the candidates
+    are the indices 1 .. p^dims(n)-1 as base-p digit vectors, in order (lowest
+    index wins).  Above it, they are ``samples`` seeded draws, zero draws
+    skipped and not counted (lowest passing sample wins).
+    ``SearchResult.strategy`` names the source that ran.  No canonicity is
     claimed for the winner.  ``samples`` outside [1, EXHAUSTIVE_LIMIT] is a
     ValueError.
     """
@@ -187,21 +187,16 @@ def find_selfdual_functional(
     p = alg.p
     space = p**d
     if space <= EXHAUSTIVE_LIMIT:
-        tried = 0
-        for index in range(1, space):
-            digits = np.array([(index // p**k) % p for k in range(d)], dtype=np.int64)
-            tried += 1
-            if selfdual_check(alg, n, digits).passed:
-                return SearchResult(digits, tried, "exhaustive")
-        return SearchResult(None, tried, "exhaustive")
-
-    rng = np.random.default_rng(seed)
+        strategy = "exhaustive"
+        candidates = (np.array([(i // p**k) % p for k in range(d)], dtype=np.int64) for i in range(1, space))
+    else:
+        strategy = "randomized"
+        rng = np.random.default_rng(seed)
+        draws = (rng.integers(0, p, size=d, dtype=np.int64) for _ in range(samples))
+        candidates = (cand for cand in draws if cand.any())
     tried = 0
-    for _ in range(samples):
-        cand = rng.integers(0, p, size=d)
-        if not np.any(cand):
-            continue
+    for cand in candidates:
         tried += 1
         if selfdual_check(alg, n, cand).passed:
-            return SearchResult(cand.astype(np.int64), tried, "randomized")
-    return SearchResult(None, tried, "randomized")
+            return SearchResult(cand, tried, strategy)
+    return SearchResult(None, tried, strategy)

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gtl import duality
 from gtl.duality import (
     EXHAUSTIVE_LIMIT,
+    SearchResult,
     find_selfdual_functional,
     functional,
     gram,
@@ -257,3 +262,60 @@ def test_find_functional_rejects_samples_outside_the_budget(monkeypatch, klein_r
         with pytest.raises(ValueError, match=rf"samples {samples} must lie in \[1, {limit}\]"):
             find_selfdual_functional(klein_ring, -1, samples=samples)
     assert find_selfdual_functional(klein_ring, -1, samples=limit).found
+
+
+def reference_find_selfdual_functional(alg, n, seed=0, samples=200):
+    """The search as two loops, one per strategy: the oracle for the one-loop search."""
+    if not 1 <= samples <= duality.EXHAUSTIVE_LIMIT:
+        raise ValueError(f"samples {samples} must lie in [1, {duality.EXHAUSTIVE_LIMIT}]")
+    if not alg.in_window(n):
+        raise ValueError(f"pairing degree {n} outside window {alg.window}")
+    d = alg.dim(n)
+    p = alg.p
+    space = p**d
+    if space <= duality.EXHAUSTIVE_LIMIT:
+        tried = 0
+        for index in range(1, space):
+            digits = np.array([(index // p**k) % p for k in range(d)], dtype=np.int64)
+            tried += 1
+            if selfdual_check(alg, n, digits).passed:
+                return SearchResult(digits, tried, "exhaustive")
+        return SearchResult(None, tried, "exhaustive")
+
+    rng = np.random.default_rng(seed)
+    tried = 0
+    for _ in range(samples):
+        cand = rng.integers(0, p, size=d)
+        if not np.any(cand):
+            continue
+        tried += 1
+        if selfdual_check(alg, n, cand).passed:
+            return SearchResult(cand.astype(np.int64), tried, "randomized")
+    return SearchResult(None, tried, "randomized")
+
+
+# (ring, n, seed, samples, EXHAUSTIVE_LIMIT or None for the default)
+_SEARCHES = st.one_of(
+    st.tuples(st.just("klein"), st.just(-1), st.integers(0, 50), st.integers(1, 200), st.none()),
+    st.tuples(st.just("t2"), st.sampled_from([-1, 0, 3]), st.integers(0, 50), st.integers(1, 200), st.none()),
+    st.tuples(st.just("laurent"), st.integers(-2, 2), st.integers(0, 50), st.integers(1, 200), st.none()),
+    # 16 candidates in t2's degree 3 over F_2 exceed each limit: the randomized source on a small ring
+    st.integers(1, 15).flatmap(lambda limit: st.tuples(
+        st.just("t2"), st.just(3), st.integers(0, 50), st.integers(1, limit), st.just(limit))),
+)
+
+
+def _outcome(res: SearchResult) -> tuple:
+    return (res.functional.tolist() if res.found else None, res.tried, res.strategy)
+
+
+@settings(max_examples=150)
+@given(_SEARCHES)
+@example(("t2", 3, 0, 8, 8))  # seed 0's second draw is zero and must not count
+def test_search_matches_the_two_loop_reference(klein_ring, t2, case):
+    name, n, seed, samples, limit = case
+    ring = _laurent_above_budget() if name == "laurent" else {"klein": klein_ring, "t2": t2}[name]
+    with mock.patch.object(duality, "EXHAUSTIVE_LIMIT", limit or EXHAUSTIVE_LIMIT):
+        got = find_selfdual_functional(ring, n, seed=seed, samples=samples)
+        want = reference_find_selfdual_functional(ring, n, seed=seed, samples=samples)
+    assert _outcome(got) == _outcome(want)

@@ -147,6 +147,14 @@ def test_solve_mod_multiple_rhs():
     assert matmul_mod(np.array(a), sol, 3).tolist() == np.eye(2, dtype=int).tolist()
 
 
+def test_matmul_and_solve_reject_mismatched_shapes():
+    zeros = np.zeros((2, 2), dtype=np.int64)
+    with pytest.raises(ValueError, match=r"matmul shape mismatch: \(2, 3\) @ \(2, 2\)"):
+        matmul_mod(np.zeros((2, 3), dtype=np.int64), zeros, 5)
+    with pytest.raises(ValueError, match=r"solve shape mismatch: \(2, 2\) vs rhs \(3, 1\)"):
+        solve_mod(zeros, np.zeros(3, dtype=np.int64), 5)
+
+
 def test_kernel_mod_basis_convention():
     # x + 2y + z = 0 mod 5: free columns are 1 and 2, each kernel vector
     # sets its free variable to one.

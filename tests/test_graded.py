@@ -477,6 +477,17 @@ def test_subspace_canonical_form_and_membership(t2):
     assert not np.array_equal(small.vectors(1), a.vectors(1))
 
 
+def test_subspace_rejects_a_basis_of_the_wrong_height(t2):
+    with pytest.raises(ValueError, match="degree 1 basis must be 2 x k"):
+        GradedSubspace(t2, {1: np.zeros((3, 1), dtype=np.int64)})
+
+
+def test_an_empty_degree_contains_only_zero(t2):
+    empty = GradedSubspace(t2, {})
+    assert not empty.contains_vector(1, np.array([1, 0]))
+    assert empty.contains_vector(1, np.zeros(2, dtype=np.int64))
+
+
 def test_subspaces_compare_by_identity(t2):
     # the same subspace from two bases: a field-wise == would compare the
     # basis dicts of arrays and raise "truth value ... is ambiguous"
@@ -782,3 +793,13 @@ def test_algebra_equality(t2):
     clone = algebra_from_json(algebra_to_json(t2))
     assert clone == t2
     assert t2 != quantum_plane(2, 5)
+
+
+def test_algebra_is_unequal_to_a_non_algebra(t2):
+    assert t2 != 5
+
+
+def test_mult_block_rejects_a_product_leaving_the_window(t2):
+    # degrees 3 and 3 lie in [-4, 3]; their product's degree 6 does not
+    with pytest.raises(ValueError, match=r"product degrees \(3, 3\) not fully inside window"):
+        t2.mult_block(3, 3)

@@ -1,6 +1,6 @@
 """The README's Quick start runs as written and prints what it says it prints,
-its command Examples exit 0, and its Command line tables name the checks and
-pipelines that ``gtl`` has."""
+its command Examples exit 0, and its Command line synopsis and tables name the
+modules, checks and pipelines that ``gtl`` has."""
 
 from __future__ import annotations
 
@@ -72,3 +72,9 @@ def test_command_line_tables_match_the_checks_and_pipelines():
     for name, (_, required, defaults) in cli.PIPELINES.items():
         assert required == ()
         assert pipelines[name] == [{opt: _default(v) for opt, v in defaults.items()}]
+
+
+def test_tate_synopsis_names_the_module_choices():
+    text = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    choices = re.search(r"gtl tate \S+ \[--module ([a-z|]+)\]", text).group(1)
+    assert choices.split("|") == list(cli.MODULES)

@@ -604,6 +604,20 @@ def test_fd_json_rejects_malformed_payloads(klein_alg):
             fd_algebra_from_json_dict(bad)
 
 
+def test_fd_json_rejects_a_payload_that_is_no_object():
+    with pytest.raises(AlgebraFormatError, match="algebra payload must be an object"):
+        fd_algebra_from_json_dict([1, 2])
+
+
+def test_fd_constructors_reject_tables_of_the_wrong_shape():
+    f2 = PrimeField(2)
+    with pytest.raises(AlgebraFormatError, match="mult tensor must be 2x2x2"):
+        FDAlgebra(f2, 2, np.zeros((2, 2, 1), dtype=np.int64), [1, 0], np.zeros((2, 1), dtype=np.int64))
+    k = FDAlgebra(f2, 1, np.ones((1, 1, 1), dtype=np.int64), [1], np.zeros((1, 0), dtype=np.int64))
+    with pytest.raises(AlgebraFormatError, match=r"action must have shape \(1, 1, 1\)"):
+        FDModule(k, 1, np.zeros((1, 2, 1), dtype=np.int64))
+
+
 def test_enveloping_algebra(klein_alg):
     env = klein_alg.enveloping()
     assert env.dim == 16
@@ -619,6 +633,15 @@ def test_trivial_module_kills_the_radical(klein_alg):
     k = trivial_module(klein_alg)
     assert k.validate().passed
     assert k.action[:, 0, 0].tolist() == [1, 0, 0, 0]
+
+
+def test_trivial_module_rejects_a_non_local_algebra():
+    # F_2 x F_2 built directly, with no radical: unit plus radical spans one of two dimensions
+    mult = np.zeros((2, 2, 2), dtype=np.int64)
+    mult[0, 0, 0] = mult[1, 1, 1] = 1
+    alg = FDAlgebra(PrimeField(2), 2, mult, [1, 1], np.zeros((2, 0), dtype=np.int64))
+    with pytest.raises(AlgebraFormatError, match="algebra is not local: unit plus radical is not a basis"):
+        trivial_module(alg)
 
 
 def dense_free_module(alg: FDAlgebra, rank: int) -> FDModule:

@@ -641,6 +641,26 @@ def test_depth2_without_functional_skips_duality_clauses(t2):
     assert any("no functional" in note for note in rep.notes)
 
 
+def test_depth2_skips_the_duality_clauses_off_degree_minus_one(t2):
+    # t2 with every negative degree d moved to d - 1.  Each stored block with a
+    # negative factor lands in a negative degree and none has two, so every
+    # block keeps its table; the dual part now pairs into degree -2, and
+    # degree -1 is empty
+    def shift(d):
+        return d - 1 if d < 0 else d
+
+    ring = WindowedGradedAlgebra(
+        t2.field, (-5, 3), {shift(d): t2.dim(d) for d in t2.degrees()},
+        {(shift(i), shift(j)): block for (i, j), block in t2.mult.items()}, t2.unit,
+        labels={shift(d): list(names) for d, names in t2.labels.items()},
+    )
+    assert ring.dim(-1) == 0 and ring.validate().passed
+    rep = verify_depth2(ring, ring.element_by_label("w1"), ring.element_by_label("w2"), -2, [1])
+    assert rep.passed
+    assert rep.notes == ["duality clause only applies when n = -1; skipped"]
+    assert "orthogonality" not in rep.clauses and "dims_match_across_pairing" not in rep.clauses
+
+
 def test_depth2_rejects_degenerate_products(t2):
     # (w1, w2) is a regular sequence, but the degree-0 products are degenerate
     # (A^1 pairs with A^-1 into A^0 = k only through zero products), and so are
