@@ -20,19 +20,23 @@ size.  FDAlgebra's check is the one-degree case of the same routine.
 
 Ring files are read in time linear in their size (algebra_from_json), and
 json.loads is the only parser of their structure: single-digit tables decode
-from bytes; any other text goes whole through json.loads.  Each long table of
-single digits is cut out of the text, matched against the template of its
-shape and read straight into an int64 array, and json.loads reads the rest
-once; json.loads stays the reference and the only source of errors.  Ring
-files are written the same way round (algebra_to_json): each long table of
-single digits fills its template and json.dumps writes the rest once.
-Reader and writer cut at the same length, _SHORT_ENTRY, and build templates
-with one routine, _template.
+from bytes; any other text goes whole through json.loads.  One scan finds
+the table keys.  Each long table of single digits is cut out of the text and,
+after one bytes.translate, matched against the template of its shape;
+json.loads reads the rest once.  The digits of every cut table become one
+int64 array in one numpy call, and each table is a view of it in its shape;
+json.loads stays the reference and the only source of errors.  The
+constructor reads one maximum per block, which says both whether the block
+needs reducing mod p and whether it is zero.  Ring files are written the
+same way round (algebra_to_json): each long table of single digits fills its
+template and json.dumps writes the rest once.  Reader and writer cut at the
+same length, _SHORT_ENTRY, and build templates with one routine, _template.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -363,13 +367,18 @@ class WindowedGradedAlgebra:
             i, j = int(i), int(j)
             if not (self.in_window(i) and self.in_window(j) and self.in_window(i + j)):
                 raise AlgebraFormatError(f"mult block ({i}, {j}) has degrees outside window")
-            arr = field.reduce(table, copy)
+            arr = (np.array if copy else np.asarray)(table, dtype=np.int64, order="C")
             want = (self.dims[i], self.dims[j], self.dims[i + j])
             if arr.shape != want:
                 raise AlgebraFormatError(
                     f"mult block ({i}, {j}) must have shape {want}, got {arr.shape}"
                 )
-            if arr.size and arr.any():
+            # as uint64 a negative entry is above every p, so one max tells
+            # both whether the block needs reducing and whether it is nonzero
+            top = arr.view(np.uint64).max() if arr.size else 0
+            if top >= field.p:
+                top = field.reduce(arr, copy=False).any()
+            if top:
                 arr.setflags(write=False)
                 self.mult[(i, j)] = arr
 
@@ -758,12 +767,12 @@ class _Declined(Exception):
 
 
 # A table whose text ends within this many characters stays in the text for
-# json.loads: below about 500 characters that and int_array are faster than
-# reading the table directly.
-_SHORT_ENTRY = 512
+# json.loads, and is written by json.dumps.  Per table of single digits
+# (x86-64, 200 tables of one shape), json.loads and int_array read one faster
+# than _read_table below about 45 characters, and json.dumps writes one
+# faster than filling its template below about 110.
+_SHORT_ENTRY = 64
 _TABLE_KEY = re.compile(r'"table"\s*:\s*')
-# a table's text ends before the next string or the end of its entry
-_VALUE_END = re.compile(r'["}]')
 # the digits become "d", and a "d" in the text becomes "?", so that a "d"
 # after marking always stands for a digit
 _MARK_DIGITS = bytes.maketrans(b"0123456789d", b"d" * 10 + b"?")
@@ -772,27 +781,54 @@ _MARK_DIGITS = bytes.maketrans(b"0123456789d", b"d" * 10 + b"?")
 def _read_ring_payload(text: str) -> dict:
     """json.loads(text), but with the table of each long mult entry as an int64 array.
 
-    Each long table is cut out and replaced by the placeholder string
-    "\\u0000<k>", k counting the tables cut; json.loads reads the stitched
-    text once, and the tables are put back where the placeholders came out.
-    JSON spells NUL only as \\u0000, so in a text without it every NUL-led
-    string is a placeholder.  Raises _Declined (or a ValueError) where the
-    result could differ from json.loads followed by int_array: a table
-    _read_table declines, or a placeholder that does not come back, in
-    order, as the table of a mult entry with i and j.
+    One scan finds the "table" keys (str.find, then _TABLE_KEY.match).  Each
+    long table is cut out, checked by _read_table and replaced by the
+    placeholder string "\\u0000<k>", k counting the tables cut; json.loads
+    reads the stitched text once, and the tables are put back where the
+    placeholders came out.  An ASCII text is encoded once and its tables are
+    sliced from the bytes; any other text encodes each table apart.  The
+    digits of every cut table become int64 in one numpy call, and each table
+    is a view of that array in its shape.  JSON spells NUL only as \\u0000,
+    and a cut table holds only digits, brackets, commas and whitespace, so in
+    a stitched text with no \\u0000 beyond the placeholders every NUL-led
+    string is one.  Raises _Declined (or a ValueError) where the result could
+    differ from json.loads followed by int_array: a table _read_table
+    declines, or a placeholder that does not come back, in order, as the
+    table of a mult entry with i and j.
     """
-    if "\\u0000" in text:
-        raise _Declined
-    pieces, tables, at, done = [], [], 0, 0
-    while (key := _TABLE_KEY.search(text, at)) is not None:
-        at = key.end()
-        if _VALUE_END.search(text, at, at + _SHORT_ENTRY):
+    data = text.encode("ascii") if text.isascii() else None
+    pieces, shapes, digits, at, done = [], [], [], 0, 0
+    while (at := text.find('"table"', at)) >= 0:
+        if (key := _TABLE_KEY.match(text, at)) is None:
+            at += 1
             continue
-        table, end = _read_table(text, at)
-        pieces += [text[done:at], f'"\\u0000{len(tables)}"']
-        tables.append(table)
+        at = key.end()
+        # the table ends at the last "]" before the end of its entry or the
+        # next string; every table is preceded by its key, so the scans
+        # never overlap
+        stop = text.find('"', at)
+        stop = len(text) if stop < 0 else stop
+        close = text.find("}", at, stop)
+        stop = stop if close < 0 else close
+        if stop - at < _SHORT_ENTRY:
+            continue
+        end = text.rfind("]", at, stop) + 1
+        shape, table_digits = _read_table(data[at:end] if data is not None else text[at:end].encode("ascii"))
+        pieces += [text[done:at], f'"\\u0000{len(shapes)}"']
+        shapes.append(shape)
+        digits.append(table_digits)
         at = done = end
-    payload = json.loads("".join(pieces) + text[done:])
+    pieces.append(text[done:])
+    stitched = "".join(pieces)
+    if stitched.count("\\u0000") != len(shapes):
+        raise _Declined
+    payload = json.loads(stitched)
+    values = np.subtract(np.frombuffer(b"".join(digits), dtype=np.uint8), ord("0"), dtype=np.int64)
+    tables, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        tables.append(values[start : start + size].reshape(shape))
+        start += size
     mult = payload.get("mult") if isinstance(payload, dict) else None
     found = 0
     for entry in mult if isinstance(mult, list) else ():
@@ -807,35 +843,27 @@ def _read_ring_payload(text: str) -> dict:
     return payload
 
 
-def _read_table(text: str, at: int) -> tuple[np.ndarray, int]:
-    """The rectangular array of single digits written at text[at], and the index past it.
+def _read_table(table: bytes) -> tuple[tuple[int, ...], bytes]:
+    """The shape and the digits of the rectangular array of single digits written in ``table``.
 
     Single-digit tables decode from bytes; any other text goes whole through
-    json.loads.  Declines (raises _Declined) unless the text, whitespace
-    taken out, is the _template of a nonempty shape of depth 1 to 3 with a
-    digit in every slot: a number of two or more digits, a negative entry or
-    a number split by whitespace leaves marks that are not the template
-    (two adjacent ones, or a "-" among them).  Every ring written over
-    p <= 7 passes.
+    json.loads.  One bytes.translate marks the digits and drops whitespace,
+    and the result must be the _template of a nonempty shape of depth 1 to
+    3, with a digit in every slot; otherwise the table is declined (raises
+    _Declined).  A number of two or more digits, a negative entry or a
+    number split by whitespace leaves marks that are not the template (two
+    adjacent ones, or a "-" among them).  A table that passes holds only
+    digits, brackets, commas and whitespace, so its digits, in order, are
+    what deleting the rest leaves.  Every ring written over p <= 7 passes.
     """
-    # the table ends at the last "]" before the end of its entry or the next
-    # key; every table is preceded by its key, so the scans never overlap
-    key = text.find('"', at)
-    stop = len(text) if key < 0 else key
-    close = text.find("}", at, stop)
-    end = text.rfind("]", at, stop if close < 0 else close) + 1
-    packed = text[at:end].encode("ascii").translate(None, b" \t\n\r")
-    depth = len(packed) - len(packed.lstrip(b"["))
+    marked = table.translate(_MARK_DIGITS, b" \t\n\r")
+    depth = len(marked) - len(marked.lstrip(b"["))
     if not 1 <= depth <= 3:
         raise _Declined
-    # with only the digits marked, a table of single digits is the template
-    # of its shape, and its digits are what the brackets and commas leave
-    marked = packed.translate(_MARK_DIGITS)
     shape = _shape(marked, depth)
-    if marked != _template(shape) or not all(shape):
+    if not all(shape) or marked != _template(shape):
         raise _Declined
-    digits = np.frombuffer(packed.translate(None, b"[],"), dtype=np.uint8)
-    return np.subtract(digits, ord("0"), dtype=np.int64).reshape(shape), end
+    return shape, table.translate(None, b"[], \t\n\r")
 
 
 def _shape(text: bytes, depth: int) -> tuple[int, ...]:

@@ -26,10 +26,14 @@ def parse_int_keys(mapping: dict, what: str) -> dict[int, int]:
     if not isinstance(mapping, dict):
         raise ValueError(f"{what} must be an object keyed by degree, not {type(mapping).__name__}")
     out: dict[int, int] = {}
+    keys: dict[int, str] = {}
     for key, value in mapping.items():
         try:
-            out[int(key)] = value
+            d = int(key)
         except (TypeError, ValueError):
             raise ValueError(f"{what}: key {key!r} is not an integer") from None
+        if d in keys:
+            raise ValueError(f"{what}: keys {keys[d]!r} and {key!r} both name degree {d}")
+        keys[d], out[d] = key, value
     return out
 

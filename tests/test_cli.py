@@ -262,6 +262,17 @@ def test_analyze_bad_functional_text_exits_two(t2_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("key", ["labels", "dims"])
+def test_analyze_refuses_two_keys_for_one_degree(tmp_path, capsys, key):
+    # "0" and "00" both name degree 0; the last one used to win silently
+    ring = {"field_char": 2, "window": [0, 0], "dims": {"0": 1}, "unit": [1], "mult": []}
+    ring[key] = {"labels": {"0": ["a"], "00": ["b"]}, "dims": {"0": 1, "00": 2}}[key]
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(ring), encoding="utf-8")
+    assert main(["analyze", str(path), "--check", "validate"]) == 2
+    assert capsys.readouterr().err == f"input error: {key}: keys '0' and '00' both name degree 0\n"
+
+
 @pytest.mark.parametrize("flags", [
     ["--check", "selfdual"],
     ["--check", "orthogonality", "--r", "w1"],

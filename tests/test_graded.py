@@ -741,7 +741,47 @@ def test_json_writer_matches_the_oracle(ring, short_entry):
         assert algebra_to_json(ring) == canonical_json(algebra_to_json_dict(ring))
 
 
+# every label holds a character beyond ASCII, which json.dumps writes raw with ensure_ascii False
+_NON_ASCII_RING = WindowedGradedAlgebra(
+    _SMALL_RINGS[0].field, _SMALL_RINGS[0].window, _SMALL_RINGS[0].dims, _SMALL_RINGS[0].mult, _SMALL_RINGS[0].unit,
+    {d: [f"\u2202{k}" for k in range(n)] for d, n in _SMALL_RINGS[0].dims.items()},
+)
+
+
+@settings(max_examples=300)
+@given(
+    (st.sampled_from(_SMALL_RINGS) | sparse_windowed_algebras()).flatmap(relabelled),
+    st.booleans(),
+    st.sampled_from([0, graded._SHORT_ENTRY]),
+)
+@example(_NON_ASCII_RING, True, 0)
+@example(_NON_ASCII_RING, True, graded._SHORT_ENTRY)
+def test_json_reader_matches_the_oracle_on_labelled_rings(ring, raw, short_entry):
+    # the writer escapes every non-ASCII character; a text that keeps them raw
+    # is not encoded whole, and the reader encodes each table it cuts apart
+    text = json.dumps(algebra_to_json_dict(ring), ensure_ascii=False) if raw else algebra_to_json(ring)
+    assert_reads_like_the_oracle(text, short_entry)
+
+
 _TABLE = "[[[1,0],[0,1]],[[0,1],[1,0]]]"
+
+
+def _two_table_ring(first: str = "", middle: str = "", tail: str = "") -> str:
+    """A ring on [0, 1], degree 0 of dimension 8 and degree 1 of dimension 4,
+    with two mult entries: (0, 0), whose table is cut at a _SHORT_ENTRY of 512
+    or less, and (0, 1), whose table is cut only below 512.  ``first`` holds
+    more keys of the first entry, after its table, ``middle`` more entries
+    between the two, and ``tail`` more keys after the last one."""
+    first_table = json.dumps([[[(a + b * c) % 3 for c in range(8)] for b in range(8)] for a in range(8)])
+    second_table = json.dumps([[[(a * b + c) % 3 for c in range(4)] for b in range(4)] for a in range(8)], separators=(",", ":"))
+    assert graded._SHORT_ENTRY < len(second_table) < 512 < len(first_table)
+    return (
+        '{"dims":{"0":8,"1":4},"field_char":3,"mult":[{"i":0,"j":0,"table":' + first_table + first + "},"
+        + middle + '{"i":0,"j":1,"table":' + second_table + '}],"unit":[1,0,0,0,0,0,0,0],'
+        '"window":[0,1]' + tail + "}"
+    )
+
+
 # texts where a cut-out table's placeholder could come back out of place
 _PLACEHOLDER_EDGE_TEXTS = {
     "a label holding NUL": _degree_zero_ring(_TABLE).replace('"window"', '"labels":{"0":["a\\u0000","b"]},"window"'),
@@ -754,11 +794,23 @@ _PLACEHOLDER_EDGE_TEXTS = {
     "a table key nested in a last entry without one": _degree_zero_ring(_TABLE).replace(
         "}],", '},{"j":0,"x":{"table":' + _TABLE + "}}],"
     ),
+    # NUL in the text json.loads reads: between two cut tables, and after the last one
+    "a label holding NUL between two tables": _two_table_ring(first=',"labels":["a\\u0000"]'),
+    "a label holding NUL after the last table": _two_table_ring(
+        tail=',"labels":' + json.dumps({"0": ["\0a"] + ["b"] * 7, "1": ["c"] * 4})
+    ),
+    "a string table spelled like a placeholder, between two tables": _two_table_ring(
+        middle='{"i":1,"j":0,"table":"\\u00001"},'
+    ),
+    "a string table spelled like the next placeholder, after the last table": _two_table_ring().replace(
+        "]}],", ']},{"i":1,"j":0,"table":"\\u00002"}],'
+    ),
 }
 
 
 @pytest.mark.parametrize("text", _PLACEHOLDER_EDGE_TEXTS.values(), ids=_PLACEHOLDER_EDGE_TEXTS.keys())
-@pytest.mark.parametrize("short_entry", [0, graded._SHORT_ENTRY])
+# at 512 the two-table ring's second table stays in the text, and only its first is cut
+@pytest.mark.parametrize("short_entry", [0, graded._SHORT_ENTRY, 512])
 def test_json_reader_matches_the_oracle_where_placeholders_could_stray(text, short_entry):
     assert_reads_like_the_oracle(text, short_entry)
 
@@ -782,6 +834,30 @@ def test_json_caps_window_and_degree_dimensions():
     assert algebra_from_json_dict(dict(ring, window=[-32, 32])).window == (-32, 32)
     with pytest.raises(AlgebraFormatError, match="stay within"):
         algebra_from_json_dict(dict(ring, window=[-33, 0]))
+
+
+@pytest.mark.parametrize("p", [2, 5])
+@pytest.mark.parametrize("copy", [True, False])
+def test_constructor_reduces_drops_and_freezes_blocks(p, copy):
+    tables = {
+        (0, 0): np.ones((1, 1, 1), dtype=np.int64),
+        (0, 1): np.array([[[-1, 2**62], [p, 1]]], dtype=np.int64),
+        (1, 0): np.full((2, 1, 2), p, dtype=np.int64),  # zero mod p
+    }
+    given = {key: table.copy() for key, table in tables.items()}
+    ring = WindowedGradedAlgebra(PrimeField(p), (0, 1), {0: 1, 1: 2}, given, [1], copy=copy)
+    reduced = [[[p - 1, 2**62 % p], [0, 1]]]
+    assert set(ring.mult) == {(0, 0), (0, 1)}
+    assert ring.mult[(0, 1)].tolist() == reduced
+    assert all(block.dtype == np.int64 and not block.flags.writeable for block in ring.mult.values())
+    if copy:
+        # the caller's arrays are left as they were
+        assert all(np.array_equal(given[key], tables[key]) and given[key].flags.writeable for key in tables)
+        assert all(ring.mult[key] is not given[key] for key in ring.mult)
+    else:
+        # taken over: reduced in place and made read-only
+        assert all(ring.mult[key] is given[key] for key in ring.mult)
+        assert given[(0, 1)].tolist() == reduced
 
 
 def test_constructor_rejects_window_without_zero():

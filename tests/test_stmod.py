@@ -1592,9 +1592,10 @@ def test_written_rings_load_with_long_tables_cut_out(monkeypatch):
 def test_written_rings_keep_long_tables_out_of_json_dumps(monkeypatch):
     # cost guard: algebra_to_json writes each long table of single digits by
     # filling its template, or every write pays for a list and a string per
-    # entry.  The analyze-te3 ring's long tables reach json.dumps only as
-    # placeholders; every table of the Klein-four ring on [-7, 7] is short
-    # and goes through json.dumps as a list
+    # entry, and each short one through json.dumps as a list, where filling
+    # its template costs more.  The analyze-te3 ring and the Klein-four ring
+    # on [-7, 7] both have tables of both kinds, and each goes the way its
+    # length says: a long one reaches json.dumps only as a placeholder
     te3 = build_trivial_extension(3, (-9, 8), 2)
     klein = stmod.tate_ring(stmod.trivial_module(build_truncated_ci((2, 2), 2)), (-7, 7))
     dumps, dumped = json.dumps, []
@@ -1607,10 +1608,14 @@ def test_written_rings_keep_long_tables_out_of_json_dumps(monkeypatch):
     for ring in (te3, klein):
         algebra_to_json(ring)
     assert len(dumped) == 2
-    te3_tables, klein_tables = ([entry["table"] for entry in payload["mult"]] for payload in dumped)
+    te3_tables = [entry["table"] for entry in dumped[0]["mult"]]
     assert "\0" in te3_tables
     assert all(np.size(table) < 256 for table in te3_tables if isinstance(table, list))
-    assert klein_tables and all(isinstance(table, list) for table in klein_tables)
+    for ring, payload in ((te3, dumped[0]), (klein, dumped[1])):
+        short = [graded._digits_length(ring.mult[(entry["i"], entry["j"])].shape) < graded._SHORT_ENTRY for entry in payload["mult"]]
+        assert [isinstance(entry["table"], list) for entry in payload["mult"]] == short
+        assert [entry["table"] for entry in payload["mult"] if not isinstance(entry["table"], list)] == ["\0"] * short.count(False)
+        assert any(short) and not all(short)
 
 
 def record_rref_shapes(monkeypatch) -> list[tuple[int, int]]:

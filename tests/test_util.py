@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -25,3 +26,10 @@ def test_parse_int_keys():
     assert parse_int_keys({"-2": 5, "0": 1}, "dims") == {-2: 5, 0: 1}
     with pytest.raises(ValueError):
         parse_int_keys({"x": 1}, "dims")
+
+
+@pytest.mark.parametrize("second", ["00", "-0", "+0", " 0", "0_0"])
+def test_parse_int_keys_refuses_two_keys_for_one_degree(second):
+    # the last key used to win silently: {"0": ["a"], "00": ["b"]} gave label b
+    with pytest.raises(ValueError, match=re.escape(f"labels: keys '0' and {second!r} both name degree 0")):
+        parse_int_keys({"0": ["a"], second: ["b"]}, "labels")
