@@ -59,11 +59,18 @@ def as_residues(data, p: int, copy: bool = True) -> np.ndarray:
 
     With ``copy`` False a C-ordered int64 array is reduced in place instead.
     """
+    return residues_and_max(data, p, copy)[0]
+
+
+def residues_and_max(data, p: int, copy: bool = True) -> tuple[np.ndarray, int]:
+    """as_residues(data, p, copy), and the largest entry before reducing, read
+    as uint64 (0 for an empty array): below p, nothing was reduced."""
     arr = np.array(data, dtype=np.int64, order="C") if copy else np.asarray(data, dtype=np.int64, order="C")
     # read as uint64 a negative entry is above every p, so one max finds both
-    if arr.size and arr.view(np.uint64).max() >= p:
+    top = int(arr.view(np.uint64).max()) if arr.size else 0
+    if top >= p:
         _reduce(arr, p)
-    return arr
+    return arr, top
 
 
 # The float64 path converts and scans every operand entry once, so it pays only

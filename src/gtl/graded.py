@@ -44,7 +44,7 @@ from typing import Iterable
 import numpy as np
 
 from . import util
-from .exactlin import PrimeField, matmul_mod, rref, solve_mod
+from .exactlin import PrimeField, matmul_mod, residues_and_max, rref, solve_mod
 from .report import FAIL, OUT_OF_WINDOW, PASS, CertifiedReport
 
 
@@ -367,17 +367,15 @@ class WindowedGradedAlgebra:
             i, j = int(i), int(j)
             if not (self.in_window(i) and self.in_window(j) and self.in_window(i + j)):
                 raise AlgebraFormatError(f"mult block ({i}, {j}) has degrees outside window")
-            arr = (np.array if copy else np.asarray)(table, dtype=np.int64, order="C")
+            arr, top = residues_and_max(table, field.p, copy)
             want = (self.dims[i], self.dims[j], self.dims[i + j])
             if arr.shape != want:
                 raise AlgebraFormatError(
                     f"mult block ({i}, {j}) must have shape {want}, got {arr.shape}"
                 )
-            # as uint64 a negative entry is above every p, so one max tells
-            # both whether the block needs reducing and whether it is nonzero
-            top = arr.view(np.uint64).max() if arr.size else 0
+            # below p the entries were the residues and top is their max
             if top >= field.p:
-                top = field.reduce(arr, copy=False).any()
+                top = arr.any()
             if top:
                 arr.setflags(write=False)
                 self.mult[(i, j)] = arr
@@ -785,18 +783,17 @@ def _read_ring_payload(text: str) -> dict:
     long table is cut out, checked by _read_table and replaced by the
     placeholder string "\\u0000<k>", k counting the tables cut; json.loads
     reads the stitched text once, and the tables are put back where the
-    placeholders came out.  An ASCII text is encoded once and its tables are
-    sliced from the bytes; any other text encodes each table apart.  The
-    digits of every cut table become int64 in one numpy call, and each table
-    is a view of that array in its shape.  JSON spells NUL only as \\u0000,
-    and a cut table holds only digits, brackets, commas and whitespace, so in
-    a stitched text with no \\u0000 beyond the placeholders every NUL-led
-    string is one.  Raises _Declined (or a ValueError) where the result could
-    differ from json.loads followed by int_array: a table _read_table
-    declines, or a placeholder that does not come back, in order, as the
-    table of a mult entry with i and j.
+    placeholders came out.  The digits of every cut table become int64 in
+    one numpy call, and each table is a view of that array in its shape: a
+    ring read this way holds the whole array, the digits of blocks it drops
+    as zero mod p included, while any of its blocks lives.  JSON spells NUL
+    only as \\u0000, and a cut table holds only digits, brackets, commas and
+    whitespace, so in a stitched text with no \\u0000 beyond the placeholders
+    every NUL-led string is one.  Raises _Declined (or a ValueError) where
+    the result could differ from json.loads followed by int_array: a table
+    _read_table declines, or a placeholder that does not come back, in
+    order, as the table of a mult entry with i and j.
     """
-    data = text.encode("ascii") if text.isascii() else None
     pieces, shapes, digits, at, done = [], [], [], 0, 0
     while (at := text.find('"table"', at)) >= 0:
         if (key := _TABLE_KEY.match(text, at)) is None:
@@ -813,7 +810,7 @@ def _read_ring_payload(text: str) -> dict:
         if stop - at < _SHORT_ENTRY:
             continue
         end = text.rfind("]", at, stop) + 1
-        shape, table_digits = _read_table(data[at:end] if data is not None else text[at:end].encode("ascii"))
+        shape, table_digits = _read_table(text[at:end].encode("ascii"))
         pieces += [text[done:at], f'"\\u0000{len(shapes)}"']
         shapes.append(shape)
         digits.append(table_digits)

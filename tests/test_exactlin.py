@@ -17,6 +17,7 @@ from gtl.exactlin import (
     kernel_mod,
     matmul_mod,
     rank_mod,
+    residues_and_max,
     rref,
     solve_mod,
 )
@@ -325,6 +326,16 @@ def test_as_residues_reduces_every_int64(p, values):
     got = as_residues(data, p)
     assert np.array_equal(got, want) and got is not data
     assert as_residues(data, p, copy=False) is data and np.array_equal(data, want)
+
+
+@given(st.sampled_from([2, 3, 7, MAX_CHAR - 1]), st.lists(st.integers(-(2**63), 2**63 - 1), max_size=6))
+def test_residues_and_max_reads_the_max_before_reducing(p, values):
+    data = np.array(values, dtype=np.int64)
+    got, top = residues_and_max(data, p)
+    # a negative entry reads as itself plus 2**64, so it is above every p
+    assert top == max((v % 2**64 for v in values), default=0)
+    assert np.array_equal(got, [v % p for v in values]) and got is not data
+    assert (top < p) == all(0 <= v < p for v in values)
 
 
 @st.composite

@@ -757,8 +757,9 @@ _NON_ASCII_RING = WindowedGradedAlgebra(
 @example(_NON_ASCII_RING, True, 0)
 @example(_NON_ASCII_RING, True, graded._SHORT_ENTRY)
 def test_json_reader_matches_the_oracle_on_labelled_rings(ring, raw, short_entry):
-    # the writer escapes every non-ASCII character; a text that keeps them raw
-    # is not encoded whole, and the reader encodes each table it cuts apart
+    # the writer escapes every non-ASCII character; kept raw, they set the
+    # text's character offsets apart from its byte offsets, and the reader
+    # cuts its tables by character offset
     text = json.dumps(algebra_to_json_dict(ring), ensure_ascii=False) if raw else algebra_to_json(ring)
     assert_reads_like_the_oracle(text, short_entry)
 
