@@ -21,16 +21,17 @@ size.  FDAlgebra's check is the one-degree case of the same routine.
 Ring files are read in time linear in their size (algebra_from_json), and
 json.loads is the only parser of their structure: single-digit tables decode
 from bytes; any other text goes whole through json.loads.  One scan finds
-the table keys.  Each long table of single digits is cut out of the text and,
-after one bytes.translate, matched against the template of its shape;
-json.loads reads the rest once.  The digits of every cut table become one
-int64 array in one numpy call, and each table is a view of it in its shape;
-json.loads stays the reference and the only source of errors.  The
-constructor reads one maximum per block, which says both whether the block
-needs reducing mod p and whether it is zero.  Ring files are written the
-same way round (algebra_to_json): each long table of single digits fills its
-template and json.dumps writes the rest once.  Reader and writer cut at the
-same length, _SHORT_ENTRY, and build templates with one routine, _template.
+the table keys.  Each long table is cut out of the text, json.loads reads the
+rest once, and each cut table must then be the template of the shape
+``dims`` gives its block.  Their digits become one int64 array in one numpy
+call, and each table is a view of it in its shape.  A key named twice in one
+object is an error (load_json).  The constructor reads one maximum per
+block, which says both whether the block needs reducing mod p and whether it
+is zero.  Ring files are written the same way round (algebra_to_json): each
+long table of single digits fills its template, json.dumps writes the rest
+once, and the tables are spliced in at their "table" keys.  Reader and
+writer cut at the same length, _SHORT_ENTRY, and build templates with one
+routine, _template.
 """
 
 from __future__ import annotations
@@ -695,11 +696,10 @@ def algebra_to_json(alg: WindowedGradedAlgebra) -> str:
     least _SHORT_ENTRY characters long is written by filling its shape's
     _template, and json.dumps writes the rest, with the placeholder string
     "\\u0000" where each such table goes.  The tables are spliced in
-    afterwards, in order.  A ring with a NUL in a label, which json.dumps
-    would write as a placeholder's text, is written whole by json.dumps.
+    afterwards, in order, at each "table":"\\u0000".  Only a written table
+    puts that text there: within a string json.dumps escapes the quote after
+    table, so a label, NUL or not, never takes a table's place.
     """
-    if alg.labels is not None and any("\0" in name for names in alg.labels.values() for name in names):
-        return util.canonical_json(algebra_to_json_dict(alg))
     tables: list[str] = []
 
     def write_table(table: np.ndarray):
@@ -710,11 +710,8 @@ def algebra_to_json(alg: WindowedGradedAlgebra) -> str:
         tables.append(text.tobytes().decode("ascii"))
         return "\0"
 
-    document = util.canonical_json(_payload(alg, write_table))
-    if not tables:
-        return document
-    pieces = document.split('"\\u0000"')
-    pieces[1:] = [text for pair in zip(tables, pieces[1:]) for text in pair]
+    pieces = util.canonical_json(_payload(alg, write_table)).split('"table":"\\u0000"')
+    pieces[1:] = ['"table":' + text + piece for text, piece in zip(tables, pieces[1:])]
     return "".join(pieces)
 
 
@@ -728,15 +725,29 @@ def _digits_length(shape: tuple[int, ...]) -> int:
     return length
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The object json.loads reads as ``pairs``; a key named twice in it is an AlgebraFormatError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        twice = next(key for key in keys if keys.count(key) > 1)
+        raise AlgebraFormatError(f"key {twice!r} appears twice in one object")
+    return obj
+
+
 def load_json(text: str):
     """json.loads, with every decoding failure as AlgebraFormatError("invalid JSON: ...").
 
     Besides syntax errors that covers nesting too deep for the decoder and
     integers longer than int() converts; the advice int() gives then (call
     sys.set_int_max_str_digits) is for programmers, not for a file's author.
+    A key named twice in one object, which json.loads would let the last
+    copy win, is an AlgebraFormatError that names the key (_unique_keys).
     """
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except AlgebraFormatError:
+        raise
     except (ValueError, RecursionError) as exc:
         reason = str(exc).split("; use sys.set_int_max_str_digits")[0]
         raise AlgebraFormatError(f"invalid JSON: {reason}") from None
@@ -746,11 +757,12 @@ def algebra_from_json(text: str) -> WindowedGradedAlgebra:
     """The ring a graded-format JSON text describes, in time linear in its size.
 
     Single-digit tables decode from bytes; any other text goes whole through
-    json.loads.  The ``table`` of each long mult entry is cut out of the text
-    and decoded from its bytes (_read_table); json.loads reads the rest
-    (_read_ring_payload).  A text that reader cannot turn into exactly what
-    json.loads and int_array give (a table with a two-digit or negative
-    entry, say) goes whole through json.loads instead, so both routes accept
+    json.loads.  The ``table`` of each long mult entry is cut out of the text,
+    json.loads reads the rest, and each cut table is decoded from its bytes
+    in the shape its block has by ``dims`` (_read_ring_payload).  A text that
+    reader cannot turn into exactly what json.loads and int_array give (a
+    table with a two-digit or negative entry, or a block ``dims`` gives no
+    shape, say) goes whole through load_json instead, so both routes accept
     the same texts, build the same ring and raise the same errors.
     """
     try:
@@ -767,8 +779,8 @@ class _Declined(Exception):
 # A table whose text ends within this many characters stays in the text for
 # json.loads, and is written by json.dumps.  Per table of single digits
 # (x86-64, 200 tables of one shape), json.loads and int_array read one faster
-# than _read_table below about 45 characters, and json.dumps writes one
-# faster than filling its template below about 110.
+# than decoding its bytes below about 45 characters, and json.dumps writes
+# one faster than filling its template below about 110.
 _SHORT_ENTRY = 64
 _TABLE_KEY = re.compile(r'"table"\s*:\s*')
 # the digits become "d", and a "d" in the text becomes "?", so that a "d"
@@ -780,21 +792,24 @@ def _read_ring_payload(text: str) -> dict:
     """json.loads(text), but with the table of each long mult entry as an int64 array.
 
     One scan finds the "table" keys (str.find, then _TABLE_KEY.match).  Each
-    long table is cut out, checked by _read_table and replaced by the
-    placeholder string "\\u0000<k>", k counting the tables cut; json.loads
-    reads the stitched text once, and the tables are put back where the
-    placeholders came out.  The digits of every cut table become int64 in
-    one numpy call, and each table is a view of that array in its shape: a
-    ring read this way holds the whole array, the digits of blocks it drops
-    as zero mod p included, while any of its blocks lives.  JSON spells NUL
-    only as \\u0000, and a cut table holds only digits, brackets, commas and
-    whitespace, so in a stitched text with no \\u0000 beyond the placeholders
-    every NUL-led string is one.  Raises _Declined (or a ValueError) where
-    the result could differ from json.loads followed by int_array: a table
-    _read_table declines, or a placeholder that does not come back, in
-    order, as the table of a mult entry with i and j.
+    long table is cut out and replaced by the placeholder string
+    "\\u0000<k>", k counting the tables cut, and json.loads reads the
+    stitched text once.  Placeholder k must come back, in order, as the table
+    of a mult entry whose i and j give, through ``dims``, a shape
+    (dims i, dims j, dims i+j) of positive ints up to DIM_BOUND, and the cut
+    table, with whitespace dropped and its digits marked, must be that
+    shape's _template (lengths first, so a huge ``dims`` entry builds no
+    template).  Such a table holds only digits, brackets, commas and
+    whitespace, so its digits are what deleting the rest leaves.  The digits
+    of every cut table become int64 in one numpy call, and each table is a
+    view of that array: a ring read this way holds the whole array, the
+    digits of blocks it drops as zero mod p included, while any of its
+    blocks lives.  JSON spells NUL only as \\u0000, so in a stitched text
+    with no \\u0000 beyond the placeholders every NUL-led string is one.
+    Anything else raises _Declined (or a ValueError), where the result could
+    differ from json.loads followed by int_array.
     """
-    pieces, shapes, digits, at, done = [], [], [], 0, 0
+    pieces, cut, at, done = [], [], 0, 0
     while (at := text.find('"table"', at)) >= 0:
         if (key := _TABLE_KEY.match(text, at)) is None:
             at += 1
@@ -807,75 +822,46 @@ def _read_ring_payload(text: str) -> dict:
         stop = len(text) if stop < 0 else stop
         close = text.find("}", at, stop)
         stop = stop if close < 0 else close
-        if stop - at < _SHORT_ENTRY:
-            continue
         end = text.rfind("]", at, stop) + 1
-        shape, table_digits = _read_table(text[at:end].encode("ascii"))
-        pieces += [text[done:at], f'"\\u0000{len(shapes)}"']
-        shapes.append(shape)
-        digits.append(table_digits)
+        if stop - at < _SHORT_ENTRY or end <= at:
+            continue
+        pieces += [text[done:at], f'"\\u0000{len(cut)}"']
+        cut.append(text[at:end].encode("ascii"))
         at = done = end
     pieces.append(text[done:])
     stitched = "".join(pieces)
-    if stitched.count("\\u0000") != len(shapes):
+    if stitched.count("\\u0000") != len(cut):
         raise _Declined
-    payload = json.loads(stitched)
-    values = np.subtract(np.frombuffer(b"".join(digits), dtype=np.uint8), ord("0"), dtype=np.int64)
-    tables, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        tables.append(values[start : start + size].reshape(shape))
-        start += size
+    payload = json.loads(stitched, object_pairs_hook=_unique_keys)
+    dims = payload.get("dims") if isinstance(payload, dict) else None
     mult = payload.get("mult") if isinstance(payload, dict) else None
-    found = 0
-    for entry in mult if isinstance(mult, list) else ():
+    if not isinstance(dims, dict) or not isinstance(mult, list):
+        raise _Declined
+    blocks = []
+    for entry in mult:
         table = entry.get("table") if isinstance(entry, dict) else None
-        if isinstance(table, str) and table.startswith("\0"):
-            if table != f"\0{found}" or not {"i", "j"} <= entry.keys():
-                raise _Declined
-            entry["table"] = tables[found]
-            found += 1
-    if found != len(tables):
+        if not (isinstance(table, str) and table.startswith("\0")):
+            continue
+        i, j = entry.get("i"), entry.get("j")
+        if table != f"\0{len(blocks)}" or type(i) is not int or type(j) is not int:
+            raise _Declined
+        shape = (dims.get(str(i)), dims.get(str(j)), dims.get(str(i + j)))
+        if not all(type(n) is int and 0 < n <= DIM_BOUND for n in shape):
+            raise _Declined
+        marked = cut[len(blocks)].translate(_MARK_DIGITS, b" \t\n\r")
+        if _digits_length(shape) != len(marked) or _template(shape) != marked:
+            raise _Declined
+        blocks.append((entry, shape))
+    if len(blocks) != len(cut):
         raise _Declined
+    digits = b"".join(cut).translate(None, b"[], \t\n\r")
+    values = np.subtract(np.frombuffer(digits, dtype=np.uint8), ord("0"), dtype=np.int64)
+    start = 0
+    for entry, shape in blocks:
+        size = math.prod(shape)
+        entry["table"] = values[start : start + size].reshape(shape)
+        start += size
     return payload
-
-
-def _read_table(table: bytes) -> tuple[tuple[int, ...], bytes]:
-    """The shape and the digits of the rectangular array of single digits written in ``table``.
-
-    Single-digit tables decode from bytes; any other text goes whole through
-    json.loads.  One bytes.translate marks the digits and drops whitespace,
-    and the result must be the _template of a nonempty shape of depth 1 to
-    3, with a digit in every slot; otherwise the table is declined (raises
-    _Declined).  A number of two or more digits, a negative entry or a
-    number split by whitespace leaves marks that are not the template (two
-    adjacent ones, or a "-" among them).  A table that passes holds only
-    digits, brackets, commas and whitespace, so its digits, in order, are
-    what deleting the rest leaves.  Every ring written over p <= 7 passes.
-    """
-    marked = table.translate(_MARK_DIGITS, b" \t\n\r")
-    depth = len(marked) - len(marked.lstrip(b"["))
-    if not 1 <= depth <= 3:
-        raise _Declined
-    shape = _shape(marked, depth)
-    if not all(shape) or marked != _template(shape):
-        raise _Declined
-    return shape, table.translate(None, b"[], \t\n\r")
-
-
-def _shape(text: bytes, depth: int) -> tuple[int, ...]:
-    """The shape read off the first sub-arrays of a table of ``depth``.
-
-    ``text`` is the table with every entry written as one "d", if it is
-    rectangular at all; otherwise it differs from the _template of the shape.
-    """
-    # the first array of depth k (counting from the innermost) starts after
-    # depth - k brackets and ends at the first k closing brackets
-    ends = [text.find(b"]" * k) for k in range(1, depth)]
-    if -1 in ends:
-        raise _Declined
-    lengths = [end + 2 * k - depth for k, end in enumerate(ends, 1)] + [len(text)]
-    return tuple((outer - 1) // (inner + 1) for inner, outer in zip([1] + lengths, lengths))[::-1]
 
 
 def _template(shape: tuple[int, ...]) -> bytes:

@@ -273,6 +273,20 @@ def test_analyze_refuses_two_keys_for_one_degree(tmp_path, capsys, key):
     assert capsys.readouterr().err == f"input error: {key}: keys '0' and '00' both name degree 0\n"
 
 
+@pytest.mark.parametrize("command, old, new, key", [
+    # json.loads alone would read the first ring over F3, and give degree 0 of the second dimension 2
+    ("analyze", '"field_char":2', '"field_char":2,"field_char":3', "field_char"),
+    ("analyze", '"dims":{', '"dims":{"0":1,"0":2,', "0"),
+    ("tate", '"dim":4', '"dim":4,"dim":4', "dim"),
+], ids=["analyze-field_char", "analyze-dims", "tate-dim"])
+def test_a_key_named_twice_in_one_object_exits_two(tmp_path, t2, klein_alg, command, old, new, key, capsys):
+    text = algebra_to_json(t2) if command == "analyze" else canonical_json(klein_alg.to_json_dict())
+    path = tmp_path / "twice.json"
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"input error: key '{key}' appears twice in one object\n"
+
+
 @pytest.mark.parametrize("flags", [
     ["--check", "selfdual"],
     ["--check", "orthogonality", "--r", "w1"],

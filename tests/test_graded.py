@@ -827,6 +827,54 @@ def test_json_reader_declines_to_the_oracle_error_messages():
     assert "set_int_max_str_digits" not in str(info.value)
 
 
+def _with_table_reshaped(text: str, index: int, shape: tuple[int, ...]) -> str:
+    """``text`` with the table of its mult entry ``index`` rewritten in ``shape``: the same digits."""
+    table = json.dumps(json.loads(text)["mult"][index]["table"], separators=(",", ":"))
+    assert table in text
+    return text.replace(table, json.dumps(np.reshape(json.loads(table), shape).tolist(), separators=(",", ":")))
+
+
+# texts with long tables whose shape the reader cannot read off dims, each
+# of which it must leave whole to json.loads
+_SHAPELESS_TEXTS = {
+    "no dims": _two_table_ring().replace('"dims":{"0":8,"1":4},', ""),
+    "a top-level list": "[" + _two_table_ring() + "]",
+    "dims as a list": _two_table_ring().replace('"dims":{"0":8,"1":4}', '"dims":[8,4]'),
+    **{
+        f"a dims value of {value}": _two_table_ring().replace('"0":8', '"0":' + value)
+        for value in ('"8"', "true", "0", str(10**9))
+    },
+    # degree 2 has dimension 0, so the oracle reads (1, 1) as an (8, 8, 0) table and drops it
+    "an i + j missing from dims": (
+        '{"dims":{"0":1,"1":8},"field_char":3,"mult":[{"i":1,"j":1,"table":'
+        + json.dumps([[[]] * 8] * 8, separators=(",", ":")) + '}],"unit":[1],"window":[0,2]}'
+    ),
+    "correct digits in the wrong shape": _with_table_reshaped(_two_table_ring(), 1, (4, 8, 4)),
+}
+
+
+@pytest.mark.parametrize("text", _SHAPELESS_TEXTS.values(), ids=_SHAPELESS_TEXTS.keys())
+@pytest.mark.parametrize("short_entry", [0, graded._SHORT_ENTRY])
+def test_json_reader_declines_where_dims_gives_no_shape(text, short_entry, monkeypatch):
+    monkeypatch.setattr(graded, "_SHORT_ENTRY", short_entry)
+    with pytest.raises(graded._Declined):
+        graded._read_ring_payload(text)
+    assert_reads_like_the_oracle(text, short_entry)
+
+
+@pytest.mark.parametrize("text, key", [
+    (_two_table_ring().replace('"field_char":3', '"field_char":2,"field_char":3'), "field_char"),
+    (_two_table_ring().replace('"dims":{"0":8,', '"dims":{"0":8,"0":8,'), "0"),
+    (_two_table_ring().replace('{"i":0,"j":1,', '{"i":0,"j":1,"i":0,'), "i"),
+], ids=["field_char", "dims entry", "mult entry key"])
+@pytest.mark.parametrize("short_entry", [0, graded._SHORT_ENTRY])
+def test_json_reader_refuses_a_key_named_twice_in_one_object(text, key, short_entry):
+    # json.loads alone keeps the last copy and drops the first without a word
+    assert_reads_like_the_oracle(text, short_entry)
+    with pytest.raises(AlgebraFormatError, match=f"^key '{key}' appears twice in one object$"):
+        algebra_from_json(text)
+
+
 def test_json_caps_window_and_degree_dimensions():
     ring = {"field_char": 2, "window": [0, 1], "dims": {"0": 1}, "unit": [1], "mult": []}
     assert algebra_from_json_dict(dict(ring, dims={"0": 1, "1": DIM_BOUND})).dims[1] == DIM_BOUND

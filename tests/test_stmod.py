@@ -1595,9 +1595,15 @@ def test_written_rings_keep_long_tables_out_of_json_dumps(monkeypatch):
     # entry, and each short one through json.dumps as a list, where filling
     # its template costs more.  The analyze-te3 ring and the Klein-four ring
     # on [-7, 7] both have tables of both kinds, and each goes the way its
-    # length says: a long one reaches json.dumps only as a placeholder
+    # length says: a long one reaches json.dumps only as a placeholder.  So
+    # does the te3 ring with a label "\0", which json.dumps writes as a
+    # placeholder's text, and labels that hold, escaped, the text each table
+    # is spliced at; its tables still go in at their "table" keys only
     te3 = build_trivial_extension(3, (-9, 8), 2)
     klein = stmod.tate_ring(stmod.trivial_module(build_truncated_ci((2, 2), 2)), (-7, 7))
+    labels = {d: list(names) for d, names in te3.labels.items()}
+    labels[2][:4] = ["\0", "table", '"table":"\0"', '"table":"\\u0000"']
+    labelled = WindowedGradedAlgebra(te3.field, te3.window, te3.dims, te3.mult, te3.unit, labels)
     dumps, dumped = json.dumps, []
 
     def recorded(payload, *args, **kwargs):
@@ -1605,17 +1611,19 @@ def test_written_rings_keep_long_tables_out_of_json_dumps(monkeypatch):
         return dumps(payload, *args, **kwargs)
 
     monkeypatch.setattr(graded.util.json, "dumps", recorded)
-    for ring in (te3, klein):
-        algebra_to_json(ring)
-    assert len(dumped) == 2
+    texts = [algebra_to_json(ring) for ring in (te3, klein, labelled)]
+    assert len(dumped) == 3
     te3_tables = [entry["table"] for entry in dumped[0]["mult"]]
     assert "\0" in te3_tables
     assert all(np.size(table) < 256 for table in te3_tables if isinstance(table, list))
-    for ring, payload in ((te3, dumped[0]), (klein, dumped[1])):
+    for ring, payload in zip((te3, klein, labelled), dumped):
         short = [graded._digits_length(ring.mult[(entry["i"], entry["j"])].shape) < graded._SHORT_ENTRY for entry in payload["mult"]]
         assert [isinstance(entry["table"], list) for entry in payload["mult"]] == short
         assert [entry["table"] for entry in payload["mult"] if not isinstance(entry["table"], list)] == ["\0"] * short.count(False)
         assert any(short) and not all(short)
+    monkeypatch.undo()
+    assert texts[2] == graded.util.canonical_json(graded.algebra_to_json_dict(labelled))
+    assert algebra_from_json(texts[2]) == labelled
 
 
 def record_rref_shapes(monkeypatch) -> list[tuple[int, int]]:
