@@ -834,7 +834,7 @@ def _read_ring_payload(text: str) -> dict:
         raise _Declined
     payload = json.loads(stitched, object_pairs_hook=_unique_keys)
     dims = payload.get("dims") if isinstance(payload, dict) else None
-    mult = payload.get("mult") if isinstance(payload, dict) else None
+    mult = payload.get("mult", []) if isinstance(payload, dict) else None
     if not isinstance(dims, dict) or not isinstance(mult, list):
         raise _Declined
     blocks = []
