@@ -741,7 +741,7 @@ def load_json(text: str):
     Besides syntax errors that covers nesting too deep for the decoder and
     integers longer than int() converts; the advice int() gives then (call
     sys.set_int_max_str_digits) is for programmers, not for a file's author.
-    A key named twice in one object, which json.loads would let the last
+    A key named twice in one object, where json.loads would let the last
     copy win, is an AlgebraFormatError that names the key (_unique_keys).
     """
     try:
