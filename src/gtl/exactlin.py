@@ -54,17 +54,17 @@ def _reduce(arr: np.ndarray, p: int) -> np.ndarray:
     return arr
 
 
-def as_residues(data, p: int, copy: bool = True) -> np.ndarray:
-    """Copy ``data`` into a new C-ordered int64 array of residues mod p.
-
-    With ``copy`` False a C-ordered int64 array is reduced in place instead.
-    """
-    return residues_and_max(data, p, copy)[0]
+def as_residues(data, p: int) -> np.ndarray:
+    """Copy ``data`` into a new C-ordered int64 array of residues mod p."""
+    return residues_and_max(data, p)[0]
 
 
 def residues_and_max(data, p: int, copy: bool = True) -> tuple[np.ndarray, int]:
-    """as_residues(data, p, copy), and the largest entry before reducing, read
-    as uint64 (0 for an empty array): below p, nothing was reduced."""
+    """as_residues(data, p), and the largest entry before reducing, read as
+    uint64 (0 for an empty array): below p, nothing was reduced.
+
+    With ``copy`` False a C-ordered int64 array is reduced in place instead.
+    """
     arr = np.array(data, dtype=np.int64, order="C") if copy else np.asarray(data, dtype=np.int64, order="C")
     # read as uint64 a negative entry is above every p, so one max finds both
     top = int(arr.view(np.uint64).max()) if arr.size else 0
@@ -286,5 +286,5 @@ class PrimeField:
         if not is_prime(self.p):
             raise ValueError(f"characteristic must be prime: {self.p}")
 
-    def reduce(self, data, copy: bool = True) -> np.ndarray:
-        return as_residues(data, self.p, copy)
+    def reduce(self, data) -> np.ndarray:
+        return as_residues(data, self.p)

@@ -482,8 +482,7 @@ def verify_depth2(
         raise PreconditionError("(r, rt) is not a window-certified regular sequence")
     nondeg = nondegenerate_products(alg, n)
     if not nondeg.passed:
-        bad = next(e.i for e in nondeg.entries if e.verdict != PASS)
-        raise PreconditionError(f"products into degree {n} are degenerate at degree {bad}")
+        raise PreconditionError(f"products into degree {n} are degenerate at degree {nondeg.failures()[0].key}")
 
     report = CertifiedReport(check="verify_depth2", n=n)
 

@@ -31,6 +31,7 @@ from gtl.gallery import build_laurent, build_trivial_extension, build_truncated_
 from gtl.graded import WindowedGradedAlgebra, algebra_from_json, algebra_to_json
 from gtl.util import canonical_json
 
+from test_duality import one_sided_ring
 from test_graded import TABLE_EDIT_CHARS, edited_text, quantum_plane, w_cubed
 from test_stmod import elementary_abelian_group_algebra
 
@@ -477,8 +478,11 @@ def test_analyze_integer_beyond_int64_exits_two(tmp_path, t2, capsys):
 
 # sha256 of `gtl analyze --json` output followed by the text output, per ring
 # and check, with the exit code.  Recorded before the per-degree reports moved
-# onto CertifiedReport.sweep; only `regularity` was re-recorded, because its
-# report shape changed on purpose (clauses `kernels` and `central`).
+# onto CertifiedReport.sweep.  Two checks were re-recorded on purpose:
+# `regularity`, whose report gained the clauses `kernels` and `central`, and
+# `nondegenerate`, whose text prints one verdict per degree ("-3: PASS", not
+# "-3: left PASS / right PASS") since its report became a CertifiedReport.
+# The nondegenerate JSON did not move: PINNED_NONDEGENERATE_JSON pins it alone.
 # Both rings search every functional at the pinned degree, so --seed and
 # --samples (given here at their defaults) leave the output as it is.
 ANALYZE_FLAGS = {
@@ -498,7 +502,7 @@ ANALYZE_OPTIONS = ("n", "r", "rt", "lam", "seed", "samples")
 PINNED_ANALYZE_OUTPUT = [
     ("t2", "validate", 0, "bf310f9d9d647d2100333e227df37bcd456c8a9445ce48c9a1102231c6428d2d"),
     ("t2", "central", 0, "e6b87a144280489d0926ac1fa0367256973a7eebc578c083cd8b835bfdd76f4d"),
-    ("t2", "nondegenerate", 0, "d8bfbb1389ef63d278f1a6dcd5add19a4d9218724f5badffaddffbfe373292e2"),
+    ("t2", "nondegenerate", 0, "8cf82eb3f8698db7ec7a03a6014a9776ff05853457d2dd6c43ad4a08d198e7e1"),
     ("t2", "selfdual", 0, "7762e7ca798ec95ddc1690429c342ad42b539a5d9d912a0ec9fe546487ac15b2"),
     ("t2", "find-functional", 0, "29bcb22bca4cc88e4e92d508394b38215b8b58c4ddc0faa7ed58ddc3d49d113b"),
     ("t2", "regularity", 0, "d7efb56a986ab3753b759b108f9c0f846bfe62eb7b8f6b759233ac92f5b1ba7e"),
@@ -511,7 +515,7 @@ PINNED_ANALYZE_OUTPUT = [
     ("t2", "depth2", 0, "b8004ac837cf78b88ea11fca106461b610745146e9285e675cd7649434303e54"),
     ("quantum-plane", "validate", 0, "83f73cf89df4bafb0c79d732dd63a57ef94037b3eafc3f81654bc6bfb068bab2"),
     ("quantum-plane", "central", 1, "d352d27685557703ad28b4b95cb21ce827041efbfc1645fb1722c5202b9141ae"),
-    ("quantum-plane", "nondegenerate", 0, "c862233aa209638e0d14f9b4f3f4af68ea03dde837a4ae372f68ee5801b05f2c"),
+    ("quantum-plane", "nondegenerate", 0, "77f657633cc2e6e74b2353650b01cd53e60d86bd4a0b2483342c17d596ec779a"),
     ("quantum-plane", "selfdual", 1, "1899a599574361b2815aec9cc971cf5daafe7aed8f9e4e9850c54613116aa53f"),
     ("quantum-plane", "find-functional", 1, "63bb59206166c20b9e77a645f7201067a73af7b671ac4f65ac507c7da182bf0a"),
     ("quantum-plane", "regularity", 1, "21f3c7ac3e3c2142b85d857d004a2da9a99e1f731b1dc0a5612bf358c75055fd"),
@@ -552,6 +556,25 @@ PINNED_ZERO_DEGREE_OUTPUT = [
     (("depth1", "--r", "w", "--n", "0"), 0, "de8f4e6a3f6b5f3fee4f5ab6ab26b6c1c7b89a46349a835a374fa52656a522ff"),
     (("regseq2", "--r", "w", "--rt", "w"), 1, "8770421a378ec25a4a7edca376f83815898301b77cf833e0ecfc7cdfaf11b27d"),
 ]
+
+
+# sha256 of `gtl analyze --json --check nondegenerate` alone, per ring and
+# pairing degree, with the exit code.  one_sided_ring fails on both sides.
+PINNED_NONDEGENERATE_JSON = [
+    ("t2", "-1", 0, "7d9a32e477e7f3ecd5011cc09aa534d5263164b73e18e4c5ff1d5d158887ba1f"),
+    ("quantum-plane", "2", 0, "e4d3032a4757d48418dcd02783bd3a0bb9917f06718a4c7d664fcb4a910f89e6"),
+    ("one-sided", "3", 1, "3b945dafd7e034224217ec92ab448e40f7b651e5952e31b9a42c2ed4b060dd56"),
+]
+
+
+@pytest.mark.parametrize("ring, n, code, digest", PINNED_NONDEGENERATE_JSON)
+def test_nondegenerate_json_bytes_are_pinned(ring, n, code, digest, tmp_path, t2, capsys):
+    alg = {"t2": t2, "quantum-plane": quantum_plane(2, 5), "one-sided": one_sided_ring()}[ring]
+    path = tmp_path / f"{ring}.json"
+    path.write_text(algebra_to_json(alg), encoding="utf-8")
+    assert main(["analyze", str(path), "--check", "nondegenerate", "--n", n, "--json"]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("check, code, digest", PINNED_ZERO_DEGREE_OUTPUT)

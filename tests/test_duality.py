@@ -54,18 +54,18 @@ def test_laurent_products_nondegenerate_at_every_degree(laurent):
         rep = nondegenerate_products(laurent, n)
         assert rep.passed
         for e in rep.entries:
-            assert e.left == PASS and e.right == PASS
+            assert e.verdict == PASS and e.witness is None
         # exactly the degrees whose partner n-i stays inside get entries
         lo, hi = laurent.window
         checkable = [i for i in laurent.degrees() if lo <= n - i <= hi]
-        assert sorted(e.i for e in rep.entries) == checkable
+        assert sorted(e.key for e in rep.entries) == checkable
 
 
 def test_partner_outside_window_is_unchecked_not_failed():
     alg = truncated_line()
     rep = nondegenerate_products(alg, 0)
     assert rep.unchecked == [1]
-    assert [e.i for e in rep.entries] == [0]
+    assert [e.key for e in rep.entries] == [0]
     assert rep.passed
     # at the socle degree everything is checkable
     full = nondegenerate_products(alg, 1)
@@ -101,10 +101,10 @@ def test_nondegenerate_failure_carries_kernel_witness():
     assert alg.validate().passed
     rep = nondegenerate_products(alg, 2)
     assert not rep.passed
-    entry = next(e for e in rep.entries if e.i == 1)
+    entry = next(e for e in rep.entries if e.key == 1)
     assert entry.verdict == FAIL
-    assert entry.witness["side"] == "left"
-    assert entry.witness["kernel"] == [0, 1]
+    assert entry.witness["witness"]["side"] == "left"
+    assert entry.witness["witness"]["kernel"] == [0, 1]
 
 
 def test_nondegenerate_names_a_right_side_kernel():
@@ -114,10 +114,11 @@ def test_nondegenerate_names_a_right_side_kernel():
     alg = one_sided_ring()
     assert alg.validate().passed
     rep = nondegenerate_products(alg, 3)
-    got = {e.i: (e.left, e.right, e.witness) for e in rep.entries}
-    assert got[1] == (PASS, FAIL, {"side": "right", "kernel": [1]})
-    assert got[2][:2] == (FAIL, FAIL) and got[2][2]["side"] == "left"
-    assert got[0] == got[3] == (PASS, PASS, None)
+    got = {e.key: (e.verdict, e.witness) for e in rep.entries}
+    assert got[1] == (FAIL, {"left": PASS, "right": FAIL, "witness": {"side": "right", "kernel": [1]}})
+    assert got[2][0] == FAIL
+    assert (got[2][1]["left"], got[2][1]["right"], got[2][1]["witness"]["side"]) == (FAIL, FAIL, "left")
+    assert got[0] == got[3] == (PASS, None)
 
 
 def test_report_json_shape(laurent):
