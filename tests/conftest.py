@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from gtl.gallery import build_laurent, build_trivial_extension, build_truncated_ci
 from gtl.stmod import FDAlgebra, FDModule, _free_action, tate_ring, trivial_module
+
+# The benchmark's workloads and recorded output digests, read and never written.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 # one deadline policy for every @given test: a cold runner's first examples
 # can exceed hypothesis's 200 ms default without anything being wrong
@@ -62,3 +69,20 @@ def t2():
 @pytest.fixture(scope="session")
 def laurent():
     return build_laurent(5, (-3, 3))
+
+
+@pytest.fixture(scope="session")
+def benchmark_gate(tmp_path_factory):
+    """``benchmark_gate(name, seed)``: the benchmark gate's verdict (None when
+    the output digest is as recorded) on one pass of a ``perfbench`` workload,
+    run once per session however many tests ask for it."""
+    verdicts = {}
+
+    def verdict(name: str, seed: int):
+        if (name, seed) not in verdicts:
+            reference = workloads.load_references()[name][workloads.input_variant(seed)]
+            case = workloads.WORKLOADS[name](seed, tmp_path_factory.mktemp(f"{name}-{seed}"))
+            verdicts[name, seed] = workloads.gate(case, case.run(), reference)
+        return verdicts[name, seed]
+
+    return verdict

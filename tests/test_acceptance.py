@@ -22,6 +22,7 @@ from gtl.gallery import (
     expected_tate_hh_dim,
 )
 
+from conftest import workloads
 from test_graded import reference_products
 
 
@@ -287,3 +288,15 @@ def test_8_property_suites_across_gallery(
         elapsed = time.perf_counter() - start
         assert elapsed <= 60.0
 
+
+
+# ---------------------------------------------------------------------------
+# 9. the benchmark's pass on the gallery basis reproduces its recorded output
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0])
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_9_benchmark_passes_match_their_recorded_digests(name, seed, benchmark_gate):
+    with _verdict(f"benchmark {name}, seed {seed}: output digest as recorded"):
+        assert benchmark_gate(name, seed) is None

@@ -3,24 +3,19 @@
 One pass of each ``perfbench`` workload, on the gallery basis and on two
 relabeled inputs, must reproduce the output digest recorded for it in
 ``perfbench/references.json``: the emitted Tate rings and the seven
-``gtl analyze`` reports byte for byte.
+``gtl analyze`` reports byte for byte. The pass is run once per session
+(``conftest.benchmark_gate``); ``test_acceptance`` reads the same verdict
+for the gallery basis.
 """
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-
-import workloads  # noqa: E402
+from conftest import workloads
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_one_pass_clears_the_benchmark_gate(name, seed, tmp_path):
-    case = workloads.WORKLOADS[name](seed, tmp_path)
-    reference = workloads.load_references()[name][workloads.input_variant(seed)]
-    assert workloads.gate(case, case.run(), reference) is None
+def test_one_pass_clears_the_benchmark_gate(name, seed, benchmark_gate):
+    assert benchmark_gate(name, seed) is None
