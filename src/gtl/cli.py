@@ -46,17 +46,6 @@ _INTEGERS = re.compile(r"^-?\d+(,-?\d+)*$")
 _JOINED = {"--r": DEGREE_INDEX, "--rt": DEGREE_INDEX, "--lam": _INTEGERS}
 
 
-def _load_graded(path: str) -> WindowedGradedAlgebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        return algebra_from_json(fh.read())
-
-
-def _load_fd(path: str) -> stmod.FDAlgebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = load_json(fh.read())
-    return gallery.fd_algebra_from_payload(payload)
-
-
 def _lam(arg: str) -> np.ndarray:
     try:
         values = [int(x) for x in arg.split(",")]
@@ -173,7 +162,8 @@ CHECKS = {
 
 
 def _cmd_analyze(args) -> int:
-    alg = _load_graded(args.algebra)
+    with open(args.algebra, "r", encoding="utf-8") as fh:
+        alg = algebra_from_json(fh.read())
     options = _bind(args, CHECKS, args.check, f"--check {args.check}")
     for opt in ("r", "rt"):
         if opt in options:
@@ -197,7 +187,8 @@ MODULES = {"trivial": stmod.trivial_module, "bimodule": stmod.regular_bimodule}
 
 def _cmd_tate(args) -> int:
     window = check_window(args.window)
-    alg = _load_fd(args.algebra)
+    with open(args.algebra, "r", encoding="utf-8") as fh:
+        alg = gallery.fd_algebra_from_payload(load_json(fh.read()))
     axioms = alg.validate()
     if not axioms.passed:
         failed = ", ".join(str(f.key) for f in axioms.failures())
@@ -270,16 +261,15 @@ def _pipeline_trivial_extension() -> list[dict]:
 
 def _pipeline_hh_truncated(exponents, p) -> list[dict]:
     alg = gallery.build_truncated_ci(exponents, p)
-    bimod = stmod.regular_bimodule(alg)
-    tower = stmod.SyzygyTower(bimod)
-    hh0 = stmod.tate_ext(bimod, 0, tower).dim
+    tower = stmod.SyzygyTower(stmod.regular_bimodule(alg))
+    hh0 = stmod.tate_ext(tower, 0).dim
     steps = [_step("degree-0 stable Hochschild dim",
                    gallery.expected_hh0_dim(exponents, p), hh0)]
     if len(exponents) == 1:
         a = exponents[0]
         expected = gallery.expected_tate_hh_dim(a, p)
         for d in (-2, -1, 1, 2):
-            got = stmod.tate_ext(bimod, d, tower).dim
+            got = stmod.tate_ext(tower, d).dim
             steps.append(_step(f"degree {d} stable Hochschild dim", expected, got))
     return steps
 

@@ -54,14 +54,10 @@ def _reduce(arr: np.ndarray, p: int) -> np.ndarray:
     return arr
 
 
-def as_residues(data, p: int) -> np.ndarray:
-    """Copy ``data`` into a new C-ordered int64 array of residues mod p."""
-    return residues_and_max(data, p)[0]
-
-
 def residues_and_max(data, p: int, copy: bool = True) -> tuple[np.ndarray, int]:
-    """as_residues(data, p), and the largest entry before reducing, read as
-    uint64 (0 for an empty array): below p, nothing was reduced.
+    """``data`` copied into a new C-ordered int64 array of residues mod p, and
+    the largest entry before reducing, read as uint64 (0 for an empty array):
+    below p, nothing was reduced.
 
     With ``copy`` False a C-ordered int64 array is reduced in place instead.
     """
@@ -166,7 +162,7 @@ def rref(mat, p: int, pivot_cols: int | None = None) -> tuple[np.ndarray, tuple[
     zero left of the pivot column, so swaps, scaling and clearing touch only
     the columns from the pivot on; over F_2 clearing is an XOR.
     """
-    r_mat = as_residues(mat, p)
+    r_mat = residues_and_max(mat, p)[0]
     rows, cols = r_mat.shape
     gf2 = p == 2
     pivots: list[int] = []
@@ -287,4 +283,4 @@ class PrimeField:
             raise ValueError(f"characteristic must be prime: {self.p}")
 
     def reduce(self, data) -> np.ndarray:
-        return as_residues(data, self.p)
+        return residues_and_max(data, self.p)[0]

@@ -14,11 +14,6 @@ from .graded import AlgebraFormatError, WindowedGradedAlgebra, int_array
 from .stmod import FDAlgebra, check_fd_dim, fd_algebra_from_json_dict
 
 
-def _monomials_bounded(exponents: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All exponent tuples below the bounds, row-major (last variable fastest)."""
-    return list(itertools.product(*(range(a) for a in exponents)))
-
-
 def _monomials_total(nvars: int, total: int) -> list[tuple[int, ...]]:
     """Exponent tuples with the given total degree, in lexicographic order."""
     if nvars == 1:
@@ -51,7 +46,8 @@ def build_truncated_ci(exponents, p: int) -> FDAlgebra:
         raise AlgebraFormatError("exponents must be positive integers")
     check_fd_dim(math.prod(exponents), "truncated polynomial algebra")
     field = PrimeField(p)
-    monos = _monomials_bounded(exponents)
+    # every exponent tuple below the bounds, row-major (last variable fastest)
+    monos = list(itertools.product(*(range(a) for a in exponents)))
     index = {m: i for i, m in enumerate(monos)}
     dim = len(monos)
     mult = np.zeros((dim, dim, dim), dtype=np.int64)
@@ -159,9 +155,7 @@ def expected_hh0_dim(exponents, p: int) -> int:
     polynomial algebra: the full dimension if p divides some exponent,
     one less otherwise."""
     exponents = tuple(int(a) for a in exponents)
-    prod = 1
-    for a in exponents:
-        prod *= a
+    prod = math.prod(exponents)
     return prod if any(a % p == 0 for a in exponents) else prod - 1
 
 

@@ -56,8 +56,10 @@ class AlgebraFormatError(ValueError):
 # Size caps on input, so that a small file cannot ask for gigabytes: windows
 # stay within [-WINDOW_BOUND, WINDOW_BOUND], and no degree of a graded ring file
 # or of a Tate ring may have more than DIM_BOUND basis elements, so every ring
-# that gtl tate emits reads back.  The widest gallery, test and
-# benchmark ring has 45.  One DIM_BOUND**3 structure block of int64 is 16 MiB.
+# that gtl tate emits reads back.  The widest test ring, F2[C2^7] in one degree
+# (test_analyze_validates_a_128_dimensional_ring_under_a_memory_limit), is at
+# the cap; the widest benchmark ring has 45.  One DIM_BOUND**3 structure block
+# of int64 is 16 MiB.
 # Beyond the blocks, validate holds runs of about _RUN_TERMS terms or dense
 # result cells, where one dense (d, d, d, d) side of a triple would be 2 GiB.
 WINDOW_BOUND = 32
@@ -420,18 +422,12 @@ class WindowedGradedAlgebra:
             return np.zeros((self.dims[i], self.dims[j], self.dims[i + j]), dtype=np.int64)
         return block
 
-    def one(self) -> "GradedElement":
-        return GradedElement(self, 0, self.unit)
-
     def basis_element(self, d: int, index: int) -> "GradedElement":
         if not 0 <= index < self.dim(d):
             raise ValueError(f"degree {d} has no basis index {index}")
         vec = np.zeros(self.dims[d], dtype=np.int64)
         vec[index] = 1
         return GradedElement(self, d, vec)
-
-    def element(self, d: int, coeffs: Iterable[int]) -> "GradedElement":
-        return GradedElement(self, d, list(coeffs))
 
     def element_by_label(self, spec: str) -> "GradedElement":
         """The basis element a label or a 'degree:index' names.  A spec that

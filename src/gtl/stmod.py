@@ -60,9 +60,9 @@ from .report import FAIL, PASS, CertifiedReport, PreconditionError
 # Tate rings are built over algebras of dimension at most FD_DIM_BOUND: the
 # explicit format's dim, a truncated_polynomial shorthand's product of
 # exponents and a bimodule's enveloping algebra (d^2) are all checked before
-# anything of that size is allocated.  The largest gallery, test and benchmark
-# algebra is the enveloping algebra of k[x]/(x^10), of dimension 100; one
-# FD_DIM_BOUND**3 mult tensor of int64 is 16 MiB.
+# anything of that size is allocated.  The largest test algebra, F2[C2^7] in
+# test_analyze_validates_a_128_dimensional_ring_under_a_memory_limit, is at the
+# cap; one FD_DIM_BOUND**3 mult tensor of int64 is 16 MiB.
 FD_DIM_BOUND = 128
 
 # FDAlgebra.validate squares the radical span a chunk of about this many
@@ -904,14 +904,12 @@ def stable_hom(source: FDModule, target: FDModule) -> StableHom:
 # ---------------------------------------------------------------------------
 
 
-def tate_ext(module: FDModule, i: int, tower: SyzygyTower | None = None) -> StableHom:
-    """Degree-i stable self-extensions as stable maps W_{i+t} -> W_t, t = max(0, -i).
+def tate_ext(tower: SyzygyTower, i: int) -> StableHom:
+    """Degree-i stable self-extensions of M = W_0 as stable maps W_{i+t} -> W_t, t = max(0, -i).
 
-    That is W_i -> M for i >= 0 and M -> W_{-i} below, over module.algebra.
+    That is W_i -> M for i >= 0 and M -> W_{-i} below, over M's algebra.
     Like stable_hom it needs a validated symmetrizing form.
     """
-    if tower is None:
-        tower = SyzygyTower(module)
     t = max(0, -i)
     return stable_hom(tower.module(i + t), tower.module(t))
 
@@ -920,7 +918,6 @@ class _TateWorkspace:
     """One Tate-ring computation: the tower and a StableHom per (degree, shift)."""
 
     def __init__(self, module: FDModule):
-        self.module = module
         self.tower = SyzygyTower(module)
         self.homs: dict[tuple[int, int], StableHom] = {}
 
@@ -938,7 +935,7 @@ class _TateWorkspace:
         near = None if shift == home else self.hom_at(d, shift - 1 if shift > home else shift + 1)
         try:
             if near is None:
-                hom = tate_ext(self.module, d, self.tower)
+                hom = tate_ext(self.tower, d)
             else:
                 if shift > home:
                     lifted = omega_lift(self.tower, near.basis, shift - 1 + d, shift - 1)
@@ -979,7 +976,7 @@ def tate_ring(module: FDModule, window: tuple[int, int]) -> WindowedGradedAlgebr
 
     Requires a symmetrizing functional passing validate_symmetric (products
     in negative degrees live off self-injectivity); raises PreconditionError
-    otherwise.  The degree-d component is tate_ext(module, d); the products
+    otherwise.  The degree-d component is tate_ext(tower, d); the products
     of classes in degrees i and j are computed at a common shift s: the left
     factor as maps W_{s+i} -> W_s, the right one as W_{s+i+j} -> W_{s+i},
     composed after it.  Only the values on the cover generators of

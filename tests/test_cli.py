@@ -288,6 +288,16 @@ def test_a_key_named_twice_in_one_object_exits_two(tmp_path, t2, klein_alg, comm
     assert capsys.readouterr().err == f"input error: key '{key}' appears twice in one object\n"
 
 
+@pytest.mark.parametrize("command", ["analyze", "tate"])
+def test_a_file_that_is_not_utf8_exits_two_with_one_line(tmp_path, command, capsys):
+    path = tmp_path / "not-utf8.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flags", [
     ["--check", "selfdual"],
     ["--check", "orthogonality", "--r", "w1"],

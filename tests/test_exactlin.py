@@ -11,7 +11,6 @@ from gtl import exactlin
 from gtl.exactlin import (
     MAX_CHAR,
     PrimeField,
-    as_residues,
     complement,
     is_prime,
     kernel_mod,
@@ -320,10 +319,10 @@ def test_complement_matches_setdiff1d(case):
 
 
 @given(st.sampled_from([2, 3, 7, MAX_CHAR - 1]), st.lists(st.integers(-(2**63), 2**63 - 1), max_size=6))
-def test_as_residues_reduces_every_int64(p, values):
+def test_residues_and_max_reduces_every_int64(p, values):
     data = np.array(values, dtype=np.int64)
     want = np.array([v % p for v in values], dtype=np.int64)
-    got = as_residues(data, p)
+    got = residues_and_max(data, p)[0]
     assert np.array_equal(got, want) and got is not data
     reduced, _ = residues_and_max(data, p, copy=False)
     assert reduced is data and np.array_equal(data, want)

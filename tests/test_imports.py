@@ -167,8 +167,6 @@ def uncalled_public_functions(sources: dict[str, ast.Module]) -> list[str]:
 LIBRARY_API = {
     "gallery.build_laurent": "a gallery example, named in README's module table",
     "graded.algebra_to_json_dict": "the writer's oracle: algebra_to_json writes the canonical JSON of this payload",
-    "WindowedGradedAlgebra.one": "the unit as an element, the multiplicative identity",
-    "WindowedGradedAlgebra.element": "a homogeneous element from its degree and coefficients",
     "WindowedGradedAlgebra.__eq__": "the round-trip oracle: a ring read back from its JSON equals the ring written",
     "GradedSubspace.contains_vector": "membership of a vector of one degree in a subspace",
 }

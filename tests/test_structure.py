@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gtl import structure
 from gtl.exactlin import PrimeField, kernel_mod, matmul_mod, rank_mod, solve_mod
 from gtl.gallery import build_laurent, build_trivial_extension, build_truncated_ci
-from gtl.graded import GradedSubspace, WindowedGradedAlgebra, col_echelon
+from gtl.graded import GradedElement, GradedSubspace, WindowedGradedAlgebra, col_echelon
 from gtl.report import FAIL, PASS, UNDERDETERMINED, CertifiedReport, PreconditionError
 from gtl.stmod import tate_ring, trivial_module
 from gtl.structure import (
@@ -74,7 +74,7 @@ def test_regularity_requires_central_element():
 
 def test_regularity_of_zero_fails_with_a_kernel_witness(t2):
     # a zero element keeps its degree, and kills every degree it acts on
-    rep = regularity(t2, t2.element(1, [0, 0]))
+    rep = regularity(t2, GradedElement(t2, 1, [0, 0]))
     assert not rep.passed and rep.clauses["central"].passed
     kernels = rep.clauses["kernels"]
     assert [e.key for e in kernels.failures()] == [0, 1, 2]
@@ -83,7 +83,7 @@ def test_regularity_of_zero_fails_with_a_kernel_witness(t2):
 
 def test_regularity_rejects_nonpositive_degree(t2):
     with pytest.raises(ValueError):
-        regularity(t2, t2.one())
+        regularity(t2, GradedElement(t2, 0, t2.unit))
 
 
 # -- torsion -----------------------------------------------------------------
@@ -122,7 +122,7 @@ def test_tor_part_is_closed_under_the_algebra_action(t2):
                 continue  # only a lower bound there
             for c in range(cols.shape[1]):
                 for idx in range(t2.dim(j)):
-                    x = t2.element(d, cols[:, c])
+                    x = GradedElement(t2, d, cols[:, c])
                     b = t2.basis_element(j, idx)
                     assert tor.contains_vector(d + j, t2.multiply(x, b).vector)
                     assert tor.contains_vector(d + j, t2.multiply(b, x).vector)
@@ -170,7 +170,7 @@ def test_regularity_sharpens_flags_to_the_kernel_of_power_k0():
     te = build_trivial_extension(2, (-4, 2), 2)
     alg = product_ring(build_laurent(2, (-4, 2)), te)
     w1 = te.element_by_label("w1")
-    r = alg.element(2, np.concatenate([[1], te.multiply(w1, w1).vector]))
+    r = GradedElement(alg, 2, np.concatenate([[1], te.multiply(w1, w1).vector]))
     assert regularity(alg, r).passed
     tor = tor_part(alg, r)
     sharp = _tor_under_regularity(alg, r, tor)
@@ -457,7 +457,7 @@ def test_repeated_element_is_not_a_regular_sequence(t2):
 
 def test_regular_sequence_rejects_nonpositive_degrees(t2):
     with pytest.raises(ValueError):
-        is_regular_sequence2(t2, t2.one(), t2.element_by_label("w1"))
+        is_regular_sequence2(t2, GradedElement(t2, 0, t2.unit), t2.element_by_label("w1"))
 
 
 def reference_second_clause(alg, r, rt) -> CertifiedReport:
@@ -613,8 +613,8 @@ def test_depth2_on_trivial_extension(t2):
 
 
 def test_depth2_on_klein_ring(klein_ring):
-    r = klein_ring.element(2, [1, 0, 0])
-    rt = klein_ring.element(2, [0, 0, 1])
+    r = GradedElement(klein_ring, 2, [1, 0, 0])
+    rt = GradedElement(klein_ring, 2, [0, 0, 1])
     rep = verify_depth2(klein_ring, r, rt, -1, [1])
     assert rep.passed
     assert rep.clauses["negative_square_zero"].passed
